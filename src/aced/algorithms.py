@@ -98,18 +98,20 @@ def _content_seed(*parts) -> int:
     return int.from_bytes(h.digest()[:8], "big")
 
 
-def _solve_cached(obj, solver_params, cache, key_parts):
-    """Solve a design objective; the solver seed derives from the content
-    key so cached and recomputed designs are identical."""
+def _solve_cached(build, solver_params, cache, key_parts):
+    """Solve the design objective that build() returns, building it only
+    on a cache miss. The solver seed derives from the content key so
+    cached and recomputed designs are identical; the cache key adds the
+    solver parameters, so differently tuned solves never share a design."""
     seed = _content_seed(*key_parts)
+    key = (seed, tuple(sorted(solver_params.items())))
     if cache is not None:
-        key = seed
         hit = cache.get(key)
         if hit is not None:
             return hit
-    rep = smd_solve(obj, seed=seed, **solver_params)
+    rep = smd_solve(build(), seed=seed, **solver_params)
     if cache is not None:
-        cache[seed] = rep
+        cache[key] = rep
     return rep
 
 
@@ -165,9 +167,8 @@ def aced_fixed_confidence(
     while active.size > 1 and k < round_cap:
         k += 1
         delta_k = delta / (2.0 * k * k)
-        obj = pair_width_objective(H[active], delta_k)
-        rep = _solve_cached(obj, solver_params, design_cache,
-                            ("fc", H[active], delta_k, solver_params["tol"]))
+        rep = _solve_cached(lambda: pair_width_objective(H[active], delta_k), solver_params,
+                            design_cache, ("fc", H[active], delta_k, solver_params["tol"]))
         lam = rep.design.lam
         n_k = int(min(max(1, math.ceil(c_budget * rep.value_estimate * 2 ** (2 * (k + 1)))),
                       max_round_queries))
@@ -256,8 +257,8 @@ def aced_fixed_budget(
         errs = estimated_errors_all(hclass, est)
         anchor = int(np.argmin(errs))
         scale = 2.0 ** (-k + 1)
-        obj = gap_objective(H, est.values, anchor, scale, mode="fixed_budget")
-        rep = _solve_cached(obj, solver_params, design_cache,
+        rep = _solve_cached(lambda: gap_objective(H, est.values, anchor, scale), solver_params,
+                            design_cache,
                             ("fb", H, np.asarray(est.values), anchor, scale, solver_params["tol"]))
         lam = rep.design.lam
         rng = np.random.default_rng([seed, k])
@@ -304,12 +305,11 @@ def aced_fixed_budget_efficient(
         errs = estimated_errors_all(hclass, est)
         anchor = int(np.argmin(errs))
         scale = 2.0 ** (-k + 1)
-        obj1 = gap_objective(H, est.values, anchor, scale, mode="fixed_budget")
-        rep1 = _solve_cached(obj1, solver_params, design_cache,
-                             ("fbe1", H, np.asarray(est.values), anchor, scale))
-        obj2 = psi_objective(H, est.values, anchor, scale, floor_at_scale=False)
-        rep2 = _solve_cached(obj2, solver_params, design_cache,
-                             ("fbe2", H, np.asarray(est.values), anchor, scale))
+        rep1 = _solve_cached(lambda: gap_objective(H, est.values, anchor, scale), solver_params,
+                             design_cache, ("fbe1", H, np.asarray(est.values), anchor, scale))
+        rep2 = _solve_cached(
+            lambda: psi_objective(H, est.values, anchor, scale, floor_at_scale=False),
+            solver_params, design_cache, ("fbe2", H, np.asarray(est.values), anchor, scale))
         lam = Design(0.5 * (rep1.design.lam + rep2.design.lam)).lam
         rng = np.random.default_rng([seed, k])
         idx = _draw_iid(rng, lam, N)
@@ -376,17 +376,20 @@ def aced_waterfilled(
         handle, anchor_lab = _erm_handle(hclass, est)
         scale = 2.0 ** (-k + 1)
         if hclass.explicit:
-            obj = gap_objective(hclass.labelings, est.values, int(handle), scale)
-            key = ("wf", hclass.labelings, np.asarray(est.values), int(handle), scale)
+            rep = _solve_cached(
+                lambda: gap_objective(hclass.labelings, est.values, int(handle), scale),
+                solver_params, design_cache,
+                ("wf", hclass.labelings, np.asarray(est.values), int(handle), scale))
         else:
             def maximizer(w):
                 h, _ = weighted_max(hclass, w)
                 return h, hclass.labeling(h)
 
-            obj = oracle_gap_objective(n, anchor_lab, est.values, scale, maximizer,
-                                       line_search_iters)
-            key = ("wf-oracle", anchor_lab, np.asarray(est.values), scale)
-        rep = _solve_cached(obj, solver_params, design_cache, key)
+            rep = _solve_cached(
+                lambda: oracle_gap_objective(n, anchor_lab, est.values, scale, maximizer,
+                                             line_search_iters),
+                solver_params, design_cache,
+                ("wf-oracle", anchor_lab, np.asarray(est.values), scale))
         p_k = waterfill(rep.design, marginals, k)
         marginals.append(p_k.lam)
         want = min(N_batch, T - len(queried), n - len(queried))
@@ -434,11 +437,6 @@ def baseline_passive(instance: Instance, T: int, seed: int = 0) -> RunRecord:
     rec.returned_labeling = [int(v) for v in lab]
     rec.progress.append((1, len(log), rec.returned))
     return rec
-
-
-def _bernstein_radius(t: int, m: int, delta: float, var_bound: float, weight_bound: float) -> float:
-    lg = math.log(2.0 * m * t * (t + 1) / delta)
-    return math.sqrt(2.0 * var_bound * lg / t) + weight_bound * lg / (3.0 * t)
 
 
 def baseline_uniform_disagreement(
@@ -534,6 +532,8 @@ def baseline_iwal(
     with aggressiveness C0 (documented in _iwal_probability; variants
     iwal1/oracular1 halve the slack, oracular variants evaluate the gap
     on all true labels revealed so far instead of importance weights).
+    On an oracle-backed class, flags["logistic_cap_hits"] counts the
+    logistic fits that stopped at their iteration cap.
     """
     if variant not in ("iwal0", "iwal1", "oracular0", "oracular1"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -557,6 +557,11 @@ def baseline_iwal(
         if feats is None:
             raise ValueError("oracle-backed streaming needs pool features")
         samples = []
+        rec.flags["logistic_cap_hits"] = 0
+
+        def fit(hyp):
+            rec.flags["logistic_cap_hits"] += not hyp.converged
+            return hyp
     revealed = {}
     stream = list(stream)
     for step, i in enumerate(stream, start=1):
@@ -574,12 +579,12 @@ def baseline_iwal(
             hk_pred = int(H[hk, i])
         else:
             if samples:
-                hyp = erm_logistic(samples)
+                hyp = fit(erm_logistic(samples, warn_on_cap=False))
             else:
                 hyp = erm_flip_constrained([], feats[i], +1, margin)
             hk_pred = int(hyp.predict(feats[i])[0])
             desired = -1 if hk_pred == 1 else 1
-            flip_hyp = erm_flip_constrained(samples, feats[i], desired, margin)
+            flip_hyp = fit(erm_flip_constrained(samples, feats[i], desired, margin))
             assert int(flip_hyp.predict(feats[i])[0]) != hk_pred
             denom = max(step - 1, 1)
 
@@ -616,7 +621,8 @@ def baseline_iwal(
         rec.returned = int(np.argmin(base))
         rec.returned_labeling = [int(v) for v in H[rec.returned]]
     else:
-        hyp = erm_logistic(samples) if samples else erm_flip_constrained([], feats[0], 1, margin)
+        hyp = (fit(erm_logistic(samples, warn_on_cap=False)) if samples
+               else erm_flip_constrained([], feats[0], 1, margin))
         rec.returned = -1
         rec.returned_labeling = [int(v) for v in hyp.predict(feats)]
     return rec

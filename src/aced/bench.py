@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algorithms import REGISTRY, RunRecord
+from .algorithms import REGISTRY, RunRecord, _erm_handle
 from .complexity import (
     complexity_report,
     make_core_tail_instance,
@@ -30,7 +30,8 @@ from .complexity import (
 )
 from .core import HypothesisClass, Instance, LabelModel, Pool
 from .estimators import naive_estimate
-from .oracles import LinearOracleClass, weighted_max
+# weighted_max stays importable here: perfbench/tracer.py wraps bench.weighted_max
+from .oracles import LinearOracleClass, weighted_max  # noqa: F401
 
 GENERATORS = {
     "core_tail": lambda **kw: make_core_tail_instance(**kw),
@@ -70,7 +71,6 @@ class ResultRow:
     queries: int
     pool_acc: float
     holdout_acc: float | None
-    wall_time: float = 0.0
 
 
 def _coerce(value: str):
@@ -145,10 +145,6 @@ def build_instance(spec: dict) -> Instance:
     return GENERATORS[gen](**spec)
 
 
-def _parse_header(row, path):
-    return [c.strip() for c in row]
-
-
 def ingest_csv(features_path, labels_path) -> Instance:
     """Pool CSV (feature columns f0..f{p-1}, optional id) + labels CSV
     (id,eta for means or id,y for persistent realizations) to an instance
@@ -156,7 +152,7 @@ def ingest_csv(features_path, labels_path) -> Instance:
     labels_rows = []
     with open(labels_path, newline="") as fh:
         reader = csv.reader(fh)
-        header = _parse_header(next(reader), labels_path)
+        header = [c.strip() for c in next(reader)]
         if header[:1] != ["id"] or len(header) != 2 or header[1] not in ("eta", "y"):
             raise ConfigError(f"{labels_path}: header must be id,eta or id,y")
         kind = header[1]
@@ -179,7 +175,7 @@ def ingest_csv(features_path, labels_path) -> Instance:
     if features_path:
         with open(features_path, newline="") as fh:
             reader = csv.reader(fh)
-            header = _parse_header(next(reader), features_path)
+            header = [c.strip() for c in next(reader)]
             has_id = header and header[0] == "id"
             fcols = header[1:] if has_id else header
             if fcols != [f"f{j}" for j in range(len(fcols))]:
@@ -189,9 +185,12 @@ def ingest_csv(features_path, labels_path) -> Instance:
                 if len(row) != len(header):
                     raise ConfigError(f"{features_path}:{ln}: expected {len(header)} columns")
                 try:
-                    rows.append([float(x) for x in (row[1:] if has_id else row)])
+                    vals = [float(x) for x in (row[1:] if has_id else row)]
                 except ValueError as exc:
                     raise ConfigError(f"{features_path}:{ln}: bad value") from exc
+                if not all(math.isfinite(v) for v in vals):
+                    raise ConfigError(f"{features_path}:{ln}: non-finite feature value")
+                rows.append(vals)
         features = np.array(rows)
         if features.shape[0] != eta.size:
             raise ConfigError("features and labels row counts differ")
@@ -268,17 +267,6 @@ def _score(labeling, labels: LabelModel, idx=None) -> float:
     return _expected_accuracy(np.asarray(labeling)[idx], labels.eta[idx])
 
 
-def _erm_labeling(hclass: HypothesisClass, log, n: int):
-    est = naive_estimate(log, n)
-    if hclass.explicit:
-        from .estimators import estimated_errors_all
-
-        idx = int(np.argmin(estimated_errors_all(hclass, est)))
-        return hclass.labelings[idx], idx
-    handle, _ = weighted_max(hclass, 2.0 * est.values - 1.0)
-    return hclass.labeling(handle), handle
-
-
 def _restrict_instance(instance: Instance, train_idx: np.ndarray) -> Instance:
     pool = instance.pool
     feats = pool.features[train_idx] if pool.features is not None else None
@@ -314,17 +302,20 @@ def _run_one(instance: Instance, name: str, params: dict, seed: int):
     return REGISTRY[name](instance, seed=seed, **params)
 
 
+def _holdout_split(n: int, fraction: float, seed: int) -> tuple:
+    """Seeded (holdout indices, training indices), each sorted."""
+    perm = np.random.default_rng([seed, 0x401]).permutation(n)
+    n_hold = int(round(fraction * n))
+    return np.sort(perm[:n_hold]), np.sort(perm[n_hold:])
+
+
 def _pool_task(args):
     """Worker entry: rebuilds the (restricted) instance from the picklable
     spec so every worker owns its own RNG state."""
     spec, holdout_fraction, holdout_seed, label, name, params, seed = args
     full = build_instance(spec)
-    n = full.n
-    rng = np.random.default_rng([holdout_seed, 0x401])
-    n_hold = int(round(holdout_fraction * n))
-    perm = rng.permutation(n)
-    train_idx = np.sort(perm[n_hold:])
-    inst = _restrict_instance(full, train_idx) if n_hold else full
+    holdout_idx, train_idx = _holdout_split(full.n, holdout_fraction, holdout_seed)
+    inst = _restrict_instance(full, train_idx) if holdout_idx.size else full
     t0 = time.perf_counter()
     try:
         rec = _run_one(inst, name, params, seed)
@@ -347,7 +338,7 @@ def _curve_points(instance: Instance, rec: RunRecord, full_instance=None,
     for rnd in sorted(by_round):
         prefix.extend(by_round[rnd])
         uniq.update(q.index for q in by_round[rnd])
-        labeling, handle = _erm_labeling(instance.hypotheses, prefix, n)
+        handle, labeling = _erm_handle(instance.hypotheses, naive_estimate(prefix, n))
         pool_acc = _score(labeling, instance.labels)
         hold_acc = None
         if holdout_idx is not None and holdout_idx.size:
@@ -361,7 +352,7 @@ def _curve_points(instance: Instance, rec: RunRecord, full_instance=None,
                 hold_acc = _score(full_lab, full_instance.labels, holdout_idx)
         points.append((len(uniq), pool_acc, hold_acc))
     if not points:
-        labeling, _ = _erm_labeling(instance.hypotheses, [], n)
+        _, labeling = _erm_handle(instance.hypotheses, naive_estimate([], n))
         points.append((0, _score(labeling, instance.labels), None))
     return points
 
@@ -378,16 +369,10 @@ def run(config: ExperimentConfig, out_dir=None, workers: int = 1) -> dict:
     out = Path(os.environ.get("ACED_OUT_DIR", out_dir or config.output_dir))
     out.mkdir(parents=True, exist_ok=True)
     full_instance = build_instance(config.instance)
-    n = full_instance.n
-    rng = np.random.default_rng([config.holdout_seed, 0x401])
-    n_hold = int(round(config.holdout_fraction * n))
-    perm = rng.permutation(n)
-    holdout_idx = np.sort(perm[:n_hold])
-    train_idx = np.sort(perm[n_hold:])
-    if n_hold:
-        instance = _restrict_instance(full_instance, train_idx)
-    else:
-        instance = full_instance
+    holdout_idx, train_idx = _holdout_split(full_instance.n, config.holdout_fraction,
+                                            config.holdout_seed)
+    n_hold = holdout_idx.size
+    instance = _restrict_instance(full_instance, train_idx) if n_hold else full_instance
 
     tasks = [(label, name, params, seed)
              for label, name, params in config.algorithms for seed in config.seeds]
@@ -428,8 +413,7 @@ def run(config: ExperimentConfig, out_dir=None, workers: int = 1) -> dict:
             instance, rec, full_instance if n_hold else None, train_idx, holdout_idx
         ):
             rows.append(ResultRow(algorithm=label, seed=seed, queries=queries,
-                                  pool_acc=pool_acc, holdout_acc=hold_acc,
-                                  wall_time=wall))
+                                  pool_acc=pool_acc, holdout_acc=hold_acc))
         records.append((label, seed, rec))
 
     rows.sort(key=lambda r: (r.algorithm, r.seed, r.queries))

@@ -112,7 +112,13 @@ def gamma_star(hclass: HypothesisClass, labels: LabelModel, epsilon: float,
 
 def psi_star(hclass: HypothesisClass, labels: LabelModel, epsilon: float,
              solver: dict | None = None, seed: int = 0) -> MeasureResult:
-    """Minimize the worst-coordinate importance weight over designs."""
+    """Minimize the worst-coordinate importance weight over designs.
+
+    The minimum has a closed form, lam_i proportional to
+    a_i = max over h with i in S_h of 1/max(gap_h, eps), with value
+    (1/n) sum_i a_i; it is solved exactly, so solver and seed are
+    ignored.
+    """
     if hclass.size == 1:
         return MeasureResult(0.0, Design.uniform(hclass.n))
     gt = gap_table(hclass, labels)

@@ -5,8 +5,9 @@ The sampling distribution is optimized by stochastic mirror descent
 step size, and a first-order optimality certificate. Gap-style
 objectives maximize a Gaussian-perturbed excess-error ratio per sample;
 pair-width objectives combine a squared Gaussian width with a worst-pair
-inverse-mass penalty; the worst-coordinate and inverse-information
-objectives are deterministic. Waterfilling reconciles per-round designs
+inverse-mass penalty; the inverse-information objective is
+deterministic. The worst-coordinate objective is solved exactly in
+closed form, with no descent. Waterfilling reconciles per-round designs
 with the cumulative sampling distribution.
 """
 from __future__ import annotations
@@ -64,7 +65,8 @@ class DesignObjective:
       true_gap         same ratio with true gaps floored at epsilon
       fixed_confidence E[max-pair width]^2 + penalty * max-pair inverse mass
       rho              max_h (inverse-information / gap^2), deterministic
-      psi              max_{h, i in disagreement} worst-coordinate ratio
+      psi              max_{h, i in disagreement} worst-coordinate ratio,
+                       solved exactly (lam_i proportional to a_i)
     """
 
     mode: str
@@ -174,7 +176,7 @@ def objective_sample(obj: DesignObjective, design: Design, zeta) -> tuple:
 
     Gap modes return (max_h f, argmax h) with the anchor worth exactly 0;
     the pair-width mode returns the width sample and its pair index;
-    deterministic modes ignore zeta.
+    the rho and psi modes ignore zeta.
     """
     lam = design.lam if isinstance(design, Design) else np.asarray(design, dtype=float)
     zeta = np.asarray(zeta, dtype=float)
@@ -207,7 +209,7 @@ def _eval_batch(obj: DesignObjective, lam: np.ndarray, Z: np.ndarray):
     """Per-sample values and gradients for a batch of Gaussian draws.
 
     Returns (values, grad_mean, grad_sq_mean) where the last two are over
-    the batch; deterministic modes get a single exact 'sample'.
+    the batch; the rho mode gets a single exact 'sample'.
     """
     if obj.mode in ("fixed_budget", "true_gap"):
         if obj.maximizer is not None:
@@ -249,14 +251,6 @@ def _eval_batch(obj: DesignObjective, lam: np.ndarray, Z: np.ndarray):
         active = vals >= vals[r] - 1e-12 * max(abs(vals[r]), 1.0)
         g = -(obj.coeff[active, None] * obj.S[active]).mean(axis=0) / lam**2
         return np.array([vals[r]]), g, g**2
-    if obj.mode == "psi":
-        ratio = np.where(obj.S > 0, (1.0 / (obj.n * lam))[None, :] / obj.den[:, None], -np.inf)
-        best = float(ratio.max())
-        g = np.zeros(obj.n)
-        hs, cols = np.nonzero(ratio >= best - 1e-12 * max(best, 1.0))
-        for h, i in zip(hs, cols):
-            g[i] -= (1.0 / (obj.n * lam[i] ** 2)) / obj.den[h] / hs.size
-        return np.array([best]), g, g**2
     raise ValueError(f"unknown objective mode {obj.mode!r}")
 
 
@@ -264,7 +258,7 @@ _CERT_BANDS = (0.0, 1e-9, 1e-6, 1e-4, 1e-3, 1e-2)
 
 
 def _banded_certificate(obj: DesignObjective, lam: np.ndarray, value: float) -> float:
-    """Optimality certificate for the deterministic modes.
+    """Optimality certificate for the rho mode.
 
     Averaging subgradients over an eps-active band gives an
     eps-subgradient, so gap + band slack still upper-bounds the true
@@ -272,31 +266,14 @@ def _banded_certificate(obj: DesignObjective, lam: np.ndarray, value: float) -> 
     less sparse than the argmax one and certifies much tighter.
     """
     best = np.inf
-    if obj.mode == "rho":
-        vals = obj.coeff * (obj.S @ (1.0 / lam))
-        for band in _CERT_BANDS:
-            cut = value * (1.0 - band) - 1e-15
-            active = vals >= cut
-            g = -(obj.coeff[active, None] * obj.S[active]).mean(axis=0) / lam**2
-            slack = value - float(vals[active].min())
-            best = min(best, float(g @ lam - g.min()) + slack)
-        return best
-    if obj.mode == "psi":
-        # each active pair's subgradient lives on one coordinate, so the
-        # dual combination must spread weight evenly across coordinates
-        ratio = np.where(obj.S > 0, (1.0 / (obj.n * lam))[None, :] / obj.den[:, None], -np.inf)
-        col_best = ratio.max(axis=0)  # most binding hypothesis per coordinate
-        for band in _CERT_BANDS:
-            cut = value * (1.0 - band) - 1e-15
-            cols = np.flatnonzero(col_best >= cut)
-            if cols.size == 0:
-                continue
-            g = np.zeros(obj.n)
-            g[cols] = -col_best[cols] / (lam[cols] * cols.size)
-            slack = value - float(col_best[cols].min())
-            best = min(best, float(g @ lam - g.min()) + slack)
-        return best
-    raise ValueError(f"no deterministic certificate for mode {obj.mode!r}")
+    vals = obj.coeff * (obj.S @ (1.0 / lam))
+    for band in _CERT_BANDS:
+        cut = value * (1.0 - band) - 1e-15
+        active = vals >= cut
+        g = -(obj.coeff[active, None] * obj.S[active]).mean(axis=0) / lam**2
+        slack = value - float(vals[active].min())
+        best = min(best, float(g @ lam - g.min()) + slack)
+    return best
 
 
 def _penalty_term(obj, lam):
@@ -348,6 +325,20 @@ def _combined_gradient(obj, lam, vals, grad_mean, grad_sq_mean, B):
     return g, var
 
 
+def _psi_exact(obj: DesignObjective, lam_floor: float) -> SolverReport:
+    """Closed-form minimizer of the worst-coordinate objective.
+
+    With a_i = max over h with i in S_h of 1/den_h the objective is
+    max_i a_i / (n lam_i), so lam proportional to a equalizes every
+    coordinate at the optimum (1/n) sum_i a_i.
+    """
+    a = np.where(obj.S > 0, 1.0 / obj.den[:, None], 0.0).max(axis=0)
+    design = Design(a, lam_floor)
+    value, _ = objective_sample(obj, design, np.zeros(obj.n))
+    return SolverReport(design=design, value_estimate=value, value_stderr=0.0,
+                        certificate=0.0, batch_trajectory=[], iterations=0, converged=True)
+
+
 def smd_solve(
     obj: DesignObjective,
     tol: float,
@@ -367,9 +358,12 @@ def smd_solve(
     the step size backtracks (two steps tie when the value difference is
     within one standard error on common draws); stops when the
     certificate 2 max_k sigma_k + max_k <g, lam - e_k> drops below tol.
+    The psi mode skips the descent and returns its exact minimizer.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if obj.mode == "psi":
+        return _psi_exact(obj, lam_floor)
     n = obj.n
     lam = np.full(n, 1.0 / n)
     B = max(int(b0), 2) if obj.stochastic else 1

@@ -95,17 +95,6 @@ def weighted_max(hclass: HypothesisClass, w) -> tuple:
     return hyp, value
 
 
-def _logistic_loss_grad(theta, X1, w, y_pm, reg):
-    # theta = [w..., b]; intercept unregularized
-    z = X1 @ theta
-    m = -y_pm * z
-    loss = float(w @ np.logaddexp(0.0, m)) + reg * float(theta[:-1] @ theta[:-1])
-    sig = 1.0 / (1.0 + np.exp(-np.clip(m, -500, 500)))
-    grad = X1.T @ (-(w * y_pm) * sig)
-    grad[:-1] += 2.0 * reg * theta[:-1]
-    return loss, grad
-
-
 def _fit_logistic(X, w, y, reg, tol, max_iter, fixed_intercept=None, warn_on_cap=True):
     """Full-batch gradient descent with backtracking on the weighted logistic loss."""
     n, p = X.shape
@@ -187,7 +176,9 @@ def erm_flip_constrained(
     """Weighted logistic fit constrained to predict desired_sign at x_k.
 
     Features are translated by x_k and the intercept is pinned to the
-    signed margin, so w.x_k + b = desired_sign * margin exactly.
+    signed margin, so w.x_k + b = desired_sign * margin exactly. A fit
+    that hits the iteration cap is reported through converged=False,
+    without a warning.
     """
     if desired_sign not in (-1, 1):
         raise ValueError("desired_sign must be -1 or +1")
@@ -200,7 +191,8 @@ def erm_flip_constrained(
     X = np.array([np.asarray(s.example, dtype=float) - x_k for s in samples])
     w = np.array([s.weight for s in samples], dtype=float)
     y = np.array([s.label for s in samples])
-    wv, b0, ok = _fit_logistic(X, w, y, reg, tol, max_iter, fixed_intercept=pinned)
+    wv, b0, ok = _fit_logistic(X, w, y, reg, tol, max_iter, fixed_intercept=pinned,
+                               warn_on_cap=False)
     # translate back: prediction on raw x uses w.(x - x_k) + pinned
     return LinearHypothesis(w=wv, b=float(pinned - wv @ x_k), converged=ok)
 
@@ -225,14 +217,6 @@ class LinearOracleClass:
     @property
     def n(self) -> int:
         return self.features.shape[0]
-
-    def erm(self, samples) -> LinearHypothesis:
-        feats = [
-            WeightedSample(s.weight, self.features[s.example] if np.isscalar(s.example) else s.example, s.label)
-            for s in samples
-        ]
-        return erm_logistic(feats, reg=self.reg, tol=self.tol, max_iter=self.max_iter,
-                            warn_on_cap=False)
 
     def erm_weights(self, weights, labels) -> LinearHypothesis:
         keep = np.asarray(weights, dtype=float) > 0

@@ -317,3 +317,58 @@ def test_waterfilled_default_batch_is_quarter_pool():
     inst = make_thresholds(16, 9, 1.0, persistent=True, seed=0)
     rec = aced_waterfilled(inst, T=8, epsilon=0.5, seed=0)
     assert rec.params["N_batch"] == min(250, 16 // 4)
+
+
+def test_iwal_oracle_counts_capped_fits_without_warning(monkeypatch):
+    import warnings
+
+    from aced import oracles
+
+    capped = []
+    fit = oracles._fit_logistic
+
+    def counting_fit(*args, **kwargs):
+        out = fit(*args, **kwargs)
+        capped.append(not out[2])
+        return out
+
+    monkeypatch.setattr(oracles, "_fit_logistic", counting_fit)
+    rng = np.random.default_rng(1)
+    X = rng.standard_normal((5, 2))
+    eta = 1.0 / (1.0 + np.exp(-2.0 * (X[:, 0] - 0.5 * X[:, 1])))
+    inst = Instance(Pool(n=5, features=X), HypothesisClass(oracle=LinearOracleClass(X)),
+                    LabelModel(eta, persistent=True, seed=1))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rec = baseline_iwal(inst, list(range(5)), C0=0.1, variant="iwal0", seed=1)
+    assert not caught
+    assert rec.flags["logistic_cap_hits"] == sum(capped) > 0
+
+
+def test_design_cache_keys_on_solver_params():
+    inst = make_thresholds(8, 3, 1.0, persistent=True, seed=0)
+    cache = {}
+    aced_fixed_budget(inst, T=24, epsilon=0.25, estimator_kind="naive", seed=0,
+                      solver={"max_iters": 2}, design_cache=cache)
+    shared = aced_fixed_budget(inst, T=24, epsilon=0.25, estimator_kind="naive", seed=0,
+                               solver={"max_iters": 60}, design_cache=cache)
+    fresh_run = aced_fixed_budget(inst, T=24, epsilon=0.25, estimator_kind="naive", seed=0,
+                                  solver={"max_iters": 60})
+    assert shared.to_jsonl() == fresh_run.to_jsonl()
+
+
+def test_solve_cached_builds_objective_only_on_miss():
+    from aced.algorithms import DEFAULT_SOLVER, _solve_cached
+    from aced.design import pair_width_objective
+
+    H = make_thresholds(6, 2, 1.0).hypotheses.labelings
+    builds = []
+
+    def build():
+        builds.append(1)
+        return pair_width_objective(H, 0.1)
+
+    cache = {}
+    first = _solve_cached(build, DEFAULT_SOLVER, cache, ("fc", H, 0.1))
+    again = _solve_cached(build, DEFAULT_SOLVER, cache, ("fc", H, 0.1))
+    assert again is first and len(builds) == 1

@@ -133,6 +133,17 @@ def test_ingest_csv_paths(tmp_path):
     assert ":2:" in str(exc.value)  # line number reported
 
 
+def test_ingest_csv_rejects_non_finite_features(tmp_path):
+    labs = tmp_path / "labels.csv"
+    labs.write_text("id,y\na,1\nb,0\nc,1\n")
+    feats = tmp_path / "features.csv"
+    for bad in ("nan", "inf", "-inf"):
+        feats.write_text(f"id,f0,f1\na,0.0,1.0\nb,1.0,0.0\nc,0.2,{bad}\n")
+        with pytest.raises(ConfigError) as exc:
+            ingest_csv(str(feats), str(labs))
+        assert f"{feats}:4:" in str(exc.value)
+
+
 def test_instance_export_import_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     from aced.core import HypothesisClass, Instance, LabelModel, Pool

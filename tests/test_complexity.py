@@ -151,6 +151,28 @@ def test_psi_star_singleton_and_grid():
     assert p.value <= best * 1.05
 
 
+def test_psi_star_is_the_closed_form_minimum():
+    from aced.design import LAMBDA_FLOOR
+
+    inst = make_thresholds(16, 7, 0.5)
+    H, eta = inst.hypotheses.labelings, inst.labels.eta
+    gt = gap_table(inst.hypotheses, inst.labels)
+    for eps, expected in ((0.05, 9.0579), (0.1, 6.9746)):
+        p = psi_star(inst.hypotheses, inst.labels, eps)
+        assert p.converged and p.certificate == 0.0
+        den = np.maximum(gt.gaps, eps)
+        support = (H != H[gt.h_star]) & (np.arange(H.shape[0]) != gt.h_star)[:, None]
+        a = np.where(support, 1.0 / den[:, None], 0.0).max(axis=0)
+        exact = a.sum() / inst.n
+        assert exact == pytest.approx(expected, abs=1e-4)
+        # the design floor puts LAMBDA_FLOOR mass on each coordinate no
+        # hypothesis disagrees on, which costs exactly that relative excess
+        dead = int((a == 0).sum())
+        assert p.value >= exact
+        assert p.value == pytest.approx(exact * (1.0 + dead * LAMBDA_FLOOR), rel=1e-12)
+        assert np.allclose(p.design.lam, a / a.sum(), atol=1e-8)
+
+
 def test_theta_singleton_zero():
     hclass = HypothesisClass(np.array([[0, 1, 0]]))
     assert disagreement_coefficient(hclass, LabelModel(np.full(3, 0.5)), 0.01) == 0.0

@@ -1,0 +1,88 @@
+"""Pinned sha256 digests of seeded RunRecords.
+
+Every REGISTRY algorithm runs on small seeded instances with a small
+solver override; a refactor that keeps behaviour must leave each
+RunRecord body byte-identical. A digest that changes on purpose is
+updated here with its reason in CHANGES.md.
+"""
+import hashlib
+
+import numpy as np
+import pytest
+
+from aced.algorithms import REGISTRY
+from aced.complexity import make_core_tail_instance, make_thresholds
+from aced.core import HypothesisClass, Instance, LabelModel, Pool
+from aced.oracles import LinearOracleClass
+
+SOLVER = {"max_iters": 12, "max_batch": 64}
+
+
+def _core_tail():
+    return make_core_tail_instance(3, persistent=True, seed=2)
+
+
+def _thresholds(persistent=True):
+    return make_thresholds(8, 3, 0.6, persistent=persistent, seed=1)
+
+
+def _linear():
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((10, 2))
+    eta = 1.0 / (1.0 + np.exp(-2.0 * (X[:, 0] - 0.5 * X[:, 1])))
+    return Instance(Pool(n=10, features=X), HypothesisClass(oracle=LinearOracleClass(X)),
+                    LabelModel(eta, persistent=True, seed=3))
+
+
+def _stream(n, seed):
+    return np.random.default_rng([seed, 17]).permutation(n)
+
+
+CASES = {
+    "fixed_confidence/thresholds": lambda: REGISTRY["aced_fixed_confidence"](
+        _thresholds(persistent=False), delta=0.2, round_cap=4, solver=SOLVER, seed=0),
+    "fixed_budget_naive/core_tail": lambda: REGISTRY["aced_fixed_budget"](
+        _core_tail(), T=24, epsilon=0.25, estimator_kind="naive", solver=SOLVER, seed=1),
+    "fixed_budget_ips/thresholds": lambda: REGISTRY["aced_fixed_budget"](
+        _thresholds(), T=24, epsilon=0.25, estimator_kind="ips", solver=SOLVER, seed=2),
+    "fixed_budget_chaining/thresholds": lambda: REGISTRY["aced_fixed_budget"](
+        _thresholds(), T=24, epsilon=0.25, estimator_kind="chaining", solver=SOLVER, seed=3),
+    "fixed_budget_efficient/core_tail": lambda: REGISTRY["aced_fixed_budget_efficient"](
+        _core_tail(), T=24, epsilon=0.25, solver=SOLVER, seed=4),
+    "fixed_budget_efficient/thresholds": lambda: REGISTRY["aced_fixed_budget_efficient"](
+        _thresholds(), T=24, epsilon=0.25, solver=SOLVER, seed=5),
+    "waterfilled/core_tail": lambda: REGISTRY["aced_waterfilled"](
+        _core_tail(), T=8, epsilon=0.25, N_batch=4, solver=SOLVER, seed=6),
+    "waterfilled_oracle/linear": lambda: REGISTRY["aced_waterfilled"](
+        _linear(), T=4, epsilon=0.5, N_batch=4, solver={"max_iters": 2, "b0": 4, "max_batch": 8},
+        line_search_iters=4, seed=7),
+    "passive/core_tail": lambda: REGISTRY["passive"](_core_tail(), T=6, seed=8),
+    "uniform_disagreement/thresholds": lambda: REGISTRY["uniform_disagreement"](
+        _thresholds(), T=20, seed=9),
+    "iwal/core_tail": lambda: REGISTRY["iwal"](
+        _core_tail(), _stream(12, 10), C0=0.5, seed=10),
+    "iwal_oracular1/thresholds": lambda: REGISTRY["iwal"](
+        _thresholds(), np.concatenate([_stream(8, 11), _stream(8, 12)]), C0=0.5,
+        variant="oracular1", seed=11),
+}
+
+GOLDEN = {
+    "fixed_budget_chaining/thresholds": "5937eeb05d1d3c6f5f16ee1ba480bb2f8b58d44dc53519036cb4193b6204c492",
+    "fixed_budget_efficient/core_tail": "14a54892a15b8ad602ed9db0325873a72dc7a531aeaf608345e83d19f76f30a0",
+    "fixed_budget_efficient/thresholds": "cc71db193de0a4b8681b03c55edc5251832e98faf671a9c9b2164e4a0c5a4e66",
+    "fixed_budget_ips/thresholds": "46eb752c3551ec597865997c585c0656cb58f3cd456876d72b04e8ff1ed27dc3",
+    "fixed_budget_naive/core_tail": "cc9109f429cb4f0fd192d93b07cdaa5108f11ab44c18dbd3c3a219064a2b36d1",
+    "fixed_confidence/thresholds": "06f7a6fae14c1974ac965cff430c17c7ccffd3f9904ae8c7f1f98e4e88f668a9",
+    "iwal/core_tail": "6ac0dec67b743cdb06ed40221744591bbea919f8a8d5dcaafe038d3a448e0ffc",
+    "iwal_oracular1/thresholds": "9d3ce5a5da49bd6f3fbb9e629338aacce99f9aae65b985be9f5c65e86e4d4955",
+    "passive/core_tail": "cefc6cf2197f83525af8c3fda91c03783f9c63d8cdfd4e74115f51c873bafea2",
+    "uniform_disagreement/thresholds": "9cc31249051764ce88a25353e2948fb8c140e70217c0afa6cedc81a588c12a55",
+    "waterfilled/core_tail": "efc886cbae1a619f42ba2b3f19646025c6285724f2663020d5a702a849ff1a9b",
+    "waterfilled_oracle/linear": "76ca3cd2cb5bdaa6fbe3d579af267e61eb65d2b1df6baacf66ec56cbbdc41897",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_runrecord_digest(name):
+    body = CASES[name]().to_jsonl()
+    assert hashlib.sha256(body.encode()).hexdigest() == GOLDEN[name]
