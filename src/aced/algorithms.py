@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import HypothesisClass, ImplicitClassError, Instance
+from .core import ImplicitClassError, Instance
 from .design import (
     Design,
     gap_objective,
@@ -132,6 +132,13 @@ def _draw_iid(rng, lam, size):
     return rng.choice(lam.size, size=size, p=lam)
 
 
+def _round_log(k, idx, probs, ys):
+    """QueryRecords of one round: pool indices, their sampling
+    probabilities and the observed labels, as parallel arrays."""
+    return [QueryRecord(k, i, p, y)
+            for i, p, y in zip(np.asarray(idx).tolist(), probs.tolist(), ys.tolist())]
+
+
 def aced_fixed_confidence(
     instance: Instance,
     delta: float,
@@ -148,7 +155,9 @@ def aced_fixed_confidence(
     halve the resolved gap scale, re-estimates with the feasibility
     estimator at delta_k = delta / (2 k^2), and drops every hypothesis
     beaten by more than the current scale. Stops at a singleton or at the
-    round cap (then returns the plug-in minimizer, flagged).
+    round cap (then returns the plug-in minimizer, flagged). A round whose
+    query count was cut to max_round_queries is counted in
+    flags["round_queries_capped"], present only when some round was cut.
     """
     if not 0 < delta < 1:
         raise ValueError("delta must be in (0,1)")
@@ -164,43 +173,49 @@ def aced_fixed_confidence(
     est = None
     k = 0
     infeasible_rounds = 0
+    capped_rounds = 0
+    queried = np.zeros(n, dtype=bool)
     while active.size > 1 and k < round_cap:
         k += 1
         delta_k = delta / (2.0 * k * k)
-        rep = _solve_cached(lambda: pair_width_objective(H[active], delta_k), solver_params,
-                            design_cache, ("fc", H[active], delta_k, solver_params["tol"]))
+        H_active = H[active]
+        rep = _solve_cached(lambda: pair_width_objective(H_active, delta_k), solver_params,
+                            design_cache, ("fc", H_active, delta_k, solver_params["tol"]))
         lam = rep.design.lam
-        n_k = int(min(max(1, math.ceil(c_budget * rep.value_estimate * 2 ** (2 * (k + 1)))),
-                      max_round_queries))
+        wanted = max(1, math.ceil(c_budget * rep.value_estimate * 2 ** (2 * (k + 1))))
+        n_k = int(min(wanted, max_round_queries))
+        capped_rounds += wanted > max_round_queries
         rng = np.random.default_rng([seed, k])
         idx = _draw_iid(rng, lam, n_k)
         ys = instance.labels.query_many(idx)
-        round_log = [QueryRecord(k, int(i), float(lam[i]), int(y)) for i, y in zip(idx, ys)]
+        round_log = _round_log(k, idx, lam[idx], ys)
         rec.queries.extend(round_log)
-        est = chaining_estimate(H[active], round_log, lam, delta_k)
+        queried[idx] = True
+        est = chaining_estimate(H_active, round_log, lam, delta_k)
         if not est.flags.get("feasible", True):
             infeasible_rounds += 1
-        sub = HypothesisClass(H[active], dedup=False)
-        errs = estimated_errors_all(sub, est)
+        errs = estimated_errors_all(hclass.subset(active), est)
         keep = errs < errs.min() + 2.0 ** (-(k + 1))
         active = active[keep]
         errs = errs[keep]
         _record_design(rec, k, rep, {"N": n_k, "delta_k": delta_k,
-                                     "survivors": [int(a) for a in active]})
+                                     "survivors": active.tolist()})
         rec.eliminations.append(int(active.size))
         best = int(active[int(np.argmin(errs))])
-        rec.progress.append((k, rec.unique_queried, best))
+        rec.progress.append((k, int(np.count_nonzero(queried)), best))
     if active.size == 1:
         rec.returned = int(active[0])
         rec.flags["certified"] = True
     else:
-        sub = HypothesisClass(H[active], dedup=False)
-        errs = estimated_errors_all(sub, est) if est is not None else np.zeros(active.size)
+        errs = (estimated_errors_all(hclass.subset(active), est) if est is not None
+                else np.zeros(active.size))
         rec.returned = int(active[int(np.argmin(errs))])
         rec.flags["certified"] = False
         rec.flags["round_cap_hit"] = True
     rec.flags["rounds"] = k
     rec.flags["infeasible_rounds"] = infeasible_rounds
+    if capped_rounds:
+        rec.flags["round_queries_capped"] = capped_rounds
     rec.returned_labeling = [int(v) for v in H[rec.returned]]
     return rec
 
@@ -264,7 +279,7 @@ def aced_fixed_budget(
         rng = np.random.default_rng([seed, k])
         idx = _draw_iid(rng, lam, N)
         ys = instance.labels.query_many(idx)
-        round_log = [QueryRecord(k, int(i), float(lam[i]), int(y)) for i, y in zip(idx, ys)]
+        round_log = _round_log(k, idx, lam[idx], ys)
         rec.queries.extend(round_log)
         all_log.extend(round_log)
         if estimator_kind == "naive":
@@ -314,7 +329,7 @@ def aced_fixed_budget_efficient(
         rng = np.random.default_rng([seed, k])
         idx = _draw_iid(rng, lam, N)
         ys = instance.labels.query_many(idx)
-        round_log = [QueryRecord(k, int(i), float(lam[i]), int(y)) for i, y in zip(idx, ys)]
+        round_log = _round_log(k, idx, lam[idx], ys)
         rec.queries.extend(round_log)
         est = ips_estimate(round_log, n, gamma=0.0)
         rec.designs.append({
@@ -404,7 +419,7 @@ def aced_waterfilled(
             exhausted = True
             break
         ys = instance.labels.query_many(fresh)
-        round_log = [QueryRecord(k, int(i), float(p_k.lam[i]), int(y)) for i, y in zip(fresh, ys)]
+        round_log = _round_log(k, fresh, p_k.lam[fresh], ys)
         rec.queries.extend(round_log)
         all_log.extend(round_log)
         queried.update(fresh)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import attrgetter
 
 import numpy as np
 
@@ -48,11 +50,13 @@ class EtaEstimate:
     flags: dict = field(default_factory=dict)
 
 
+def _log_column(log, name: str, dtype) -> np.ndarray:
+    return np.fromiter(map(attrgetter(name), log), dtype=dtype, count=len(log))
+
+
 def _log_arrays(log):
-    idx = np.array([q.index for q in log], dtype=int)
-    prob = np.array([q.prob for q in log], dtype=float)
-    y = np.array([q.label for q in log], dtype=float)
-    return idx, prob, y
+    return (_log_column(log, "index", int), _log_column(log, "prob", float),
+            _log_column(log, "label", float))
 
 
 def naive_estimate(log, n: int) -> EtaEstimate:
@@ -95,13 +99,13 @@ def ips_estimate(log, n: int, gamma: float = 0.0) -> EtaEstimate:
                        t=len(log), flags={"gamma": gamma})
 
 
-def _pm_sums(log, n):
-    """Per-coordinate sums of +/-1 labels (the X^T y vector)."""
-    sums = np.zeros(n)
-    if log:
-        idx, _, y = _log_arrays(log)
-        np.add.at(sums, idx, 2.0 * y - 1.0)
-    return sums
+def _query_counts_and_sums(log, n):
+    """Per-coordinate query counts and sums of +/-1 labels (the X^T y
+    vector), from one conversion of the log."""
+    idx = _log_column(log, "index", int)
+    y = _log_column(log, "label", float)
+    return (np.bincount(idx, minlength=n),
+            np.bincount(idx, weights=2.0 * y - 1.0, minlength=n))
 
 
 def ridge_shift(v, lam, t: int, delta: float) -> float:
@@ -121,7 +125,7 @@ def ridge_ips_vector(log, lam, n: int, s: float) -> np.ndarray:
     """mu-hat = (A(t lam) + s I)^{-1} X^T y; diagonal, so O(n)."""
     t = len(log)
     lam = np.asarray(lam, dtype=float)
-    return _pm_sums(log, n) / (t * lam + s)
+    return _query_counts_and_sums(log, n)[1] / (t * lam + s)
 
 
 def ridge_ips_pair(log, lam, v, delta: float) -> float:
@@ -197,23 +201,19 @@ def build_admissible_sequence(labelings, lam, t: int, root: int = 0) -> Admissib
     """Farthest-point-greedy admissible sequence under the design metric."""
     m = np.asarray(labelings).shape[0]
     dist = pair_distance_matrix(labelings, lam, t)
-    chosen = [root]
     closest = dist[root].copy()
     levels = [np.array([root])]
+    placed = 1
     k = 0
-    while len(chosen) < m:
+    while placed < m:
         k += 1
-        cap = 2 ** (2**k)
         batch = []
-        while len(chosen) + len(batch) < m and len(batch) < cap:
-            nxt = int(np.argmax(closest))
-            if closest[nxt] <= 0 and len(chosen) + len(batch) >= m:
-                break
+        for _ in range(min(2 ** (2**k), m - placed)):
+            nxt = int(closest.argmax())
             batch.append(nxt)
-            closest = np.minimum(closest, dist[nxt])
+            np.minimum(closest, dist[nxt], out=closest)
             closest[nxt] = -1.0
-        for b in batch:
-            chosen.append(b)
+        placed += len(batch)
         levels.append(np.array(batch, dtype=int))
     return AdmissibleSequence(levels=levels, dist=dist)
 
@@ -221,6 +221,93 @@ def build_admissible_sequence(labelings, lam, t: int, root: int = 0) -> Admissib
 # radius multiplier of the pairwise confidence slabs: the ridge tail bound
 # evaluated at the level shift gives 2*(sqrt(2/3)+1)*(u + 2^{k/2})*dist
 SLAB_RADIUS_COEFF = 2.0 * (math.sqrt(2.0 / 3.0) + 1.0)
+# entries (pairs x pool size) per chunk of the slab build: bounds the
+# dense row-difference block and every per-chunk intermediate
+SLAB_CHUNK_ENTRIES = 1 << 18
+
+
+def _pair_chunks(pairs: int, n: int) -> list:
+    """Slices covering range(pairs), each at most SLAB_CHUNK_ENTRIES // n
+    pairs long (and at least one pair)."""
+    step = max(1, SLAB_CHUNK_ENTRIES // n)
+    return [slice(lo, lo + step) for lo in range(0, pairs, step)]
+
+
+def _pair_slabs(G, seq: AdmissibleSequence, sums, lam, t: int, u: float, z):
+    """Slab constraints of the chaining program, and their residuals at z.
+
+    One slab per level k >= 1 and pair of differing rows at nonzero
+    distance inside cumulative(k): levels in order, pairs in lexicographic
+    position order within a level. Slab j asks |res_j| <= radii[j], where
+    res_j = <G[a[j]] - G[b[j]], z> - betas[j]. Returns
+    (a, b, betas, radii, res).
+    """
+    order = seq.cumulative(seq.depth)
+    sizes = list(accumulate(len(lv) for lv in seq.levels))
+    pos = np.arange(order.size)
+    pairs = np.array(np.nonzero(pos[:, None] < pos))  # np.triu_indices(m, 1), cheaper
+    # cumulative(k) is a prefix of order: its pairs are those whose second
+    # position is below sizes[k], and selecting them keeps the order
+    earlier = [pairs[:, pairs[1] < c] for c in sizes[1:-1]]
+    a, b = order[np.concatenate(earlier + [pairs], axis=1)]
+    level_scale = np.repeat([u + 2 ** (k / 2.0) for k in range(1, seq.depth + 1)],
+                            [c * (c - 1) // 2 for c in sizes[1:]])
+    dist = seq.dist[a, b]
+    t_lam = t * lam
+    parts = []
+    for chunk in _pair_chunks(a.size, G.shape[1]):
+        pa, pb, d, scale = a[chunk], b[chunk], dist[chunk], level_scale[chunk]
+        diff = G[pa] - G[pb]
+        differ = diff.any(axis=1)
+        if not (differ.all() and d.all()):
+            keep = differ & (d != 0.0)
+            pa, pb, d, scale, diff = pa[keep], pb[keep], d[keep], scale[keep], diff[keep]
+        s_pair = math.sqrt(1.0 / 3.0) * scale / d
+        betas = (diff * (sums / (t_lam + s_pair[:, None]))).sum(axis=1)
+        parts.append((pa, pb, betas, SLAB_RADIUS_COEFF * scale * d, diff @ z - betas))
+    return parts[0] if len(parts) == 1 else tuple(np.concatenate(col) for col in zip(*parts))
+
+
+def _slab_rows(G, a, b):
+    """The pair differences G[a] - G[b] in CSR form (idx, val, ptr, nsq):
+    row j is val[ptr[j]:ptr[j+1]] on the coordinates idx[ptr[j]:ptr[j+1]],
+    with nsq[j] nonzeros."""
+    idx, val, nnz = [], [], []
+    for chunk in _pair_chunks(a.size, G.shape[1]):
+        diff = G[a[chunk]] - G[b[chunk]]
+        rows, cols = np.nonzero(diff)
+        idx.append(cols)
+        val.append(diff[rows, cols].astype(float))
+        nnz.append(np.count_nonzero(diff, axis=1))
+    nnz = np.concatenate(nnz)
+    ptr = np.zeros(nnz.size + 1, dtype=int)
+    np.cumsum(nnz, out=ptr[1:])
+    return np.concatenate(idx), np.concatenate(val), ptr, nnz.astype(float)
+
+
+def _project(G, a, b, betas, radii, res, start, max_sweeps: int, feas_tol: float):
+    """Cyclic projection onto the slabs intersected with [-1,1]^n, from
+    the point start whose residuals are res. Returns (point, feasible,
+    sweeps); the point is start itself if no sweep ends feasible."""
+    z = start
+    sweeps = 0
+    for sweeps in range(1, max_sweeps + 1):
+        excess = np.abs(res) - radii
+        if float(excess.max()) <= feas_tol:
+            return z, True, sweeps
+        if z is start:  # first projection: build the sparse slab rows
+            z = start.copy()
+            all_idx, all_val, ptr, nsq = _slab_rows(G, a, b)
+        for j in np.flatnonzero(excess > feas_tol):
+            sl = slice(ptr[j], ptr[j + 1])
+            r = float(all_val[sl] @ z[all_idx[sl]]) - betas[j]
+            if r > radii[j]:
+                z[all_idx[sl]] -= all_val[sl] * ((r - radii[j]) / nsq[j])
+            elif r < -radii[j]:
+                z[all_idx[sl]] += all_val[sl] * ((-radii[j] - r) / nsq[j])
+        np.clip(z, -1.0, 1.0, out=z)
+        res = np.add.reduceat(all_val * z[all_idx], ptr[:-1]) - betas
+    return start, False, sweeps
 
 
 def chaining_estimate(
@@ -239,6 +326,12 @@ def chaining_estimate(
     [-1,1]^n (found by cyclic projection). If the program is infeasible
     within the sweep cap, falls back to the single ridge-IPS vector at the
     diameter scale and flags it.
+
+    Identical rows give no slab, nor do rows at zero distance under the
+    design metric. The slabs are built a chunk of pairs at a time, so a
+    dense pairs x n block holds at most max(n, SLAB_CHUNK_ENTRIES) entries
+    whatever m (at most 4096); the sparse rows the projection needs are
+    built only when the fallback breaks a slab.
     """
     G = np.asarray(labelings, dtype=np.int8)
     m, n = G.shape
@@ -246,10 +339,7 @@ def chaining_estimate(
         raise ValueError("feasibility program capped at 4096 hypotheses")
     lam = np.asarray(lam, dtype=float)
     t = max(len(log), 1)
-    counts = np.zeros(n, dtype=int)
-    if log:
-        np.add.at(counts, [q.index for q in log], 1)
-    sums = _pm_sums(log, n)
+    counts, sums = _query_counts_and_sums(log, n)
     u = math.sqrt(math.log(2.0 / delta) / 2.0)
 
     seq = build_admissible_sequence(G, lam, t)
@@ -257,60 +347,12 @@ def chaining_estimate(
     s_diam = (math.sqrt(1.0 / 3.0) * (u + 2 ** (seq.depth / 2.0)) / diam) if diam > 0 else 1.0
     fallback = np.clip(sums / (t * lam + s_diam), -1.0, 1.0)
 
-    if m == 1 or diam == 0.0:
-        return EtaEstimate(values=(1.0 + fallback) / 2.0, mu=fallback, counts=counts,
-                           kind="chaining", t=len(log),
-                           flags={"feasible": True, "levels": seq.depth, "sweeps": 0})
-
-    # slab constraints: one per (level k, unordered pair in cumulative(k))
-    idx_chunks, val_chunks = [], []
-    betas, radii, nsq = [], [], []
-    for k in range(1, seq.depth + 1):
-        members = seq.cumulative(k)
-        level_scale = u + 2 ** (k / 2.0)
-        for a_pos in range(len(members)):
-            for b_pos in range(a_pos + 1, len(members)):
-                i, j = int(members[a_pos]), int(members[b_pos])
-                d = seq.dist[i, j]
-                if d == 0.0:
-                    continue
-                v = (G[i] - G[j]).astype(float)
-                support = np.flatnonzero(v)
-                s_pair = math.sqrt(1.0 / 3.0) * level_scale / d
-                mu_pair = sums[support] / (t * lam[support] + s_pair)
-                idx_chunks.append(support)
-                val_chunks.append(v[support])
-                betas.append(float(v[support] @ mu_pair))
-                radii.append(SLAB_RADIUS_COEFF * level_scale * d)
-                nsq.append(float(support.size))
-
-    all_idx = np.concatenate(idx_chunks)
-    all_val = np.concatenate(val_chunks)
-    ptr = np.zeros(len(idx_chunks) + 1, dtype=int)
-    np.cumsum([c.size for c in idx_chunks], out=ptr[1:])
-    betas = np.array(betas)
-    radii = np.array(radii)
-    nsq = np.array(nsq)
-
-    z = fallback.copy()
-    feasible = False
-    sweeps = 0
-    for sweeps in range(1, max_sweeps + 1):
-        res = np.add.reduceat(all_val * z[all_idx], ptr[:-1]) - betas
-        excess = np.abs(res) - radii
-        worst = float(excess.max())
-        if worst <= feas_tol:
-            feasible = True
-            break
-        for j in np.flatnonzero(excess > feas_tol):
-            sl = slice(ptr[j], ptr[j + 1])
-            r = float(all_val[sl] @ z[all_idx[sl]]) - betas[j]
-            if r > radii[j]:
-                z[all_idx[sl]] -= all_val[sl] * ((r - radii[j]) / nsq[j])
-            elif r < -radii[j]:
-                z[all_idx[sl]] += all_val[sl] * ((-radii[j] - r) / nsq[j])
-        np.clip(z, -1.0, 1.0, out=z)
-    mu = z if feasible else fallback
+    mu, feasible, sweeps = fallback, True, 0
+    if m > 1 and diam > 0.0:
+        a, b, betas, radii, res = _pair_slabs(G, seq, sums, lam, t, u, fallback)
+        if a.size:
+            mu, feasible, sweeps = _project(G, a, b, betas, radii, res, fallback,
+                                            max_sweeps, feas_tol)
     return EtaEstimate(values=(1.0 + mu) / 2.0, mu=mu, counts=counts,
                        kind="chaining", t=len(log),
                        flags={"feasible": feasible, "levels": seq.depth, "sweeps": sweeps})

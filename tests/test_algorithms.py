@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,18 @@ def test_fixed_confidence_determinism():
     inst2 = make_thresholds(8, 3, 1.0, seed=1)
     r2 = aced_fixed_confidence(inst2, delta=0.2, seed=7)
     assert r1.to_jsonl() == r2.to_jsonl()
+
+
+def test_fixed_confidence_flags_rounds_cut_to_the_query_cap():
+    inst = make_thresholds(8, 3, 1.0, seed=1)
+    free = aced_fixed_confidence(inst, delta=0.2, seed=7)
+    assert "round_queries_capped" not in free.flags
+    for cap in (1, 40, 100):
+        rec = aced_fixed_confidence(inst, delta=0.2, seed=7, max_round_queries=cap)
+        wanted = [max(1, math.ceil(d["value"] * 2 ** (2 * (d["round"] + 1)))) for d in rec.designs]
+        assert [d["N"] for d in rec.designs] == [min(w, cap) for w in wanted]
+        cut = sum(w > cap for w in wanted)
+        assert cut >= 1 and rec.flags["round_queries_capped"] == cut
 
 
 def test_fixed_budget_single_round_when_eps_half():

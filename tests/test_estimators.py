@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from aced import estimators
 from aced.core import HypothesisClass, LabelModel, pool_error
 from aced.estimators import (
     AdmissibleSequence,
@@ -266,3 +267,194 @@ def test_chaining_64_hypotheses_reports_empirical_constant():
     print(f"[report] chaining 64-hypothesis deviation constant C = {c_fitted:.2f}")
     assert feasible >= 27  # 1 - delta of 30, floor
     assert c_fitted < 50.0  # sanity ceiling only; the constant is a report
+
+
+def _reference_slabs(G, seq, sums, lam, t, u):
+    """The slab build as a per-pair double loop: the reference the
+    array-native builder must reproduce."""
+    idx_chunks, val_chunks = [], []
+    betas, radii, nsq = [], [], []
+    for k in range(1, seq.depth + 1):
+        members = seq.cumulative(k)
+        level_scale = u + 2 ** (k / 2.0)
+        for a_pos in range(len(members)):
+            for b_pos in range(a_pos + 1, len(members)):
+                i, j = int(members[a_pos]), int(members[b_pos])
+                d = seq.dist[i, j]
+                if d == 0.0:
+                    continue
+                v = (G[i] - G[j]).astype(float)
+                support = np.flatnonzero(v)
+                s_pair = math.sqrt(1.0 / 3.0) * level_scale / d
+                mu_pair = sums[support] / (t * lam[support] + s_pair)
+                idx_chunks.append(support)
+                val_chunks.append(v[support])
+                betas.append(float(v[support] @ mu_pair))
+                radii.append(estimators.SLAB_RADIUS_COEFF * level_scale * d)
+                nsq.append(float(support.size))
+    ptr = np.zeros(len(idx_chunks) + 1, dtype=int)
+    np.cumsum([c.size for c in idx_chunks], out=ptr[1:])
+    return (np.concatenate(idx_chunks), np.concatenate(val_chunks), ptr,
+            np.array(betas), np.array(radii), np.array(nsq))
+
+
+def _label_sums(log, n):
+    sums = np.zeros(n)
+    np.add.at(sums, [q.index for q in log], [2.0 * q.label - 1.0 for q in log])
+    return sums
+
+
+def _slab_case(seed):
+    """A seeded deduplicated class with a design, a log drawn from it and
+    the admissible sequence the estimator would build."""
+    rng = np.random.default_rng([seed, 5])
+    n = int(rng.integers(2, 24))
+    m = int(rng.integers(2, 48))
+    G = np.unique(rng.integers(0, 2, size=(m, n)), axis=0).astype(np.int8)
+    lam = rng.dirichlet(np.full(n, 0.5))
+    lam = np.maximum(lam, 1e-4) / np.maximum(lam, 1e-4).sum()
+    t = int(rng.integers(1, 400))
+    idx = rng.choice(n, size=t, p=lam)
+    log = make_log(idx, lam[idx], rng.integers(0, 2, size=t))
+    sums = _label_sums(log, n)
+    u = math.sqrt(math.log(2.0 / float(rng.uniform(0.01, 0.5))) / 2.0)
+    return G, build_admissible_sequence(G, lam, t), sums, lam, t, u
+
+
+def _assert_same_slabs(got, ref, sums, lam, t):
+    idx, val, ptr, betas, radii, nsq = got
+    r_idx, r_val, r_ptr, r_betas, r_radii, r_nsq = ref
+    assert np.array_equal(idx, r_idx) and np.array_equal(val, r_val)
+    assert np.array_equal(ptr, r_ptr)
+    assert np.array_equal(radii, r_radii) and np.array_equal(nsq, r_nsq)
+    # the support sum may run in another order: each beta agrees to 1e-12
+    # of the sum of its terms' magnitudes, which bounds the rounding even
+    # where the terms cancel
+    terms = np.add.reduceat(np.abs(sums[r_idx]) / (t * lam[r_idx]), r_ptr[:-1])
+    assert np.all(np.abs(betas - r_betas) <= 1e-12 * np.maximum(np.abs(r_betas), terms))
+
+
+def _built_slabs(G, seq, sums, lam, t, u):
+    """The estimator's slabs in the reference's CSR layout, once the
+    residuals it reports at a point are checked against that layout."""
+    z = np.linspace(-1.0, 1.0, G.shape[1])
+    a, b, betas, radii, res = estimators._pair_slabs(G, seq, sums, lam, t, u, z)
+    idx, val, ptr, nsq = estimators._slab_rows(G, a, b)
+    sparse_res = np.add.reduceat(val * z[idx], ptr[:-1]) - betas
+    assert np.all(np.abs(res - sparse_res) <= 1e-12 * (nsq + np.abs(betas)))
+    return idx, val, ptr, betas, radii, nsq
+
+
+def test_pair_slabs_match_the_double_loop():
+    for seed in range(200):
+        G, seq, sums, lam, t, u = _slab_case(seed)
+        _assert_same_slabs(_built_slabs(G, seq, sums, lam, t, u),
+                           _reference_slabs(G, seq, sums, lam, t, u), sums, lam, t)
+
+
+@pytest.mark.parametrize("pairs_per_chunk", [1, 7])
+def test_pair_slabs_match_across_chunks(monkeypatch, pairs_per_chunk):
+    for seed in range(20):
+        G, seq, sums, lam, t, u = _slab_case(seed)
+        whole = _built_slabs(G, seq, sums, lam, t, u)
+        monkeypatch.setattr(estimators, "SLAB_CHUNK_ENTRIES", pairs_per_chunk * G.shape[1])
+        chunked = _built_slabs(G, seq, sums, lam, t, u)
+        monkeypatch.undo()
+        for a, b in zip(chunked, whole):
+            assert np.array_equal(a, b)
+        _assert_same_slabs(chunked, _reference_slabs(G, seq, sums, lam, t, u), sums, lam, t)
+
+
+def _nonempty_reference_slabs(G, seq, sums, lam, t, u):
+    """The reference slabs less the empty ones that identical rows at a
+    roundoff distance leave in it."""
+    idx, val, ptr, betas, radii, nsq = _reference_slabs(G, seq, sums, lam, t, u)
+    keep = nsq > 0
+    ptr = np.concatenate([[0], np.cumsum(nsq[keep])]).astype(int)
+    return idx, val, ptr, betas[keep], radii[keep], nsq[keep]
+
+
+def test_chaining_duplicate_rows_build_no_empty_slab():
+    # rows 0 and 2 are identical, yet the Gram-form distance between them
+    # is 1.2e-7; the pair used to keep an empty slab and crash reduceat
+    G = np.array([[1, 1], [1, 0], [1, 1], [0, 0], [0, 0]], dtype=np.int8)
+    lam = np.array([0.996, 0.004])
+    log = [QueryRecord(1, i % 2, lam[i % 2], i % 2) for i in range(4)]
+    assert pair_distance_matrix(G, lam, 4)[0, 2] > 0.0
+    est = chaining_estimate(G, log, lam, 0.1)
+    assert est.flags["feasible"] and np.all(np.abs(est.mu) <= 1.0)
+    seq, sums = build_admissible_sequence(G, lam, 4), np.array([-2.0, 2.0])
+    slabs = _built_slabs(G, seq, sums, lam, 4, 1.0)
+    assert np.all(np.diff(slabs[2]) > 0)
+    assert not np.all(_reference_slabs(G, seq, sums, lam, 4, 1.0)[5] > 0)
+    _assert_same_slabs(slabs, _nonempty_reference_slabs(G, seq, sums, lam, 4, 1.0), sums, lam, 4)
+
+
+def test_chaining_random_duplicate_rows():
+    # an empty slab that was not the last one used to be read silently as
+    # the next slab's first entry; the slabs must be the reference's
+    # nonempty ones
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        n = int(rng.integers(2, 6))
+        G = rng.integers(0, 2, size=(int(rng.integers(3, 9)), n)).astype(np.int8)
+        lam = rng.dirichlet(np.full(n, 0.3))
+        lam = np.maximum(lam, 1e-3) / np.maximum(lam, 1e-3).sum()
+        idx = rng.choice(n, size=6, p=lam)
+        log = make_log(idx, lam[idx], rng.integers(0, 2, size=6))
+        est = chaining_estimate(G, log, lam, 0.1)
+        assert np.all(np.abs(est.mu) <= 1.0)
+        seq = build_admissible_sequence(G, lam, 6)
+        if seq.depth == 0 or float(seq.dist.max()) == 0.0:
+            continue
+        sums = _label_sums(log, n)
+        slabs = _built_slabs(G, seq, sums, lam, 6, 1.0)
+        _assert_same_slabs(slabs, _nonempty_reference_slabs(G, seq, sums, lam, 6, 1.0),
+                           sums, lam, 6)
+
+
+def _off_design_case(seed):
+    """A thresholds class with a log drawn from a distribution other than
+    the design it records, so the diameter-scale fallback can break slabs."""
+    from aced.complexity import make_thresholds
+
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 14))
+    inst = make_thresholds(n, int(rng.integers(1, n)), 0.6, seed=0)
+    lam = rng.dirichlet(np.full(n, 2.0))
+    lam = np.maximum(lam, 1e-3) / np.maximum(lam, 1e-3).sum()
+    t = int(rng.integers(10, 250))
+    idx = rng.choice(n, size=t, p=rng.dirichlet(np.full(n, 0.3)))
+    ys = (rng.random(t) < inst.labels.eta[idx]).astype(int)
+    return inst.hypotheses.labelings, make_log(idx, lam[idx], ys), lam
+
+
+def test_chaining_projection_infeasible_returns_fallback():
+    G, log, lam = _off_design_case(54)
+    delta, t = 0.1, len(log)
+    est = chaining_estimate(G, log, lam, delta, max_sweeps=40)
+    seq = build_admissible_sequence(G, lam, t)
+    assert est.flags == {"feasible": False, "levels": seq.depth, "sweeps": 40}
+    u = math.sqrt(math.log(2.0 / delta) / 2.0)
+    s_diam = math.sqrt(1.0 / 3.0) * (u + 2 ** (seq.depth / 2.0)) / float(seq.dist.max())
+    sums = _label_sums(log, lam.size)
+    fallback = np.clip(sums / (t * lam + s_diam), -1.0, 1.0)
+    assert np.array_equal(est.mu, fallback)
+    assert np.array_equal(est.values, (1.0 + fallback) / 2.0)
+
+
+def test_chaining_projection_reaches_a_feasible_point():
+    G, log, lam = _off_design_case(92)
+    t = len(log)
+    infeasible_start = chaining_estimate(G, log, lam, 0.1, max_sweeps=1)
+    assert infeasible_start.flags["feasible"] is False
+    est = chaining_estimate(G, log, lam, 0.1)
+    assert est.flags["feasible"] is True and est.flags["sweeps"] > 1
+    assert not np.array_equal(est.mu, infeasible_start.mu)
+    assert np.all(np.abs(est.mu) <= 1.0)
+    sums = _label_sums(log, lam.size)
+    u = math.sqrt(math.log(2.0 / 0.1) / 2.0)
+    idx, val, ptr, betas, radii, nsq = _reference_slabs(
+        G, build_admissible_sequence(G, lam, t), sums, lam, t, u)
+    res = np.add.reduceat(val * est.mu[idx], ptr[:-1]) - betas
+    assert np.all(np.abs(res) - radii <= 1e-9)

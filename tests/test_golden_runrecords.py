@@ -86,3 +86,15 @@ GOLDEN = {
 def test_runrecord_digest(name):
     body = CASES[name]().to_jsonl()
     assert hashlib.sha256(body.encode()).hexdigest() == GOLDEN[name]
+
+
+def test_fixed_confidence_seed_panel_digest():
+    # the fc_thresholds benchmark instance: 200 seeds sharing one design
+    # cache, so later runs replay cached designs
+    inst = make_thresholds(16, 7, 1.0, seed=0)
+    cache = {}
+    body = "\n".join(REGISTRY["aced_fixed_confidence"](inst, delta=0.1, seed=seed,
+                                                        design_cache=cache).to_jsonl()
+                     for seed in range(200))
+    assert (hashlib.sha256(body.encode()).hexdigest()
+            == "a7bc189bcb9230996d447437942e3852e2a236bdef733dd8707e776c7009936f")
