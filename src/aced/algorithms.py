@@ -1,8 +1,8 @@
 """Active-classification algorithms and baselines.
 
-The fixed-confidence eliminator, three fixed-budget variants (the
-chaining/IPS form, the oracle-efficient mixed-design form, and the
-practical waterfilled form for persistent labels), plus passive,
+The fixed-confidence eliminator, three fixed-budget variants sharing
+one round loop (the naive/IPS/chaining form, the mixed-design form, and
+the practical waterfilled form for persistent labels), plus passive,
 uniform-disagreement, and streaming importance-weighted baselines.
 Every run yields a RunRecord sufficient to replay it bit-for-bit.
 """
@@ -98,13 +98,14 @@ def _content_seed(*parts) -> int:
     return int.from_bytes(h.digest()[:8], "big")
 
 
-def _solve_cached(build, solver_params, cache, key_parts):
+def _solve_cached(build, solver_params, cache, key_parts, unseeded=()):
     """Solve the design objective that build() returns, building it only
     on a cache miss. The solver seed derives from the content key so
     cached and recomputed designs are identical; the cache key adds the
-    solver parameters, so differently tuned solves never share a design."""
+    solver parameters and the unseeded parts, so differently tuned solves
+    never share a design."""
     seed = _content_seed(*key_parts)
-    key = (seed, tuple(sorted(solver_params.items())))
+    key = (seed, tuple(sorted(solver_params.items())), *unseeded)
     if cache is not None:
         hit = cache.get(key)
         if hit is not None:
@@ -115,17 +116,15 @@ def _solve_cached(build, solver_params, cache, key_parts):
     return rep
 
 
-def _record_design(rec, k, rep, extra=None):
-    entry = {
+def _record_design(rec, k, rep, extra):
+    rec.designs.append({
         "round": k,
         "lam": [float(x) for x in rep.design.lam],
         "value": rep.value_estimate,
         "certificate": rep.certificate,
         "converged": rep.converged,
-    }
-    if extra:
-        entry.update(extra)
-    rec.designs.append(entry)
+        **extra,
+    })
 
 
 def _draw_iid(rng, lam, size):
@@ -237,6 +236,111 @@ def _prior_estimate(n: int) -> EtaEstimate:
                        kind="prior", t=0)
 
 
+def _erm_handle(hclass, est):
+    """Plug-in ERM under eta-hat for explicit or oracle-backed classes."""
+    if hclass.explicit:
+        idx = int(np.argmin(estimated_errors_all(hclass, est)))
+        return idx, hclass.labelings[idx]
+    handle, _ = weighted_max(hclass, 2.0 * est.values - 1.0)
+    return handle, hclass.labeling(handle)
+
+
+def _fixed_budget_loop(instance, rec, T, epsilon, est, *, estimator_kind, solver, design_cache,
+                       mix_psi=False, N_batch=None, chaining_delta=0.1, line_search_iters=20):
+    """The round loop of the fixed-budget family; fills in and returns rec.
+
+    Round k anchors at the plug-in ERM of the estimate est, solves the gap
+    design at scale 2^(1-k) (mixed 50/50 with the worst-coordinate design
+    when mix_psi), samples, queries and re-estimates ("naive" over every
+    label so far, "ips" or "chaining" over the round's draws). A round
+    takes T // rounds i.i.d. draws or, given N_batch, waterfills the
+    design and draws up to N_batch fresh points until T unique labels are
+    spent or the pool runs out. The ERM is computed once per round, after
+    estimating: it is the progress entry, the next anchor and the answer.
+
+    The cache-key tags ("fb" with its trailing tol, "fbe1", "fbe2", "wf",
+    "wf-oracle") stay verbatim because they seed the solver.
+    """
+    hclass = instance.hypotheses
+    n = instance.n
+    solver_params = dict(DEFAULT_SOLVER, **(solver or {}))
+    rounds, N = _fixed_budget_rounds(T, epsilon)
+    unique = N_batch is not None
+    queried = np.zeros(n, dtype=bool)
+    marginals = []
+    if unique:
+        rec.flags["pool_exhausted"] = False
+    handle, anchor_lab = _erm_handle(hclass, est)
+
+    def maximizer(w):
+        h, _ = weighted_max(hclass, w)
+        return h, hclass.labeling(h)
+
+    for k in range(1, rounds + 1):
+        eta, scale = est.values, 2.0 ** (-k + 1)
+        if hclass.explicit:
+            H, anchor = hclass.labelings, int(handle)
+            tag = "wf" if unique else "fbe1" if mix_psi else "fb"
+            key = (tag, H, eta, anchor, scale) + ((solver_params["tol"],) if tag == "fb" else ())
+            rep = _solve_cached(lambda: gap_objective(H, eta, anchor, scale), solver_params,
+                                design_cache, key)
+        else:
+            rep = _solve_cached(
+                lambda: oracle_gap_objective(n, anchor_lab, eta, scale, maximizer,
+                                             line_search_iters),
+                solver_params, design_cache, ("wf-oracle", anchor_lab, eta, scale),
+                unseeded=(line_search_iters,))
+        lam = rep.design.lam
+        if mix_psi:
+            rep_psi = _solve_cached(
+                lambda: psi_objective(H, eta, anchor, scale, floor_at_scale=False),
+                solver_params, design_cache, ("fbe2", H, eta, anchor, scale))
+            lam = Design(0.5 * (lam + rep_psi.design.lam)).lam
+        rng = np.random.default_rng([rec.seed, k])
+        if unique:
+            p_k = waterfill(rep.design, marginals, k)
+            lam = p_k.lam
+            marginals.append(lam)
+            spent = int(np.count_nonzero(queried))
+            want = min(N_batch, T - spent, n - spent)
+            if want <= 0:
+                rec.flags["pool_exhausted"] = spent >= n
+                break
+            idx, fallback = sample_unique(p_k, want, np.flatnonzero(queried), rng=rng)
+            if fallback:
+                rec.flags["sampling_fallback"] = True
+        else:
+            idx = _draw_iid(rng, lam, N)
+        ys = instance.labels.query_many(idx)
+        round_log = _round_log(k, idx, lam[idx], ys)
+        rec.queries.extend(round_log)
+        queried[idx] = True
+        if estimator_kind == "naive":
+            est = naive_estimate(rec.queries, n)
+        elif estimator_kind == "ips":
+            est = ips_estimate(round_log, n, gamma=0.0)
+        else:
+            est = chaining_estimate(H, round_log, lam, chaining_delta)
+        if mix_psi:
+            rec.designs.append({
+                "round": k, "lam": [float(x) for x in lam],
+                "lam_gap": [float(x) for x in rep.design.lam],
+                "lam_psi": [float(x) for x in rep_psi.design.lam],
+                "value_gap": rep.value_estimate, "value_psi": rep_psi.value_estimate,
+                "N": N, "anchor": anchor,
+            })
+        elif unique:
+            _record_design(rec, k, rep, {"p_k": [float(x) for x in lam], "N": len(idx)})
+        else:
+            _record_design(rec, k, rep, {"N": N, "anchor": anchor})
+        handle, anchor_lab = _erm_handle(hclass, est)
+        rec.progress.append((k, int(np.count_nonzero(queried)),
+                             int(handle) if hclass.explicit else -1))
+    rec.returned = int(handle) if hclass.explicit else -1
+    rec.returned_labeling = [int(v) for v in anchor_lab]
+    return rec
+
+
 def aced_fixed_budget(
     instance: Instance,
     T: int,
@@ -257,43 +361,13 @@ def aced_fixed_budget(
     """
     if estimator_kind not in ("naive", "ips", "chaining"):
         raise ValueError("estimator_kind must be naive, ips, or chaining")
-    hclass = instance.hypotheses
-    if not hclass.explicit:
+    if not instance.hypotheses.explicit:
         raise ImplicitClassError("this variant enumerates the class; see the waterfilled one")
-    solver_params = dict(DEFAULT_SOLVER, **(solver or {}))
-    rounds, N = _fixed_budget_rounds(T, epsilon)
     rec = RunRecord(algorithm="aced_fixed_budget", seed=seed,
                     params={"T": T, "epsilon": epsilon, "estimator_kind": estimator_kind})
-    H = hclass.labelings
-    n = hclass.n
-    est = _prior_estimate(n)
-    all_log = []
-    for k in range(1, rounds + 1):
-        errs = estimated_errors_all(hclass, est)
-        anchor = int(np.argmin(errs))
-        scale = 2.0 ** (-k + 1)
-        rep = _solve_cached(lambda: gap_objective(H, est.values, anchor, scale), solver_params,
-                            design_cache,
-                            ("fb", H, np.asarray(est.values), anchor, scale, solver_params["tol"]))
-        lam = rep.design.lam
-        rng = np.random.default_rng([seed, k])
-        idx = _draw_iid(rng, lam, N)
-        ys = instance.labels.query_many(idx)
-        round_log = _round_log(k, idx, lam[idx], ys)
-        rec.queries.extend(round_log)
-        all_log.extend(round_log)
-        if estimator_kind == "naive":
-            est = naive_estimate(all_log, n)
-        elif estimator_kind == "ips":
-            est = ips_estimate(round_log, n, gamma=0.0)
-        else:
-            est = chaining_estimate(H, round_log, lam, chaining_delta)
-        _record_design(rec, k, rep, {"N": N, "anchor": anchor})
-        cur = int(np.argmin(estimated_errors_all(hclass, est)))
-        rec.progress.append((k, rec.unique_queried, cur))
-    rec.returned = int(np.argmin(estimated_errors_all(hclass, est)))
-    rec.returned_labeling = [int(v) for v in H[rec.returned]]
-    return rec
+    return _fixed_budget_loop(instance, rec, T, epsilon, _prior_estimate(instance.n),
+                              estimator_kind=estimator_kind, solver=solver,
+                              design_cache=design_cache, chaining_delta=chaining_delta)
 
 
 def aced_fixed_budget_efficient(
@@ -304,55 +378,17 @@ def aced_fixed_budget_efficient(
     solver: dict | None = None,
     design_cache: dict | None = None,
 ) -> RunRecord:
-    """Oracle-friendly fixed budget: mixes the gap design with the
-    worst-coordinate design and estimates with plain IPS."""
-    hclass = instance.hypotheses
-    if not hclass.explicit:
+    """Fixed budget with a mixed design: each round samples a 50/50 mix of
+    the gap design and the worst-coordinate design and estimates with
+    plain IPS. It enumerates the class, so an oracle-backed class raises
+    ImplicitClassError; the waterfilled variant serves those."""
+    if not instance.hypotheses.explicit:
         raise ImplicitClassError("desk-scale variant enumerates the class")
-    solver_params = dict(DEFAULT_SOLVER, **(solver or {}))
-    rounds, N = _fixed_budget_rounds(T, epsilon)
     rec = RunRecord(algorithm="aced_fixed_budget_efficient", seed=seed,
                     params={"T": T, "epsilon": epsilon})
-    H = hclass.labelings
-    n = hclass.n
-    est = _prior_estimate(n)
-    for k in range(1, rounds + 1):
-        errs = estimated_errors_all(hclass, est)
-        anchor = int(np.argmin(errs))
-        scale = 2.0 ** (-k + 1)
-        rep1 = _solve_cached(lambda: gap_objective(H, est.values, anchor, scale), solver_params,
-                             design_cache, ("fbe1", H, np.asarray(est.values), anchor, scale))
-        rep2 = _solve_cached(
-            lambda: psi_objective(H, est.values, anchor, scale, floor_at_scale=False),
-            solver_params, design_cache, ("fbe2", H, np.asarray(est.values), anchor, scale))
-        lam = Design(0.5 * (rep1.design.lam + rep2.design.lam)).lam
-        rng = np.random.default_rng([seed, k])
-        idx = _draw_iid(rng, lam, N)
-        ys = instance.labels.query_many(idx)
-        round_log = _round_log(k, idx, lam[idx], ys)
-        rec.queries.extend(round_log)
-        est = ips_estimate(round_log, n, gamma=0.0)
-        rec.designs.append({
-            "round": k, "lam": [float(x) for x in lam],
-            "lam_gap": [float(x) for x in rep1.design.lam],
-            "lam_psi": [float(x) for x in rep2.design.lam],
-            "value_gap": rep1.value_estimate, "value_psi": rep2.value_estimate,
-            "N": N, "anchor": anchor,
-        })
-        cur = int(np.argmin(estimated_errors_all(hclass, est)))
-        rec.progress.append((k, rec.unique_queried, cur))
-    rec.returned = int(np.argmin(estimated_errors_all(hclass, est)))
-    rec.returned_labeling = [int(v) for v in H[rec.returned]]
-    return rec
-
-
-def _erm_handle(hclass, est):
-    """Plug-in ERM under eta-hat for explicit or oracle-backed classes."""
-    if hclass.explicit:
-        idx = int(np.argmin(estimated_errors_all(hclass, est)))
-        return idx, hclass.labelings[idx]
-    handle, _ = weighted_max(hclass, 2.0 * est.values - 1.0)
-    return handle, hclass.labeling(handle)
+    return _fixed_budget_loop(instance, rec, T, epsilon, _prior_estimate(instance.n),
+                              estimator_kind="ips", solver=solver, design_cache=design_cache,
+                              mix_psi=True)
 
 
 def aced_waterfilled(
@@ -374,64 +410,14 @@ def aced_waterfilled(
     """
     if not instance.labels.persistent:
         raise ValueError("waterfilled variant expects a persistent label model")
-    hclass = instance.hypotheses
-    solver_params = dict(DEFAULT_SOLVER, **(solver or {}))
-    rounds, _ = _fixed_budget_rounds(T, epsilon)
     n = instance.n
     if N_batch is None:
         N_batch = min(250, max(1, n // 4))
     rec = RunRecord(algorithm="aced_waterfilled", seed=seed,
                     params={"T": T, "epsilon": epsilon, "N_batch": N_batch})
-    all_log = []
-    marginals = []
-    queried = set()
-    est = naive_estimate([], n)
-    exhausted = False
-    for k in range(1, rounds + 1):
-        handle, anchor_lab = _erm_handle(hclass, est)
-        scale = 2.0 ** (-k + 1)
-        if hclass.explicit:
-            rep = _solve_cached(
-                lambda: gap_objective(hclass.labelings, est.values, int(handle), scale),
-                solver_params, design_cache,
-                ("wf", hclass.labelings, np.asarray(est.values), int(handle), scale))
-        else:
-            def maximizer(w):
-                h, _ = weighted_max(hclass, w)
-                return h, hclass.labeling(h)
-
-            rep = _solve_cached(
-                lambda: oracle_gap_objective(n, anchor_lab, est.values, scale, maximizer,
-                                             line_search_iters),
-                solver_params, design_cache,
-                ("wf-oracle", anchor_lab, np.asarray(est.values), scale))
-        p_k = waterfill(rep.design, marginals, k)
-        marginals.append(p_k.lam)
-        want = min(N_batch, T - len(queried), n - len(queried))
-        if want <= 0:
-            exhausted = len(queried) >= n
-            break
-        rng = np.random.default_rng([seed, k])
-        fresh, fb = sample_unique(p_k, want, queried, rng=rng)
-        if fb:
-            rec.flags["sampling_fallback"] = True
-        if not fresh:
-            exhausted = True
-            break
-        ys = instance.labels.query_many(fresh)
-        round_log = _round_log(k, fresh, p_k.lam[fresh], ys)
-        rec.queries.extend(round_log)
-        all_log.extend(round_log)
-        queried.update(fresh)
-        est = naive_estimate(all_log, n)
-        _record_design(rec, k, rep, {"p_k": [float(x) for x in p_k.lam], "N": len(fresh)})
-        cur_handle, cur_lab = _erm_handle(hclass, est)
-        rec.progress.append((k, len(queried), int(cur_handle) if hclass.explicit else -1))
-    handle, lab = _erm_handle(hclass, est)
-    rec.returned = int(handle) if hclass.explicit else -1
-    rec.returned_labeling = [int(v) for v in lab]
-    rec.flags["pool_exhausted"] = exhausted
-    return rec
+    return _fixed_budget_loop(instance, rec, T, epsilon, naive_estimate([], n),
+                              estimator_kind="naive", solver=solver, design_cache=design_cache,
+                              N_batch=N_batch, line_search_iters=line_search_iters)
 
 
 def baseline_passive(instance: Instance, T: int, seed: int = 0) -> RunRecord:
@@ -478,6 +464,7 @@ def baseline_uniform_disagreement(
     rng = np.random.default_rng([seed, 0])
     alive = np.ones(m, dtype=bool)
     cum = np.zeros(m)  # importance-weighted mistake sums
+    queried = np.zeros(n, dtype=bool)
     t = 0
     while t < T:
         sub = H[alive]
@@ -492,6 +479,7 @@ def baseline_uniform_disagreement(
             t += 1
             rec.queries.append(QueryRecord(1, int(i), lam_val, int(y)))
             cum += (H[:, i] != y) / (n * lam_val)
+        queried[draws] = True
         errs = cum / t
         live_idx = np.flatnonzero(alive)
         best_h = live_idx[int(np.argmin(errs[live_idx]))]
@@ -508,7 +496,8 @@ def baseline_uniform_disagreement(
             alive &= ~drop
         rec.eliminations.append(int(alive.sum()))
         live_idx = np.flatnonzero(alive)
-        rec.progress.append((1, rec.unique_queried, int(live_idx[np.argmin(errs[live_idx])])))
+        rec.progress.append((1, int(np.count_nonzero(queried)),
+                             int(live_idx[np.argmin(errs[live_idx])])))
     survivors = np.flatnonzero(alive)
     if survivors.size == 1:
         rec.returned = int(survivors[0])
@@ -578,6 +567,7 @@ def baseline_iwal(
             rec.flags["logistic_cap_hits"] += not hyp.converged
             return hyp
     revealed = {}
+    queried = np.zeros(n, dtype=bool)
     stream = list(stream)
     for step, i in enumerate(stream, start=1):
         i = int(i)
@@ -587,7 +577,7 @@ def baseline_iwal(
             hk = int(np.argmin(base))
             flip = np.flatnonzero(H[:, i] != H[hk, i])
             if flip.size == 0:
-                rec.progress.append((step, rec.unique_queried, hk))
+                rec.progress.append((step, int(np.count_nonzero(queried)), hk))
                 continue
             hk_flip = int(flip[np.argmin(base[flip])])
             G = float(base[hk_flip] - base[hk]) / denom
@@ -617,6 +607,7 @@ def baseline_iwal(
             y = instance.labels.query(i)
             revealed[i] = y
             rec.queries.append(QueryRecord(step, i, p, int(y)))
+            queried[i] = True
             if explicit:
                 cum += (H[:, i] != y) / p
             else:
@@ -630,7 +621,7 @@ def baseline_iwal(
                 oracle_cum += H[:, i] != y_true
         if explicit:
             base = oracle_cum if oracular else cum
-            rec.progress.append((step, rec.unique_queried, int(np.argmin(base))))
+            rec.progress.append((step, int(np.count_nonzero(queried)), int(np.argmin(base))))
     if explicit:
         base = oracle_cum if oracular else cum
         rec.returned = int(np.argmin(base))

@@ -357,18 +357,22 @@ def _curve_points(instance: Instance, rec: RunRecord, full_instance=None,
     return points
 
 
-def run(config: ExperimentConfig, out_dir=None, workers: int = 1) -> dict:
+def run(config: ExperimentConfig, out_dir=None, workers: int = 1, instance=None) -> dict:
     """Execute every (algorithm, seed) pair and write results files.
 
     Failures are recorded per row and do not stop the remaining runs.
     With workers > 1 the pairs run on a process pool; outputs are sorted
     before the single writer emits them, so results are identical to the
-    sequential schedule. Query logs never touch holdout indices
-    (asserted here). Returns the output paths.
+    sequential schedule. A given instance replaces config.instance and
+    needs workers == 1, since workers rebuild theirs from the config.
+    Query logs never touch holdout indices (asserted here). Returns the
+    output paths.
     """
+    if instance is not None and workers > 1:
+        raise ValueError("a given instance runs only with workers == 1")
     out = Path(os.environ.get("ACED_OUT_DIR", out_dir or config.output_dir))
     out.mkdir(parents=True, exist_ok=True)
-    full_instance = build_instance(config.instance)
+    full_instance = build_instance(config.instance) if instance is None else instance
     holdout_idx, train_idx = _holdout_split(full_instance.n, config.holdout_fraction,
                                             config.holdout_seed)
     n_hold = holdout_idx.size

@@ -19,12 +19,8 @@ def _cmd_run(args):
     if args.label_source == "stdin":
         inst = build_instance(config.instance)
         interactive = StdinLabelModel(inst.n, ids=inst.pool.ids)
-        patched = Instance(pool=inst.pool, hypotheses=inst.hypotheses, labels=interactive)
-        bench.build_instance = lambda spec, _inst=patched: _inst  # one-shot override
-        try:
-            paths = bench.run(config, out_dir=args.out)
-        finally:
-            bench.build_instance = build_instance
+        inst = Instance(pool=inst.pool, hypotheses=inst.hypotheses, labels=interactive)
+        paths = bench.run(config, out_dir=args.out, instance=inst)
     else:
         paths = bench.run(config, out_dir=args.out, workers=args.workers)
     print(json.dumps(paths, indent=2))

@@ -199,13 +199,18 @@ def pool_error(hclass: HypothesisClass, h: int, labels: LabelModel) -> float:
     return float(np.mean(eta * (1.0 - hv) + (1.0 - eta) * hv))
 
 
+def plugin_errors(labelings, eta) -> np.ndarray:
+    """Pool error (sum_i eta_i + L (1 - 2 eta)) / n of every row of L."""
+    L = np.asarray(labelings, dtype=float)
+    eta = np.asarray(eta, dtype=float)
+    return (eta.sum() + L @ (1.0 - 2.0 * eta)) / L.shape[1]
+
+
 def errors_all(hclass: HypothesisClass, labels: LabelModel) -> np.ndarray:
     """Pool error of every hypothesis in an explicit class."""
     if not hclass.explicit:
         raise ImplicitClassError("error enumeration needs an explicit class")
-    eta = labels.eta
-    L = hclass.labelings.astype(float)
-    return (eta.sum() + L @ (1.0 - 2.0 * eta)) / hclass.n
+    return plugin_errors(hclass.labelings, labels.eta)
 
 
 def gap_table(hclass: HypothesisClass, labels: LabelModel) -> GapTable:

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import plugin_errors
+
 LAMBDA_FLOOR = 1e-9
 
 
@@ -91,8 +93,7 @@ class DesignObjective:
 
 def _gap_denominators(labelings, eta, anchor, scale, floor_at_scale):
     """scale + estimated excess error, or true excess floored at scale."""
-    L = np.asarray(labelings, dtype=float)
-    errs = (eta.sum() + L @ (1.0 - 2.0 * eta)) / L.shape[1]
+    errs = plugin_errors(labelings, eta)
     gaps = errs - errs[anchor]
     den = np.maximum(gaps, scale) if floor_at_scale else scale + gaps
     if np.any(den[np.arange(len(den)) != anchor] <= 0):
@@ -146,7 +147,7 @@ def rho_objective(labelings, eta, epsilon: float, anchor: int) -> DesignObjectiv
     """Worst-hypothesis inverse-information-to-gap-squared ratio."""
     L = np.asarray(labelings, dtype=float)
     m, n = L.shape
-    errs = (eta.sum() + L @ (1.0 - 2.0 * eta)) / n
+    errs = plugin_errors(L, eta)
     gaps = errs - errs[anchor]
     den = np.maximum(gaps, epsilon)
     S = (L != L[anchor][None, :]).astype(float)

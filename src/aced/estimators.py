@@ -15,7 +15,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .core import HypothesisClass
+from .core import HypothesisClass, plugin_errors
 
 
 class InvalidDesignError(ValueError):
@@ -202,6 +202,7 @@ def build_admissible_sequence(labelings, lam, t: int, root: int = 0) -> Admissib
     m = np.asarray(labelings).shape[0]
     dist = pair_distance_matrix(labelings, lam, t)
     closest = dist[root].copy()
+    closest[root] = -1.0
     levels = [np.array([root])]
     placed = 1
     k = 0
@@ -367,6 +368,4 @@ def err_from_estimate(hclass: HypothesisClass, est: EtaEstimate, h) -> float:
 
 def estimated_errors_all(hclass: HypothesisClass, est: EtaEstimate) -> np.ndarray:
     """Plug-in error of every hypothesis of an explicit class."""
-    e = est.values
-    L = hclass.labelings.astype(float)
-    return (e.sum() + L @ (1.0 - 2.0 * e)) / hclass.n
+    return plugin_errors(hclass.labelings, est.values)

@@ -371,6 +371,25 @@ def test_design_cache_keys_on_solver_params():
     assert shared.to_jsonl() == fresh_run.to_jsonl()
 
 
+def test_oracle_design_cache_keys_on_line_search_iters():
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((10, 2))
+    eta = 1.0 / (1.0 + np.exp(-2.0 * (X[:, 0] - 0.5 * X[:, 1])))
+    inst = Instance(Pool(n=10, features=X), HypothesisClass(oracle=LinearOracleClass(X)),
+                    LabelModel(eta, persistent=True, seed=3))
+
+    def run(line_search_iters, cache):
+        return aced_waterfilled(inst, T=8, epsilon=0.25, N_batch=4, seed=7,
+                                solver={"max_iters": 3, "b0": 4, "max_batch": 8},
+                                line_search_iters=line_search_iters, design_cache=cache)
+
+    cache = {}
+    first = run(1, cache)
+    shared = run(3, cache)
+    assert shared.designs[1]["value"] != first.designs[1]["value"]
+    assert shared.to_jsonl() == run(3, None).to_jsonl()
+
+
 def test_solve_cached_builds_objective_only_on_miss():
     from aced.algorithms import DEFAULT_SOLVER, _solve_cached
     from aced.design import pair_width_objective

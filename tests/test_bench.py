@@ -1,3 +1,4 @@
+import io
 import json
 import os
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aced import cli
+from aced import bench, cli
 from aced.bench import (
     ConfigError,
     ResultRow,
@@ -205,6 +206,21 @@ def test_cli_end_to_end(tmp_path, capsys):
                      "--out", str(tmp_path / "c.csv")]) == 0
     assert (tmp_path / "c.csv").read_text().startswith("algorithm,queries")
     capsys.readouterr()
+
+
+def test_cli_run_reads_labels_from_stdin(tmp_path, monkeypatch, capsys):
+    cfg = write_config(tmp_path, BASE.format(seeds="0", holdout=0.0, out=tmp_path / "o"))
+    original = bench.build_instance
+    monkeypatch.setattr("sys.stdin", io.StringIO("1\n0\n1\n1\n0\n0\n1\n0\n"))
+    assert cli.main(["run", str(cfg), "--label-source", "stdin"]) == 0
+    capsys.readouterr()
+    for name in ("results.csv", "curves.csv", "runrecords.jsonl", "meta.json"):
+        assert (tmp_path / "o" / name).exists()
+    rec = json.loads((tmp_path / "o" / "runrecords.jsonl").read_text())
+    assert [q[3] for q in rec["queries"]] == [1, 0, 1, 1, 0, 0, 1, 0]
+    assert bench.build_instance is original
+    with pytest.raises(ValueError):
+        run(load_config(cfg), instance=build_instance(load_config(cfg).instance), workers=2)
 
 
 def test_output_dir_env_override(tmp_path, monkeypatch):

@@ -152,6 +152,14 @@ def test_admissible_sequence_covers_and_respects_caps():
     assert len(seq.levels[0]) == 1
 
 
+def test_admissible_sequence_never_places_the_root_twice():
+    # rows 0 and 2 are identical: once row 1 is placed, row 2 and the root
+    # both sit at distance ~0 from a placed row, and only row 2 may follow
+    G = np.array([[1, 1], [0, 0], [1, 1]], dtype=np.int8)
+    seq = build_admissible_sequence(G, np.full(2, 0.5), t=4)
+    assert [lv.tolist() for lv in seq.levels] == [[0], [1, 2]]
+
+
 def test_pair_distance_matches_definition():
     G = np.array([[0, 1, 1], [1, 1, 0]], dtype=np.int8)
     lam = np.array([0.5, 0.25, 0.25])

@@ -56,6 +56,14 @@ CASES = {
     "waterfilled_oracle/linear": lambda: REGISTRY["aced_waterfilled"](
         _linear(), T=4, epsilon=0.5, N_batch=4, solver={"max_iters": 2, "b0": 4, "max_batch": 8},
         line_search_iters=4, seed=7),
+    # stops after two designs with both sampling_fallback and pool_exhausted set
+    "waterfilled_exhausted/thresholds": lambda: REGISTRY["aced_waterfilled"](
+        make_thresholds(4, 2, 1.0, persistent=True, seed=0), T=64, epsilon=1 / 32, N_batch=2,
+        solver=SOLVER, seed=13),
+    # its round-2 design depends on line_search_iters (0.8925 at 1, 1.4114 at 20)
+    "waterfilled_oracle_lsi1/linear": lambda: REGISTRY["aced_waterfilled"](
+        _linear(), T=8, epsilon=0.25, N_batch=4, solver={"max_iters": 3, "b0": 4, "max_batch": 8},
+        line_search_iters=1, seed=7),
     "passive/core_tail": lambda: REGISTRY["passive"](_core_tail(), T=6, seed=8),
     "uniform_disagreement/thresholds": lambda: REGISTRY["uniform_disagreement"](
         _thresholds(), T=20, seed=9),
@@ -78,7 +86,9 @@ GOLDEN = {
     "passive/core_tail": "cefc6cf2197f83525af8c3fda91c03783f9c63d8cdfd4e74115f51c873bafea2",
     "uniform_disagreement/thresholds": "9cc31249051764ce88a25353e2948fb8c140e70217c0afa6cedc81a588c12a55",
     "waterfilled/core_tail": "efc886cbae1a619f42ba2b3f19646025c6285724f2663020d5a702a849ff1a9b",
+    "waterfilled_exhausted/thresholds": "8612ba6554b09a0f187b176b7181ad48d55152ca7a948b00b279fffb0f3e6674",
     "waterfilled_oracle/linear": "76ca3cd2cb5bdaa6fbe3d579af267e61eb65d2b1df6baacf66ec56cbbdc41897",
+    "waterfilled_oracle_lsi1/linear": "bc2619ede5059ea311f478a3fc21290ff87226cc1d060a925069ede73986bc0e",
 }
 
 
@@ -98,3 +108,13 @@ def test_fixed_confidence_seed_panel_digest():
                      for seed in range(200))
     assert (hashlib.sha256(body.encode()).hexdigest()
             == "a7bc189bcb9230996d447437942e3852e2a236bdef733dd8707e776c7009936f")
+
+
+def test_fixed_budget_shared_cache_panel_digest():
+    # later seeds replay the round-1 designs cached by the first
+    cache = {}
+    body = "\n".join(REGISTRY["aced_fixed_budget"](_thresholds(), T=24, epsilon=0.25, solver=SOLVER,
+                                                    seed=seed, design_cache=cache).to_jsonl()
+                     for seed in range(4))
+    assert (hashlib.sha256(body.encode()).hexdigest()
+            == "ffe9bd4d1a68ca4a36391467b86406fb7a1169ff1795085a7409ed9cb62c832c")
