@@ -561,6 +561,7 @@ def baseline_iwal(
         if feats is None:
             raise ValueError("oracle-backed streaming needs pool features")
         samples = []
+        X_q, w_q, y_q = np.empty((0, feats.shape[1])), np.empty(0), np.empty(0, dtype=int)
         rec.flags["logistic_cap_hits"] = 0
 
         def fit(hyp):
@@ -594,12 +595,7 @@ def baseline_iwal(
             denom = max(step - 1, 1)
 
             def _loss(h):
-                if not samples:
-                    return 0.0
-                X = np.array([s.example for s in samples])
-                w = np.array([s.weight for s in samples])
-                y = np.array([s.label for s in samples])
-                return float((w * (h.predict(X) != y)).sum()) / denom
+                return float((w_q * (h.predict(X_q) != y_q)).sum()) / denom
 
             G = max(0.0, _loss(flip_hyp) - _loss(hyp))
         p = _iwal_probability(G, step, C0, aggressiveness, p_min)
@@ -612,6 +608,8 @@ def baseline_iwal(
                 cum += (H[:, i] != y) / p
             else:
                 samples.append(WeightedSample(1.0 / p, feats[i], int(y)))
+                X_q, w_q = np.vstack([X_q, feats[i]]), np.append(w_q, 1.0 / p)
+                y_q = np.append(y_q, y)
         if explicit and oracular:
             y_true = revealed.get(i)
             if y_true is None:

@@ -364,7 +364,9 @@ def run(config: ExperimentConfig, out_dir=None, workers: int = 1, instance=None)
     With workers > 1 the pairs run on a process pool; outputs are sorted
     before the single writer emits them, so results are identical to the
     sequential schedule. A given instance replaces config.instance and
-    needs workers == 1, since workers rebuild theirs from the config.
+    needs workers == 1, since workers rebuild theirs from the config; an
+    interactive label source needs no holdout, as held-out points have no
+    labels to score against (ConfigError).
     Query logs never touch holdout indices (asserted here). Returns the
     output paths.
     """
@@ -376,6 +378,8 @@ def run(config: ExperimentConfig, out_dir=None, workers: int = 1, instance=None)
     holdout_idx, train_idx = _holdout_split(full_instance.n, config.holdout_fraction,
                                             config.holdout_seed)
     n_hold = holdout_idx.size
+    if n_hold and getattr(full_instance.labels, "interactive", False):
+        raise ConfigError("holdout_fraction must be 0 with an interactive label source")
     instance = _restrict_instance(full_instance, train_idx) if n_hold else full_instance
 
     tasks = [(label, name, params, seed)

@@ -1,9 +1,9 @@
 """Weighted 0/1-classification oracles.
 
-Exact weighted ERM by enumeration over explicit classes, the sign
-reduction from weighted linear maximization to weighted ERM, a logistic
-surrogate for linear classes, and the fixed-margin "flip" variant that
-forces a prescribed prediction at one point.
+Exact weighted ERM by enumeration over explicit classes, weighted linear
+maximization (an argmax, or the sign reduction to weighted ERM), a
+logistic surrogate for linear classes fitted by damped Newton (IRLS), and
+the fixed-margin "flip" variant that forces a prediction at one point.
 """
 from __future__ import annotations
 
@@ -70,25 +70,18 @@ def weighted_losses(hclass: HypothesisClass, samples) -> np.ndarray:
 
 
 def weighted_max(hclass: HypothesisClass, w) -> tuple:
-    """max_h sum_i w_i h(x_i) via one weighted-ERM call.
+    """max_h sum_i w_i h(x_i), as (handle, value).
 
-    Uses the sign reduction (|w_i|, x_i, 1{w_i >= 0}); the identity
-    sum_i w_i h(x_i) = sum_{w_i >= 0} w_i - loss(h) recovers the value
-    exactly. Returns (handle, value) where handle is a hypothesis index
-    for explicit classes and a LinearHypothesis for oracle-backed ones.
+    Explicit class: the handle is the lowest-index argmax of labelings @ w.
+    Oracle-backed: a LinearHypothesis from one weighted-ERM call on the sign
+    reduction (|w_i|, x_i, 1{w_i >= 0}), whose loss is sum_{w_i >= 0} w_i - value.
     """
     w = np.asarray(w, dtype=float)
     if not np.isfinite(w).all():
         raise ValueError("weights must be finite")
-    pos_sum = float(w[w >= 0].sum())
     if hclass.explicit:
-        samples = [
-            WeightedSample(weight=abs(float(wi)), example=i, label=int(wi >= 0))
-            for i, wi in enumerate(w)
-        ]
-        h = erm_exact(hclass, samples)
-        loss = float(weighted_losses(hclass, samples)[h])
-        return h, pos_sum - loss
+        h = int(np.argmax(hclass.labelings @ w))
+        return h, float(hclass.labelings[h] @ w)
     hyp = hclass.oracle.erm_weights(np.abs(w), (w >= 0).astype(np.int8))
     preds = hyp.predict(hclass.oracle.features)
     value = float(w @ preds)
@@ -96,60 +89,66 @@ def weighted_max(hclass: HypothesisClass, w) -> tuple:
 
 
 def _fit_logistic(X, w, y, reg, tol, max_iter, fixed_intercept=None, warn_on_cap=True):
-    """Full-batch gradient descent with backtracking on the weighted logistic loss."""
+    """Damped Newton (IRLS) on the weighted logistic loss, from zero.
+
+    Minimizes sum_i w_i log(1 + exp(-y_i (v.x_i + b))) + reg ||v||^2 with b
+    free and unpenalized, or pinned to fixed_intercept (then each step solves
+    a p x p system, not (p+1) x (p+1)); steps backtrack to the Armijo
+    condition. Converged once the gradient infinity-norm is <= tol within
+    max_iter Newton steps; otherwise the last (lowest-loss) iterate comes
+    back with converged=False and, if warn_on_cap, a warning.
+    Returns (v, b, converged).
+    """
     n, p = X.shape
     y_pm = 2.0 * np.asarray(y, dtype=float) - 1.0
-    if fixed_intercept is None:
-        X1 = np.hstack([X, np.ones((n, 1))])
-        theta = np.zeros(p + 1)
-    else:
-        # intercept pinned: absorb it into the margin via a constant offset
-        X1 = np.hstack([X, np.zeros((n, 1))])
-        theta = np.zeros(p + 1)
-        theta[-1] = 0.0
-    offset = 0.0 if fixed_intercept is None else fixed_intercept
+    free = fixed_intercept is None
+    # margins m = B theta + m0, and the loss terms are log(1 + e^m)
+    B = -y_pm[:, None] * (np.hstack([X, np.ones((n, 1))]) if free else X)
+    m0 = 0.0 if free else -y_pm * fixed_intercept
+    pen = np.full(B.shape[1], 2.0 * reg)
+    pen[p:] = 0.0  # a free intercept is not penalized
 
-    def eval_at(th):
-        z = X1 @ th + offset
-        m = -y_pm * z
-        loss = float(w @ np.logaddexp(0.0, m)) + reg * float(th[:-1] @ th[:-1])
-        sig = 1.0 / (1.0 + np.exp(-np.clip(m, -500, 500)))
-        grad = X1.T @ (-(w * y_pm) * sig)
-        grad[:-1] += 2.0 * reg * th[:-1]
-        return loss, grad
+    def evaluate(th):
+        m = B @ th + m0
+        e = np.exp(-np.abs(m))  # log(1 + e^m) = max(m, 0) + log1p(e), overflow-free
+        return float(w @ (np.maximum(m, 0.0) + np.log1p(e))) + 0.5 * float(pen @ (th * th)), m, e
 
-    loss, grad = eval_at(theta)
-    step = 1.0
-    converged = False
-    for _ in range(max_iter):
-        if np.max(np.abs(grad)) <= tol:
-            converged = True
+    theta = np.zeros(B.shape[1])
+    loss, m, e = evaluate(theta)
+    for it in range(max_iter + 1):
+        grad = B.T @ (w * np.where(m >= 0, 1.0, e) / (1.0 + e)) + pen * theta
+        converged = bool(np.abs(grad).max() <= tol)
+        if converged or it == max_iter:
             break
-        step = min(step * 2.0, 1e6)
+        try:
+            step = np.linalg.solve((B.T * (w * e / (1.0 + e) ** 2)) @ B + np.diag(pen), -grad)
+        except np.linalg.LinAlgError:
+            break
+        slope = float(grad @ step)
+        slack = 2e-15 * abs(loss)  # passes a decrease below the loss's rounding
+        t = 1.0
         for _ in range(60):
-            cand = theta - step * grad
-            cand_loss, cand_grad = eval_at(cand)
-            if cand_loss <= loss - 0.5 * step * float(grad @ grad):
-                theta, loss, grad = cand, cand_loss, cand_grad
+            cand = theta + t * step
+            cand_loss, cand_m, cand_e = evaluate(cand)
+            if cand_loss <= loss + 1e-4 * t * slope + slack:
                 break
-            step *= 0.5
+            t *= 0.5
         else:
             break
-    else:
-        if np.max(np.abs(grad)) <= tol:
-            converged = True
+        theta, loss, m, e = cand, cand_loss, cand_m, cand_e
     if not converged and warn_on_cap:
         warnings.warn("logistic solver hit the iteration cap; returning best iterate")
-    return theta[:p], (theta[p] + offset if fixed_intercept is None else offset), converged
+    return theta[:p], (theta[p] if free else fixed_intercept), converged
 
 
 def erm_logistic(samples, reg: float = 1e-6, tol: float = 1e-6, max_iter: int = 5000,
                  warn_on_cap: bool = True) -> LinearHypothesis:
     """Approximate weighted ERM over halfspaces via the logistic surrogate.
 
-    L2 penalty reg * ||w||^2 (intercept free). Convergence when the
-    gradient infinity-norm drops below tol; otherwise the best iterate is
-    returned with converged=False and a warning.
+    L2 penalty reg * ||w||^2 (intercept free), fitted by damped Newton.
+    Convergence when the gradient infinity-norm drops below tol within
+    max_iter Newton steps; otherwise the best iterate is returned with
+    converged=False and a warning.
     """
     if not samples:
         raise ValueError("need at least one sample")
@@ -205,8 +204,9 @@ class LinearOracleClass:
     """
 
     def __init__(self, features, reg: float = 1e-6, tol: float = 1e-4, max_iter: int = 300):
-        # looser defaults than erm_logistic: design solves call this oracle
-        # thousands of times and only need surrogate-grade answers
+        # looser tolerance than erm_logistic: design solves call this oracle
+        # thousands of times and only need surrogate-grade answers; max_iter
+        # counts Newton steps, of which a fit takes about five
         self.features = np.asarray(features, dtype=float)
         if self.features.ndim != 2:
             raise ValueError("features must be an n x p matrix")
@@ -219,13 +219,11 @@ class LinearOracleClass:
         return self.features.shape[0]
 
     def erm_weights(self, weights, labels) -> LinearHypothesis:
-        keep = np.asarray(weights, dtype=float) > 0
+        """Logistic weighted ERM on the pool points with positive weight."""
+        weights = np.asarray(weights, dtype=float)
+        keep = weights > 0
         if not keep.any():
             return LinearHypothesis(w=np.zeros(self.features.shape[1]), b=0.0)
-        samples = [
-            WeightedSample(float(w), self.features[i], int(y))
-            for i, (w, y) in enumerate(zip(weights, labels))
-            if w > 0
-        ]
-        return erm_logistic(samples, reg=self.reg, tol=self.tol, max_iter=self.max_iter,
-                            warn_on_cap=False)
+        wv, b, ok = _fit_logistic(self.features[keep], weights[keep], np.asarray(labels)[keep],
+                                  self.reg, self.tol, self.max_iter, warn_on_cap=False)
+        return LinearHypothesis(w=wv, b=float(b), converged=ok)

@@ -174,6 +174,22 @@ def test_waterfilled_oracle_backed_runs():
     assert acc >= 0.75
 
 
+def test_waterfilled_oracle_makes_no_capped_fits(monkeypatch):
+    from aced import oracles
+
+    converged = []
+    fit = oracles._fit_logistic
+
+    def counting_fit(*args, **kwargs):
+        out = fit(*args, **kwargs)
+        converged.append(out[2])
+        return out
+
+    monkeypatch.setattr(oracles, "_fit_logistic", counting_fit)
+    test_waterfilled_oracle_backed_runs()
+    assert len(converged) > 1000 and all(converged)
+
+
 def test_passive_full_budget_is_exact_erm():
     inst = make_thresholds(8, 3, 1.0, persistent=True, seed=1)
     gt = gap_table(inst.hypotheses, inst.labels)
@@ -341,8 +357,9 @@ def test_iwal_oracle_counts_capped_fits_without_warning(monkeypatch):
     capped = []
     fit = oracles._fit_logistic
 
-    def counting_fit(*args, **kwargs):
-        out = fit(*args, **kwargs)
+    def counting_fit(X, w, y, reg, tol, max_iter, **kwargs):
+        # one Newton step: Newton never caps on this instance, so force it
+        out = fit(X, w, y, reg, tol, 1, **kwargs)
         capped.append(not out[2])
         return out
 

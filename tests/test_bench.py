@@ -223,6 +223,16 @@ def test_cli_run_reads_labels_from_stdin(tmp_path, monkeypatch, capsys):
         run(load_config(cfg), instance=build_instance(load_config(cfg).instance), workers=2)
 
 
+def test_cli_run_stdin_rejects_a_holdout(tmp_path, monkeypatch):
+    # held-out points have no labels to score against, and none is prompted for
+    cfg = write_config(tmp_path, BASE.format(seeds="0", holdout=0.25, out=tmp_path / "o"))
+    stdin = io.StringIO("1\n0\n1\n1\n0\n0\n")
+    monkeypatch.setattr("sys.stdin", stdin)
+    with pytest.raises(ConfigError, match="holdout_fraction"):
+        cli.main(["run", str(cfg), "--label-source", "stdin"])
+    assert stdin.tell() == 0
+
+
 def test_output_dir_env_override(tmp_path, monkeypatch):
     cfg = load_config(write_config(tmp_path, BASE.format(seeds="0", holdout=0.0, out=tmp_path / "ignored")))
     target = tmp_path / "env_out"

@@ -60,7 +60,7 @@ CASES = {
     "waterfilled_exhausted/thresholds": lambda: REGISTRY["aced_waterfilled"](
         make_thresholds(4, 2, 1.0, persistent=True, seed=0), T=64, epsilon=1 / 32, N_batch=2,
         solver=SOLVER, seed=13),
-    # its round-2 design depends on line_search_iters (0.8925 at 1, 1.4114 at 20)
+    # its round-2 design depends on line_search_iters (0.4709 at 1, 1.2763 at 20)
     "waterfilled_oracle_lsi1/linear": lambda: REGISTRY["aced_waterfilled"](
         _linear(), T=8, epsilon=0.25, N_batch=4, solver={"max_iters": 3, "b0": 4, "max_batch": 8},
         line_search_iters=1, seed=7),
@@ -87,8 +87,8 @@ GOLDEN = {
     "uniform_disagreement/thresholds": "9cc31249051764ce88a25353e2948fb8c140e70217c0afa6cedc81a588c12a55",
     "waterfilled/core_tail": "efc886cbae1a619f42ba2b3f19646025c6285724f2663020d5a702a849ff1a9b",
     "waterfilled_exhausted/thresholds": "8612ba6554b09a0f187b176b7181ad48d55152ca7a948b00b279fffb0f3e6674",
-    "waterfilled_oracle/linear": "76ca3cd2cb5bdaa6fbe3d579af267e61eb65d2b1df6baacf66ec56cbbdc41897",
-    "waterfilled_oracle_lsi1/linear": "bc2619ede5059ea311f478a3fc21290ff87226cc1d060a925069ede73986bc0e",
+    "waterfilled_oracle/linear": "118929d1209c523ab31c08ee4845044af5b5c21f1b743cac170daebe452720ef",
+    "waterfilled_oracle_lsi1/linear": "abcd5b4dc8f59d729cb71f075cf88ad4b7070be248a04d633e68dde7207526af",
 }
 
 

@@ -7,6 +7,7 @@ from aced.core import HypothesisClass
 from aced.oracles import (
     LinearHypothesis,
     WeightedSample,
+    _fit_logistic,
     erm_exact,
     erm_flip_constrained,
     erm_logistic,
@@ -106,6 +107,55 @@ def test_logistic_near_exact_on_tiny_instance():
                 pred = (sgn * (proj - cut) >= 0).astype(int)
                 best = min(best, float((w * (pred != y)).sum()))
     assert fit_loss <= best + w.max()  # within one mistake's weight of exact ERM
+
+
+def _logistic_objective(theta, A, w, y, reg, offset):
+    # reference weighted logistic loss and gradient; theta is (v, b) when A
+    # carries a ones column, else v with the intercept pinned to offset
+    y_pm = 2.0 * y - 1.0
+    m = -y_pm * (A @ theta + (0.0 if offset is None else offset))
+    pen = np.full(theta.size, 2.0 * reg)
+    if offset is None:
+        pen[-1] = 0.0
+    sig = np.exp(-np.logaddexp(0.0, -m))
+    loss = float(w @ np.logaddexp(0.0, m)) + 0.5 * float(pen @ theta**2)
+    return loss, A.T @ (-(w * y_pm) * sig) + pen * theta
+
+
+def _weighted_pool(seed, separable):
+    rng = np.random.default_rng(seed)
+    n, p = int(rng.integers(4, 30)), int(rng.integers(1, 4))
+    X = rng.standard_normal((n, p))
+    w = rng.uniform(0.1, 10.0, size=n)
+    if separable:
+        return X, w, (X @ rng.standard_normal(p) > 0).astype(int)
+    # every point also appears with the other label, so no halfspace separates
+    y = rng.integers(0, 2, size=n)
+    w = np.concatenate([w, rng.uniform(0.1, 10.0, size=n)])
+    return np.vstack([X, X]), w, np.concatenate([y, 1 - y])
+
+
+@pytest.mark.parametrize("pinned", [None, 1e-3])
+@pytest.mark.parametrize("separable", [True, False])
+def test_newton_fit_converges_in_25_steps(separable, pinned):
+    from scipy.optimize import minimize
+
+    reg, tol = 1e-6, 1e-6
+    for seed in range(40):
+        X, w, y = _weighted_pool(seed, separable)
+        v, b, ok = _fit_logistic(X, w, y, reg, tol, 25, fixed_intercept=pinned)
+        assert ok
+        A = X if pinned is not None else np.hstack([X, np.ones((len(y), 1))])
+        theta = v if pinned is not None else np.append(v, b)
+        loss, grad = _logistic_objective(theta, A, w, y, reg, pinned)
+        assert np.max(np.abs(grad)) <= tol * (1 + 1e-6)
+        if pinned is not None:
+            assert b == pinned
+        if not separable:
+            ref = minimize(_logistic_objective, np.zeros(A.shape[1]), args=(A, w, y, reg, pinned),
+                           jac=True, method="L-BFGS-B",
+                           options={"gtol": 1e-12, "ftol": 1e-15, "maxiter": 10_000})
+            assert abs(loss - ref.fun) <= 1e-8 * abs(ref.fun)
 
 
 def test_flip_constraint_is_exact():
