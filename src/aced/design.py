@@ -1,19 +1,20 @@
 """Experimental-design objectives on the simplex and their solvers.
 
-The sampling distribution is optimized by stochastic mirror descent
+The stochastic objectives are optimized by mirror descent
 (exponentiated gradient) with adaptive batch doubling, a backtracking
 step size, and a first-order optimality certificate. Gap-style
 objectives maximize a Gaussian-perturbed excess-error ratio per sample;
 pair-width objectives combine a squared Gaussian width with a worst-pair
-inverse-mass penalty; the inverse-information objective is
-deterministic. The worst-coordinate objective is solved exactly in
-closed form, with no descent. Waterfilling reconciles per-round designs
-with the cumulative sampling distribution.
+inverse-mass penalty. The deterministic objectives skip the descent:
+the worst-coordinate objective is solved exactly in closed form, and the
+inverse-information objective through its dual, certified by the exact
+duality gap. Waterfilling reconciles per-round designs with the
+cumulative sampling distribution.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,7 +67,8 @@ class DesignObjective:
       fixed_budget     E[max_h (anchor-h) gap ratio], additive scale
       true_gap         same ratio with true gaps floored at epsilon
       fixed_confidence E[max-pair width]^2 + penalty * max-pair inverse mass
-      rho              max_h (inverse-information / gap^2), deterministic
+      rho              max_h (inverse-information / gap^2), solved through
+                       its dual (hypothesis weights, exact duality gap)
       psi              max_{h, i in disagreement} worst-coordinate ratio,
                        solved exactly (lam_i proportional to a_i)
     """
@@ -206,80 +208,53 @@ def objective_sample(obj: DesignObjective, design: Design, zeta) -> tuple:
     raise ValueError(f"unknown objective mode {obj.mode!r}")
 
 
-def _eval_batch(obj: DesignObjective, lam: np.ndarray, Z: np.ndarray):
-    """Per-sample values and gradients for a batch of Gaussian draws.
+def batch_values(obj: DesignObjective, lam: np.ndarray, Z: np.ndarray):
+    """Per-sample values of a stochastic objective on a batch of Gaussian draws.
 
-    Returns (values, grad_mean, grad_sq_mean) where the last two are over
-    the batch; the rho mode gets a single exact 'sample'.
+    Also returns what batch_gradient needs to differentiate the max: the
+    (rows, B) score matrix, or the labeling each oracle line search found.
     """
-    if obj.mode in ("fixed_budget", "true_gap"):
-        if obj.maximizer is not None:
-            B = Z.shape[0]
-            vals = np.empty(B)
-            grads = np.empty((B, obj.n))
-            inv32 = lam ** (-1.5)
-            for s in range(B):
-                v, lab, _ = line_search_max(lam, Z[s], obj.anchor_labeling, obj.eta,
-                                            obj.scale, obj.maximizer, obj.line_search_iters)
-                vals[s] = max(v, 0.0)
-                row = (obj.anchor_labeling - lab) / obj.n
-                den = obj.scale + float(row @ (2.0 * obj.eta - 1.0))
-                den = max(den, obj.scale * 1e-3) if obj.scale > 0 else max(den, 1e-12)
-                grads[s] = -0.5 * row * Z[s] * inv32 / den if vals[s] > 0 else 0.0
-            return vals, grads.mean(axis=0), (grads**2).mean(axis=0)
-        Zs = Z / np.sqrt(lam)
-        scores = (obj.V @ Zs.T) / obj.den[:, None]
-        rows = np.argmax(scores, axis=0)
-        vals = scores[rows, np.arange(Z.shape[0])]
-        neg = vals <= 0
-        rows[neg] = obj.anchor
-        vals = np.maximum(vals, 0.0)
-        W = obj.V[rows] / obj.den[rows][:, None]
-        grads = -0.5 * W * Z * (lam ** (-1.5))
-        return vals, grads.mean(axis=0), (grads**2).mean(axis=0)
+    if obj.maximizer is not None:
+        vals = np.empty(Z.shape[0])
+        labs = []
+        for s in range(Z.shape[0]):
+            v, lab, _ = line_search_max(lam, Z[s], obj.anchor_labeling, obj.eta,
+                                        obj.scale, obj.maximizer, obj.line_search_iters)
+            vals[s] = max(v, 0.0)
+            labs.append(lab)
+        return vals, labs
+    Zs = Z / np.sqrt(lam)
     if obj.mode == "fixed_confidence":
-        Zs = Z / np.sqrt(lam)
         proj = obj.P @ Zs.T
-        rows = np.argmax(np.abs(proj), axis=0)
-        signs = np.sign(proj[rows, np.arange(Z.shape[0])])
-        vals = np.abs(proj[rows, np.arange(Z.shape[0])])
-        W = obj.P[rows] * signs[:, None]
-        grads = -0.5 * W * Z * (lam ** (-1.5))
-        return vals, grads.mean(axis=0), (grads**2).mean(axis=0)
-    if obj.mode == "rho":
-        vals = obj.coeff * (obj.S @ (1.0 / lam))
-        r = int(np.argmax(vals))
-        active = vals >= vals[r] - 1e-12 * max(abs(vals[r]), 1.0)
-        g = -(obj.coeff[active, None] * obj.S[active]).mean(axis=0) / lam**2
-        return np.array([vals[r]]), g, g**2
-    raise ValueError(f"unknown objective mode {obj.mode!r}")
+        return np.abs(proj).max(axis=0), proj
+    scores = (obj.V @ Zs.T) / obj.den[:, None]
+    return np.maximum(scores.max(axis=0), 0.0), scores
 
 
-_CERT_BANDS = (0.0, 1e-9, 1e-6, 1e-4, 1e-3, 1e-2)
-
-
-def _banded_certificate(obj: DesignObjective, lam: np.ndarray, value: float) -> float:
-    """Optimality certificate for the rho mode.
-
-    Averaging subgradients over an eps-active band gives an
-    eps-subgradient, so gap + band slack still upper-bounds the true
-    suboptimality; near symmetric optima the averaged gradient is far
-    less sparse than the argmax one and certifies much tighter.
-    """
-    best = np.inf
-    vals = obj.coeff * (obj.S @ (1.0 / lam))
-    for band in _CERT_BANDS:
-        cut = value * (1.0 - band) - 1e-15
-        active = vals >= cut
-        g = -(obj.coeff[active, None] * obj.S[active]).mean(axis=0) / lam**2
-        slack = value - float(vals[active].min())
-        best = min(best, float(g @ lam - g.min()) + slack)
-    return best
+def batch_gradient(obj: DesignObjective, lam: np.ndarray, Z: np.ndarray, vals, argmax):
+    """Batch mean and mean square of the per-sample gradients, from batch_values."""
+    inv32 = lam ** (-1.5)
+    if obj.maximizer is not None:
+        grads = np.empty(Z.shape)
+        for s, lab in enumerate(argmax):
+            row = (obj.anchor_labeling - lab) / obj.n
+            den = obj.scale + float(row @ (2.0 * obj.eta - 1.0))
+            den = max(den, obj.scale * 1e-3) if obj.scale > 0 else max(den, 1e-12)
+            grads[s] = -0.5 * row * Z[s] * inv32 / den if vals[s] > 0 else 0.0
+        return grads.mean(axis=0), (grads**2).mean(axis=0)
+    cols = np.arange(Z.shape[0])
+    if obj.mode == "fixed_confidence":
+        rows = np.argmax(np.abs(argmax), axis=0)
+        W = obj.P[rows] * np.sign(argmax[rows, cols])[:, None]
+    else:
+        rows = np.argmax(argmax, axis=0)
+        rows[vals <= 0] = obj.anchor
+        W = obj.V[rows] / obj.den[rows][:, None]
+    grads = -0.5 * W * Z * inv32
+    return grads.mean(axis=0), (grads**2).mean(axis=0)
 
 
 def _penalty_term(obj, lam):
-    if obj.mode != "fixed_confidence":
-        return 0.0, np.zeros(obj.n)
     mass = (obj.P**2) @ (1.0 / lam)
     p = int(np.argmax(mass))
     grad = -(obj.P[p] ** 2) / lam**2
@@ -313,17 +288,12 @@ class SolverReport:
 
 
 def _combined_gradient(obj, lam, vals, grad_mean, grad_sq_mean, B):
-    if obj.mode == "fixed_confidence":
-        m, gpen = _penalty_term(obj, lam)
-        wbar = float(np.mean(vals))
-        g = 2.0 * wbar * grad_mean + obj.penalty * gpen
-        var = (2.0 * wbar) ** 2 * np.maximum(grad_sq_mean - grad_mean**2, 0.0) / max(B, 1)
-    else:
-        g = grad_mean
-        var = np.maximum(grad_sq_mean - grad_mean**2, 0.0) / max(B, 1)
-    if not obj.stochastic:
-        var = np.zeros_like(var)
-    return g, var
+    spread = np.maximum(grad_sq_mean - grad_mean**2, 0.0)
+    if obj.mode != "fixed_confidence":
+        return grad_mean, spread / B
+    _, gpen = _penalty_term(obj, lam)
+    wbar = float(np.mean(vals))
+    return 2.0 * wbar * grad_mean + obj.penalty * gpen, (2.0 * wbar) ** 2 * spread / B
 
 
 def _psi_exact(obj: DesignObjective, lam_floor: float) -> SolverReport:
@@ -338,6 +308,42 @@ def _psi_exact(obj: DesignObjective, lam_floor: float) -> SolverReport:
     value, _ = objective_sample(obj, design, np.zeros(obj.n))
     return SolverReport(design=design, value_estimate=value, value_stderr=0.0,
                         certificate=0.0, batch_trajectory=[], iterations=0, converged=True)
+
+
+RHO_REL_GAP = 1e-4
+RHO_MAX_ITERS = 20_000
+
+
+def _rho_dual(obj: DesignObjective, lam_floor: float) -> SolverReport:
+    """Certified minimizer of the rho objective through its dual.
+
+    For hypothesis weights mu on the simplex and w = sum_h mu_h c_h S_h,
+    min over lam of sum_i w_i / lam_i is (sum_i sqrt(w_i))^2, attained at
+    lam proportional to sqrt(w): a lower bound on the minimax value. The
+    Silvey-Titterington-Torsney update mu_h <- mu_h c_h S_h.(1/lam),
+    renormalized, raises it; the best primal iterate is returned with the
+    exact duality gap as its certificate.
+    """
+    CS = obj.coeff[:, None] * obj.S
+    mu = np.full(CS.shape[0], 1.0 / CS.shape[0])
+    best_value, best_design, bound = np.inf, None, 0.0
+    converged = False
+    for it in range(1, RHO_MAX_ITERS + 1):
+        root = np.sqrt(mu @ CS)
+        bound = max(bound, float(root.sum()) ** 2)
+        design = Design(root, lam_floor)
+        vals = obj.coeff * (obj.S @ (1.0 / design.lam))
+        value = float(vals.max())
+        if value < best_value:
+            best_value, best_design = value, design
+        if best_value - bound <= RHO_REL_GAP * best_value:
+            converged = True
+            break
+        mu *= vals
+        mu /= mu.sum()
+    return SolverReport(design=best_design, value_estimate=best_value, value_stderr=0.0,
+                        certificate=max(best_value - bound, 0.0), batch_trajectory=[],
+                        iterations=it, converged=converged)
 
 
 def smd_solve(
@@ -356,64 +362,58 @@ def smd_solve(
 
     Exponentiated-gradient updates from the uniform design; the batch
     size doubles whenever gradient noise dominates the first-order gap;
-    the step size backtracks (two steps tie when the value difference is
-    within one standard error on common draws); stops when the
-    certificate 2 max_k sigma_k + max_k <g, lam - e_k> drops below tol.
-    The psi mode skips the descent and returns its exact minimizer.
+    the step size backtracks on values alone (two steps tie when the value
+    difference is within one standard error on common draws); stops when
+    the certificate 2 max_k sigma_k + max_k <g, lam - e_k> drops below tol.
+    The psi mode returns its closed-form minimizer and the rho mode its
+    dual-certified one (certificate = the exact duality gap); both ignore
+    the stochastic parameters and the seed.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if obj.mode == "psi":
         return _psi_exact(obj, lam_floor)
+    if obj.mode == "rho":
+        return _rho_dual(obj, lam_floor)
+    if not obj.stochastic:
+        raise ValueError(f"unknown objective mode {obj.mode!r}")
     n = obj.n
     lam = np.full(n, 1.0 / n)
-    B = max(int(b0), 2) if obj.stochastic else 1
+    B = max(int(b0), 2)
     step = 1.0
     batch_trajectory = []
     best = (np.inf, lam.copy(), np.inf)
-    counter = 0
     converged = False
     cert = np.inf
     it = 0
     for it in range(1, max_iters + 1):
-        if obj.stochastic:
-            rng = np.random.default_rng([seed, counter])
-            counter += 1
-            Z = rng.standard_normal((B, n))
-        else:
-            Z = np.zeros((1, n))
-        vals, gmean, gsq = _eval_batch(obj, lam, Z)
+        Z = np.random.default_rng([seed, it - 1]).standard_normal((B, n))
+        vals, argmax = batch_values(obj, lam, Z)
+        gmean, gsq = batch_gradient(obj, lam, Z, vals, argmax)
         g, gvar = _combined_gradient(obj, lam, vals, gmean, gsq, B)
-        sigma_max = float(np.sqrt(gvar.max())) if obj.stochastic else 0.0
+        sigma_max = float(np.sqrt(gvar.max()))
         gap_term = float(g @ lam - g.min())
         value = _objective_value(obj, lam, vals)
-        if obj.stochastic:
-            cert = 2.0 * sigma_max + gap_term
-        else:
-            cert = min(gap_term, _banded_certificate(obj, lam, value))
+        cert = 2.0 * sigma_max + gap_term
         batch_trajectory.append(B)
         if value < best[0]:
             best = (value, lam.copy(), cert)
         if cert <= tol + rel_tol * abs(value):
             converged = True
             break
-        if obj.stochastic and 2.0 * sigma_max >= gap_term:
+        if 2.0 * sigma_max >= gap_term:
             B = min(2 * B, max_batch)
         # backtracking exponentiated step on common draws
         trial = min(1.0, 2.0 * step) if it > 1 else 1.0
         accepted = False
         for _ in range(max_halvings):
             cand = _mirror_step(lam, g, trial, lam_floor)
-            cvals, _, _ = _eval_batch(obj, cand, Z)
+            cvals, _ = batch_values(obj, cand, Z)
             diff = _objective_value(obj, cand, cvals) - value
-            if obj.stochastic:
-                se = float(np.std(cvals - vals) / math.sqrt(max(B, 1)))
-                if obj.mode == "fixed_confidence":
-                    se *= 2.0 * max(float(np.mean(vals)), float(np.mean(cvals)))
-                ok = diff <= se
-            else:
-                ok = diff <= 0.0
-            if ok:
+            se = float(np.std(cvals - vals) / math.sqrt(B))
+            if obj.mode == "fixed_confidence":
+                se *= 2.0 * max(float(np.mean(vals)), float(np.mean(cvals)))
+            if diff <= se:
                 lam = cand
                 accepted = True
                 break
@@ -425,22 +425,14 @@ def smd_solve(
         _, lam, cert = best
     # dedicated evaluation at the returned design; oracle-backed objectives
     # pay one inner line search per sample, so keep that batch small
-    if obj.stochastic:
-        if getattr(obj, "maximizer", None) is not None:
-            eval_samples = min(eval_samples, 32)
-        rng = np.random.default_rng([seed, 1 << 30])
-        Z = rng.standard_normal((max(B, eval_samples), n))
-        vals, _, _ = _eval_batch(obj, lam, Z)
-        value = _objective_value(obj, lam, vals)
-        if obj.mode == "fixed_confidence":
-            wbar = float(np.mean(vals))
-            stderr = 2.0 * wbar * float(np.std(vals) / math.sqrt(vals.size))
-        else:
-            stderr = float(np.std(vals) / math.sqrt(vals.size))
-    else:
-        vals, _, _ = _eval_batch(obj, lam, np.zeros((1, n)))
-        value = _objective_value(obj, lam, vals)
-        stderr = 0.0
+    if obj.maximizer is not None:
+        eval_samples = min(eval_samples, 32)
+    Z = np.random.default_rng([seed, 1 << 30]).standard_normal((max(B, eval_samples), n))
+    vals, _ = batch_values(obj, lam, Z)
+    value = _objective_value(obj, lam, vals)
+    stderr = float(np.std(vals) / math.sqrt(vals.size))
+    if obj.mode == "fixed_confidence":
+        stderr *= 2.0 * float(np.mean(vals))
     return SolverReport(design=Design(lam, lam_floor), value_estimate=value,
                         value_stderr=stderr, certificate=float(cert),
                         batch_trajectory=batch_trajectory, iterations=it,

@@ -307,3 +307,53 @@ def test_complexity_report_shape():
     # width-vs-rho relation holds with a modest logged constant
     c_emp = rep.gamma_star.value / (max(rep.rho_star.value, 1e-12) * math.log(inst.hypotheses.size))
     assert c_emp > 0
+
+
+def test_rho_star_is_certified_on_thresholds():
+    inst = make_thresholds(16, 7, 0.5)
+    r = rho_star(inst.hypotheses, inst.labels, 0.05)
+    assert 13.1686 <= r.value <= 13.1700
+    assert r.converged and 0.0 <= r.certificate <= 1e-4 * r.value
+
+
+def test_rho_dual_bound_is_below_the_value():
+    inst = make_thresholds(16, 7, 0.5)
+    gt = gap_table(inst.hypotheses, inst.labels)
+    obj = rho_objective(inst.hypotheses.labelings, inst.labels.eta, 0.05, gt.h_star)
+    value = rho_star(inst.hypotheses, inst.labels, 0.05).value
+    rng = np.random.default_rng(4)
+    for _ in range(50):
+        mu = rng.dirichlet(np.ones(obj.coeff.size))
+        w = (mu * obj.coeff) @ obj.S
+        assert np.sqrt(w).sum() ** 2 <= value
+
+
+def test_rho_iteration_cap_is_reported(monkeypatch):
+    import aced.design
+
+    monkeypatch.setattr(aced.design, "RHO_MAX_ITERS", 1)
+    inst = make_thresholds(16, 7, 0.5)
+    r = rho_star(inst.hypotheses, inst.labels, 0.05)
+    assert not r.converged and r.certificate > 0
+
+
+def test_rho_star_core_tail_closed_form_against_theta():
+    # mu uniform on the tail hypotheses is dual-optimal: rho* = 4 m^2/(m+1)^2
+    # stays below 4 while theta = m grows
+    for m in (3, 4, 8, 12):
+        inst = make_core_tail_instance(m)
+        r = rho_star(inst.hypotheses, inst.labels, 0.0)
+        assert r.converged
+        assert r.value == pytest.approx(4 * m * m / (m + 1) ** 2, rel=1e-4)
+        theta = disagreement_coefficient(inst.hypotheses, inst.labels, 0.01)
+        assert theta / r.value >= m / 4
+
+
+def test_disagreement_bound_check_reports_rho_gap():
+    inst = make_thresholds(16, 9, 1.0)
+    _, report = disagreement_bound_check(inst.hypotheses, inst.labels, epsilon=1 / 16,
+                                         mode="noiseless")
+    r = rho_star(inst.hypotheses, inst.labels, 1 / 16)
+    assert report["rho_converged"] is True
+    assert report["rho_gap"] == r.certificate
+    assert 0.0 <= report["rho_gap"] <= 1e-4 * report["rho_star"]

@@ -9,6 +9,8 @@ from aced.design import (
     Design,
     LAMBDA_FLOOR,
     _gap_denominators,
+    batch_gradient,
+    batch_values,
     floor_simplex,
     gap_objective,
     line_search_max,
@@ -286,3 +288,54 @@ def test_sample_unique_first_draw_distribution():
     counts = np.bincount(picks, minlength=10) / sub
     tv = 0.5 * float(np.abs(counts - p).sum())
     assert tv <= 0.02
+
+
+def _gradient_path(obj, lam, Z):
+    """Reference values and gradient moments: argmax rows picked from the
+    score matrix, values read off those rows."""
+    Zs = Z / np.sqrt(lam)
+    cols = np.arange(Z.shape[0])
+    if obj.mode == "fixed_confidence":
+        proj = obj.P @ Zs.T
+        rows = np.argmax(np.abs(proj), axis=0)
+        vals = np.abs(proj[rows, cols])
+        W = obj.P[rows] * np.sign(proj[rows, cols])[:, None]
+    else:
+        scores = (obj.V @ Zs.T) / obj.den[:, None]
+        rows = np.argmax(scores, axis=0)
+        vals = scores[rows, cols]
+        rows[vals <= 0] = obj.anchor
+        vals = np.maximum(vals, 0.0)
+        W = obj.V[rows] / obj.den[rows][:, None]
+    grads = -0.5 * W * Z * (lam ** (-1.5))
+    return vals, grads.mean(axis=0), (grads**2).mean(axis=0)
+
+
+def test_values_step_is_bitwise_the_gradient_path():
+    rng = np.random.default_rng(21)
+    H = np.array([[0, 0, 0, 1], [1, 0, 0, 1], [1, 1, 0, 0], [0, 1, 1, 1],
+                  [1, 0, 0, 1], [0, 1, 1, 1]], dtype=np.int8)  # rows 4, 5 tie rows 1, 3
+    eta = np.array([0.1, 0.4, 0.8, 0.3])
+    objs = [gap_objective(H, eta, 0, 0.3, mode="fixed_budget"),
+            gap_objective(H, eta, 0, 0.05, mode="true_gap"),
+            pair_width_objective(H, 0.1)]
+    # anchor [0, 0] against [1, 0]: the live score is a negative multiple
+    # of z_0, so a batch of nonnegative draws scores <= 0 everywhere
+    two = gap_objective(np.array([[0, 0], [1, 0]], dtype=np.int8), np.array([0.2, 0.6]), 0, 0.5)
+    cases = [(two, floor_simplex(rng.random(2)), np.abs(rng.standard_normal((64, 2))))]
+    # [0, 1] against the anchor [1, 0] scores exactly 0 on equal coordinates,
+    # tying the anchor from an earlier row; the gradient must use the anchor's
+    swap = gap_objective(np.array([[0, 1], [1, 0]], dtype=np.int8), np.array([0.9, 0.1]), 1, 0.5)
+    cases.append((swap, np.array([0.5, 0.5]), np.repeat(rng.standard_normal((16, 1)), 2, axis=1)))
+    for obj in objs:
+        for _ in range(10):
+            cases.append((obj, floor_simplex(rng.random(4)), rng.standard_normal((64, 4))))
+        cases.append((obj, floor_simplex(rng.random(4)), np.zeros((8, 4))))  # every row ties
+    for obj, lam, Z in cases:
+        vals, argmax = batch_values(obj, lam, Z)
+        ref_vals, ref_mean, ref_sq = _gradient_path(obj, lam, Z)
+        assert np.array_equal(vals, ref_vals)
+        gmean, gsq = batch_gradient(obj, lam, Z, vals, argmax)
+        assert np.array_equal(gmean, ref_mean) and np.array_equal(gsq, ref_sq)
+    obj, lam, Z = cases[0]
+    assert not batch_values(obj, lam, Z)[0].any()
