@@ -424,19 +424,13 @@ def baseline_passive(instance: Instance, T: int, seed: int = 0) -> RunRecord:
     """Uniform unique draws followed by plug-in ERM on what was observed."""
     n = instance.n
     rec = RunRecord(algorithm="passive", seed=seed, params={"T": T})
-    rng = np.random.default_rng([seed, 0])
-    take = min(T, n)
-    order = rng.permutation(n)[:take]
-    log = []
-    for step, i in enumerate(order):
-        y = instance.labels.query(int(i))
-        log.append(QueryRecord(1, int(i), 1.0 / n, int(y)))
-    rec.queries = log
-    est = naive_estimate(log, n)
-    handle, lab = _erm_handle(instance.hypotheses, est)
+    order = np.random.default_rng([seed, 0]).permutation(n)[:min(T, n)]
+    rec.queries = _round_log(1, order, np.full(order.size, 1.0 / n),
+                             instance.labels.query_many(order))
+    handle, lab = _erm_handle(instance.hypotheses, naive_estimate(rec.queries, n))
     rec.returned = int(handle) if instance.hypotheses.explicit else -1
     rec.returned_labeling = [int(v) for v in lab]
-    rec.progress.append((1, len(log), rec.returned))
+    rec.progress.append((1, len(rec.queries), rec.returned))
     return rec
 
 

@@ -16,14 +16,13 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .algorithms import REGISTRY, RunRecord, _erm_handle
 from .complexity import (
-    complexity_report,
     make_core_tail_instance,
     make_thresholds,
     make_tsybakov,
@@ -238,33 +237,16 @@ def export_instance(instance: Instance, outdir) -> dict:
     return paths
 
 
-def _accuracy(labeling, truth) -> float:
-    labeling = np.asarray(labeling)
-    return float(np.mean(labeling == truth))
-
-
-def _truth_vector(labels: LabelModel):
-    # persistent realizations are the ground truth; otherwise score the
-    # expected accuracy against the means
-    if getattr(labels, "interactive", False):
-        return None
-    if labels.persistent:
-        return labels.realized_labels()
-    return None
-
-
-def _expected_accuracy(labeling, eta) -> float:
-    labeling = np.asarray(labeling, dtype=float)
-    return float(np.mean(eta * labeling + (1.0 - eta) * (1.0 - labeling)))
-
-
 def _score(labeling, labels: LabelModel, idx=None) -> float:
-    truth = _truth_vector(labels)
-    if idx is None:
-        idx = slice(None)
-    if truth is not None:
-        return _accuracy(np.asarray(labeling)[idx], truth[idx])
-    return _expected_accuracy(np.asarray(labeling)[idx], labels.eta[idx])
+    """Accuracy of a labeling on the indices idx (all by default): against
+    the realized labels of a persistent model, otherwise (also for an
+    interactive source) the expected accuracy under the label means."""
+    idx = slice(None) if idx is None else idx
+    labeling = np.asarray(labeling)[idx]
+    if labels.persistent and not getattr(labels, "interactive", False):
+        return float(np.mean(labeling == labels.realized_labels()[idx]))
+    eta, labeling = labels.eta[idx], labeling.astype(float)
+    return float(np.mean(eta * labeling + (1.0 - eta) * (1.0 - labeling)))
 
 
 def _restrict_instance(instance: Instance, train_idx: np.ndarray) -> Instance:
@@ -289,16 +271,13 @@ def _restrict_instance(instance: Instance, train_idx: np.ndarray) -> Instance:
 def _run_one(instance: Instance, name: str, params: dict, seed: int):
     params = dict(params)
     solver = {k[len("solver_"):]: params.pop(k) for k in list(params) if k.startswith("solver_")}
-    if solver:
-        params["solver"] = solver
+    if solver and name not in ("iwal", "passive", "uniform_disagreement"):
+        params["solver"] = solver  # the baselines solve no designs
     if name == "iwal":
         passes = int(params.pop("passes", 1))
-        params.pop("solver", None)
         rng = np.random.default_rng([seed, 17])
         stream = np.concatenate([rng.permutation(instance.n) for _ in range(passes)])
         return REGISTRY[name](instance, stream, seed=seed, **params)
-    if name in ("passive", "uniform_disagreement"):
-        params.pop("solver", None)
     return REGISTRY[name](instance, seed=seed, **params)
 
 
@@ -309,23 +288,33 @@ def _holdout_split(n: int, fraction: float, seed: int) -> tuple:
     return np.sort(perm[:n_hold]), np.sort(perm[n_hold:])
 
 
+def _task(instance: Instance, label: str, name: str, params: dict, seed: int) -> tuple:
+    """Run one (algorithm, seed) pair from the label model's initial state.
+
+    Returns (label, seed, record or None, wall seconds, error or None); a
+    failure is recorded, not raised, so the sweep goes on.
+    """
+    instance.labels.restart()
+    t0 = time.perf_counter()
+    try:
+        rec = _run_one(instance, name, params, seed)
+        return label, seed, rec, time.perf_counter() - t0, None
+    except Exception as exc:
+        return label, seed, None, time.perf_counter() - t0, repr(exc)
+
+
 def _pool_task(args):
     """Worker entry: rebuilds the (restricted) instance from the picklable
-    spec so every worker owns its own RNG state."""
+    spec and returns the record serialized."""
     spec, holdout_fraction, holdout_seed, label, name, params, seed = args
     full = build_instance(spec)
     holdout_idx, train_idx = _holdout_split(full.n, holdout_fraction, holdout_seed)
     inst = _restrict_instance(full, train_idx) if holdout_idx.size else full
-    t0 = time.perf_counter()
-    try:
-        rec = _run_one(inst, name, params, seed)
-        return label, seed, rec.to_jsonl(), time.perf_counter() - t0, None
-    except Exception as exc:  # pragma: no cover - transported to the parent
-        return label, seed, None, time.perf_counter() - t0, repr(exc)
+    label, seed, rec, wall, err = _task(inst, label, name, params, seed)
+    return label, seed, None if rec is None else rec.to_jsonl(), wall, err
 
 
-def _curve_points(instance: Instance, rec: RunRecord, full_instance=None,
-                  train_idx=None, holdout_idx=None):
+def _curve_points(instance: Instance, rec: RunRecord, full_instance=None, holdout_idx=None):
     """ERM accuracy after each query batch (batch = one round of the log)."""
     n = instance.n
     points = []
@@ -334,7 +323,6 @@ def _curve_points(instance: Instance, rec: RunRecord, full_instance=None,
         by_round.setdefault(q.round, []).append(q)
     prefix = []
     uniq = set()
-    full_class = full_instance.hypotheses if full_instance is not None else None
     for rnd in sorted(by_round):
         prefix.extend(by_round[rnd])
         uniq.update(q.index for q in by_round[rnd])
@@ -342,14 +330,8 @@ def _curve_points(instance: Instance, rec: RunRecord, full_instance=None,
         pool_acc = _score(labeling, instance.labels)
         hold_acc = None
         if holdout_idx is not None and holdout_idx.size:
-            if full_class is not None and full_class.explicit and isinstance(handle, (int, np.integer)):
-                full_lab = full_class.labelings[int(handle)]
-            elif full_instance is not None and not full_class.explicit:
-                full_lab = full_class.labeling(handle)
-            else:
-                full_lab = None
-            if full_lab is not None:
-                hold_acc = _score(full_lab, full_instance.labels, holdout_idx)
+            hold_acc = _score(full_instance.hypotheses.labeling(handle), full_instance.labels,
+                              holdout_idx)
         points.append((len(uniq), pool_acc, hold_acc))
     if not points:
         _, labeling = _erm_handle(instance.hypotheses, naive_estimate([], n))
@@ -361,9 +343,11 @@ def run(config: ExperimentConfig, out_dir=None, workers: int = 1, instance=None)
     """Execute every (algorithm, seed) pair and write results files.
 
     Failures are recorded per row and do not stop the remaining runs.
-    With workers > 1 the pairs run on a process pool; outputs are sorted
-    before the single writer emits them, so results are identical to the
-    sequential schedule. A given instance replaces config.instance and
+    Every run starts from the label model's initial state, so a run's
+    labels do not depend on the runs before it. With workers > 1 the
+    pairs run on a process pool; outputs are sorted before the single
+    writer emits them, so results are identical to the sequential
+    schedule. A given instance replaces config.instance and
     needs workers == 1, since workers rebuild theirs from the config; an
     interactive label source needs no holdout, as held-out points have no
     labels to score against (ConfigError).
@@ -384,25 +368,17 @@ def run(config: ExperimentConfig, out_dir=None, workers: int = 1, instance=None)
 
     tasks = [(label, name, params, seed)
              for label, name, params in config.algorithms for seed in config.seeds]
-    outcomes = []
     if workers > 1:
         import concurrent.futures
 
-        args = [(config.instance, config.holdout_fraction, config.holdout_seed,
-                 label, name, params, seed) for label, name, params, seed in tasks]
+        args = [(config.instance, config.holdout_fraction, config.holdout_seed, *task)
+                for task in tasks]
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            for label, seed, payload, wall, err in pool.map(_pool_task, args):
-                rec = RunRecord.from_jsonl(payload) if payload is not None else None
-                outcomes.append((label, seed, rec, wall, err))
+            outcomes = [(label, seed, None if payload is None else RunRecord.from_jsonl(payload),
+                         wall, err)
+                        for label, seed, payload, wall, err in pool.map(_pool_task, args)]
     else:
-        for label, name, params, seed in tasks:
-            t0 = time.perf_counter()
-            try:
-                rec = _run_one(instance, name, params, seed)
-                err = None
-            except Exception as exc:  # keep the sweep alive, record the failure
-                rec, err = None, repr(exc)
-            outcomes.append((label, seed, rec, time.perf_counter() - t0, err))
+        outcomes = [_task(instance, *task) for task in tasks]
 
     rows = []
     records = []
@@ -417,9 +393,7 @@ def run(config: ExperimentConfig, out_dir=None, workers: int = 1, instance=None)
             qset = {q.index for q in rec.queries}
             mapped = {int(train_idx[i]) for i in qset}
             assert not (mapped & set(holdout_idx.tolist())), "holdout index was queried"
-        for queries, pool_acc, hold_acc in _curve_points(
-            instance, rec, full_instance if n_hold else None, train_idx, holdout_idx
-        ):
+        for queries, pool_acc, hold_acc in _curve_points(instance, rec, full_instance, holdout_idx):
             rows.append(ResultRow(algorithm=label, seed=seed, queries=queries,
                                   pool_acc=pool_acc, holdout_acc=hold_acc))
         records.append((label, seed, rec))

@@ -184,10 +184,10 @@ def disagreement_bound_check(
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    gt = gap_table(hclass, labels)
     if mode == "noiseless":
         if not np.all(np.isin(labels.eta, (0.0, 1.0))):
             raise ValueError("noiseless mode needs 0/1 label means")
-        gt = gap_table(hclass, labels)
         theta = disagreement_coefficient(hclass, labels, epsilon)
         nu = gt.nu
         expr = theta * (1.0 + (nu * nu) / (epsilon * epsilon))
@@ -196,7 +196,6 @@ def disagreement_bound_check(
             raise ValueError("tsybakov mode needs the condition parameters")
         if not tsybakov_holds(hclass, labels, tsybakov):
             raise ValueError("the low-noise condition does not hold on this instance")
-        gt = gap_table(hclass, labels)
         xi = tsybakov.a * epsilon**tsybakov.alpha
         theta = disagreement_coefficient(hclass, labels, xi)
         expr = tsybakov.a**2 * epsilon ** (2 * tsybakov.alpha - 2) * theta

@@ -9,7 +9,7 @@ subsets of the pool).
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,6 +69,13 @@ class LabelModel:
     def n(self) -> int:
         return self.eta.size
 
+    def restart(self) -> None:
+        """Rewind a non-persistent model to its seeded label stream; a
+        persistent model's labels are fixed, so it stays as it is."""
+        if not self.persistent:
+            with self._lock:
+                self._rng = np.random.default_rng(self.seed)
+
     def query(self, i: int) -> int:
         """Observe a label for example i."""
         if not 0 <= i < self.n:
@@ -108,7 +115,6 @@ class HypothesisClass:
         if (labelings is None) == (oracle is None):
             raise ValueError("provide exactly one of labelings / oracle")
         self.oracle = oracle
-        self.dedup = dedup
         if labelings is not None:
             mat = np.asarray(labelings)
             if mat.ndim != 2 or mat.shape[0] < 1:
@@ -145,7 +151,7 @@ class HypothesisClass:
         if not self.explicit:
             raise ImplicitClassError("only an explicit class has rows to select")
         sub = object.__new__(HypothesisClass)
-        sub.oracle, sub.dedup, sub.labelings = None, False, self.labelings[rows]
+        sub.oracle, sub.labelings = None, self.labelings[rows]
         return sub
 
     def labeling(self, h) -> np.ndarray:

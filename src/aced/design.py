@@ -39,20 +39,19 @@ def floor_simplex(lam, floor: float = LAMBDA_FLOOR) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Design:
-    """A sampling distribution on the pool, floored and renormalized."""
+    """A sampling distribution on the pool, floored at LAMBDA_FLOOR and renormalized."""
 
     lam: np.ndarray
-    floor: float = LAMBDA_FLOOR
 
     def __post_init__(self):
-        lam = floor_simplex(self.lam, self.floor)
+        lam = floor_simplex(self.lam)
         if abs(lam.sum() - 1.0) > 1e-9:
             raise ValueError("design does not normalize")
         object.__setattr__(self, "lam", lam)
 
     @classmethod
-    def uniform(cls, n: int, floor: float = LAMBDA_FLOOR) -> "Design":
-        return cls(np.full(n, 1.0 / n), floor)
+    def uniform(cls, n: int) -> "Design":
+        return cls(np.full(n, 1.0 / n))
 
     @property
     def n(self) -> int:
@@ -63,14 +62,17 @@ class Design:
 class DesignObjective:
     """One of the design criteria, with precomputed per-hypothesis data.
 
-    modes:
-      fixed_budget     E[max_h (anchor-h) gap ratio], additive scale
-      true_gap         same ratio with true gaps floored at epsilon
-      fixed_confidence E[max-pair width]^2 + penalty * max-pair inverse mass
+    modes, and the fields each reads besides mode and n:
+      fixed_budget     E[max_h (anchor-h) gap ratio], additive scale: V, den, anchor
+      true_gap         same ratio with true gaps floored at epsilon: V, den, anchor
+      fixed_confidence E[max-pair width]^2 + penalty * max-pair inverse mass: P, penalty
       rho              max_h (inverse-information / gap^2), solved through
-                       its dual (hypothesis weights, exact duality gap)
+                       its dual (hypothesis weights, exact duality gap): S, coeff
       psi              max_{h, i in disagreement} worst-coordinate ratio,
-                       solved exactly (lam_i proportional to a_i)
+                       solved exactly (lam_i proportional to a_i): S, den
+    An oracle-backed fixed_budget objective (maximizer set) reads
+    anchor_labeling, eta, scale and line_search_iters in place of V, den
+    and anchor.
     """
 
     mode: str
@@ -100,7 +102,6 @@ def _gap_denominators(labelings, eta, anchor, scale, floor_at_scale):
     den = np.maximum(gaps, scale) if floor_at_scale else scale + gaps
     if np.any(den[np.arange(len(den)) != anchor] <= 0):
         raise ObjectiveDegenerateError("nonpositive gap denominator")
-    den = den.copy()
     den[anchor] = 1.0
     return den
 
@@ -112,13 +113,11 @@ def gap_objective(labelings, eta, anchor: int, scale: float, mode: str = "fixed_
     mode true_gap floors the true excess error at scale (= epsilon).
     """
     L = np.asarray(labelings, dtype=float)
-    m, n = L.shape
-    eta = np.asarray(eta, dtype=float)
+    n = L.shape[1]
     den = _gap_denominators(L, eta, anchor, scale, floor_at_scale=(mode == "true_gap"))
     V = (L[anchor][None, :] - L) / n
     V[anchor] = 0.0
-    return DesignObjective(mode=mode, n=n, V=V, den=den, anchor=anchor, scale=scale, eta=eta,
-                           anchor_labeling=L[anchor].astype(np.int8))
+    return DesignObjective(mode=mode, n=n, V=V, den=den, anchor=anchor)
 
 
 def oracle_gap_objective(n, anchor_labeling, eta, scale: float, maximizer,
@@ -133,16 +132,12 @@ def pair_width_objective(labelings, delta: float) -> DesignObjective:
     """Squared pair Gaussian width plus 2 log(1/delta) worst-pair inverse mass."""
     L = np.asarray(labelings, dtype=float)
     m, n = L.shape
-    pairs = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            d = L[i] - L[j]
-            if np.any(d):
-                pairs.append(d / n)
-    if not pairs:
-        pairs = [np.zeros(n)]
-    return DesignObjective(mode="fixed_confidence", n=n, P=np.array(pairs),
-                           penalty=2.0 * math.log(1.0 / delta))
+    a, b = np.triu_indices(m, 1)
+    P = (L[a] - L[b]) / n
+    P = P[np.any(P, axis=1)]
+    if not P.shape[0]:
+        P = np.zeros((1, n))
+    return DesignObjective(mode="fixed_confidence", n=n, P=P, penalty=2.0 * math.log(1.0 / delta))
 
 
 def rho_objective(labelings, eta, epsilon: float, anchor: int) -> DesignObjective:
@@ -158,7 +153,7 @@ def rho_objective(labelings, eta, epsilon: float, anchor: int) -> DesignObjectiv
     if epsilon <= 0 and np.any(gaps[live] <= 0):
         raise ValueError("rho objective needs positive gaps or a positive epsilon")
     coeff[live] = 1.0 / (n**2 * den[live] ** 2)
-    return DesignObjective(mode="rho", n=n, S=S, coeff=coeff, anchor=anchor, scale=epsilon)
+    return DesignObjective(mode="rho", n=n, S=S, coeff=coeff)
 
 
 def psi_objective(labelings, eta, anchor: int, scale: float, floor_at_scale: bool = True) -> DesignObjective:
@@ -171,32 +166,19 @@ def psi_objective(labelings, eta, anchor: int, scale: float, floor_at_scale: boo
     den = _gap_denominators(L, np.asarray(eta, dtype=float), anchor, scale, floor_at_scale)
     den[anchor] = np.inf  # no self-term
     S = (L != L[anchor][None, :]).astype(float)
-    return DesignObjective(mode="psi", n=L.shape[1], V=None, S=S, den=den, anchor=anchor, scale=scale)
+    return DesignObjective(mode="psi", n=L.shape[1], S=S, den=den)
 
 
 def objective_sample(obj: DesignObjective, design: Design, zeta) -> tuple:
     """One-sample objective value and its maximizer.
 
-    Gap modes return (max_h f, argmax h) with the anchor worth exactly 0;
-    the pair-width mode returns the width sample and its pair index;
-    the rho and psi modes ignore zeta.
+    Gap modes return (max_h f, argmax h) with the anchor worth exactly 0
+    (the labeling the line search found, when oracle-backed); the
+    pair-width mode returns the width sample and its pair index; the
+    stochastic modes evaluate through batch_values on a one-row batch.
+    The rho and psi modes ignore zeta.
     """
     lam = design.lam if isinstance(design, Design) else np.asarray(design, dtype=float)
-    zeta = np.asarray(zeta, dtype=float)
-    if obj.mode in ("fixed_budget", "true_gap"):
-        if obj.maximizer is not None:
-            value, lab, _ = line_search_max(lam, zeta, obj.anchor_labeling, obj.eta,
-                                            obj.scale, obj.maximizer, obj.line_search_iters)
-            return value, lab
-        scores = (obj.V @ (zeta / np.sqrt(lam))) / obj.den
-        idx = int(np.argmax(scores))
-        if scores[idx] <= 0.0:
-            return 0.0, obj.anchor
-        return float(scores[idx]), idx
-    if obj.mode == "fixed_confidence":
-        proj = obj.P @ (zeta / np.sqrt(lam))
-        idx = int(np.argmax(np.abs(proj)))
-        return float(abs(proj[idx])), idx
     if obj.mode == "rho":
         vals = obj.coeff * (obj.S @ (1.0 / lam))
         idx = int(np.argmax(vals))
@@ -205,7 +187,16 @@ def objective_sample(obj: DesignObjective, design: Design, zeta) -> tuple:
         ratio = np.where(obj.S > 0, (1.0 / (obj.n * lam))[None, :] / obj.den[:, None], -np.inf)
         h, i = np.unravel_index(np.argmax(ratio), ratio.shape)
         return float(ratio[h, i]), (int(h), int(i))
-    raise ValueError(f"unknown objective mode {obj.mode!r}")
+    if not obj.stochastic:
+        raise ValueError(f"unknown objective mode {obj.mode!r}")
+    vals, argmax = batch_values(obj, lam, np.asarray(zeta, dtype=float)[None, :])
+    if obj.maximizer is not None:
+        return float(vals[0]), argmax[0]
+    if obj.mode == "fixed_confidence":
+        return float(vals[0]), int(np.argmax(np.abs(argmax[:, 0])))
+    if vals[0] <= 0.0:
+        return 0.0, obj.anchor
+    return float(vals[0]), int(np.argmax(argmax[:, 0]))
 
 
 def batch_values(obj: DesignObjective, lam: np.ndarray, Z: np.ndarray):
@@ -268,10 +259,10 @@ def _objective_value(obj, lam, vals):
     return float(np.mean(vals))
 
 
-def _mirror_step(lam, g, step, lam_floor):
+def _mirror_step(lam, g, step):
     u = np.log(lam) - step * g
     u -= u.max()  # scale-invariant; keeps exp finite
-    return floor_simplex(np.exp(u), lam_floor)
+    return floor_simplex(np.exp(u))
 
 
 @dataclass(eq=False)
@@ -296,7 +287,7 @@ def _combined_gradient(obj, lam, vals, grad_mean, grad_sq_mean, B):
     return 2.0 * wbar * grad_mean + obj.penalty * gpen, (2.0 * wbar) ** 2 * spread / B
 
 
-def _psi_exact(obj: DesignObjective, lam_floor: float) -> SolverReport:
+def _psi_exact(obj: DesignObjective) -> SolverReport:
     """Closed-form minimizer of the worst-coordinate objective.
 
     With a_i = max over h with i in S_h of 1/den_h the objective is
@@ -304,7 +295,7 @@ def _psi_exact(obj: DesignObjective, lam_floor: float) -> SolverReport:
     coordinate at the optimum (1/n) sum_i a_i.
     """
     a = np.where(obj.S > 0, 1.0 / obj.den[:, None], 0.0).max(axis=0)
-    design = Design(a, lam_floor)
+    design = Design(a)
     value, _ = objective_sample(obj, design, np.zeros(obj.n))
     return SolverReport(design=design, value_estimate=value, value_stderr=0.0,
                         certificate=0.0, batch_trajectory=[], iterations=0, converged=True)
@@ -314,7 +305,7 @@ RHO_REL_GAP = 1e-4
 RHO_MAX_ITERS = 20_000
 
 
-def _rho_dual(obj: DesignObjective, lam_floor: float) -> SolverReport:
+def _rho_dual(obj: DesignObjective) -> SolverReport:
     """Certified minimizer of the rho objective through its dual.
 
     For hypothesis weights mu on the simplex and w = sum_h mu_h c_h S_h,
@@ -331,7 +322,7 @@ def _rho_dual(obj: DesignObjective, lam_floor: float) -> SolverReport:
     for it in range(1, RHO_MAX_ITERS + 1):
         root = np.sqrt(mu @ CS)
         bound = max(bound, float(root.sum()) ** 2)
-        design = Design(root, lam_floor)
+        design = Design(root)
         vals = obj.coeff * (obj.S @ (1.0 / design.lam))
         value = float(vals.max())
         if value < best_value:
@@ -352,7 +343,6 @@ def smd_solve(
     b0: int = 16,
     seed: int = 0,
     max_iters: int = 100_000,
-    lam_floor: float = LAMBDA_FLOOR,
     max_halvings: int = 30,
     eval_samples: int = 512,
     rel_tol: float = 0.0,
@@ -367,14 +357,15 @@ def smd_solve(
     the certificate 2 max_k sigma_k + max_k <g, lam - e_k> drops below tol.
     The psi mode returns its closed-form minimizer and the rho mode its
     dual-certified one (certificate = the exact duality gap); both ignore
-    the stochastic parameters and the seed.
+    the stochastic parameters and the seed. Every design is floored at
+    LAMBDA_FLOOR.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if obj.mode == "psi":
-        return _psi_exact(obj, lam_floor)
+        return _psi_exact(obj)
     if obj.mode == "rho":
-        return _rho_dual(obj, lam_floor)
+        return _rho_dual(obj)
     if not obj.stochastic:
         raise ValueError(f"unknown objective mode {obj.mode!r}")
     n = obj.n
@@ -405,22 +396,19 @@ def smd_solve(
             B = min(2 * B, max_batch)
         # backtracking exponentiated step on common draws
         trial = min(1.0, 2.0 * step) if it > 1 else 1.0
-        accepted = False
         for _ in range(max_halvings):
-            cand = _mirror_step(lam, g, trial, lam_floor)
+            cand = _mirror_step(lam, g, trial)
             cvals, _ = batch_values(obj, cand, Z)
             diff = _objective_value(obj, cand, cvals) - value
             se = float(np.std(cvals - vals) / math.sqrt(B))
             if obj.mode == "fixed_confidence":
                 se *= 2.0 * max(float(np.mean(vals)), float(np.mean(cvals)))
             if diff <= se:
-                lam = cand
-                accepted = True
                 break
             trial *= 0.5
-        if not accepted:
-            lam = _mirror_step(lam, g, trial, lam_floor)
-        step = trial
+        else:  # no trial accepted: take the smallest step
+            cand = _mirror_step(lam, g, trial)
+        lam, step = cand, trial
     if not converged and best[0] < np.inf:
         _, lam, cert = best
     # dedicated evaluation at the returned design; oracle-backed objectives
@@ -433,7 +421,7 @@ def smd_solve(
     stderr = float(np.std(vals) / math.sqrt(vals.size))
     if obj.mode == "fixed_confidence":
         stderr *= 2.0 * float(np.mean(vals))
-    return SolverReport(design=Design(lam, lam_floor), value_estimate=value,
+    return SolverReport(design=Design(lam), value_estimate=value,
                         value_stderr=stderr, certificate=float(cert),
                         batch_trajectory=batch_trajectory, iterations=it,
                         converged=converged)
@@ -549,23 +537,13 @@ def sample_unique(p, N: int, already_queried, seed=0, rng=None) -> tuple:
     seen = np.zeros(n, dtype=bool)
     seen[list(already_queried)] = True
     out = []
-    fallback = False
     mass_floor = 10.0 * LAMBDA_FLOOR
     while len(out) < N:
         available = ~seen & (lam > mass_floor)
         if not available.any():
-            fallback = True
             rest = np.flatnonzero(~seen)
-            if rest.size == 0:
-                break
-            take = min(N - len(out), rest.size)
-            picks = rng.choice(rest, size=take, replace=False)
-            for i in picks:
-                out.append(int(i))
-                seen[i] = True
-            if len(out) < N:
-                break
-            continue
+            picks = rng.choice(rest, size=min(N - len(out), rest.size), replace=False)
+            return out + [int(i) for i in picks], True
         draws = rng.choice(n, size=max(4 * (N - len(out)), 16), p=lam)
         for i in draws:
             if not seen[i]:
@@ -573,4 +551,4 @@ def sample_unique(p, N: int, already_queried, seed=0, rng=None) -> tuple:
                 seen[i] = True
                 if len(out) == N:
                     break
-    return out, fallback
+    return out, False

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -263,3 +264,115 @@ def test_run_worker_pool_matches_sequential(tmp_path):
 
     assert body(p1["results"]) == body(p2["results"])
     assert open(p1["records"]).read() == open(p2["records"]).read()
+
+
+NON_PERSISTENT = """
+[instance]
+generator = thresholds
+n = 8
+k_star = 5
+eps = 0.4
+persistent = false
+seed = 5
+
+[run]
+seeds = 0,1
+holdout_fraction = {holdout}
+output_dir = {out}
+"""
+
+NON_PERSISTENT_ALGORITHMS = ["""
+[algorithm passive]
+T = 6
+""", """
+[algorithm aced_fixed_budget]
+T = 12
+epsilon = 0.25
+"""]
+
+
+def _body(path):
+    """A results file without its timestamp comment."""
+    return "".join(l for l in open(path).read().splitlines(True) if not l.startswith("#"))
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_run_non_persistent_labels_do_not_depend_on_schedule(tmp_path):
+    # every run starts from the label model's initial state, so the
+    # sequential schedule, the worker pool and the section order agree
+    cfg = load_config(write_config(tmp_path, NON_PERSISTENT.format(holdout=0.0, out=tmp_path / "o")
+                                   + "".join(NON_PERSISTENT_ALGORITHMS)))
+    p1 = run(cfg, out_dir=tmp_path / "s", workers=1)
+    p2 = run(cfg, out_dir=tmp_path / "w", workers=2)
+    assert not p1["errors"] and not p2["errors"]
+    records = open(p1["records"]).read()
+    assert records == open(p2["records"]).read()
+    assert _body(p1["results"]) == _body(p2["results"])
+    # pinned from the worker pool, whose workers always start from a fresh label model
+    assert _sha(records) == "4447b6f6e6243db1a7f632f24d8849fb8101e7adbd57ad339315d52f9c0e8201"
+
+    swapped = load_config(write_config(tmp_path, NON_PERSISTENT.format(holdout=0.0, out=tmp_path / "o")
+                                       + "".join(reversed(NON_PERSISTENT_ALGORITHMS))))
+    assert [a[1] for a in swapped.algorithms] == ["aced_fixed_budget", "passive"]
+    p3 = run(swapped, out_dir=tmp_path / "r", workers=1)
+    assert open(p3["records"]).read() == records
+
+
+CSV_POOL = """
+[instance]
+features_csv = {feats}
+labels_csv = {labels}
+
+[run]
+seeds = 0,1
+holdout_fraction = 0.25
+output_dir = {out}
+
+[algorithm passive]
+T = 6
+
+[algorithm aced_waterfilled]
+T = 6
+epsilon = 0.25
+N_batch = 3
+line_search_iters = 3
+solver_max_iters = 2
+solver_b0 = 4
+solver_max_batch = 8
+
+[algorithm iwal]
+C0 = 0.05
+"""
+
+
+def _write_csv_pool(tmp_path):
+    rng = np.random.default_rng(7)
+    X = rng.standard_normal((12, 2))
+    y = (rng.random(12) < 1.0 / (1.0 + np.exp(-2.0 * (X[:, 0] - X[:, 1])))).astype(int)
+    feats, labels = tmp_path / "features.csv", tmp_path / "labels.csv"
+    feats.write_text("id,f0,f1\n" + "".join(f"p{i},{a!r},{b!r}\n" for i, (a, b) in enumerate(X.tolist())))
+    labels.write_text("id,y\n" + "".join(f"p{i},{v}\n" for i, v in enumerate(y.tolist())))
+    return feats, labels
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_holdout_scores_on_oracle_class_and_non_persistent_labels(tmp_path, workers):
+    # pinned results bodies: a holdout scored through an oracle-backed
+    # class (CSV pool) and through label means (non-persistent thresholds)
+    feats, labels = _write_csv_pool(tmp_path)
+    cfg = load_config(write_config(tmp_path, CSV_POOL.format(feats=feats, labels=labels, out=tmp_path / "o")))
+    paths = run(cfg, out_dir=tmp_path / "csv", workers=workers)
+    assert not paths["errors"]
+    rows = read_results_csv(paths["results"])
+    assert all(r.holdout_acc is not None for r in rows)
+    assert _sha(_body(paths["results"])) == "66e6e5dc2fb68b5b82d1e97e03190159518ae45646ee5e9e9447e3bd84a92fdc"
+
+    cfg = load_config(write_config(tmp_path, NON_PERSISTENT.format(holdout=0.25, out=tmp_path / "o")
+                                   + "".join(NON_PERSISTENT_ALGORITHMS)))
+    paths = run(cfg, out_dir=tmp_path / "np", workers=workers)
+    assert not paths["errors"]
+    assert all(r.holdout_acc is not None for r in read_results_csv(paths["results"]))
+    assert _sha(_body(paths["results"])) == "7b2a62994ca1c50823e92ecdcdf5bbe006a6771fd92fa9c0d9bfd4697027b7e4"

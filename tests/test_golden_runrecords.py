@@ -65,6 +65,9 @@ CASES = {
         _linear(), T=8, epsilon=0.25, N_batch=4, solver={"max_iters": 3, "b0": 4, "max_batch": 8},
         line_search_iters=1, seed=7),
     "passive/core_tail": lambda: REGISTRY["passive"](_core_tail(), T=6, seed=8),
+    # labels drawn from the label model's stream, one batch for the run
+    "passive_nonpersistent/thresholds": lambda: REGISTRY["passive"](
+        _thresholds(persistent=False), T=6, seed=8),
     "uniform_disagreement/thresholds": lambda: REGISTRY["uniform_disagreement"](
         _thresholds(), T=20, seed=9),
     "iwal/core_tail": lambda: REGISTRY["iwal"](
@@ -84,6 +87,7 @@ GOLDEN = {
     "iwal/core_tail": "6ac0dec67b743cdb06ed40221744591bbea919f8a8d5dcaafe038d3a448e0ffc",
     "iwal_oracular1/thresholds": "9d3ce5a5da49bd6f3fbb9e629338aacce99f9aae65b985be9f5c65e86e4d4955",
     "passive/core_tail": "cefc6cf2197f83525af8c3fda91c03783f9c63d8cdfd4e74115f51c873bafea2",
+    "passive_nonpersistent/thresholds": "54acfc1406a7463ace9a27d50616f53cc894521e769ee2b38fa8da0553fa6d40",
     "uniform_disagreement/thresholds": "9cc31249051764ce88a25353e2948fb8c140e70217c0afa6cedc81a588c12a55",
     "waterfilled/core_tail": "efc886cbae1a619f42ba2b3f19646025c6285724f2663020d5a702a849ff1a9b",
     "waterfilled_exhausted/thresholds": "8612ba6554b09a0f187b176b7181ad48d55152ca7a948b00b279fffb0f3e6674",
