@@ -10,7 +10,6 @@ from .core import (
     Pool,
     gap_table,
     pool_error,
-    query,
     to_bandit,
 )
 from .oracles import (

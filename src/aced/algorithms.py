@@ -524,30 +524,35 @@ def baseline_iwal(
 ) -> RunRecord:
     """Streaming importance-weighted active learner.
 
-    For each stream point, fit the weighted ERM and the cheapest
-    hypothesis forced to flip the prediction there; the loss gap between
-    them sets the query probability through the rejection-threshold rule
-    with aggressiveness C0 (documented in _iwal_probability; variants
-    iwal1/oracular1 halve the slack, oracular variants evaluate the gap
-    on all true labels revealed so far instead of importance weights).
-    On an oracle-backed class, flags["logistic_cap_hits"] counts the
-    logistic fits that stopped at their iteration cap.
+    For each stream point, compare the ERM with the cheapest hypothesis
+    forced to flip the prediction there; the loss gap between them sets
+    the query probability through the rejection-threshold rule with
+    aggressiveness C0 (documented in _iwal_probability; variants
+    iwal1/oracular1 halve the slack). iwal0/iwal1 count losses as
+    importance-weighted mistakes over the queried points. The oracular
+    variants count plain mistakes over every label revealed so far (the
+    stream point's label under a persistent model, else the label last
+    queried there); they enumerate the class, so an oracle-backed class
+    raises ImplicitClassError. On an oracle-backed class,
+    flags["logistic_cap_hits"] counts the logistic fits that stopped at
+    their iteration cap.
     """
     if variant not in ("iwal0", "iwal1", "oracular0", "oracular1"):
         raise ValueError(f"unknown variant {variant!r}")
     hclass = instance.hypotheses
-    aggressiveness = 0.5 if variant.endswith("1") else 1.0
+    explicit = hclass.explicit
     oracular = variant.startswith("oracular")
+    if oracular and not explicit:
+        raise ImplicitClassError("oracular IWAL scores every hypothesis on the revealed labels")
+    aggressiveness = 0.5 if variant.endswith("1") else 1.0
     rec = RunRecord(algorithm=f"iwal_{variant}", seed=seed,
                     params={"C0": C0, "variant": variant})
     rng = np.random.default_rng([seed, 0])
-    n = instance.n
-    explicit = hclass.explicit
+    queried = np.zeros(instance.n, dtype=bool)
+    revealed = {}  # oracular: the label last queried at each index
     if explicit:
         H = hclass.labelings
-        m = H.shape[0]
-        cum = np.zeros(m)  # weighted mistakes over queried points
-        oracle_cum = np.zeros(m)  # unweighted mistakes over all revealed labels
+        cum = np.zeros(H.shape[0])  # each hypothesis's mistakes, as the variant counts them
     else:
         from .oracles import WeightedSample, erm_flip_constrained, erm_logistic
 
@@ -561,68 +566,52 @@ def baseline_iwal(
         def fit(hyp):
             rec.flags["logistic_cap_hits"] += not hyp.converged
             return hyp
-    revealed = {}
-    queried = np.zeros(n, dtype=bool)
-    stream = list(stream)
+
+        def erm(x):  # before the first query: any hypothesis labeling x 1
+            if samples:
+                return fit(erm_logistic(samples, warn_on_cap=False))
+            return erm_flip_constrained([], x, +1, margin)
     for step, i in enumerate(stream, start=1):
-        i = int(i)
+        i, denom = int(i), max(step - 1, 1)
         if explicit:
-            denom = max(step - 1, 1)
-            base = oracle_cum if oracular else cum
-            hk = int(np.argmin(base))
+            hk = int(np.argmin(cum))
             flip = np.flatnonzero(H[:, i] != H[hk, i])
             if flip.size == 0:
                 rec.progress.append((step, int(np.count_nonzero(queried)), hk))
                 continue
-            hk_flip = int(flip[np.argmin(base[flip])])
-            G = float(base[hk_flip] - base[hk]) / denom
-            hk_pred = int(H[hk, i])
+            G = float(cum[flip].min() - cum[hk]) / denom
         else:
-            if samples:
-                hyp = fit(erm_logistic(samples, warn_on_cap=False))
-            else:
-                hyp = erm_flip_constrained([], feats[i], +1, margin)
-            hk_pred = int(hyp.predict(feats[i])[0])
-            desired = -1 if hk_pred == 1 else 1
-            flip_hyp = fit(erm_flip_constrained(samples, feats[i], desired, margin))
-            assert int(flip_hyp.predict(feats[i])[0]) != hk_pred
-            denom = max(step - 1, 1)
-
-            def _loss(h):
-                return float((w_q * (h.predict(X_q) != y_q)).sum()) / denom
-
-            G = max(0.0, _loss(flip_hyp) - _loss(hyp))
+            hyp = erm(feats[i])
+            pred = int(hyp.predict(feats[i])[0])
+            flip_hyp = fit(erm_flip_constrained(samples, feats[i], -1 if pred == 1 else 1, margin))
+            assert int(flip_hyp.predict(feats[i])[0]) != pred
+            loss_flip, loss = (float((w_q * (h.predict(X_q) != y_q)).sum()) / denom
+                               for h in (flip_hyp, hyp))
+            G = max(0.0, loss_flip - loss)
         p = _iwal_probability(G, step, C0, aggressiveness, p_min)
         if rng.random() < p:
             y = instance.labels.query(i)
-            revealed[i] = y
             rec.queries.append(QueryRecord(step, i, p, int(y)))
             queried[i] = True
-            if explicit:
-                cum += (H[:, i] != y) / p
-            else:
+            if not explicit:
                 samples.append(WeightedSample(1.0 / p, feats[i], int(y)))
-                X_q, w_q = np.vstack([X_q, feats[i]]), np.append(w_q, 1.0 / p)
-                y_q = np.append(y_q, y)
-        if explicit and oracular:
-            y_true = revealed.get(i)
-            if y_true is None:
-                y_true = instance.labels.query(i) if instance.labels.persistent else None
-            if y_true is not None:
-                revealed[i] = y_true
-                oracle_cum += H[:, i] != y_true
+                X_q, w_q, y_q = np.vstack([X_q, feats[i]]), np.append(w_q, 1.0 / p), np.append(y_q, y)
+            elif oracular:
+                revealed[i] = y
+            else:
+                cum += (H[:, i] != y) / p
+        if oracular:
+            y = instance.labels.query(i) if instance.labels.persistent else revealed.get(i)
+            if y is not None:
+                cum += H[:, i] != y
         if explicit:
-            base = oracle_cum if oracular else cum
-            rec.progress.append((step, int(np.count_nonzero(queried)), int(np.argmin(base))))
+            rec.progress.append((step, int(np.count_nonzero(queried)), int(np.argmin(cum))))
     if explicit:
-        base = oracle_cum if oracular else cum
-        rec.returned = int(np.argmin(base))
+        rec.returned = int(np.argmin(cum))
         rec.returned_labeling = [int(v) for v in H[rec.returned]]
     else:
-        hyp = (fit(erm_logistic(samples, warn_on_cap=False)) if samples
-               else erm_flip_constrained([], feats[0], 1, margin))
         rec.returned = -1
-        rec.returned_labeling = [int(v) for v in hyp.predict(feats)]
+        rec.returned_labeling = [int(v) for v in erm(feats[0]).predict(feats)]
     return rec
 
 

@@ -137,7 +137,10 @@ def load_config(path) -> ExperimentConfig:
 def build_instance(spec: dict) -> Instance:
     spec = dict(spec)
     if "features_csv" in spec or "labels_csv" in spec:
-        return ingest_csv(spec.get("features_csv"), spec["labels_csv"])
+        for key in ("features_csv", "labels_csv"):
+            if not spec.get(key):
+                raise ConfigError(f"a CSV pool needs features_csv and labels_csv; {key} is missing")
+        return ingest_csv(spec["features_csv"], spec["labels_csv"])
     gen = spec.pop("generator", None)
     if gen not in GENERATORS:
         raise ConfigError(f"unknown instance generator {gen!r}")
@@ -170,37 +173,30 @@ def ingest_csv(features_path, labels_path) -> Instance:
     ids = tuple(r[0] for r in labels_rows)
     eta = np.array([r[1] for r in labels_rows])
 
-    features = None
-    if features_path:
-        with open(features_path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = [c.strip() for c in next(reader)]
-            has_id = header and header[0] == "id"
-            fcols = header[1:] if has_id else header
-            if fcols != [f"f{j}" for j in range(len(fcols))]:
-                raise ConfigError(f"{features_path}: feature columns must be f0..f{{p-1}}")
-            rows = []
-            for ln, row in enumerate(reader, start=2):
-                if len(row) != len(header):
-                    raise ConfigError(f"{features_path}:{ln}: expected {len(header)} columns")
-                try:
-                    vals = [float(x) for x in (row[1:] if has_id else row)]
-                except ValueError as exc:
-                    raise ConfigError(f"{features_path}:{ln}: bad value") from exc
-                if not all(math.isfinite(v) for v in vals):
-                    raise ConfigError(f"{features_path}:{ln}: non-finite feature value")
-                rows.append(vals)
-        features = np.array(rows)
-        if features.shape[0] != eta.size:
-            raise ConfigError("features and labels row counts differ")
-    pool = Pool(n=eta.size, features=features, ids=ids)
-    persistent = kind == "y"
-    labels = LabelModel(eta, persistent=persistent, seed=0)
-    if features is not None:
-        hclass = HypothesisClass(oracle=LinearOracleClass(features))
-    else:
-        raise ConfigError("CSV ingestion needs a features file for the linear class")
-    return Instance(pool=pool, hypotheses=hclass, labels=labels)
+    with open(features_path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = [c.strip() for c in next(reader)]
+        has_id = header and header[0] == "id"
+        fcols = header[1:] if has_id else header
+        if fcols != [f"f{j}" for j in range(len(fcols))]:
+            raise ConfigError(f"{features_path}: feature columns must be f0..f{{p-1}}")
+        rows = []
+        for ln, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise ConfigError(f"{features_path}:{ln}: expected {len(header)} columns")
+            try:
+                vals = [float(x) for x in (row[1:] if has_id else row)]
+            except ValueError as exc:
+                raise ConfigError(f"{features_path}:{ln}: bad value") from exc
+            if not all(math.isfinite(v) for v in vals):
+                raise ConfigError(f"{features_path}:{ln}: non-finite feature value")
+            rows.append(vals)
+    features = np.array(rows)
+    if features.shape[0] != eta.size:
+        raise ConfigError("features and labels row counts differ")
+    return Instance(pool=Pool(n=eta.size, features=features, ids=ids),
+                    hypotheses=HypothesisClass(oracle=LinearOracleClass(features)),
+                    labels=LabelModel(eta, persistent=kind == "y", seed=0))
 
 
 def export_instance(instance: Instance, outdir) -> dict:
@@ -303,14 +299,22 @@ def _task(instance: Instance, label: str, name: str, params: dict, seed: int) ->
         return label, seed, None, time.perf_counter() - t0, repr(exc)
 
 
-def _pool_task(args):
-    """Worker entry: rebuilds the (restricted) instance from the picklable
-    spec and returns the record serialized."""
-    spec, holdout_fraction, holdout_seed, label, name, params, seed = args
+_worker_instance = None  # the (restricted) instance of this worker process
+
+
+def _init_worker(spec, holdout_fraction, holdout_seed):
+    """Worker initializer: builds the (restricted) instance once from the
+    picklable spec; _task restarts its label model before every run."""
+    global _worker_instance
     full = build_instance(spec)
     holdout_idx, train_idx = _holdout_split(full.n, holdout_fraction, holdout_seed)
-    inst = _restrict_instance(full, train_idx) if holdout_idx.size else full
-    label, seed, rec, wall, err = _task(inst, label, name, params, seed)
+    _worker_instance = _restrict_instance(full, train_idx) if holdout_idx.size else full
+
+
+def _pool_task(task):
+    """Worker entry: runs one task on the worker's instance and returns
+    the record serialized."""
+    label, seed, rec, wall, err = _task(_worker_instance, *task)
     return label, seed, None if rec is None else rec.to_jsonl(), wall, err
 
 
@@ -348,7 +352,7 @@ def run(config: ExperimentConfig, out_dir=None, workers: int = 1, instance=None)
     pairs run on a process pool; outputs are sorted before the single
     writer emits them, so results are identical to the sequential
     schedule. A given instance replaces config.instance and
-    needs workers == 1, since workers rebuild theirs from the config; an
+    needs workers == 1, since each worker builds its own from the config; an
     interactive label source needs no holdout, as held-out points have no
     labels to score against (ConfigError).
     Query logs never touch holdout indices (asserted here). Returns the
@@ -371,12 +375,12 @@ def run(config: ExperimentConfig, out_dir=None, workers: int = 1, instance=None)
     if workers > 1:
         import concurrent.futures
 
-        args = [(config.instance, config.holdout_fraction, config.holdout_seed, *task)
-                for task in tasks]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=workers, initializer=_init_worker,
+                initargs=(config.instance, config.holdout_fraction, config.holdout_seed)) as pool:
             outcomes = [(label, seed, None if payload is None else RunRecord.from_jsonl(payload),
                          wall, err)
-                        for label, seed, payload, wall, err in pool.map(_pool_task, args)]
+                        for label, seed, payload, wall, err in pool.map(_pool_task, tasks)]
     else:
         outcomes = [_task(instance, *task) for task in tasks]
 

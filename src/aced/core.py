@@ -230,10 +230,6 @@ def gap_table(hclass: HypothesisClass, labels: LabelModel) -> GapTable:
     return GapTable(h_star=h_star, nu=float(errs[h_star]), gaps=gaps, delta_min=delta_min)
 
 
-def query(labels: LabelModel, i: int) -> int:
-    return labels.query(i)
-
-
 def to_bandit(hclass: HypothesisClass, labels: LabelModel) -> BanditView:
     """Coordinate change: argmin pool error = argmax set-sum of mu."""
     if not hclass.explicit:

@@ -27,13 +27,13 @@ class ObjectiveDegenerateError(RuntimeError):
     """A gap-objective denominator came out nonpositive."""
 
 
-def floor_simplex(lam, floor: float = LAMBDA_FLOOR) -> np.ndarray:
+def floor_simplex(lam) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
     total = lam.sum()
     if not np.isfinite(total) or total <= 0:
         return np.full(lam.size, 1.0 / lam.size)
-    lam = np.maximum(lam / total, floor)
-    lam = np.maximum(lam / lam.sum(), floor)  # renormalization may dip below once
+    lam = np.maximum(lam / total, LAMBDA_FLOOR)
+    lam = np.maximum(lam / lam.sum(), LAMBDA_FLOOR)  # renormalization may dip below once
     return lam / lam.sum()
 
 
@@ -141,19 +141,11 @@ def pair_width_objective(labelings, delta: float) -> DesignObjective:
 
 
 def rho_objective(labelings, eta, epsilon: float, anchor: int) -> DesignObjective:
-    """Worst-hypothesis inverse-information-to-gap-squared ratio."""
-    L = np.asarray(labelings, dtype=float)
-    m, n = L.shape
-    errs = plugin_errors(L, eta)
-    gaps = errs - errs[anchor]
-    den = np.maximum(gaps, epsilon)
-    S = (L != L[anchor][None, :]).astype(float)
-    coeff = np.zeros(m)
-    live = np.arange(m) != anchor
-    if epsilon <= 0 and np.any(gaps[live] <= 0):
-        raise ValueError("rho objective needs positive gaps or a positive epsilon")
-    coeff[live] = 1.0 / (n**2 * den[live] ** 2)
-    return DesignObjective(mode="rho", n=n, S=S, coeff=coeff)
+    """Worst-hypothesis inverse-information-to-gap-squared ratio on the
+    diagnostic psi objective's supports and floored gaps: coefficients
+    1/(n gap)^2, exactly 0 at the anchor."""
+    psi = psi_objective(labelings, eta, anchor, epsilon)
+    return DesignObjective(mode="rho", n=psi.n, S=psi.S, coeff=1.0 / (psi.n**2 * psi.den**2))
 
 
 def psi_objective(labelings, eta, anchor: int, scale: float, floor_at_scale: bool = True) -> DesignObjective:
@@ -245,18 +237,16 @@ def batch_gradient(obj: DesignObjective, lam: np.ndarray, Z: np.ndarray, vals, a
     return grads.mean(axis=0), (grads**2).mean(axis=0)
 
 
-def _penalty_term(obj, lam):
+def _outer(obj, lam, vals):
+    """(value, slope, gpen) at lam from per-sample values: the mean, 1, None
+    for gap modes; for fixed_confidence mean^2 + penalty * worst-pair
+    inverse mass, the square's slope 2 * mean, and that mass's gradient."""
+    mean = float(np.mean(vals))
+    if obj.mode != "fixed_confidence":
+        return mean, 1.0, None
     mass = (obj.P**2) @ (1.0 / lam)
     p = int(np.argmax(mass))
-    grad = -(obj.P[p] ** 2) / lam**2
-    return float(mass[p]), grad
-
-
-def _objective_value(obj, lam, vals):
-    if obj.mode == "fixed_confidence":
-        m, _ = _penalty_term(obj, lam)
-        return float(np.mean(vals)) ** 2 + obj.penalty * m
-    return float(np.mean(vals))
+    return mean**2 + obj.penalty * float(mass[p]), 2.0 * mean, -(obj.P[p] ** 2) / lam**2
 
 
 def _mirror_step(lam, g, step):
@@ -276,15 +266,6 @@ class SolverReport:
     batch_trajectory: list
     iterations: int
     converged: bool
-
-
-def _combined_gradient(obj, lam, vals, grad_mean, grad_sq_mean, B):
-    spread = np.maximum(grad_sq_mean - grad_mean**2, 0.0)
-    if obj.mode != "fixed_confidence":
-        return grad_mean, spread / B
-    _, gpen = _penalty_term(obj, lam)
-    wbar = float(np.mean(vals))
-    return 2.0 * wbar * grad_mean + obj.penalty * gpen, (2.0 * wbar) ** 2 * spread / B
 
 
 def _psi_exact(obj: DesignObjective) -> SolverReport:
@@ -355,10 +336,12 @@ def smd_solve(
     the step size backtracks on values alone (two steps tie when the value
     difference is within one standard error on common draws); stops when
     the certificate 2 max_k sigma_k + max_k <g, lam - e_k> drops below tol.
-    The psi mode returns its closed-form minimizer and the rho mode its
-    dual-certified one (certificate = the exact duality gap); both ignore
-    the stochastic parameters and the seed. Every design is floored at
-    LAMBDA_FLOOR.
+    Each evaluated design (iterate, backtracking trial, returned design)
+    gets its value from _outer, whose slope also scales the gradient
+    noise, the tie margin and the value's standard error. The psi mode
+    returns its closed-form minimizer and the rho mode its dual-certified
+    one (certificate = the exact duality gap); both ignore the stochastic
+    parameters and the seed. Every design is floored at LAMBDA_FLOOR.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -381,10 +364,11 @@ def smd_solve(
         Z = np.random.default_rng([seed, it - 1]).standard_normal((B, n))
         vals, argmax = batch_values(obj, lam, Z)
         gmean, gsq = batch_gradient(obj, lam, Z, vals, argmax)
-        g, gvar = _combined_gradient(obj, lam, vals, gmean, gsq, B)
+        value, slope, gpen = _outer(obj, lam, vals)
+        g = gmean if gpen is None else slope * gmean + obj.penalty * gpen
+        gvar = slope**2 * np.maximum(gsq - gmean**2, 0.0) / B
         sigma_max = float(np.sqrt(gvar.max()))
         gap_term = float(g @ lam - g.min())
-        value = _objective_value(obj, lam, vals)
         cert = 2.0 * sigma_max + gap_term
         batch_trajectory.append(B)
         if value < best[0]:
@@ -395,15 +379,12 @@ def smd_solve(
         if 2.0 * sigma_max >= gap_term:
             B = min(2 * B, max_batch)
         # backtracking exponentiated step on common draws
-        trial = min(1.0, 2.0 * step) if it > 1 else 1.0
+        trial = min(1.0, 2.0 * step)
         for _ in range(max_halvings):
             cand = _mirror_step(lam, g, trial)
             cvals, _ = batch_values(obj, cand, Z)
-            diff = _objective_value(obj, cand, cvals) - value
-            se = float(np.std(cvals - vals) / math.sqrt(B))
-            if obj.mode == "fixed_confidence":
-                se *= 2.0 * max(float(np.mean(vals)), float(np.mean(cvals)))
-            if diff <= se:
+            cvalue, cslope, _ = _outer(obj, cand, cvals)
+            if cvalue - value <= float(np.std(cvals - vals) / math.sqrt(B)) * max(slope, cslope):
                 break
             trial *= 0.5
         else:  # no trial accepted: take the smallest step
@@ -417,14 +398,11 @@ def smd_solve(
         eval_samples = min(eval_samples, 32)
     Z = np.random.default_rng([seed, 1 << 30]).standard_normal((max(B, eval_samples), n))
     vals, _ = batch_values(obj, lam, Z)
-    value = _objective_value(obj, lam, vals)
-    stderr = float(np.std(vals) / math.sqrt(vals.size))
-    if obj.mode == "fixed_confidence":
-        stderr *= 2.0 * float(np.mean(vals))
+    value, slope, _ = _outer(obj, lam, vals)
     return SolverReport(design=Design(lam), value_estimate=value,
-                        value_stderr=stderr, certificate=float(cert),
-                        batch_trajectory=batch_trajectory, iterations=it,
-                        converged=converged)
+                        value_stderr=float(np.std(vals) / math.sqrt(vals.size)) * slope,
+                        certificate=float(cert), batch_trajectory=batch_trajectory,
+                        iterations=it, converged=converged)
 
 
 def line_search_max(lam, zeta, anchor_labeling, eta_hat, scale, maximizer, n_max: int = 20):

@@ -15,7 +15,7 @@ from aced.algorithms import (
     baseline_uniform_disagreement,
 )
 from aced.complexity import make_core_tail_instance, make_thresholds
-from aced.core import HypothesisClass, Instance, LabelModel, Pool, gap_table
+from aced.core import HypothesisClass, ImplicitClassError, Instance, LabelModel, Pool, gap_table
 from aced.oracles import LinearOracleClass
 
 
@@ -374,6 +374,16 @@ def test_iwal_oracle_counts_capped_fits_without_warning(monkeypatch):
         rec = baseline_iwal(inst, list(range(5)), C0=0.1, variant="iwal0", seed=1)
     assert not caught
     assert rec.flags["logistic_cap_hits"] == sum(capped) > 0
+
+
+@pytest.mark.parametrize("variant", ["oracular0", "oracular1"])
+def test_iwal_oracular_rejects_oracle_backed_class(variant):
+    # the oracular variants score every hypothesis on the revealed labels
+    X = np.random.default_rng(2).standard_normal((5, 2))
+    inst = Instance(Pool(n=5, features=X), HypothesisClass(oracle=LinearOracleClass(X)),
+                    LabelModel(np.full(5, 0.5), persistent=True, seed=1))
+    with pytest.raises(ImplicitClassError):
+        baseline_iwal(inst, list(range(5)), C0=0.1, variant=variant, seed=1)
 
 
 def test_design_cache_keys_on_solver_params():

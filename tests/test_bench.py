@@ -376,3 +376,40 @@ def test_holdout_scores_on_oracle_class_and_non_persistent_labels(tmp_path, work
     assert not paths["errors"]
     assert all(r.holdout_acc is not None for r in read_results_csv(paths["results"]))
     assert _sha(_body(paths["results"])) == "7b2a62994ca1c50823e92ecdcdf5bbe006a6771fd92fa9c0d9bfd4697027b7e4"
+
+
+def test_pool_workers_build_the_instance_once_each(tmp_path, monkeypatch):
+    import multiprocessing
+
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("counting through an inherited wrapper needs forked workers")
+    calls = tmp_path / "ingest_calls"
+    original = bench.ingest_csv
+
+    def counting(*args):
+        with open(calls, "a") as fh:  # forked workers append to the same file
+            fh.write("x")
+        return original(*args)
+
+    monkeypatch.setattr(bench, "ingest_csv", counting)
+    feats, labels = _write_csv_pool(tmp_path)
+    cfg = load_config(write_config(tmp_path, CSV_POOL.format(feats=feats, labels=labels, out=tmp_path / "o")))
+    assert len(cfg.algorithms) * len(cfg.seeds) == 6
+    pooled = run(cfg, out_dir=tmp_path / "w", workers=2)
+    assert not pooled["errors"]
+    assert len(calls.read_text()) <= 1 + 2  # the parent, then once per worker
+    sequential = run(cfg, out_dir=tmp_path / "s", workers=1)
+    assert open(pooled["records"]).read() == open(sequential["records"]).read()
+
+
+def test_csv_pool_without_labels_file_is_rejected(tmp_path):
+    feats, _ = _write_csv_pool(tmp_path)
+    with pytest.raises(ConfigError, match="labels_csv is missing"):
+        build_instance({"features_csv": str(feats)})
+
+
+def test_csv_pool_without_features_file_is_rejected_before_parsing(tmp_path):
+    labels = tmp_path / "labels.csv"
+    labels.write_text("id,y\na,2\n")  # a bad label that parsing would report first
+    with pytest.raises(ConfigError, match="features_csv is missing"):
+        build_instance({"labels_csv": str(labels)})

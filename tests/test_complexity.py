@@ -17,7 +17,7 @@ from aced.complexity import (
     tsybakov_holds,
 )
 from aced.core import HypothesisClass, LabelModel, gap_table
-from aced.design import Design, floor_simplex, objective_sample, rho_objective
+from aced.design import Design, ObjectiveDegenerateError, floor_simplex, objective_sample, rho_objective
 
 QUICK = {"tol": 1e-4, "rel_tol": 0.02, "b0": 32, "max_iters": 2000, "max_batch": 2048}
 
@@ -357,3 +357,14 @@ def test_disagreement_bound_check_reports_rho_gap():
     assert report["rho_converged"] is True
     assert report["rho_gap"] == r.certificate
     assert 0.0 <= report["rho_gap"] <= 1e-4 * report["rho_star"]
+
+
+def test_zero_gap_duplicate_of_h_star_is_degenerate_for_every_measure():
+    # at epsilon = 0 a copy of h* has gap 0: rho*, gamma* and psi* all refuse it
+    inst = make_thresholds(6, 3, 1.0)
+    H = inst.hypotheses.labelings
+    hclass = HypothesisClass(np.vstack([H, H[2]]), dedup=False)
+    assert gap_table(hclass, inst.labels).h_star == 2
+    for measure in (rho_star, gamma_star, psi_star):
+        with pytest.raises(ObjectiveDegenerateError):
+            measure(hclass, inst.labels, 0.0, solver=QUICK)

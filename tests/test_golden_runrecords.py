@@ -75,6 +75,16 @@ CASES = {
     "iwal_oracular1/thresholds": lambda: REGISTRY["iwal"](
         _thresholds(), np.concatenate([_stream(8, 11), _stream(8, 12)]), C0=0.5,
         variant="oracular1", seed=11),
+    # two passes over the stream: the oracle back-end refits on every point
+    "iwal_oracle/linear": lambda: REGISTRY["iwal"](
+        _linear(), np.concatenate([_stream(10, 14), _stream(10, 15)]), C0=0.01, seed=14),
+    # a non-persistent model reveals a point's label only where it was queried
+    "iwal_oracular0_nonpersistent/thresholds": lambda: REGISTRY["iwal"](
+        _thresholds(persistent=False), np.concatenate([_stream(8, 15), _stream(8, 16)]), C0=0.5,
+        variant="oracular0", seed=15),
+    "iwal1/thresholds": lambda: REGISTRY["iwal"](
+        _thresholds(), np.concatenate([_stream(8, 16), _stream(8, 17)]), C0=0.5, variant="iwal1",
+        seed=16),
 }
 
 GOLDEN = {
@@ -85,6 +95,9 @@ GOLDEN = {
     "fixed_budget_naive/core_tail": "cc9109f429cb4f0fd192d93b07cdaa5108f11ab44c18dbd3c3a219064a2b36d1",
     "fixed_confidence/thresholds": "06f7a6fae14c1974ac965cff430c17c7ccffd3f9904ae8c7f1f98e4e88f668a9",
     "iwal/core_tail": "6ac0dec67b743cdb06ed40221744591bbea919f8a8d5dcaafe038d3a448e0ffc",
+    "iwal1/thresholds": "2c07ecf41adcd6bb68f75aa280109042ece59c3ef98a5f3e33205b341b98fc45",
+    "iwal_oracle/linear": "16a8dac40f9b1ccab0173cdaca6fec59585b80e889d423cfb21ac12431f360a0",
+    "iwal_oracular0_nonpersistent/thresholds": "ed6008ad693215e72655965e073fdfaca8388e3dabcc27c28216dcde5866acc3",
     "iwal_oracular1/thresholds": "9d3ce5a5da49bd6f3fbb9e629338aacce99f9aae65b985be9f5c65e86e4d4955",
     "passive/core_tail": "cefc6cf2197f83525af8c3fda91c03783f9c63d8cdfd4e74115f51c873bafea2",
     "passive_nonpersistent/thresholds": "54acfc1406a7463ace9a27d50616f53cc894521e769ee2b38fa8da0553fa6d40",

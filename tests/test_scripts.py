@@ -25,3 +25,14 @@ def test_threshold_benchmark_same_curves_sequential_and_pooled(tmp_path):
     assert curves[0] == curves[1]
     assert {ln.split()[0] for ln in curves[0][1:]} == {
         "aced_waterfilled", "iwal", "passive", "uniform_disagreement"}
+
+
+def test_complexity_sweep_prints_core_tail_closed_forms():
+    # at epsilon = 0 on core-tail m = 2: rho* = 4 m^2/(m+1)^2 = 16/9, psi* = 2
+    proc = _run_script("complexity_sweep.py", "--ms", "2", "--mc-samples", "200")
+    assert proc.returncode == 0, proc.stderr
+    header, row = proc.stdout.splitlines()
+    assert header.split()[3:6] == ["rho*", "gamma*", "psi*"]
+    fields = row.split()
+    assert fields[:2] == ["2", "6"]
+    assert fields[3] == "1.778" and fields[5] == "2.00"
