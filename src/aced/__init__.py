@@ -15,7 +15,6 @@ from .core import (
 from .oracles import (
     LinearHypothesis,
     LinearOracleClass,
-    WeightedSample,
     erm_exact,
     erm_flip_constrained,
     erm_logistic,

@@ -169,7 +169,7 @@ def aced_fixed_confidence(
     H = hclass.labelings
     n = hclass.n
     active = np.arange(H.shape[0])
-    est = None
+    errs = np.zeros(active.size)
     k = 0
     infeasible_rounds = 0
     capped_rounds = 0
@@ -202,14 +202,9 @@ def aced_fixed_confidence(
         rec.eliminations.append(int(active.size))
         best = int(active[int(np.argmin(errs))])
         rec.progress.append((k, int(np.count_nonzero(queried)), best))
-    if active.size == 1:
-        rec.returned = int(active[0])
-        rec.flags["certified"] = True
-    else:
-        errs = (estimated_errors_all(hclass.subset(active), est) if est is not None
-                else np.zeros(active.size))
-        rec.returned = int(active[int(np.argmin(errs))])
-        rec.flags["certified"] = False
+    rec.returned = int(active[int(np.argmin(errs))])
+    rec.flags["certified"] = bool(active.size == 1)
+    if active.size > 1:
         rec.flags["round_cap_hit"] = True
     rec.flags["rounds"] = k
     rec.flags["infeasible_rounds"] = infeasible_rounds
@@ -554,12 +549,11 @@ def baseline_iwal(
         H = hclass.labelings
         cum = np.zeros(H.shape[0])  # each hypothesis's mistakes, as the variant counts them
     else:
-        from .oracles import WeightedSample, erm_flip_constrained, erm_logistic
+        from .oracles import erm_flip_constrained, erm_logistic
 
         feats = instance.pool.features
         if feats is None:
             raise ValueError("oracle-backed streaming needs pool features")
-        samples = []
         X_q, w_q, y_q = np.empty((0, feats.shape[1])), np.empty(0), np.empty(0, dtype=int)
         rec.flags["logistic_cap_hits"] = 0
 
@@ -568,9 +562,9 @@ def baseline_iwal(
             return hyp
 
         def erm(x):  # before the first query: any hypothesis labeling x 1
-            if samples:
-                return fit(erm_logistic(samples, warn_on_cap=False))
-            return erm_flip_constrained([], x, +1, margin)
+            if w_q.size:
+                return fit(erm_logistic(X_q, w_q, y_q, warn_on_cap=False))
+            return erm_flip_constrained(X_q, w_q, y_q, x, +1, margin)
     for step, i in enumerate(stream, start=1):
         i, denom = int(i), max(step - 1, 1)
         if explicit:
@@ -583,7 +577,8 @@ def baseline_iwal(
         else:
             hyp = erm(feats[i])
             pred = int(hyp.predict(feats[i])[0])
-            flip_hyp = fit(erm_flip_constrained(samples, feats[i], -1 if pred == 1 else 1, margin))
+            flip_hyp = fit(erm_flip_constrained(X_q, w_q, y_q, feats[i], -1 if pred == 1 else 1,
+                                                margin))
             assert int(flip_hyp.predict(feats[i])[0]) != pred
             loss_flip, loss = (float((w_q * (h.predict(X_q) != y_q)).sum()) / denom
                                for h in (flip_hyp, hyp))
@@ -594,7 +589,6 @@ def baseline_iwal(
             rec.queries.append(QueryRecord(step, i, p, int(y)))
             queried[i] = True
             if not explicit:
-                samples.append(WeightedSample(1.0 / p, feats[i], int(y)))
                 X_q, w_q, y_q = np.vstack([X_q, feats[i]]), np.append(w_q, 1.0 / p), np.append(y_q, y)
             elif oracular:
                 revealed[i] = y

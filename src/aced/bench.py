@@ -312,10 +312,8 @@ def _init_worker(spec, holdout_fraction, holdout_seed):
 
 
 def _pool_task(task):
-    """Worker entry: runs one task on the worker's instance and returns
-    the record serialized."""
-    label, seed, rec, wall, err = _task(_worker_instance, *task)
-    return label, seed, None if rec is None else rec.to_jsonl(), wall, err
+    """Worker entry: runs one task on the worker's instance."""
+    return _task(_worker_instance, *task)
 
 
 def _curve_points(instance: Instance, rec: RunRecord, full_instance=None, holdout_idx=None):
@@ -378,9 +376,7 @@ def run(config: ExperimentConfig, out_dir=None, workers: int = 1, instance=None)
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=workers, initializer=_init_worker,
                 initargs=(config.instance, config.holdout_fraction, config.holdout_seed)) as pool:
-            outcomes = [(label, seed, None if payload is None else RunRecord.from_jsonl(payload),
-                         wall, err)
-                        for label, seed, payload, wall, err in pool.map(_pool_task, tasks)]
+            outcomes = list(pool.map(_pool_task, tasks))
     else:
         outcomes = [_task(instance, *task) for task in tasks]
 

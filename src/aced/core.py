@@ -200,9 +200,7 @@ class GapTable:
 
 def pool_error(hclass: HypothesisClass, h: int, labels: LabelModel) -> float:
     """Expected pool error of hypothesis h under the label means."""
-    hv = hclass.labeling(h).astype(float)
-    eta = labels.eta
-    return float(np.mean(eta * (1.0 - hv) + (1.0 - eta) * hv))
+    return float(plugin_errors(hclass.labeling(h)[None, :], labels.eta)[0])
 
 
 def plugin_errors(labelings, eta) -> np.ndarray:

@@ -53,10 +53,6 @@ class Design:
     def uniform(cls, n: int) -> "Design":
         return cls(np.full(n, 1.0 / n))
 
-    @property
-    def n(self) -> int:
-        return self.lam.size
-
 
 @dataclass(eq=False)
 class DesignObjective:

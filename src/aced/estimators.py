@@ -121,13 +121,6 @@ def ridge_shift(v, lam, t: int, delta: float) -> float:
     return math.sqrt(math.log(2.0 / delta) / (3.0 * norm_sq))
 
 
-def ridge_ips_vector(log, lam, n: int, s: float) -> np.ndarray:
-    """mu-hat = (A(t lam) + s I)^{-1} X^T y; diagonal, so O(n)."""
-    t = len(log)
-    lam = np.asarray(lam, dtype=float)
-    return _query_counts_and_sums(log, n)[1] / (t * lam + s)
-
-
 def ridge_ips_pair(log, lam, v, delta: float) -> float:
     """Estimate <v, mu> with the ridge-shifted IPS estimator.
 
@@ -137,9 +130,10 @@ def ridge_ips_pair(log, lam, v, delta: float) -> float:
     v = np.asarray(v, dtype=float)
     if not np.any(v):
         return 0.0
-    n = v.size
-    s = ridge_shift(v, lam, len(log), delta)
-    mu_hat = ridge_ips_vector(log, lam, n, s)
+    t = len(log)
+    s = ridge_shift(v, lam, t, delta)
+    # mu-hat = (A(t lam) + s I)^{-1} X^T y, diagonal so O(n)
+    mu_hat = _query_counts_and_sums(log, v.size)[1] / (t * np.asarray(lam, dtype=float) + s)
     return float(v @ mu_hat)
 
 
@@ -361,9 +355,7 @@ def chaining_estimate(
 
 def err_from_estimate(hclass: HypothesisClass, est: EtaEstimate, h) -> float:
     """Plug-in pool error under eta-hat (no clipping before use)."""
-    hv = hclass.labeling(h).astype(float)
-    e = est.values
-    return float(np.mean(e * (1.0 - hv) + (1.0 - e) * hv))
+    return float(plugin_errors(hclass.labeling(h)[None, :], est.values)[0])
 
 
 def estimated_errors_all(hclass: HypothesisClass, est: EtaEstimate) -> np.ndarray:

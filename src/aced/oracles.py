@@ -4,6 +4,9 @@ Exact weighted ERM by enumeration over explicit classes, weighted linear
 maximization (an argmax, or the sign reduction to weighted ERM), a
 logistic surrogate for linear classes fitted by damped Newton (IRLS), and
 the fixed-margin "flip" variant that forces a prediction at one point.
+A weighted sample is given as parallel arrays: the examples (pool
+indices for the exact oracle, an n x p feature matrix for the logistic
+ones), the weights w and the 0/1 labels y.
 """
 from __future__ import annotations
 
@@ -15,19 +18,16 @@ import numpy as np
 from .core import HypothesisClass, ImplicitClassError
 
 
-@dataclass(frozen=True)
-class WeightedSample:
-    """One weighted training point: pool index or feature vector plus a 0/1 label."""
-
-    weight: float
-    example: object
-    label: int
-
-    def __post_init__(self):
-        if not np.isfinite(self.weight) or self.weight < 0:
-            raise ValueError("sample weight must be finite and nonnegative")
-        if self.label not in (0, 1):
-            raise ValueError("label must be 0 or 1")
+def _weighted_arrays(w, y) -> tuple:
+    """The sample weights and labels as arrays; a negative or non-finite
+    weight, or a label other than 0 or 1, raises ValueError."""
+    w = np.asarray(w, dtype=float)
+    y = np.asarray(y)
+    if not np.isfinite(w).all() or (w < 0).any():
+        raise ValueError("sample weights must be finite and nonnegative")
+    if not np.isin(y, (0, 1)).all():
+        raise ValueError("labels must be 0 or 1")
+    return w, y
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,29 +43,21 @@ class LinearHypothesis:
         return (X @ self.w + self.b >= 0).astype(np.int8)
 
 
-def erm_exact(hclass: HypothesisClass, samples) -> int:
+def erm_exact(hclass: HypothesisClass, idx, w, y) -> int:
     """Exact argmin over an explicit class of the weighted 0/1 loss.
 
-    Ties break to the lowest hypothesis index; an empty sample list makes
+    Ties break to the lowest hypothesis index; an empty sample makes
     every loss zero so index 0 is returned.
     """
     if not hclass.explicit:
         raise ImplicitClassError("exact ERM enumerates an explicit class")
-    if hclass.size < 1:
-        raise ValueError("empty hypothesis class")
-    losses = weighted_losses(hclass, samples)
-    return int(np.argmin(losses))
+    return int(np.argmin(weighted_losses(hclass, idx, w, y)))
 
 
-def weighted_losses(hclass: HypothesisClass, samples) -> np.ndarray:
-    """Weighted 0/1 loss of every hypothesis on pool-indexed samples."""
-    losses = np.zeros(hclass.size)
-    if not samples:
-        return losses
-    idx = np.array([s.example for s in samples], dtype=int)
-    w = np.array([s.weight for s in samples], dtype=float)
-    y = np.array([s.label for s in samples], dtype=np.int8)
-    preds = hclass.labelings[:, idx]
+def weighted_losses(hclass: HypothesisClass, idx, w, y) -> np.ndarray:
+    """Weighted 0/1 loss of every hypothesis on samples at pool indices idx."""
+    w, y = _weighted_arrays(w, y)
+    preds = hclass.labelings[:, np.asarray(idx, dtype=int)]
     return ((preds != y) * w).sum(axis=1)
 
 
@@ -141,30 +133,27 @@ def _fit_logistic(X, w, y, reg, tol, max_iter, fixed_intercept=None, warn_on_cap
     return theta[:p], (theta[p] if free else fixed_intercept), converged
 
 
-def erm_logistic(samples, reg: float = 1e-6, tol: float = 1e-6, max_iter: int = 5000,
+def erm_logistic(X, w, y, reg: float = 1e-6, tol: float = 1e-6, max_iter: int = 5000,
                  warn_on_cap: bool = True) -> LinearHypothesis:
     """Approximate weighted ERM over halfspaces via the logistic surrogate.
 
     L2 penalty reg * ||w||^2 (intercept free), fitted by damped Newton.
     Convergence when the gradient infinity-norm drops below tol within
     max_iter Newton steps; otherwise the best iterate is returned with
-    converged=False and a warning.
+    converged=False and a warning. Needs a positive weight somewhere.
     """
-    if not samples:
-        raise ValueError("need at least one sample")
-    X = np.array([np.asarray(s.example, dtype=float) for s in samples])
-    if X.ndim != 2:
-        raise ImplicitClassError("logistic ERM needs feature-vector samples")
-    w = np.array([s.weight for s in samples], dtype=float)
+    w, y = _weighted_arrays(w, y)
     if not (w > 0).any():
         raise ValueError("need at least one positive-weight sample")
-    y = np.array([s.label for s in samples])
-    wv, b, ok = _fit_logistic(X, w, y, reg, tol, max_iter, warn_on_cap=warn_on_cap)
+    wv, b, ok = _fit_logistic(np.asarray(X, dtype=float), w, y, reg, tol, max_iter,
+                              warn_on_cap=warn_on_cap)
     return LinearHypothesis(w=wv, b=float(b), converged=ok)
 
 
 def erm_flip_constrained(
-    samples,
+    X,
+    w,
+    y,
     x_k,
     desired_sign: int,
     margin: float = 1e-3,
@@ -175,23 +164,21 @@ def erm_flip_constrained(
     """Weighted logistic fit constrained to predict desired_sign at x_k.
 
     Features are translated by x_k and the intercept is pinned to the
-    signed margin, so w.x_k + b = desired_sign * margin exactly. A fit
-    that hits the iteration cap is reported through converged=False,
-    without a warning.
+    signed margin, so w.x_k + b = desired_sign * margin exactly; an empty
+    sample gives the zero normal. A fit that hits the iteration cap is
+    reported through converged=False, without a warning.
     """
     if desired_sign not in (-1, 1):
         raise ValueError("desired_sign must be -1 or +1")
     if margin <= 0:
         raise ValueError("margin must be positive")
+    w, y = _weighted_arrays(w, y)
     x_k = np.asarray(x_k, dtype=float)
     pinned = desired_sign * margin
-    if not samples:
+    if not w.size:
         return LinearHypothesis(w=np.zeros(x_k.size), b=pinned, converged=True)
-    X = np.array([np.asarray(s.example, dtype=float) - x_k for s in samples])
-    w = np.array([s.weight for s in samples], dtype=float)
-    y = np.array([s.label for s in samples])
-    wv, b0, ok = _fit_logistic(X, w, y, reg, tol, max_iter, fixed_intercept=pinned,
-                               warn_on_cap=False)
+    wv, b0, ok = _fit_logistic(np.asarray(X, dtype=float) - x_k, w, y, reg, tol, max_iter,
+                               fixed_intercept=pinned, warn_on_cap=False)
     # translate back: prediction on raw x uses w.(x - x_k) + pinned
     return LinearHypothesis(w=wv, b=float(pinned - wv @ x_k), converged=ok)
 

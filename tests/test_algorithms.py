@@ -63,6 +63,25 @@ def test_fixed_confidence_flags_rounds_cut_to_the_query_cap():
         assert cut >= 1 and rec.flags["round_queries_capped"] == cut
 
 
+def test_fixed_confidence_counts_infeasible_rounds(monkeypatch):
+    import aced.algorithms as alg
+
+    inst = make_thresholds(8, 3, 0.6, seed=1)
+    run = lambda: aced_fixed_confidence(inst, delta=0.2, round_cap=3, seed=0)
+    assert run().flags["infeasible_rounds"] == 0
+    chaining = alg.chaining_estimate
+
+    def round_one_infeasible(labelings, log, lam, delta):
+        est = chaining(labelings, log, lam, delta)
+        if log[0].round == 1:
+            est.flags["feasible"] = False
+        return est
+
+    monkeypatch.setattr(alg, "chaining_estimate", round_one_infeasible)
+    rec = run()
+    assert rec.flags["rounds"] >= 2 and rec.flags["infeasible_rounds"] == 1
+
+
 def test_fixed_budget_single_round_when_eps_half():
     inst = make_thresholds(8, 3, 1.0, persistent=True, seed=0)
     rec = aced_fixed_budget(inst, T=24, epsilon=0.5, estimator_kind="naive", seed=0)

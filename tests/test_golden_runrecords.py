@@ -41,6 +41,9 @@ def _stream(n, seed):
 CASES = {
     "fixed_confidence/thresholds": lambda: REGISTRY["aced_fixed_confidence"](
         _thresholds(persistent=False), delta=0.2, round_cap=4, solver=SOLVER, seed=0),
+    # stops at the round cap with three survivors and returns the plug-in minimizer
+    "fixed_confidence_capped/thresholds": lambda: REGISTRY["aced_fixed_confidence"](
+        _thresholds(persistent=False), delta=0.2, round_cap=2, solver=SOLVER, seed=0),
     "fixed_budget_naive/core_tail": lambda: REGISTRY["aced_fixed_budget"](
         _core_tail(), T=24, epsilon=0.25, estimator_kind="naive", solver=SOLVER, seed=1),
     "fixed_budget_ips/thresholds": lambda: REGISTRY["aced_fixed_budget"](
@@ -93,6 +96,7 @@ GOLDEN = {
     "fixed_budget_efficient/thresholds": "cc71db193de0a4b8681b03c55edc5251832e98faf671a9c9b2164e4a0c5a4e66",
     "fixed_budget_ips/thresholds": "46eb752c3551ec597865997c585c0656cb58f3cd456876d72b04e8ff1ed27dc3",
     "fixed_budget_naive/core_tail": "cc9109f429cb4f0fd192d93b07cdaa5108f11ab44c18dbd3c3a219064a2b36d1",
+    "fixed_confidence_capped/thresholds": "9c928186f138639ec83ee3794ba2ff81262c7f390ea8f49e344ba62c7263d0a1",
     "fixed_confidence/thresholds": "06f7a6fae14c1974ac965cff430c17c7ccffd3f9904ae8c7f1f98e4e88f668a9",
     "iwal/core_tail": "6ac0dec67b743cdb06ed40221744591bbea919f8a8d5dcaafe038d3a448e0ffc",
     "iwal1/thresholds": "2c07ecf41adcd6bb68f75aa280109042ece59c3ef98a5f3e33205b341b98fc45",

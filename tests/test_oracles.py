@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from aced.core import HypothesisClass
 from aced.oracles import (
     LinearHypothesis,
-    WeightedSample,
     _fit_logistic,
     erm_exact,
     erm_flip_constrained,
@@ -22,24 +21,23 @@ def rand_class(rng, m, n):
 
 def test_all_zero_weights_tie_break_to_zero():
     hclass = rand_class(np.random.default_rng(0), 6, 4)
-    samples = [WeightedSample(0.0, i, 1) for i in range(4)]
-    assert erm_exact(hclass, samples) == 0
+    assert erm_exact(hclass, np.arange(4), np.zeros(4), np.ones(4, dtype=int)) == 0
 
 
 def test_erm_exact_is_global_minimizer():
     rng = np.random.default_rng(1)
     hclass = rand_class(rng, 12, 6)
-    samples = [WeightedSample(float(rng.random()), int(rng.integers(6)), int(rng.integers(2)))
-               for _ in range(20)]
-    h = erm_exact(hclass, samples)
-    losses = weighted_losses(hclass, samples)
+    draws = [(float(rng.random()), int(rng.integers(6)), int(rng.integers(2))) for _ in range(20)]
+    w, idx, y = (np.array(col) for col in zip(*draws))
+    h = erm_exact(hclass, idx, w, y)
+    losses = weighted_losses(hclass, idx, w, y)
     assert losses[h] == losses.min()
     assert np.all(losses[:h] > losses[h])  # lowest-index tie break
 
 
 def test_single_sample_erm():
     hclass = HypothesisClass(np.array([[0, 0], [1, 0], [0, 1]]))
-    h = erm_exact(hclass, [WeightedSample(1.0, 0, 1)])
+    h = erm_exact(hclass, [0], [1.0], [1])
     assert hclass.labelings[h][0] == 1
 
 
@@ -66,11 +64,7 @@ def test_weighted_max_edge_cases():
 
 
 def test_logistic_separates_two_points():
-    samples = [
-        WeightedSample(1.0, np.array([-1.0, 0.0]), 0),
-        WeightedSample(1.0, np.array([1.0, 0.0]), 1),
-    ]
-    h = erm_logistic(samples, reg=1e-4)
+    h = erm_logistic(np.array([[-1.0, 0.0], [1.0, 0.0]]), np.ones(2), np.array([0, 1]), reg=1e-4)
     assert h.converged
     assert h.predict(np.array([[-1.0, 0.0], [1.0, 0.0]])).tolist() == [0, 1]
 
@@ -79,10 +73,8 @@ def test_logistic_weight_scale_invariance():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(12, 2))
     y = (X[:, 0] + 0.3 * rng.normal(size=12) > 0).astype(int)
-    s1 = [WeightedSample(1.0, x, int(t)) for x, t in zip(X, y)]
-    s2 = [WeightedSample(2.0, x, int(t)) for x, t in zip(X, y)]
-    h1 = erm_logistic(s1, reg=1e-2, tol=1e-7)
-    h2 = erm_logistic(s2, reg=2e-2, tol=1e-7)
+    h1 = erm_logistic(X, np.full(12, 1.0), y, reg=1e-2, tol=1e-7)
+    h2 = erm_logistic(X, np.full(12, 2.0), y, reg=2e-2, tol=1e-7)
     assert np.allclose(h1.w, h2.w, atol=1e-4)
     assert h1.b == pytest.approx(h2.b, abs=1e-4)
 
@@ -93,8 +85,7 @@ def test_logistic_near_exact_on_tiny_instance():
     X = rng.normal(size=(6, 2))
     y = rng.integers(0, 2, size=6)
     w = rng.random(6) + 0.1
-    samples = [WeightedSample(float(wi), x, int(t)) for wi, x, t in zip(w, X, y)]
-    fit = erm_logistic(samples, reg=1e-6)
+    fit = erm_logistic(X, w, y, reg=1e-6)
     fit_loss = float((w * (fit.predict(X) != y)).sum())
     best = np.inf
     # all dichotomies induced by pairs of points plus axis directions
@@ -162,17 +153,17 @@ def test_flip_constraint_is_exact():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(10, 3))
     y = rng.integers(0, 2, size=10)
-    samples = [WeightedSample(1.0, x, int(t)) for x, t in zip(X, y)]
     x_k = rng.normal(size=3)
     for sign in (-1, 1):
-        h = erm_flip_constrained(samples, x_k, sign, margin=1e-3)
+        h = erm_flip_constrained(X, np.ones(10), y, x_k, sign, margin=1e-3)
         val = float(h.w @ x_k + h.b)
         assert val == pytest.approx(sign * 1e-3, abs=1e-12)
         assert int(h.predict(x_k)[0]) == (1 if sign > 0 else 0)
 
 
 def test_flip_empty_samples():
-    h = erm_flip_constrained([], np.array([1.0, 2.0]), -1, margin=1e-3)
+    h = erm_flip_constrained(np.empty((0, 2)), np.empty(0), np.empty(0, dtype=int),
+                             np.array([1.0, 2.0]), -1, margin=1e-3)
     assert np.all(h.w == 0) and h.b == pytest.approx(-1e-3)
     assert int(h.predict(np.array([1.0, 2.0]))[0]) == 0
 
@@ -184,10 +175,9 @@ def test_flip_fit_beats_random_constrained_candidates():
     X = rng.normal(size=(20, 2))
     y = rng.integers(0, 2, size=20)
     w = rng.random(20) + 0.5
-    samples = [WeightedSample(float(wi), x, int(t)) for wi, x, t in zip(w, X, y)]
     x_k = np.array([0.3, -0.2])
     margin = 1e-3
-    fit = erm_flip_constrained(samples, x_k, +1, margin=margin, reg=1e-6)
+    fit = erm_flip_constrained(X, w, y, x_k, +1, margin=margin, reg=1e-6)
 
     def loss(wv, b):
         z = X @ wv + b
@@ -201,10 +191,11 @@ def test_flip_fit_beats_random_constrained_candidates():
 
 
 def test_weighted_sample_validation():
+    X = np.zeros((1, 1))
     with pytest.raises(ValueError):
-        WeightedSample(-1.0, 0, 1)
+        erm_logistic(X, [-1.0], [1])
     with pytest.raises(ValueError):
-        WeightedSample(1.0, 0, 2)
+        erm_logistic(X, [1.0], [2])
 
 
 def test_linear_hypothesis_predict_shape():

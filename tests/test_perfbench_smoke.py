@@ -1,0 +1,35 @@
+"""One traced benchmark run per workload, checked for correctness.
+
+perfbench/run.py imports the package from ./src and writes .perfbench_out
+under the working directory, so each run happens in a temporary directory
+whose src links to the checkout's. A rename of a function the tracer wraps,
+or an output that the workload checks reject, fails here.
+"""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ("sweep_core_tail", "fc_thresholds", "oracle_linear_csv", "complexity_grid")
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_perfbench_traced_run_is_correct(workload, tmp_path):
+    (tmp_path / "src").symlink_to(ROOT / "src")
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
+         "--seed", "1", "--seconds", "0", "--trace", "1"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"], proc.stderr
+    assert result["failed"] == 0
+    if workload == "oracle_linear_csv":
+        # iwal's streaming fits reach the oracle module's names at call time
+        for name in ("oracles.erm_logistic.calls", "oracles.erm_flip_constrained.calls"):
+            assert result["metrics"][name]["value"] > 0
