@@ -122,7 +122,7 @@ def _record_design(rec, k, rep, extra):
         "lam": [float(x) for x in rep.design.lam],
         "value": rep.value_estimate,
         "certificate": rep.certificate,
-        "converged": rep.converged,
+        "converged": rep.converged, "stop_reason": rep.stop_reason,
         **extra,
     })
 
@@ -322,7 +322,7 @@ def _fixed_budget_loop(instance, rec, T, epsilon, est, *, estimator_kind, solver
                 "lam_gap": [float(x) for x in rep.design.lam],
                 "lam_psi": [float(x) for x in rep_psi.design.lam],
                 "value_gap": rep.value_estimate, "value_psi": rep_psi.value_estimate,
-                "N": N, "anchor": anchor,
+                "N": N, "anchor": anchor, "stop_reason": rep.stop_reason,
             })
         elif unique:
             _record_design(rec, k, rep, {"p_k": [float(x) for x in lam], "N": len(idx)})

@@ -1,15 +1,16 @@
 """Experimental-design objectives on the simplex and their solvers.
 
 The stochastic objectives are optimized by mirror descent
-(exponentiated gradient) with adaptive batch doubling, a backtracking
-step size, and a first-order optimality certificate. Gap-style
-objectives maximize a Gaussian-perturbed excess-error ratio per sample;
-pair-width objectives combine a squared Gaussian width with a worst-pair
-inverse-mass penalty. The deterministic objectives skip the descent:
-the worst-coordinate objective is solved exactly in closed form, and the
-inverse-information objective through its dual, certified by the exact
-duality gap. Waterfilling reconciles per-round designs with the
-cumulative sampling distribution.
+(exponentiated gradient) with batch doubling and a backtracking step;
+candidate designs are scored on common draws, and the best is returned
+once a first-order certificate holds, the best score plateaus or the
+iteration cap is hit. Gap-style objectives maximize a Gaussian-perturbed
+excess-error ratio per sample; pair-width objectives combine a squared
+Gaussian width with a worst-pair inverse-mass penalty. The deterministic
+objectives skip the descent: the worst-coordinate objective is solved
+exactly in closed form, and the inverse-information objective through
+its dual, certified by the exact duality gap. Waterfilling reconciles
+per-round designs with the cumulative sampling distribution.
 """
 from __future__ import annotations
 
@@ -251,17 +252,26 @@ def _mirror_step(lam, g, step):
     return floor_simplex(np.exp(u))
 
 
+def _paired_se(a, b) -> float:
+    """Standard error of mean(a - b) over the draws both were scored on."""
+    return float(np.std(a - b) / math.sqrt(a.size))
+
+
 @dataclass(eq=False)
 class SolverReport:
-    """Mirror-descent output: design, value with spread, and certificate."""
+    """Solver output: design, value with spread, certificate and why it stopped."""
 
     design: Design
     value_estimate: float
     value_stderr: float
-    certificate: float
+    certificate: float  # smd_solve: that of the iteration which proposed the design
     batch_trajectory: list
     iterations: int
-    converged: bool
+    stop_reason: str  # "exact", "certificate", "plateau" or "cap"
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason != "cap"
 
 
 def _psi_exact(obj: DesignObjective) -> SolverReport:
@@ -275,11 +285,12 @@ def _psi_exact(obj: DesignObjective) -> SolverReport:
     design = Design(a)
     value, _ = objective_sample(obj, design, np.zeros(obj.n))
     return SolverReport(design=design, value_estimate=value, value_stderr=0.0,
-                        certificate=0.0, batch_trajectory=[], iterations=0, converged=True)
+                        certificate=0.0, batch_trajectory=[], iterations=0, stop_reason="exact")
 
 
 RHO_REL_GAP = 1e-4
 RHO_MAX_ITERS = 20_000
+PLATEAU_WINDOW = 10  # smd_solve iterations between candidate averages and plateau tests
 
 
 def _rho_dual(obj: DesignObjective) -> SolverReport:
@@ -295,7 +306,7 @@ def _rho_dual(obj: DesignObjective) -> SolverReport:
     CS = obj.coeff[:, None] * obj.S
     mu = np.full(CS.shape[0], 1.0 / CS.shape[0])
     best_value, best_design, bound = np.inf, None, 0.0
-    converged = False
+    stop_reason = "cap"
     for it in range(1, RHO_MAX_ITERS + 1):
         root = np.sqrt(mu @ CS)
         bound = max(bound, float(root.sum()) ** 2)
@@ -305,13 +316,13 @@ def _rho_dual(obj: DesignObjective) -> SolverReport:
         if value < best_value:
             best_value, best_design = value, design
         if best_value - bound <= RHO_REL_GAP * best_value:
-            converged = True
+            stop_reason = "certificate"
             break
         mu *= vals
         mu /= mu.sum()
     return SolverReport(design=best_design, value_estimate=best_value, value_stderr=0.0,
                         certificate=max(best_value - bound, 0.0), batch_trajectory=[],
-                        iterations=it, converged=converged)
+                        iterations=it, stop_reason=stop_reason)
 
 
 def smd_solve(
@@ -328,16 +339,20 @@ def smd_solve(
     """Minimize a design objective over the simplex by mirror descent.
 
     Exponentiated-gradient updates from the uniform design; the batch
-    size doubles whenever gradient noise dominates the first-order gap;
-    the step size backtracks on values alone (two steps tie when the value
-    difference is within one standard error on common draws); stops when
-    the certificate 2 max_k sigma_k + max_k <g, lam - e_k> drops below tol.
-    Each evaluated design (iterate, backtracking trial, returned design)
-    gets its value from _outer, whose slope also scales the gradient
-    noise, the tie margin and the value's standard error. The psi mode
-    returns its closed-form minimizer and the rho mode its dual-certified
-    one (certificate = the exact duality gap); both ignore the stochastic
-    parameters and the seed. Every design is floored at LAMBDA_FLOOR.
+    doubles whenever gradient noise dominates the first-order gap; the
+    step backtracks on values alone (a tie is within one paired standard
+    error on the iteration's draws). Candidates (each iterate with the
+    lowest batch value so far; every PLATEAU_WINDOW iterations the mean of
+    the second half of the iterates) are scored on one evaluation batch of
+    max(b0, eval_samples) draws, eval_samples at most 32 when
+    oracle-backed; the best is returned with its score as value and
+    standard error. stop_reason: "certificate" once 2 max_k sigma_k +
+    max_k <g, lam - e_k> <= tol + rel_tol |value| on a batch with a
+    nonzero value; "plateau" at a checkpoint whose best score beats the
+    previous checkpoint's by at most tol plus one paired standard error;
+    else "cap". Values come from _outer, whose slope also scales the
+    noise and standard errors. psi returns its closed form ("exact"), rho
+    its dual-certified minimizer; both ignore the stochastic parameters.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -347,15 +362,17 @@ def smd_solve(
         return _rho_dual(obj)
     if not obj.stochastic:
         raise ValueError(f"unknown objective mode {obj.mode!r}")
+    if max_iters < 1:
+        raise ValueError("max_iters must be positive")
     n = obj.n
     lam = np.full(n, 1.0 / n)
     B = max(int(b0), 2)
     step = 1.0
-    batch_trajectory = []
-    best = (np.inf, lam.copy(), np.inf)
-    converged = False
-    cert = np.inf
-    it = 0
+    batch_trajectory, iterates = [], []
+    # oracle-backed objectives pay one inner line search per evaluation draw
+    size = max(B, min(eval_samples, 32) if obj.maximizer is not None else eval_samples)
+    Z_eval = np.random.default_rng([seed, 1 << 30]).standard_normal((size, n))
+    best, checkpoint, lowest = (np.inf,), None, np.inf
     for it in range(1, max_iters + 1):
         Z = np.random.default_rng([seed, it - 1]).standard_normal((B, n))
         vals, argmax = batch_values(obj, lam, Z)
@@ -367,11 +384,21 @@ def smd_solve(
         gap_term = float(g @ lam - g.min())
         cert = 2.0 * sigma_max + gap_term
         batch_trajectory.append(B)
-        if value < best[0]:
-            best = (value, lam.copy(), cert)
-        if cert <= tol + rel_tol * abs(value):
-            converged = True
+        iterates.append(lam)
+        certified = cert <= tol + rel_tol * abs(value) and vals.any()  # all-zero batches prove nothing
+        cands = [lam] if value < lowest or certified else []
+        lowest = min(lowest, value)
+        at_checkpoint = it % PLATEAU_WINDOW == 0
+        if at_checkpoint:
+            cands.append(floor_simplex(np.mean(iterates[it // 2:], axis=0)))
+        for c in cands:  # (value, slope, per-draw values, design, certificate)
+            evals = batch_values(obj, c, Z_eval)[0]
+            best = min(best, (*_outer(obj, c, evals)[:2], evals, c, cert), key=lambda t: t[0])
+        plateau = at_checkpoint and checkpoint is not None and checkpoint[0] - best[0] <= tol + (
+            _paired_se(checkpoint[2], best[2]) * max(checkpoint[1], best[1]))
+        if certified or plateau:
             break
+        checkpoint = best if at_checkpoint else checkpoint
         if 2.0 * sigma_max >= gap_term:
             B = min(2 * B, max_batch)
         # backtracking exponentiated step on common draws
@@ -380,25 +407,18 @@ def smd_solve(
             cand = _mirror_step(lam, g, trial)
             cvals, _ = batch_values(obj, cand, Z)
             cvalue, cslope, _ = _outer(obj, cand, cvals)
-            if cvalue - value <= float(np.std(cvals - vals) / math.sqrt(B)) * max(slope, cslope):
+            if cvalue - value <= _paired_se(cvals, vals) * max(slope, cslope):
                 break
             trial *= 0.5
         else:  # no trial accepted: take the smallest step
             cand = _mirror_step(lam, g, trial)
         lam, step = cand, trial
-    if not converged and best[0] < np.inf:
-        _, lam, cert = best
-    # dedicated evaluation at the returned design; oracle-backed objectives
-    # pay one inner line search per sample, so keep that batch small
-    if obj.maximizer is not None:
-        eval_samples = min(eval_samples, 32)
-    Z = np.random.default_rng([seed, 1 << 30]).standard_normal((max(B, eval_samples), n))
-    vals, _ = batch_values(obj, lam, Z)
-    value, slope, _ = _outer(obj, lam, vals)
+    value, slope, vals, lam, cert = best
     return SolverReport(design=Design(lam), value_estimate=value,
                         value_stderr=float(np.std(vals) / math.sqrt(vals.size)) * slope,
                         certificate=float(cert), batch_trajectory=batch_trajectory,
-                        iterations=it, converged=converged)
+                        iterations=it,
+                        stop_reason="certificate" if certified else "plateau" if plateau else "cap")
 
 
 def line_search_max(lam, zeta, anchor_labeling, eta_hat, scale, maximizer, n_max: int = 20):

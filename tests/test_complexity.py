@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -115,6 +116,16 @@ def test_gamma_star_duplication_invariance():
     Hdup = np.array([[0, 0], [1, 0], [1, 0]], dtype=np.int8)
     g2 = gamma_star(HypothesisClass(Hdup), labels, 0.05, mc_samples=2000, solver=QUICK, seed=2)
     assert g1.value == pytest.approx(g2.value, rel=1e-9)  # dedup makes them identical
+
+
+def test_gamma_star_diagnostic_solve_leaves_the_uniform_start():
+    # at the default DIAGNOSTIC_SOLVER; the uniform design scores about 32.5
+    inst = make_thresholds(16, 7, 0.5)
+    start = time.perf_counter()
+    g = gamma_star(inst.hypotheses, inst.labels, 0.05)
+    assert time.perf_counter() - start < 5.0
+    assert not np.allclose(g.design.lam, 1.0 / 16)
+    assert g.value <= 23.1 and g.converged
 
 
 def test_psi_star_core_tail_exceeds_rho_bound():

@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import aced.design
+from aced.algorithms import DEFAULT_SOLVER
+from aced.complexity import make_core_tail_instance, make_thresholds
 from aced.design import (
     Design,
     LAMBDA_FLOOR,
@@ -339,3 +342,79 @@ def test_values_step_is_bitwise_the_gradient_path():
         assert np.array_equal(gmean, ref_mean) and np.array_equal(gsq, ref_sq)
     obj, lam, Z = cases[0]
     assert not batch_values(obj, lam, Z)[0].any()
+
+
+def test_stop_reason_names_the_rule_that_ended_the_solve(monkeypatch):
+    H = np.array([[0, 0, 0], [1, 1, 0], [0, 1, 1]], dtype=np.int8)
+    eta = np.array([0.1, 0.2, 0.3])
+    psi = smd_solve(psi_objective(H, eta, 0, 0.3), tol=1e-3)
+    rho = smd_solve(rho_objective(H, eta, 0.3, 0), tol=1e-3)
+    capped = smd_solve(gap_objective(H, eta, 0, 0.5), tol=1e-3, max_iters=3)
+    assert (psi.stop_reason, rho.stop_reason, capped.stop_reason) == ("exact", "certificate", "cap")
+    assert psi.converged and rho.converged and not capped.converged
+    monkeypatch.setattr(aced.design, "RHO_MAX_ITERS", 1)
+    rho = smd_solve(rho_objective(H, eta, 0.3, 0), tol=1e-3)
+    assert rho.stop_reason == "cap" and not rho.converged
+
+
+def test_core_tail_round_one_gap_solve_stops_on_a_plateau():
+    # the round-1 fixed-budget objective: prior eta-hat 0, the empty
+    # labeling as anchor, scale 1; uniform is near-optimal here
+    H = make_core_tail_instance(4).hypotheses.labelings
+    n = H.shape[1]
+    obj = gap_objective(H, np.zeros(n), 0, 1.0)
+    for seed in range(5):
+        rep = smd_solve(obj, seed=seed, **DEFAULT_SOLVER)
+        assert rep.stop_reason == "plateau" and rep.iterations <= 50
+        # the score is on the solve's evaluation draws, where the uniform
+        # start is always a candidate
+        Z = np.random.default_rng([seed, 1 << 30]).standard_normal((512, n))
+        assert rep.value_estimate == pytest.approx(np.mean(batch_values(obj, rep.design.lam, Z)[0]), rel=1e-12)
+        assert rep.value_estimate <= np.mean(batch_values(obj, np.full(n, 1 / n), Z)[0])
+
+
+def test_all_zero_batch_does_not_certify():
+    # the live score is a negative multiple of z_0: both draws of seed 3's
+    # first batch have z_0 > 0, so every value and the gradient are 0
+    obj = gap_objective(np.array([[0, 0], [1, 0]], dtype=np.int8), np.array([0.2, 0.6]), 0, 0.5)
+    seed = 3
+    assert np.all(np.random.default_rng([seed, 0]).standard_normal((2, 2))[:, 0] > 0)
+    rep = smd_solve(obj, tol=1e-3, b0=2, seed=seed, max_iters=40)
+    assert rep.iterations > 1 and rep.batch_trajectory[:2] == [2, 4]
+    assert rep.value_estimate > 0
+
+
+def test_backtracking_ties_on_the_draws_the_trial_was_scored_on(monkeypatch):
+    # a trial step ties when its value is within one paired standard error
+    # of the iterate's on the iteration's draws, also on iterations that
+    # double the batch for the next one
+    inst = make_thresholds(32, 13, 0.4)
+    obj = gap_objective(inst.hypotheses.labelings, inst.labels.eta, 12, 0.5)
+    seed = 4
+    calls = []
+
+    def spy(o, lam, Z):
+        vals, argmax = batch_values(o, lam, Z)
+        if not np.array_equal(Z, np.random.default_rng([seed, 1 << 30]).standard_normal(Z.shape)):
+            calls.append((Z, np.array(lam), vals))  # not the evaluation batch
+        return vals, argmax
+
+    monkeypatch.setattr(aced.design, "batch_values", spy)
+    rep = smd_solve(obj, seed=seed, **DEFAULT_SOLVER)
+    groups = []  # per iteration: the iterate, then its trials, on one draw
+    for Z, lam, vals in calls:
+        if groups and groups[-1][0] is Z:
+            groups[-1][1].append((lam, vals))
+        else:
+            groups.append((Z, [(lam, vals)]))
+    assert len(groups) == rep.iterations
+    doubling_ties = 0
+    for t in range(len(groups) - 1):
+        (_, vals), *trials = groups[t][1]
+        for j, (lam, cvals) in enumerate(trials):
+            accepted = j == len(trials) - 1 and np.array_equal(lam, groups[t + 1][1][0][0])
+            diff = np.mean(cvals) - np.mean(vals)
+            se = np.std(cvals - vals) / math.sqrt(vals.size)
+            assert (diff <= se) == accepted
+            doubling_ties += rep.batch_trajectory[t + 1] > vals.size and se / math.sqrt(2) < diff <= se
+    assert doubling_ties >= 1

@@ -91,13 +91,13 @@ CASES = {
 }
 
 GOLDEN = {
-    "fixed_budget_chaining/thresholds": "5937eeb05d1d3c6f5f16ee1ba480bb2f8b58d44dc53519036cb4193b6204c492",
-    "fixed_budget_efficient/core_tail": "14a54892a15b8ad602ed9db0325873a72dc7a531aeaf608345e83d19f76f30a0",
-    "fixed_budget_efficient/thresholds": "cc71db193de0a4b8681b03c55edc5251832e98faf671a9c9b2164e4a0c5a4e66",
-    "fixed_budget_ips/thresholds": "46eb752c3551ec597865997c585c0656cb58f3cd456876d72b04e8ff1ed27dc3",
-    "fixed_budget_naive/core_tail": "cc9109f429cb4f0fd192d93b07cdaa5108f11ab44c18dbd3c3a219064a2b36d1",
-    "fixed_confidence_capped/thresholds": "9c928186f138639ec83ee3794ba2ff81262c7f390ea8f49e344ba62c7263d0a1",
-    "fixed_confidence/thresholds": "06f7a6fae14c1974ac965cff430c17c7ccffd3f9904ae8c7f1f98e4e88f668a9",
+    "fixed_budget_chaining/thresholds": "ee21163ffe52a60b65018d4a65602d4fd28303bf8483a20188473cea5bd7a30a",
+    "fixed_budget_efficient/core_tail": "88394e684216ecd7a7c31110600beb33b91c16e6a5106d64992a87afe837e334",
+    "fixed_budget_efficient/thresholds": "71462b2f5062bd480165bfdd2b32cfc459530e7339daae7bda0713de09a9fff5",
+    "fixed_budget_ips/thresholds": "21e23b8d41f03e70dc2868e260da444c420307f3629ed1ca4e477e0aefe1da4b",
+    "fixed_budget_naive/core_tail": "faa5b3c26939148c0654f594f9532d7d35b8019e8b8e45851bbb1ce15bc0a053",
+    "fixed_confidence_capped/thresholds": "bce2e2bca3c0ae624364c54444ad6eb2ae325c45545c10f462a309871f83f407",
+    "fixed_confidence/thresholds": "f71527387abb18ad80d8abdecbb3ff0d464d7174828234305a30dbf8c1845d2b",
     "iwal/core_tail": "6ac0dec67b743cdb06ed40221744591bbea919f8a8d5dcaafe038d3a448e0ffc",
     "iwal1/thresholds": "2c07ecf41adcd6bb68f75aa280109042ece59c3ef98a5f3e33205b341b98fc45",
     "iwal_oracle/linear": "16a8dac40f9b1ccab0173cdaca6fec59585b80e889d423cfb21ac12431f360a0",
@@ -106,10 +106,10 @@ GOLDEN = {
     "passive/core_tail": "cefc6cf2197f83525af8c3fda91c03783f9c63d8cdfd4e74115f51c873bafea2",
     "passive_nonpersistent/thresholds": "54acfc1406a7463ace9a27d50616f53cc894521e769ee2b38fa8da0553fa6d40",
     "uniform_disagreement/thresholds": "9cc31249051764ce88a25353e2948fb8c140e70217c0afa6cedc81a588c12a55",
-    "waterfilled/core_tail": "efc886cbae1a619f42ba2b3f19646025c6285724f2663020d5a702a849ff1a9b",
-    "waterfilled_exhausted/thresholds": "8612ba6554b09a0f187b176b7181ad48d55152ca7a948b00b279fffb0f3e6674",
-    "waterfilled_oracle/linear": "118929d1209c523ab31c08ee4845044af5b5c21f1b743cac170daebe452720ef",
-    "waterfilled_oracle_lsi1/linear": "abcd5b4dc8f59d729cb71f075cf88ad4b7070be248a04d633e68dde7207526af",
+    "waterfilled/core_tail": "685479701722be4bf3f0f6be55343e85ee7c6fa59dc73fe27163156c193297e4",
+    "waterfilled_exhausted/thresholds": "b04af4ace797ba895808e2bea01b406a111c6d529f07b2d26df3f4ebab385f7b",
+    "waterfilled_oracle/linear": "8669c751cefaacd3cd1184b735c41eed66a138e126335be77de69e972868b1ec",
+    "waterfilled_oracle_lsi1/linear": "678bf9e5fd3f629a70943201da1f314dc159aa926e91646d8f8c23e19850a76c",
 }
 
 
@@ -128,7 +128,7 @@ def test_fixed_confidence_seed_panel_digest():
                                                         design_cache=cache).to_jsonl()
                      for seed in range(200))
     assert (hashlib.sha256(body.encode()).hexdigest()
-            == "a7bc189bcb9230996d447437942e3852e2a236bdef733dd8707e776c7009936f")
+            == "ad70ef0e374e2327e07462a730fa8bfec0cc154606dfe367e0b37ea3f03fed23")
 
 
 def test_fixed_budget_shared_cache_panel_digest():
@@ -138,4 +138,4 @@ def test_fixed_budget_shared_cache_panel_digest():
                                                     seed=seed, design_cache=cache).to_jsonl()
                      for seed in range(4))
     assert (hashlib.sha256(body.encode()).hexdigest()
-            == "ffe9bd4d1a68ca4a36391467b86406fb7a1169ff1795085a7409ed9cb62c832c")
+            == "4d95807f4bb45bb2a040d9ea35a26b64cf7694135b8d7654c7b7b44c8b540f36")
