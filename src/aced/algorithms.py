@@ -121,14 +121,10 @@ def _record_design(rec, k, rep, extra):
         "round": k,
         "lam": [float(x) for x in rep.design.lam],
         "value": rep.value_estimate,
-        "certificate": rep.certificate,
+        "certificate": rep.certificate if math.isfinite(rep.certificate) else None,
         "converged": rep.converged, "stop_reason": rep.stop_reason,
         **extra,
     })
-
-
-def _draw_iid(rng, lam, size):
-    return rng.choice(lam.size, size=size, p=lam)
 
 
 def _round_log(k, idx, probs, ys):
@@ -185,7 +181,7 @@ def aced_fixed_confidence(
         n_k = int(min(wanted, max_round_queries))
         capped_rounds += wanted > max_round_queries
         rng = np.random.default_rng([seed, k])
-        idx = _draw_iid(rng, lam, n_k)
+        idx = rng.choice(lam.size, size=n_k, p=lam)
         ys = instance.labels.query_many(idx)
         round_log = _round_log(k, idx, lam[idx], ys)
         rec.queries.extend(round_log)
@@ -305,7 +301,7 @@ def _fixed_budget_loop(instance, rec, T, epsilon, est, *, estimator_kind, solver
             if fallback:
                 rec.flags["sampling_fallback"] = True
         else:
-            idx = _draw_iid(rng, lam, N)
+            idx = rng.choice(lam.size, size=N, p=lam)
         ys = instance.labels.query_many(idx)
         round_log = _round_log(k, idx, lam[idx], ys)
         rec.queries.extend(round_log)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import configparser
 import csv
+import functools
+import inspect
 import io
 import json
 import math
@@ -22,20 +24,16 @@ from pathlib import Path
 import numpy as np
 
 from .algorithms import REGISTRY, RunRecord, _erm_handle
-from .complexity import (
-    make_core_tail_instance,
-    make_thresholds,
-    make_tsybakov,
-)
+from .complexity import make_core_tail_instance, make_thresholds, make_tsybakov
 from .core import HypothesisClass, Instance, LabelModel, Pool
 from .estimators import naive_estimate
 # weighted_max stays importable here: perfbench/tracer.py wraps bench.weighted_max
 from .oracles import LinearOracleClass, weighted_max  # noqa: F401
 
-GENERATORS = {
-    "core_tail": lambda **kw: make_core_tail_instance(**kw),
-    "thresholds": lambda **kw: make_thresholds(**kw),
-    "tsybakov": lambda **kw: make_tsybakov(**kw)[0],
+GENERATORS = {  # each generator's signature is the one build_instance checks specs against
+    "core_tail": make_core_tail_instance,
+    "thresholds": make_thresholds,
+    "tsybakov": functools.wraps(make_tsybakov)(lambda **kw: make_tsybakov(**kw)[0]),
 }
 
 
@@ -143,7 +141,13 @@ def build_instance(spec: dict) -> Instance:
         return ingest_csv(spec["features_csv"], spec["labels_csv"])
     gen = spec.pop("generator", None)
     if gen not in GENERATORS:
-        raise ConfigError(f"unknown instance generator {gen!r}")
+        raise ConfigError(f"unknown instance generator {gen!r}; choices: {sorted(GENERATORS)}")
+    sig = inspect.signature(GENERATORS[gen])
+    try:  # names an unknown key, else a missing one
+        sig.bind_partial(**spec)
+        sig.bind(**spec)
+    except TypeError as exc:
+        raise ConfigError(f"instance generator {gen!r}: {exc}") from None
     return GENERATORS[gen](**spec)
 
 

@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 from . import bench
-from .bench import GENERATORS, StdinLabelModel, build_instance, load_config
+from .bench import ConfigError, StdinLabelModel, build_instance, load_config
 from .complexity import complexity_report
 from .core import Instance
 
@@ -61,10 +61,11 @@ def _cmd_instance(args):
     for kv in args.param or []:
         key, _, val = kv.partition("=")
         params[key.replace("-", "_")] = bench._coerce(val)
-    if args.generator not in GENERATORS:
-        print(f"unknown generator {args.generator!r}; choices: {sorted(GENERATORS)}", file=sys.stderr)
+    try:
+        instance = build_instance({**params, "generator": args.generator})
+    except ConfigError as exc:
+        print(exc, file=sys.stderr)
         return 2
-    instance = GENERATORS[args.generator](**params)
     paths = bench.export_instance(instance, args.out)
     print(json.dumps(paths, indent=2))
     return 0

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import plugin_errors
+from .estimators import pair_distance_matrix
 
 LAMBDA_FLOOR = 1e-9
 
@@ -62,7 +63,7 @@ class DesignObjective:
     modes, and the fields each reads besides mode and n:
       fixed_budget     E[max_h (anchor-h) gap ratio], additive scale: V, den, anchor
       true_gap         same ratio with true gaps floored at epsilon: V, den, anchor
-      fixed_confidence E[max-pair width]^2 + penalty * max-pair inverse mass: P, penalty
+      fixed_confidence E[max_h - min_h score]^2 + penalty * max-pair inverse mass: V, den, penalty
       rho              max_h (inverse-information / gap^2), solved through
                        its dual (hypothesis weights, exact duality gap): S, coeff
       psi              max_{h, i in disagreement} worst-coordinate ratio,
@@ -74,10 +75,9 @@ class DesignObjective:
 
     mode: str
     n: int
-    V: np.ndarray | None = None        # (m, n) numerator rows, 1/n folded in
+    V: np.ndarray | None = None        # (m, n) score rows, 1/n folded in
     den: np.ndarray | None = None      # (m,) positive denominators
     anchor: int = 0
-    P: np.ndarray | None = None        # (pairs, n) pair differences / n
     penalty: float = 0.0
     S: np.ndarray | None = None        # (m, n) 0/1 disagreement supports
     coeff: np.ndarray | None = None    # (m,) rho coefficients
@@ -126,15 +126,12 @@ def oracle_gap_objective(n, anchor_labeling, eta, scale: float, maximizer,
 
 
 def pair_width_objective(labelings, delta: float) -> DesignObjective:
-    """Squared pair Gaussian width plus 2 log(1/delta) worst-pair inverse mass."""
+    """Squared pair Gaussian width plus 2 log(1/delta) worst-pair inverse mass.
+    The widest pair on a draw x is max_h L_h.x - min_h L_h.x: V = L/n, den = 1."""
     L = np.asarray(labelings, dtype=float)
     m, n = L.shape
-    a, b = np.triu_indices(m, 1)
-    P = (L[a] - L[b]) / n
-    P = P[np.any(P, axis=1)]
-    if not P.shape[0]:
-        P = np.zeros((1, n))
-    return DesignObjective(mode="fixed_confidence", n=n, P=P, penalty=2.0 * math.log(1.0 / delta))
+    return DesignObjective(mode="fixed_confidence", n=n, V=L / n, den=np.ones(m),
+                           penalty=2.0 * math.log(1.0 / delta))
 
 
 def rho_objective(labelings, eta, epsilon: float, anchor: int) -> DesignObjective:
@@ -163,7 +160,7 @@ def objective_sample(obj: DesignObjective, design: Design, zeta) -> tuple:
 
     Gap modes return (max_h f, argmax h) with the anchor worth exactly 0
     (the labeling the line search found, when oracle-backed); the
-    pair-width mode returns the width sample and its pair index; the
+    pair-width mode returns (max - min score, (argmax h, argmin h)); the
     stochastic modes evaluate through batch_values on a one-row batch.
     The rho and psi modes ignore zeta.
     """
@@ -182,7 +179,7 @@ def objective_sample(obj: DesignObjective, design: Design, zeta) -> tuple:
     if obj.maximizer is not None:
         return float(vals[0]), argmax[0]
     if obj.mode == "fixed_confidence":
-        return float(vals[0]), int(np.argmax(np.abs(argmax[:, 0])))
+        return float(vals[0]), (int(np.argmax(argmax[:, 0])), int(np.argmin(argmax[:, 0])))
     if vals[0] <= 0.0:
         return 0.0, obj.anchor
     return float(vals[0]), int(np.argmax(argmax[:, 0]))
@@ -191,8 +188,9 @@ def objective_sample(obj: DesignObjective, design: Design, zeta) -> tuple:
 def batch_values(obj: DesignObjective, lam: np.ndarray, Z: np.ndarray):
     """Per-sample values of a stochastic objective on a batch of Gaussian draws.
 
-    Also returns what batch_gradient needs to differentiate the max: the
-    (rows, B) score matrix, or the labeling each oracle line search found.
+    A score column's value is max(max, 0) in the gap modes, max - min in the
+    pair-width mode; batch_gradient also gets the (m, B) score matrix, or the
+    labeling each oracle line search found, to differentiate the max.
     """
     if obj.maximizer is not None:
         vals = np.empty(Z.shape[0])
@@ -203,11 +201,9 @@ def batch_values(obj: DesignObjective, lam: np.ndarray, Z: np.ndarray):
             vals[s] = max(v, 0.0)
             labs.append(lab)
         return vals, labs
-    Zs = Z / np.sqrt(lam)
+    scores = (obj.V @ (Z / np.sqrt(lam)).T) / obj.den[:, None]
     if obj.mode == "fixed_confidence":
-        proj = obj.P @ Zs.T
-        return np.abs(proj).max(axis=0), proj
-    scores = (obj.V @ Zs.T) / obj.den[:, None]
+        return scores.max(axis=0) - scores.min(axis=0), scores
     return np.maximum(scores.max(axis=0), 0.0), scores
 
 
@@ -222,10 +218,8 @@ def batch_gradient(obj: DesignObjective, lam: np.ndarray, Z: np.ndarray, vals, a
             den = max(den, obj.scale * 1e-3) if obj.scale > 0 else max(den, 1e-12)
             grads[s] = -0.5 * row * Z[s] * inv32 / den if vals[s] > 0 else 0.0
         return grads.mean(axis=0), (grads**2).mean(axis=0)
-    cols = np.arange(Z.shape[0])
     if obj.mode == "fixed_confidence":
-        rows = np.argmax(np.abs(argmax), axis=0)
-        W = obj.P[rows] * np.sign(argmax[rows, cols])[:, None]
+        W = obj.V[np.argmax(argmax, axis=0)] - obj.V[np.argmin(argmax, axis=0)]
     else:
         rows = np.argmax(argmax, axis=0)
         rows[vals <= 0] = obj.anchor
@@ -236,14 +230,16 @@ def batch_gradient(obj: DesignObjective, lam: np.ndarray, Z: np.ndarray, vals, a
 
 def _outer(obj, lam, vals):
     """(value, slope, gpen) at lam from per-sample values: the mean, 1, None
-    for gap modes; for fixed_confidence mean^2 + penalty * worst-pair
-    inverse mass, the square's slope 2 * mean, and that mass's gradient."""
+    for gap modes; for fixed_confidence mean^2 + penalty * worst-pair inverse
+    mass (the squared design distance of rows V_a, V_b), the square's slope
+    2 * mean, and that mass's gradient -(V_a - V_b)^2 / lam^2."""
     mean = float(np.mean(vals))
     if obj.mode != "fixed_confidence":
         return mean, 1.0, None
-    mass = (obj.P**2) @ (1.0 / lam)
-    p = int(np.argmax(mass))
-    return mean**2 + obj.penalty * float(mass[p]), 2.0 * mean, -(obj.P[p] ** 2) / lam**2
+    dist = pair_distance_matrix(obj.V, lam, 1)
+    a, b = divmod(int(np.argmax(dist)), dist.shape[1])
+    gpen = -((obj.V[a] - obj.V[b]) ** 2) / lam**2
+    return mean**2 + obj.penalty * float(dist[a, b]) ** 2, 2.0 * mean, gpen
 
 
 def _mirror_step(lam, g, step):
@@ -264,7 +260,7 @@ class SolverReport:
     design: Design
     value_estimate: float
     value_stderr: float
-    certificate: float  # smd_solve: that of the iteration which proposed the design
+    certificate: float  # smd_solve: the proposing iteration's, inf if its batch was all zeros
     batch_trajectory: list
     iterations: int
     stop_reason: str  # "exact", "certificate", "plateau" or "cap"
@@ -382,10 +378,10 @@ def smd_solve(
         gvar = slope**2 * np.maximum(gsq - gmean**2, 0.0) / B
         sigma_max = float(np.sqrt(gvar.max()))
         gap_term = float(g @ lam - g.min())
-        cert = 2.0 * sigma_max + gap_term
+        cert = 2.0 * sigma_max + gap_term if vals.any() else math.inf  # all-zero batches prove nothing
         batch_trajectory.append(B)
         iterates.append(lam)
-        certified = cert <= tol + rel_tol * abs(value) and vals.any()  # all-zero batches prove nothing
+        certified = cert <= tol + rel_tol * abs(value)
         cands = [lam] if value < lowest or certified else []
         lowest = min(lowest, value)
         at_checkpoint = it % PLATEAU_WINDOW == 0

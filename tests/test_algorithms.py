@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from aced.algorithms import (
     RunRecord,
     _iwal_probability,
+    _record_design,
     aced_fixed_budget,
     aced_fixed_budget_efficient,
     aced_fixed_confidence,
@@ -16,6 +18,7 @@ from aced.algorithms import (
 )
 from aced.complexity import make_core_tail_instance, make_thresholds
 from aced.core import HypothesisClass, ImplicitClassError, Instance, LabelModel, Pool, gap_table
+from aced.design import gap_objective, smd_solve
 from aced.oracles import LinearOracleClass
 
 
@@ -315,6 +318,23 @@ def test_runrecord_serialization_round_trip():
     back = RunRecord.from_jsonl(line)
     assert back.to_jsonl() == line
     assert back.queries == rec.queries
+
+
+def test_design_from_an_all_zero_batch_reports_no_certificate():
+    # the live score is a negative multiple of z_0 and seed 3's first 2-draw
+    # batch has z_0 > 0: a solve capped at 3 iterations returns the uniform
+    # start, proposed by iteration 1 on that all-zero batch
+    obj = gap_objective(np.array([[0, 0], [1, 0]], dtype=np.int8), np.array([0.2, 0.6]), 0, 0.5)
+    rep = smd_solve(obj, tol=1e-3, b0=2, seed=3, max_iters=3)
+    assert rep.stop_reason == "cap" and np.array_equal(rep.design.lam, [0.5, 0.5])
+    assert rep.certificate == math.inf  # not 0.0: an all-zero batch proves nothing
+    rec = RunRecord(algorithm="aced_waterfilled", seed=0, params={})
+    _record_design(rec, 1, rep, {})
+
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    assert json.loads(rec.to_jsonl(), parse_constant=reject)["designs"][0]["certificate"] is None
 
 
 def test_budget_accounting_all_fixed_budget_variants():

@@ -413,3 +413,16 @@ def test_csv_pool_without_features_file_is_rejected_before_parsing(tmp_path):
     labels.write_text("id,y\na,2\n")  # a bad label that parsing would report first
     with pytest.raises(ConfigError, match="features_csv is missing"):
         build_instance({"labels_csv": str(labels)})
+
+
+def test_bad_generator_parameters_are_rejected_where_they_enter(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="'core_tail'.*unexpected keyword argument 'mm'"):
+        build_instance({"generator": "core_tail", "mm": 3})
+    with pytest.raises(ConfigError, match="'thresholds'.*missing a required argument: 'k_star'"):
+        build_instance({"generator": "thresholds", "n": 4})
+    with pytest.raises(ConfigError, match="'tsybakov'.*unexpected keyword argument 'm'"):
+        build_instance({"generator": "tsybakov", "n": 8, "a": 1.0, "alpha": 0.5, "m": 2})
+    assert cli.main(["instance", "thresholds", "--param", "n=4", "--out", str(tmp_path / "i")]) == 2
+    assert "'thresholds'" in capsys.readouterr().err and not (tmp_path / "i").exists()
+    assert cli.main(["instance", "nope", "--out", str(tmp_path / "i")]) == 2
+    assert "choices: ['core_tail', 'thresholds', 'tsybakov']" in capsys.readouterr().err

@@ -25,6 +25,7 @@ from aced.design import (
     smd_solve,
     waterfill,
 )
+from test_design_parity import PAIR_RTOL, reference_pair_rows, reference_pair_width
 
 
 @given(st.lists(st.floats(0, 100), min_size=2, max_size=12))
@@ -294,22 +295,15 @@ def test_sample_unique_first_draw_distribution():
 
 
 def _gradient_path(obj, lam, Z):
-    """Reference values and gradient moments: argmax rows picked from the
-    score matrix, values read off those rows."""
+    """Reference values and gradient moments of a gap mode: argmax rows
+    picked from the score matrix, values read off those rows."""
     Zs = Z / np.sqrt(lam)
-    cols = np.arange(Z.shape[0])
-    if obj.mode == "fixed_confidence":
-        proj = obj.P @ Zs.T
-        rows = np.argmax(np.abs(proj), axis=0)
-        vals = np.abs(proj[rows, cols])
-        W = obj.P[rows] * np.sign(proj[rows, cols])[:, None]
-    else:
-        scores = (obj.V @ Zs.T) / obj.den[:, None]
-        rows = np.argmax(scores, axis=0)
-        vals = scores[rows, cols]
-        rows[vals <= 0] = obj.anchor
-        vals = np.maximum(vals, 0.0)
-        W = obj.V[rows] / obj.den[rows][:, None]
+    scores = (obj.V @ Zs.T) / obj.den[:, None]
+    rows = np.argmax(scores, axis=0)
+    vals = scores[rows, np.arange(Z.shape[0])]
+    rows[vals <= 0] = obj.anchor
+    vals = np.maximum(vals, 0.0)
+    W = obj.V[rows] / obj.den[rows][:, None]
     grads = -0.5 * W * Z * (lam ** (-1.5))
     return vals, grads.mean(axis=0), (grads**2).mean(axis=0)
 
@@ -334,12 +328,16 @@ def test_values_step_is_bitwise_the_gradient_path():
         for _ in range(10):
             cases.append((obj, floor_simplex(rng.random(4)), rng.standard_normal((64, 4))))
         cases.append((obj, floor_simplex(rng.random(4)), np.zeros((8, 4))))  # every row ties
+    pairs = reference_pair_rows(H)
     for obj, lam, Z in cases:
         vals, argmax = batch_values(obj, lam, Z)
-        ref_vals, ref_mean, ref_sq = _gradient_path(obj, lam, Z)
-        assert np.array_equal(vals, ref_vals)
         gmean, gsq = batch_gradient(obj, lam, Z, vals, argmax)
-        assert np.array_equal(gmean, ref_mean) and np.array_equal(gsq, ref_sq)
+        if obj.mode == "fixed_confidence":  # max - min score against the pair loop
+            for a, b in zip((vals, gmean, gsq), reference_pair_width(pairs, lam, Z, obj.penalty)):
+                np.testing.assert_allclose(a, b, rtol=PAIR_RTOL, atol=0)
+        else:
+            ref = _gradient_path(obj, lam, Z)
+            assert all(np.array_equal(a, b) for a, b in zip((vals, gmean, gsq), ref))
     obj, lam, Z = cases[0]
     assert not batch_values(obj, lam, Z)[0].any()
 

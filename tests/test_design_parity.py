@@ -1,16 +1,22 @@
-"""Bitwise parity of the design helpers with reference implementations.
+"""Parity of the design helpers with reference implementations.
 
 The references below are the former stand-alone implementations: a
 Python pair loop for the pair-width rows, a per-mode one-sample
 evaluator, and the unique sampler with a separate fallback flag. The
-package versions build the same arrays through triu_indices pairs and
-batch_values on a one-row batch, so every comparison here is exact.
+package evaluates through batch_values on a one-row batch, so the gap
+modes and the sampler agree bitwise. The pair-width objective scores the
+labelings themselves (widest pair = max - min score, worst-pair mass
+from the Gram identity), so its checks against the pair loop hold to the
+relative tolerance PAIR_RTOL.
 """
 import numpy as np
 
 from aced.design import (
     LAMBDA_FLOOR,
     Design,
+    _outer,
+    batch_gradient,
+    batch_values,
     floor_simplex,
     gap_objective,
     line_search_max,
@@ -19,6 +25,12 @@ from aced.design import (
     pair_width_objective,
     sample_unique,
 )
+
+PAIR_RTOL = 1e-10
+
+
+def assert_close(got, want):
+    np.testing.assert_allclose(got, want, rtol=PAIR_RTOL, atol=0)
 
 
 def reference_pair_rows(labelings):
@@ -35,7 +47,8 @@ def reference_pair_rows(labelings):
     return np.array(pairs)
 
 
-def reference_objective_sample(obj, lam, zeta):
+def reference_objective_sample(obj, lam, zeta, pairs=None):
+    """pairs: the reference pair rows, read in the pair-width mode."""
     if obj.mode in ("fixed_budget", "true_gap"):
         if obj.maximizer is not None:
             value, lab, _ = line_search_max(lam, zeta, obj.anchor_labeling, obj.eta,
@@ -46,9 +59,23 @@ def reference_objective_sample(obj, lam, zeta):
         if scores[idx] <= 0.0:
             return 0.0, obj.anchor
         return float(scores[idx]), idx
-    proj = obj.P @ (zeta / np.sqrt(lam))
+    proj = pairs @ (zeta / np.sqrt(lam))
     idx = int(np.argmax(np.abs(proj)))
     return float(abs(proj[idx])), idx
+
+
+def reference_pair_width(pairs, lam, Z, penalty):
+    """Per-draw widths, gradient moments and (value, slope, penalty mass,
+    per-pair masses) of the pair-width objective from explicit pair rows."""
+    proj = pairs @ (Z / np.sqrt(lam)).T
+    rows = np.argmax(np.abs(proj), axis=0)
+    vals = np.abs(proj[rows, np.arange(Z.shape[0])])
+    W = pairs[rows] * np.sign(proj[rows, np.arange(Z.shape[0])])[:, None]
+    grads = -0.5 * W * Z * lam ** (-1.5)
+    mass = (pairs**2) @ (1.0 / lam)
+    mean = float(np.mean(vals))
+    outer = (mean**2 + penalty * float(mass.max()), 2.0 * mean)
+    return vals, grads.mean(axis=0), (grads**2).mean(axis=0), outer, mass
 
 
 def reference_sample_unique(lam, N, already_queried, rng):
@@ -94,12 +121,28 @@ def random_classes(rng, count):
 
 
 def test_pair_width_rows_match_pair_loop():
-    rng = np.random.default_rng(0)
-    for H in random_classes(rng, 120):
-        P = pair_width_objective(H, 0.1).P
-        ref = reference_pair_rows(H)
-        assert P.shape == ref.shape
-        assert np.array_equal(P, ref)
+    # widths, gradient moments and the outer slope agree with the pair loop
+    # to PAIR_RTOL; the outer value too, up to the Gram identity's
+    # cancellation floor, PAIR_RTOL times the penalty times the largest row
+    # norm sum_i V_hi^2 / lam_i; the penalty gradient is that of a pair
+    # whose reference mass is the maximum to within PAIR_RTOL
+    draws = np.random.default_rng(10)
+    for H in random_classes(np.random.default_rng(0), 120):
+        obj = pair_width_objective(H, 0.1)
+        assert obj.V.shape == H.shape
+        pairs = reference_pair_rows(H)
+        lam = floor_simplex(draws.random(H.shape[1]))
+        Z = draws.standard_normal((16, H.shape[1]))
+        vals, scores = batch_values(obj, lam, Z)
+        gmean, gsq = batch_gradient(obj, lam, Z, vals, scores)
+        value, slope, gpen = _outer(obj, lam, vals)
+        ref_vals, ref_mean, ref_sq, ref_outer, mass = reference_pair_width(pairs, lam, Z, obj.penalty)
+        for got, want in ((vals, ref_vals), (gmean, ref_mean), (gsq, ref_sq), (slope, ref_outer[1])):
+            assert_close(got, want)
+        floor = obj.penalty * float(((obj.V**2) @ (1.0 / lam)).max())
+        assert abs(value - ref_outer[0]) <= PAIR_RTOL * (ref_outer[0] + floor)
+        worst = np.flatnonzero(mass >= mass.max() * (1.0 - PAIR_RTOL))
+        assert any(np.allclose(gpen, -(pairs[p] ** 2) / lam**2, rtol=PAIR_RTOL, atol=0) for p in worst)
 
 
 def _gap_case(rng):
@@ -111,16 +154,23 @@ def _gap_case(rng):
 
 
 def test_objective_sample_matches_reference_explicit_modes():
+    # bitwise in the gap modes; the pair-width mode returns a width within
+    # PAIR_RTOL of the pair loop's and a pair (argmax h, argmin h) that attains it
     rng = np.random.default_rng(1)
     for _ in range(100):
         H, eta, anchor = _gap_case(rng)
         n = H.shape[1]
         lam = Design(rng.random(n)).lam
-        objs = [gap_objective(H, eta, anchor, 0.25), gap_objective(H, eta, anchor, 0.1, mode="true_gap"),
-                pair_width_objective(H, 0.1)]
-        for obj in objs:
+        pairs = reference_pair_rows(H)
+        for obj in (gap_objective(H, eta, anchor, 0.25), gap_objective(H, eta, anchor, 0.1, mode="true_gap")):
             for zeta in (rng.standard_normal(n), np.zeros(n)):
                 assert objective_sample(obj, lam, zeta) == reference_objective_sample(obj, lam, zeta)
+        obj = pair_width_objective(H, 0.1)
+        for zeta in (rng.standard_normal(n), np.zeros(n)):
+            value, (a, b) = objective_sample(obj, lam, zeta)
+            ref_value, _ = reference_objective_sample(obj, lam, zeta, pairs)
+            assert_close(value, ref_value)
+            assert_close((H[a] - H[b]) / n @ (zeta / np.sqrt(lam)), ref_value)
 
 
 def test_objective_sample_matches_reference_oracle_mode():

@@ -63,7 +63,8 @@ CASES = {
     "waterfilled_exhausted/thresholds": lambda: REGISTRY["aced_waterfilled"](
         make_thresholds(4, 2, 1.0, persistent=True, seed=0), T=64, epsilon=1 / 32, N_batch=2,
         solver=SOLVER, seed=13),
-    # its round-2 design depends on line_search_iters (0.4709 at 1, 1.2763 at 20)
+    # its round-2 design depends on line_search_iters (0.4709 at 1, 1.2763 at 20);
+    # at 1 it is the uniform start, proposed on an all-zero batch (certificate null)
     "waterfilled_oracle_lsi1/linear": lambda: REGISTRY["aced_waterfilled"](
         _linear(), T=8, epsilon=0.25, N_batch=4, solver={"max_iters": 3, "b0": 4, "max_batch": 8},
         line_search_iters=1, seed=7),
@@ -96,8 +97,8 @@ GOLDEN = {
     "fixed_budget_efficient/thresholds": "71462b2f5062bd480165bfdd2b32cfc459530e7339daae7bda0713de09a9fff5",
     "fixed_budget_ips/thresholds": "21e23b8d41f03e70dc2868e260da444c420307f3629ed1ca4e477e0aefe1da4b",
     "fixed_budget_naive/core_tail": "faa5b3c26939148c0654f594f9532d7d35b8019e8b8e45851bbb1ce15bc0a053",
-    "fixed_confidence_capped/thresholds": "bce2e2bca3c0ae624364c54444ad6eb2ae325c45545c10f462a309871f83f407",
-    "fixed_confidence/thresholds": "f71527387abb18ad80d8abdecbb3ff0d464d7174828234305a30dbf8c1845d2b",
+    "fixed_confidence_capped/thresholds": "d5137b6f0efefd4577fcc0e391a5fdfd5e248b44a05783bbb6c4c10e6198a2dc",
+    "fixed_confidence/thresholds": "50300cace3813bbf91d19102a359cd952b46281b07360067dfcd848a0123fea2",
     "iwal/core_tail": "6ac0dec67b743cdb06ed40221744591bbea919f8a8d5dcaafe038d3a448e0ffc",
     "iwal1/thresholds": "2c07ecf41adcd6bb68f75aa280109042ece59c3ef98a5f3e33205b341b98fc45",
     "iwal_oracle/linear": "16a8dac40f9b1ccab0173cdaca6fec59585b80e889d423cfb21ac12431f360a0",
@@ -109,7 +110,7 @@ GOLDEN = {
     "waterfilled/core_tail": "685479701722be4bf3f0f6be55343e85ee7c6fa59dc73fe27163156c193297e4",
     "waterfilled_exhausted/thresholds": "b04af4ace797ba895808e2bea01b406a111c6d529f07b2d26df3f4ebab385f7b",
     "waterfilled_oracle/linear": "8669c751cefaacd3cd1184b735c41eed66a138e126335be77de69e972868b1ec",
-    "waterfilled_oracle_lsi1/linear": "678bf9e5fd3f629a70943201da1f314dc159aa926e91646d8f8c23e19850a76c",
+    "waterfilled_oracle_lsi1/linear": "75bdb4f10683721cd83ceb6b57f505722d882b9b9aca505ca5140b9db4c3cadb",
 }
 
 
@@ -128,7 +129,7 @@ def test_fixed_confidence_seed_panel_digest():
                                                         design_cache=cache).to_jsonl()
                      for seed in range(200))
     assert (hashlib.sha256(body.encode()).hexdigest()
-            == "ad70ef0e374e2327e07462a730fa8bfec0cc154606dfe367e0b37ea3f03fed23")
+            == "082b2f837a000ab24f914d708239f2f0d85d1212b7bcb139011c4dff27a3c423")
 
 
 def test_fixed_budget_shared_cache_panel_digest():
