@@ -22,6 +22,7 @@ from .oracles import (
 )
 from .estimators import (
     EtaEstimate,
+    QueryLog,
     QueryRecord,
     chaining_estimate,
     err_from_estimate,

@@ -28,7 +28,7 @@ from .design import (
 )
 from .estimators import (
     EtaEstimate,
-    QueryRecord,
+    QueryLog,
     chaining_estimate,
     estimated_errors_all,
     ips_estimate,
@@ -41,12 +41,16 @@ DEFAULT_SOLVER = {"tol": 1e-3, "rel_tol": 0.1, "b0": 16, "max_iters": 150, "max_
 
 @dataclass(eq=False)
 class RunRecord:
-    """Full query log plus per-round designs and reports for one run."""
+    """Full query log plus per-round designs and reports for one run.
+
+    queries is a columnar QueryLog; its JSON form is the list of
+    [round, index, prob, label] rows in query order.
+    """
 
     algorithm: str
     seed: int
     params: dict
-    queries: list = field(default_factory=list)
+    queries: QueryLog = field(default_factory=QueryLog)
     designs: list = field(default_factory=list)
     eliminations: list = field(default_factory=list)
     progress: list = field(default_factory=list)  # (round, unique queries, hypothesis)
@@ -56,14 +60,16 @@ class RunRecord:
 
     @property
     def unique_queried(self) -> int:
-        return len({q.index for q in self.queries})
+        return int(np.unique(self.queries.index).size)
 
     def to_jsonl(self) -> str:
+        q = self.queries
         payload = {
             "algorithm": self.algorithm,
             "seed": self.seed,
             "params": self.params,
-            "queries": [[q.round, q.index, q.prob, q.label] for q in self.queries],
+            "queries": list(zip(q.round.tolist(), q.index.tolist(), q.prob.tolist(),
+                                q.label.tolist())),
             "designs": self.designs,
             "eliminations": self.eliminations,
             "progress": self.progress,
@@ -77,7 +83,7 @@ class RunRecord:
     def from_jsonl(cls, line: str) -> "RunRecord":
         d = json.loads(line)
         rec = cls(algorithm=d["algorithm"], seed=d["seed"], params=d["params"])
-        rec.queries = [QueryRecord(int(r), int(i), float(p), int(y)) for r, i, p, y in d["queries"]]
+        rec.queries = QueryLog.from_rows(d["queries"])
         rec.designs = d["designs"]
         rec.eliminations = d["eliminations"]
         rec.progress = [tuple(p) for p in d["progress"]]
@@ -127,11 +133,10 @@ def _record_design(rec, k, rep, extra):
     })
 
 
-def _round_log(k, idx, probs, ys):
-    """QueryRecords of one round: pool indices, their sampling
-    probabilities and the observed labels, as parallel arrays."""
-    return [QueryRecord(k, i, p, y)
-            for i, p, y in zip(np.asarray(idx).tolist(), probs.tolist(), ys.tolist())]
+def _round_log(k, idx, probs, ys) -> QueryLog:
+    """The QueryLog of round k, built from its parallel arrays: pool
+    indices, their sampling probabilities and the observed labels."""
+    return QueryLog(np.full(len(idx), k), idx, probs, ys)
 
 
 def aced_fixed_confidence(
@@ -184,7 +189,7 @@ def aced_fixed_confidence(
         idx = rng.choice(lam.size, size=n_k, p=lam)
         ys = instance.labels.query_many(idx)
         round_log = _round_log(k, idx, lam[idx], ys)
-        rec.queries.extend(round_log)
+        rec.queries = rec.queries + round_log
         queried[idx] = True
         est = chaining_estimate(H_active, round_log, lam, delta_k)
         if not est.flags.get("feasible", True):
@@ -304,7 +309,7 @@ def _fixed_budget_loop(instance, rec, T, epsilon, est, *, estimator_kind, solver
             idx = rng.choice(lam.size, size=N, p=lam)
         ys = instance.labels.query_many(idx)
         round_log = _round_log(k, idx, lam[idx], ys)
-        rec.queries.extend(round_log)
+        rec.queries = rec.queries + round_log
         queried[idx] = True
         if estimator_kind == "naive":
             est = naive_estimate(rec.queries, n)
@@ -450,6 +455,7 @@ def baseline_uniform_disagreement(
     alive = np.ones(m, dtype=bool)
     cum = np.zeros(m)  # importance-weighted mistake sums
     queried = np.zeros(n, dtype=bool)
+    rows = []  # (round, index, probability, label) per query
     t = 0
     while t < T:
         sub = H[alive]
@@ -462,7 +468,7 @@ def baseline_uniform_disagreement(
         ys = instance.labels.query_many(draws)
         for i, y in zip(draws, ys):
             t += 1
-            rec.queries.append(QueryRecord(1, int(i), lam_val, int(y)))
+            rows.append((1, i, lam_val, y))
             cum += (H[:, i] != y) / (n * lam_val)
         queried[draws] = True
         errs = cum / t
@@ -483,6 +489,7 @@ def baseline_uniform_disagreement(
         live_idx = np.flatnonzero(alive)
         rec.progress.append((1, int(np.count_nonzero(queried)),
                              int(live_idx[np.argmin(errs[live_idx])])))
+    rec.queries = QueryLog.from_rows(rows)
     survivors = np.flatnonzero(alive)
     if survivors.size == 1:
         rec.returned = int(survivors[0])
@@ -540,6 +547,7 @@ def baseline_iwal(
                     params={"C0": C0, "variant": variant})
     rng = np.random.default_rng([seed, 0])
     queried = np.zeros(instance.n, dtype=bool)
+    rows = []  # (step, index, probability, label) per query
     revealed = {}  # oracular: the label last queried at each index
     if explicit:
         H = hclass.labelings
@@ -582,7 +590,7 @@ def baseline_iwal(
         p = _iwal_probability(G, step, C0, aggressiveness, p_min)
         if rng.random() < p:
             y = instance.labels.query(i)
-            rec.queries.append(QueryRecord(step, i, p, int(y)))
+            rows.append((step, i, p, y))
             queried[i] = True
             if not explicit:
                 X_q, w_q, y_q = np.vstack([X_q, feats[i]]), np.append(w_q, 1.0 / p), np.append(y_q, y)
@@ -596,6 +604,7 @@ def baseline_iwal(
                 cum += H[:, i] != y
         if explicit:
             rec.progress.append((step, int(np.count_nonzero(queried)), int(np.argmin(cum))))
+    rec.queries = QueryLog.from_rows(rows)
     if explicit:
         rec.returned = int(np.argmin(cum))
         rec.returned_labeling = [int(v) for v in H[rec.returned]]

@@ -321,26 +321,25 @@ def _pool_task(task):
 
 
 def _curve_points(instance: Instance, rec: RunRecord, full_instance=None, holdout_idx=None):
-    """ERM accuracy after each query batch (batch = one round of the log)."""
+    """ERM accuracy after each query batch (batch = one round of the log):
+    the estimate after a batch reads the log sorted by round, up to the
+    batch's end."""
     n = instance.n
+    log = rec.queries[np.argsort(rec.queries.round, kind="stable")]
+    # a batch ends where the sorted round changes, and at the log's end
+    ends = np.flatnonzero(np.diff(log.round, append=log.round[-1:] + 1)) + 1
     points = []
-    by_round = {}
-    for q in rec.queries:
-        by_round.setdefault(q.round, []).append(q)
-    prefix = []
-    uniq = set()
-    for rnd in sorted(by_round):
-        prefix.extend(by_round[rnd])
-        uniq.update(q.index for q in by_round[rnd])
-        handle, labeling = _erm_handle(instance.hypotheses, naive_estimate(prefix, n))
+    for end in ends.tolist():
+        est = naive_estimate(log[:end], n)
+        handle, labeling = _erm_handle(instance.hypotheses, est)
         pool_acc = _score(labeling, instance.labels)
         hold_acc = None
         if holdout_idx is not None and holdout_idx.size:
             hold_acc = _score(full_instance.hypotheses.labeling(handle), full_instance.labels,
                               holdout_idx)
-        points.append((len(uniq), pool_acc, hold_acc))
+        points.append((int(np.count_nonzero(est.counts)), pool_acc, hold_acc))
     if not points:
-        _, labeling = _erm_handle(instance.hypotheses, naive_estimate([], n))
+        _, labeling = _erm_handle(instance.hypotheses, naive_estimate(log, n))
         points.append((0, _score(labeling, instance.labels), None))
     return points
 
@@ -394,9 +393,8 @@ def run(config: ExperimentConfig, out_dir=None, workers: int = 1, instance=None)
             continue
         timings[f"{label}/{seed}"] = wall
         if n_hold:
-            qset = {q.index for q in rec.queries}
-            mapped = {int(train_idx[i]) for i in qset}
-            assert not (mapped & set(holdout_idx.tolist())), "holdout index was queried"
+            mapped = train_idx[rec.queries.index]
+            assert not np.isin(mapped, holdout_idx).any(), "holdout index was queried"
         for queries, pool_acc, hold_acc in _curve_points(instance, rec, full_instance, holdout_idx):
             rows.append(ResultRow(algorithm=label, seed=seed, queries=queries,
                                   pool_acc=pool_acc, holdout_acc=hold_acc))

@@ -61,11 +61,7 @@ def _cmd_instance(args):
     for kv in args.param or []:
         key, _, val = kv.partition("=")
         params[key.replace("-", "_")] = bench._coerce(val)
-    try:
-        instance = build_instance({**params, "generator": args.generator})
-    except ConfigError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    instance = build_instance({**params, "generator": args.generator})
     paths = bench.export_instance(instance, args.out)
     print(json.dumps(paths, indent=2))
     return 0
@@ -112,7 +108,11 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_plotdata)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -5,13 +5,16 @@ scoring with an additive shift gamma, the ridge-shifted IPS pair
 estimator (per-direction shrinkage with a prescribed shift), and the
 multi-scale feasibility estimator that intersects pairwise ridge-IPS
 confidence slabs over an admissible sequence of the hypothesis set.
+
+A query log is columnar (QueryLog: round, index, prob and label as
+parallel arrays); every estimator reads the columns, and also accepts a
+plain sequence of QueryRecords, converted once on entry.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate
-from operator import attrgetter
 
 import numpy as np
 
@@ -24,12 +27,72 @@ class InvalidDesignError(ValueError):
 
 @dataclass(frozen=True)
 class QueryRecord:
-    """One logged query: round, pool index, sampling probability, observed label."""
+    """One logged query: round, pool index, sampling probability, observed
+    label. The element type of a QueryLog, which stores none of them."""
 
     round: int
     index: int
     prob: float
     label: int
+
+
+class QueryLog:
+    """A query log as four parallel 1-d columns: round and index (int64),
+    prob (float64) and label (int64), one entry per query in query order.
+
+    len, iteration and integer indexing give QueryRecords; a slice, an
+    index array, or the sum of two logs is a QueryLog; two logs are equal
+    when their columns are. The algorithms build logs from the arrays
+    they draw and the estimators read the columns, so no per-query object
+    is made.
+    """
+
+    __slots__ = ("round", "index", "prob", "label")
+
+    def __init__(self, round=(), index=(), prob=(), label=()):
+        self.round = np.asarray(round, dtype=np.int64)
+        self.index = np.asarray(index, dtype=np.int64)
+        self.prob = np.asarray(prob, dtype=float)
+        self.label = np.asarray(label, dtype=np.int64)
+
+    @classmethod
+    def from_rows(cls, rows) -> "QueryLog":
+        """The log of (round, index, prob, label) rows."""
+        rows = list(rows)
+        return cls(*zip(*rows)) if rows else cls()
+
+    @classmethod
+    def of(cls, log) -> "QueryLog":
+        """log itself if it is a QueryLog, else the log of its QueryRecords."""
+        if isinstance(log, cls):
+            return log
+        return cls.from_rows((q.round, q.index, q.prob, q.label) for q in log)
+
+    def _columns(self):
+        return self.round, self.index, self.prob, self.label
+
+    def __len__(self) -> int:
+        return self.index.size
+
+    def __iter__(self):
+        return map(QueryRecord, *(col.tolist() for col in self._columns()))
+
+    def __getitem__(self, key):
+        if isinstance(key, slice) or np.ndim(key):
+            return QueryLog(*(col[key] for col in self._columns()))
+        return QueryRecord(*(col[key].item() for col in self._columns()))
+
+    def __add__(self, other) -> "QueryLog":
+        other = QueryLog.of(other)
+        return QueryLog(*(np.concatenate(pair) for pair in zip(self._columns(), other._columns())))
+
+    def __eq__(self, other):
+        if not isinstance(other, QueryLog):
+            return NotImplemented
+        return all(np.array_equal(a, b) for a, b in zip(self._columns(), other._columns()))
+
+    def __repr__(self) -> str:
+        return f"QueryLog({len(self)} queries)"
 
 
 @dataclass(eq=False)
@@ -50,23 +113,11 @@ class EtaEstimate:
     flags: dict = field(default_factory=dict)
 
 
-def _log_column(log, name: str, dtype) -> np.ndarray:
-    return np.fromiter(map(attrgetter(name), log), dtype=dtype, count=len(log))
-
-
-def _log_arrays(log):
-    return (_log_column(log, "index", int), _log_column(log, "prob", float),
-            _log_column(log, "label", float))
-
-
 def naive_estimate(log, n: int) -> EtaEstimate:
     """Per-coordinate average of observed labels; unqueried default to 0.5."""
-    counts = np.zeros(n, dtype=int)
-    sums = np.zeros(n)
-    if log:
-        idx, _, y = _log_arrays(log)
-        np.add.at(counts, idx, 1)
-        np.add.at(sums, idx, y)
+    log = QueryLog.of(log)
+    counts = _query_counts(log, n)
+    sums = np.bincount(log.index, weights=log.label, minlength=n)
     values = np.full(n, 0.5)
     seen = counts > 0
     values[seen] = sums[seen] / counts[seen]
@@ -82,30 +133,30 @@ def ips_estimate(log, n: int, gamma: float = 0.0) -> EtaEstimate:
     """
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
-    counts = np.zeros(n, dtype=int)
-    values = np.zeros(n)
-    mu = np.zeros(n)
-    if log:
-        idx, prob, y = _log_arrays(log)
-        denom = prob + gamma
-        if np.any(denom <= 0):
-            raise InvalidDesignError("logged probability + gamma must be positive")
-        np.add.at(counts, idx, 1)
-        np.add.at(values, idx, y / denom)
-        np.add.at(mu, idx, (2.0 * y - 1.0) / denom)
-        values /= len(log)
-        mu /= len(log)
-    return EtaEstimate(values=values, mu=mu, counts=counts, kind="ips",
+    log = QueryLog.of(log)
+    idx, y, denom = log.index, log.label, log.prob + gamma
+    if np.any(denom <= 0):
+        raise InvalidDesignError("logged probability + gamma must be positive")
+    t = max(len(log), 1)  # an empty log estimates zeros
+    values = np.bincount(idx, weights=y / denom, minlength=n) / t
+    mu = np.bincount(idx, weights=(2.0 * y - 1.0) / denom, minlength=n) / t
+    return EtaEstimate(values=values, mu=mu, counts=_query_counts(log, n), kind="ips",
                        t=len(log), flags={"gamma": gamma})
 
 
-def _query_counts_and_sums(log, n):
+def _query_counts(log: QueryLog, n):
+    """Per-coordinate query counts; a logged index outside [0, n) raises."""
+    counts = np.bincount(log.index, minlength=n)
+    if counts.size > n:
+        raise IndexError(f"logged index out of range for a pool of size {n}")
+    return counts
+
+
+def _query_counts_and_sums(log: QueryLog, n):
     """Per-coordinate query counts and sums of +/-1 labels (the X^T y
-    vector), from one conversion of the log."""
-    idx = _log_column(log, "index", int)
-    y = _log_column(log, "label", float)
-    return (np.bincount(idx, minlength=n),
-            np.bincount(idx, weights=2.0 * y - 1.0, minlength=n))
+    vector)."""
+    return (_query_counts(log, n),
+            np.bincount(log.index, weights=2.0 * log.label - 1.0, minlength=n))
 
 
 def ridge_shift(v, lam, t: int, delta: float) -> float:
@@ -130,6 +181,7 @@ def ridge_ips_pair(log, lam, v, delta: float) -> float:
     v = np.asarray(v, dtype=float)
     if not np.any(v):
         return 0.0
+    log = QueryLog.of(log)
     t = len(log)
     s = ridge_shift(v, lam, t, delta)
     # mu-hat = (A(t lam) + s I)^{-1} X^T y, diagonal so O(n)
@@ -333,6 +385,7 @@ def chaining_estimate(
     if m > 4096:
         raise ValueError("feasibility program capped at 4096 hypotheses")
     lam = np.asarray(lam, dtype=float)
+    log = QueryLog.of(log)
     t = max(len(log), 1)
     counts, sums = _query_counts_and_sums(log, n)
     u = math.sqrt(math.log(2.0 / delta) / 2.0)

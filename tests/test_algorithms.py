@@ -85,6 +85,30 @@ def test_fixed_confidence_counts_infeasible_rounds(monkeypatch):
     assert rec.flags["rounds"] >= 2 and rec.flags["infeasible_rounds"] == 1
 
 
+def test_algorithms_and_curve_scoring_build_no_query_records(monkeypatch):
+    from aced import bench
+    from aced.estimators import QueryRecord
+
+    made = []
+    init = QueryRecord.__init__
+
+    def counting(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(QueryRecord, "__init__", counting)
+    QueryRecord(1, 0, 0.5, 1)
+    assert len(made) == 1  # the counter sees a construction
+    made.clear()
+    inst = make_thresholds(8, 3, 0.6, seed=1)
+    recs = [aced_fixed_confidence(inst, delta=0.2, round_cap=3, seed=0)]
+    recs += [aced_fixed_budget(inst, T=24, epsilon=0.25, estimator_kind=kind, seed=0)
+             for kind in ("naive", "ips", "chaining")]
+    points = [bench._curve_points(inst, rec) for rec in recs]
+    assert all(len(rec.queries) for rec in recs) and all(points)
+    assert made == []
+
+
 def test_fixed_budget_single_round_when_eps_half():
     inst = make_thresholds(8, 3, 1.0, persistent=True, seed=0)
     rec = aced_fixed_budget(inst, T=24, epsilon=0.5, estimator_kind="naive", seed=0)

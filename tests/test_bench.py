@@ -2,6 +2,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -224,13 +226,13 @@ def test_cli_run_reads_labels_from_stdin(tmp_path, monkeypatch, capsys):
         run(load_config(cfg), instance=build_instance(load_config(cfg).instance), workers=2)
 
 
-def test_cli_run_stdin_rejects_a_holdout(tmp_path, monkeypatch):
+def test_cli_run_stdin_rejects_a_holdout(tmp_path, monkeypatch, capsys):
     # held-out points have no labels to score against, and none is prompted for
     cfg = write_config(tmp_path, BASE.format(seeds="0", holdout=0.25, out=tmp_path / "o"))
     stdin = io.StringIO("1\n0\n1\n1\n0\n0\n")
     monkeypatch.setattr("sys.stdin", stdin)
-    with pytest.raises(ConfigError, match="holdout_fraction"):
-        cli.main(["run", str(cfg), "--label-source", "stdin"])
+    assert cli.main(["run", str(cfg), "--label-source", "stdin"]) == 2
+    assert "holdout_fraction must be 0" in capsys.readouterr().err
     assert stdin.tell() == 0
 
 
@@ -426,3 +428,17 @@ def test_bad_generator_parameters_are_rejected_where_they_enter(tmp_path, capsys
     assert "'thresholds'" in capsys.readouterr().err and not (tmp_path / "i").exists()
     assert cli.main(["instance", "nope", "--out", str(tmp_path / "i")]) == 2
     assert "choices: ['core_tail', 'thresholds', 'tsybakov']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "complexity"])
+def test_cli_reports_a_bad_config_without_a_traceback(tmp_path, command):
+    missing = tmp_path / "nowhere" / "features.csv"
+    cfg = write_config(tmp_path, f"[instance]\nfeatures_csv = {missing}\n"
+                                 f"labels_csv = {missing}\n\n[algorithm passive]\nT = 4\n")
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-m", "aced.cli", command, str(cfg)], env=env,
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert f"referenced file does not exist: {missing}" in proc.stderr
+    assert "Traceback" not in proc.stderr

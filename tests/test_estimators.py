@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -10,6 +12,7 @@ from aced.core import HypothesisClass, LabelModel, pool_error
 from aced.estimators import (
     AdmissibleSequence,
     InvalidDesignError,
+    QueryLog,
     QueryRecord,
     build_admissible_sequence,
     chaining_estimate,
@@ -466,3 +469,98 @@ def test_chaining_projection_reaches_a_feasible_point():
         G, build_admissible_sequence(G, lam, t), sums, lam, t, u)
     res = np.add.reduceat(val * est.mu[idx], ptr[:-1]) - betas
     assert np.all(np.abs(res) - radii <= 1e-9)
+
+
+def test_query_log_protocol_matches_the_record_list():
+    records = (make_log([3, 0, 3, 1], [0.25, 0.5, 0.25, 0.125], [1, 0, 0, 1], rnd=2)
+               + make_log([2], [1.0], [1], rnd=3))
+    log = QueryLog.of(records)
+    assert len(log) == len(records) == 5 and log
+    assert list(log) == records
+    assert [log[i] for i in range(-5, 5)] == records + records
+    assert [tuple(map(type, dataclasses.astuple(q))) for q in log] == [(int, int, float, int)] * 5
+    assert isinstance(log[1:3], QueryLog) and list(log[1:3]) == records[1:3]
+    assert log[:2] + log[2:] == log and log[:2] + records[2:] == log
+    assert log != log[:4] and log != QueryLog.of(records[:4] + make_log([1], [0.125], [0], rnd=2))
+    assert QueryLog.of(log) is log
+    assert QueryLog.from_rows(dataclasses.astuple(q) for q in records) == log
+    empty = QueryLog.of([])
+    assert len(empty) == 0 and not empty and list(empty) == [] and empty == QueryLog() == log[:0]
+
+
+
+def test_estimators_reject_a_logged_index_outside_the_pool():
+    log = make_log([0, 3], [0.5, 0.5], [1, 0])
+    for estimate in (naive_estimate, ips_estimate):
+        with pytest.raises(IndexError, match="out of range"):
+            estimate(log, 3)
+    with pytest.raises(IndexError, match="out of range"):
+        ridge_ips_pair(log, np.full(3, 1 / 3), np.array([1.0, -1.0, 0.0]), 0.1)
+
+def _reference_naive(records, n):
+    """naive_estimate's counts and sums accumulated one query at a time."""
+    counts, sums = np.zeros(n, dtype=int), np.zeros(n)
+    np.add.at(counts, [q.index for q in records], 1)
+    np.add.at(sums, [q.index for q in records], [float(q.label) for q in records])
+    values = np.full(n, 0.5)
+    values[counts > 0] = sums[counts > 0] / counts[counts > 0]
+    return values, counts
+
+
+def _reference_ips(records, n, gamma):
+    """ips_estimate's weighted sums accumulated one query at a time."""
+    idx = [q.index for q in records]
+    y = np.array([float(q.label) for q in records])
+    denom = np.array([q.prob for q in records]) + gamma
+    counts, values, mu = np.zeros(n, dtype=int), np.zeros(n), np.zeros(n)
+    np.add.at(counts, idx, 1)
+    np.add.at(values, idx, y / denom)
+    np.add.at(mu, idx, (2.0 * y - 1.0) / denom)
+    return values / len(records), mu / len(records), counts
+
+
+def _same_estimate(a, b):
+    return (a.kind == b.kind and a.t == b.t and a.flags == b.flags
+            and all(np.array_equal(x, y) and x.dtype == y.dtype
+                    for x, y in ((a.values, b.values), (a.mu, b.mu), (a.counts, b.counts))))
+
+
+def test_estimators_read_a_query_log_as_its_record_list_bitwise():
+    for seed in range(60):
+        G, _, _, lam, t, _ = _slab_case(seed)
+        rng = np.random.default_rng([seed, 9])
+        n = lam.size
+        idx = rng.choice(n, size=t, p=lam)
+        records = make_log(idx, lam[idx], rng.integers(0, 2, size=t))
+        log = QueryLog.of(records)
+        gamma = float(rng.uniform(0.0, 0.1))
+        v = G[0].astype(float) - G[-1]
+        pairs = [(naive_estimate(log, n), naive_estimate(records, n)),
+                 (ips_estimate(log, n, gamma), ips_estimate(records, n, gamma)),
+                 (chaining_estimate(G, log, lam, 0.1), chaining_estimate(G, records, lam, 0.1))]
+        assert all(_same_estimate(a, b) for a, b in pairs)
+        assert ridge_ips_pair(log, lam, v, 0.1) == ridge_ips_pair(records, lam, v, 0.1)
+        # the column sums are the query-at-a-time sums, bit for bit
+        naive, ips = pairs[0][0], pairs[1][0]
+        values, counts = _reference_naive(records, n)
+        assert np.array_equal(naive.values, values) and np.array_equal(naive.counts, counts)
+        values, mu, counts = _reference_ips(records, n, gamma)
+        assert np.array_equal(ips.values, values) and np.array_equal(ips.mu, mu)
+        assert np.array_equal(ips.counts, counts)
+
+
+def test_run_records_round_trip_through_json():
+    from aced.algorithms import RunRecord, baseline_iwal, baseline_passive, baseline_uniform_disagreement
+    from aced.complexity import make_thresholds
+
+    inst = make_thresholds(10, 4, 0.8, persistent=True, seed=6)
+    recs = [baseline_passive(inst, T=0, seed=1),
+            baseline_iwal(inst, list(range(10)) * 2, C0=0.01, seed=6),
+            baseline_uniform_disagreement(inst, T=15, recompute_every=4, seed=2)]
+    assert [len(rec.queries) > 0 for rec in recs] == [False, True, True]
+    for rec in recs:
+        line = rec.to_jsonl()
+        back = RunRecord.from_jsonl(line)
+        assert back.to_jsonl() == line and back.queries == rec.queries
+        assert json.loads(line)["queries"] == [list(dataclasses.astuple(q)) for q in rec.queries]
+        assert back.unique_queried == len({q.index for q in rec.queries})

@@ -29,6 +29,11 @@ def test_perfbench_traced_run_is_correct(workload, tmp_path):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"], proc.stderr
     assert result["failed"] == 0
+    if workload == "fc_thresholds":
+        # the tracer's chaining hook counts slabs from len(log) of the round's log
+        for name in ("estimators.chaining_estimate.calls", "estimators.chaining_estimate.slabs",
+                     "core.labels.queried"):
+            assert result["metrics"][name]["value"] > 0
     if workload == "oracle_linear_csv":
         # iwal's streaming fits reach the oracle module's names at call time
         for name in ("oracles.erm_logistic.calls", "oracles.erm_flip_constrained.calls"):
