@@ -11,7 +11,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -63,34 +64,16 @@ class RunRecord:
         return int(np.unique(self.queries.index).size)
 
     def to_jsonl(self) -> str:
-        q = self.queries
-        payload = {
-            "algorithm": self.algorithm,
-            "seed": self.seed,
-            "params": self.params,
-            "queries": list(zip(q.round.tolist(), q.index.tolist(), q.prob.tolist(),
-                                q.label.tolist())),
-            "designs": self.designs,
-            "eliminations": self.eliminations,
-            "progress": self.progress,
-            "returned": self.returned,
-            "returned_labeling": self.returned_labeling,
-            "flags": self.flags,
-        }
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        payload["queries"] = self.queries.rows()
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def from_jsonl(cls, line: str) -> "RunRecord":
         d = json.loads(line)
-        rec = cls(algorithm=d["algorithm"], seed=d["seed"], params=d["params"])
-        rec.queries = QueryLog.from_rows(d["queries"])
-        rec.designs = d["designs"]
-        rec.eliminations = d["eliminations"]
-        rec.progress = [tuple(p) for p in d["progress"]]
-        rec.returned = d["returned"]
-        rec.returned_labeling = d["returned_labeling"]
-        rec.flags = d["flags"]
-        return rec
+        d["queries"] = QueryLog.from_rows(d["queries"])
+        d["progress"] = [tuple(p) for p in d["progress"]]
+        return cls(**d)
 
 
 def _content_seed(*parts) -> int:
@@ -232,13 +215,19 @@ def _prior_estimate(n: int) -> EtaEstimate:
                        kind="prior", t=0)
 
 
+def _max_labeling(hclass, w):
+    """The weighted-max hypothesis under weights w, as (handle, labeling)."""
+    handle, _ = weighted_max(hclass, w)
+    return handle, hclass.labeling(handle)
+
+
 def _erm_handle(hclass, est):
-    """Plug-in ERM under eta-hat for explicit or oracle-backed classes."""
+    """Plug-in ERM under eta-hat for explicit or oracle-backed classes: the
+    plug-in error is minimized where the weights 2 eta-hat - 1 are maximized."""
     if hclass.explicit:
         idx = int(np.argmin(estimated_errors_all(hclass, est)))
         return idx, hclass.labelings[idx]
-    handle, _ = weighted_max(hclass, 2.0 * est.values - 1.0)
-    return handle, hclass.labeling(handle)
+    return _max_labeling(hclass, 2.0 * est.values - 1.0)
 
 
 def _fixed_budget_loop(instance, rec, T, epsilon, est, *, estimator_kind, solver, design_cache,
@@ -267,11 +256,6 @@ def _fixed_budget_loop(instance, rec, T, epsilon, est, *, estimator_kind, solver
     if unique:
         rec.flags["pool_exhausted"] = False
     handle, anchor_lab = _erm_handle(hclass, est)
-
-    def maximizer(w):
-        h, _ = weighted_max(hclass, w)
-        return h, hclass.labeling(h)
-
     for k in range(1, rounds + 1):
         eta, scale = est.values, 2.0 ** (-k + 1)
         if hclass.explicit:
@@ -282,8 +266,8 @@ def _fixed_budget_loop(instance, rec, T, epsilon, est, *, estimator_kind, solver
                                 design_cache, key)
         else:
             rep = _solve_cached(
-                lambda: oracle_gap_objective(n, anchor_lab, eta, scale, maximizer,
-                                             line_search_iters),
+                lambda: oracle_gap_objective(n, anchor_lab, eta, scale,
+                                             partial(_max_labeling, hclass), line_search_iters),
                 solver_params, design_cache, ("wf-oracle", anchor_lab, eta, scale),
                 unseeded=(line_search_iters,))
         lam = rep.design.lam
@@ -411,7 +395,7 @@ def aced_waterfilled(
         N_batch = min(250, max(1, n // 4))
     rec = RunRecord(algorithm="aced_waterfilled", seed=seed,
                     params={"T": T, "epsilon": epsilon, "N_batch": N_batch})
-    return _fixed_budget_loop(instance, rec, T, epsilon, naive_estimate([], n),
+    return _fixed_budget_loop(instance, rec, T, epsilon, naive_estimate(QueryLog(), n),
                               estimator_kind="naive", solver=solver, design_cache=design_cache,
                               N_batch=N_batch, line_search_iters=line_search_iters)
 

@@ -323,11 +323,11 @@ def _pool_task(task):
 def _curve_points(instance: Instance, rec: RunRecord, full_instance=None, holdout_idx=None):
     """ERM accuracy after each query batch (batch = one round of the log):
     the estimate after a batch reads the log sorted by round, up to the
-    batch's end."""
+    batch's end. An empty log is one batch ending at 0."""
     n = instance.n
     log = rec.queries[np.argsort(rec.queries.round, kind="stable")]
     # a batch ends where the sorted round changes, and at the log's end
-    ends = np.flatnonzero(np.diff(log.round, append=log.round[-1:] + 1)) + 1
+    ends = np.append(np.flatnonzero(np.diff(log.round)) + 1, len(log))
     points = []
     for end in ends.tolist():
         est = naive_estimate(log[:end], n)
@@ -338,9 +338,6 @@ def _curve_points(instance: Instance, rec: RunRecord, full_instance=None, holdou
             hold_acc = _score(full_instance.hypotheses.labeling(handle), full_instance.labels,
                               holdout_idx)
         points.append((int(np.count_nonzero(est.counts)), pool_acc, hold_acc))
-    if not points:
-        _, labeling = _erm_handle(instance.hypotheses, naive_estimate(log, n))
-        points.append((0, _score(labeling, instance.labels), None))
     return points
 
 

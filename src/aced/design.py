@@ -214,8 +214,7 @@ def batch_gradient(obj: DesignObjective, lam: np.ndarray, Z: np.ndarray, vals, a
         grads = np.empty(Z.shape)
         for s, lab in enumerate(argmax):
             row = (obj.anchor_labeling - lab) / obj.n
-            den = obj.scale + float(row @ (2.0 * obj.eta - 1.0))
-            den = max(den, obj.scale * 1e-3) if obj.scale > 0 else max(den, 1e-12)
+            den = _ratio_denominator(obj.scale + float(row @ (2.0 * obj.eta - 1.0)), obj.scale)
             grads[s] = -0.5 * row * Z[s] * inv32 / den if vals[s] > 0 else 0.0
         return grads.mean(axis=0), (grads**2).mean(axis=0)
     if obj.mode == "fixed_confidence":
@@ -417,6 +416,13 @@ def smd_solve(
                         stop_reason="certificate" if certified else "plateau" if plateau else "cap")
 
 
+def _ratio_denominator(den: float, scale: float) -> float:
+    """The oracle gap ratio's denominator scale + estimated excess error, as
+    the value and its gradient both use it: a nonpositive one becomes
+    1e-3 * scale (1e-12 at scale 0)."""
+    return den if den > 0 else (scale * 1e-3 if scale > 0 else 1e-12)
+
+
 def line_search_max(lam, zeta, anchor_labeling, eta_hat, scale, maximizer, n_max: int = 20):
     """Inner maximization of the gap ratio through a weighted-max oracle.
 
@@ -463,9 +469,7 @@ def line_search_max(lam, zeta, anchor_labeling, eta_hat, scale, maximizer, n_max
     best_val, best_lab, best_handle = 0.0, anchor, None
     for lab, handle in cands:
         num = float(d @ (lab - anchor))
-        den = scale + float(c @ (lab - anchor))
-        if den <= 0:
-            den = max(den, scale * 1e-3 if scale > 0 else 1e-12)
+        den = _ratio_denominator(scale + float(c @ (lab - anchor)), scale)
         val = 0.0 if np.array_equal(lab, anchor) else num / den
         if val > best_val:
             best_val, best_lab, best_handle = val, lab, handle
@@ -513,17 +517,16 @@ def waterfill(lam_k, prior_marginals, k: int) -> Design:
     return Design(q)
 
 
-def sample_unique(p, N: int, already_queried, seed=0, rng=None) -> tuple:
+def sample_unique(p, N: int, already_queried, rng: np.random.Generator) -> tuple:
     """Draw until N distinct previously-unqueried indices are collected.
 
-    Rejection-samples from p, returning indices in draw order. If fewer
+    Rejection-samples from p with rng, returning indices in draw order. If fewer
     than the needed number of unqueried indices carry mass, the remainder
     is drawn uniformly from the unqueried indices and the fallback flag
     is set.
     """
     lam = p.lam if isinstance(p, Design) else floor_simplex(np.asarray(p, dtype=float))
     n = lam.size
-    rng = rng if rng is not None else np.random.default_rng(seed)
     seen = np.zeros(n, dtype=bool)
     seen[list(already_queried)] = True
     out = []

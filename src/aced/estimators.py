@@ -7,14 +7,13 @@ multi-scale feasibility estimator that intersects pairwise ridge-IPS
 confidence slabs over an admissible sequence of the hypothesis set.
 
 A query log is columnar (QueryLog: round, index, prob and label as
-parallel arrays); every estimator reads the columns, and also accepts a
-plain sequence of QueryRecords, converted once on entry.
+parallel arrays), and every estimator reads the columns.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, starmap
 
 import numpy as np
 
@@ -40,11 +39,10 @@ class QueryLog:
     """A query log as four parallel 1-d columns: round and index (int64),
     prob (float64) and label (int64), one entry per query in query order.
 
-    len, iteration and integer indexing give QueryRecords; a slice, an
-    index array, or the sum of two logs is a QueryLog; two logs are equal
-    when their columns are. The algorithms build logs from the arrays
-    they draw and the estimators read the columns, so no per-query object
-    is made.
+    Iteration gives QueryRecords; a slice or an index array of a log,
+    and the sum of two logs, is a QueryLog; two logs are equal when their
+    columns are. The algorithms build logs from the arrays they draw and
+    the estimators read the columns, so no per-query object is made.
     """
 
     __slots__ = ("round", "index", "prob", "label")
@@ -54,6 +52,9 @@ class QueryLog:
         self.index = np.asarray(index, dtype=np.int64)
         self.prob = np.asarray(prob, dtype=float)
         self.label = np.asarray(label, dtype=np.int64)
+        if self.round.ndim != 1 or not (
+                self.round.shape == self.index.shape == self.prob.shape == self.label.shape):
+            raise ValueError("query log columns must be 1-d and of one length")
 
     @classmethod
     def from_rows(cls, rows) -> "QueryLog":
@@ -61,29 +62,24 @@ class QueryLog:
         rows = list(rows)
         return cls(*zip(*rows)) if rows else cls()
 
-    @classmethod
-    def of(cls, log) -> "QueryLog":
-        """log itself if it is a QueryLog, else the log of its QueryRecords."""
-        if isinstance(log, cls):
-            return log
-        return cls.from_rows((q.round, q.index, q.prob, q.label) for q in log)
-
     def _columns(self):
         return self.round, self.index, self.prob, self.label
+
+    def rows(self) -> list:
+        """The (round, index, prob, label) rows as Python scalars, in query
+        order: the inverse of from_rows."""
+        return list(zip(*(col.tolist() for col in self._columns())))
 
     def __len__(self) -> int:
         return self.index.size
 
     def __iter__(self):
-        return map(QueryRecord, *(col.tolist() for col in self._columns()))
+        return starmap(QueryRecord, self.rows())
 
-    def __getitem__(self, key):
-        if isinstance(key, slice) or np.ndim(key):
-            return QueryLog(*(col[key] for col in self._columns()))
-        return QueryRecord(*(col[key].item() for col in self._columns()))
+    def __getitem__(self, key) -> "QueryLog":
+        return QueryLog(*(col[key] for col in self._columns()))
 
-    def __add__(self, other) -> "QueryLog":
-        other = QueryLog.of(other)
+    def __add__(self, other: "QueryLog") -> "QueryLog":
         return QueryLog(*(np.concatenate(pair) for pair in zip(self._columns(), other._columns())))
 
     def __eq__(self, other):
@@ -113,9 +109,8 @@ class EtaEstimate:
     flags: dict = field(default_factory=dict)
 
 
-def naive_estimate(log, n: int) -> EtaEstimate:
+def naive_estimate(log: QueryLog, n: int) -> EtaEstimate:
     """Per-coordinate average of observed labels; unqueried default to 0.5."""
-    log = QueryLog.of(log)
     counts = _query_counts(log, n)
     sums = np.bincount(log.index, weights=log.label, minlength=n)
     values = np.full(n, 0.5)
@@ -125,7 +120,7 @@ def naive_estimate(log, n: int) -> EtaEstimate:
                        kind="naive", t=len(log))
 
 
-def ips_estimate(log, n: int, gamma: float = 0.0) -> EtaEstimate:
+def ips_estimate(log: QueryLog, n: int, gamma: float = 0.0) -> EtaEstimate:
     """Importance-weighted estimate (1/T) sum_t y_t / (lambda_{I_t} + gamma).
 
     The bandit-scale mu uses +/-1 labels with the same weights. gamma = 0
@@ -133,7 +128,6 @@ def ips_estimate(log, n: int, gamma: float = 0.0) -> EtaEstimate:
     """
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
-    log = QueryLog.of(log)
     idx, y, denom = log.index, log.label, log.prob + gamma
     if np.any(denom <= 0):
         raise InvalidDesignError("logged probability + gamma must be positive")
@@ -172,7 +166,7 @@ def ridge_shift(v, lam, t: int, delta: float) -> float:
     return math.sqrt(math.log(2.0 / delta) / (3.0 * norm_sq))
 
 
-def ridge_ips_pair(log, lam, v, delta: float) -> float:
+def ridge_ips_pair(log: QueryLog, lam, v, delta: float) -> float:
     """Estimate <v, mu> with the ridge-shifted IPS estimator.
 
     The shift is the one balancing the bias and the Bernstein tail for
@@ -181,7 +175,6 @@ def ridge_ips_pair(log, lam, v, delta: float) -> float:
     v = np.asarray(v, dtype=float)
     if not np.any(v):
         return 0.0
-    log = QueryLog.of(log)
     t = len(log)
     s = ridge_shift(v, lam, t, delta)
     # mu-hat = (A(t lam) + s I)^{-1} X^T y, diagonal so O(n)
@@ -359,7 +352,7 @@ def _project(G, a, b, betas, radii, res, start, max_sweeps: int, feas_tol: float
 
 def chaining_estimate(
     labelings,
-    log,
+    log: QueryLog,
     lam,
     delta: float,
     max_sweeps: int = 10_000,
@@ -385,7 +378,6 @@ def chaining_estimate(
     if m > 4096:
         raise ValueError("feasibility program capped at 4096 hypotheses")
     lam = np.asarray(lam, dtype=float)
-    log = QueryLog.of(log)
     t = max(len(log), 1)
     counts, sums = _query_counts_and_sums(log, n)
     u = math.sqrt(math.log(2.0 / delta) / 2.0)

@@ -183,6 +183,15 @@ def erm_flip_constrained(
     return LinearHypothesis(w=wv, b=float(pinned - wv @ x_k), converged=ok)
 
 
+# the logistic fit of LinearOracleClass. Looser tolerance than erm_logistic:
+# design solves call this oracle thousands of times and only need
+# surrogate-grade answers; the iteration cap counts Newton steps, of which
+# a fit takes about five
+ORACLE_REG = 1e-6
+ORACLE_TOL = 1e-4
+ORACLE_MAX_ITER = 300
+
+
 class LinearOracleClass:
     """Implicit hypothesis class of halfspaces over pool features.
 
@@ -190,16 +199,10 @@ class LinearOracleClass:
     logistic surrogate, so maximization-style reductions are approximate.
     """
 
-    def __init__(self, features, reg: float = 1e-6, tol: float = 1e-4, max_iter: int = 300):
-        # looser tolerance than erm_logistic: design solves call this oracle
-        # thousands of times and only need surrogate-grade answers; max_iter
-        # counts Newton steps, of which a fit takes about five
+    def __init__(self, features):
         self.features = np.asarray(features, dtype=float)
         if self.features.ndim != 2:
             raise ValueError("features must be an n x p matrix")
-        self.reg = reg
-        self.tol = tol
-        self.max_iter = max_iter
 
     @property
     def n(self) -> int:
@@ -212,5 +215,5 @@ class LinearOracleClass:
         if not keep.any():
             return LinearHypothesis(w=np.zeros(self.features.shape[1]), b=0.0)
         wv, b, ok = _fit_logistic(self.features[keep], weights[keep], np.asarray(labels)[keep],
-                                  self.reg, self.tol, self.max_iter, warn_on_cap=False)
+                                  ORACLE_REG, ORACLE_TOL, ORACLE_MAX_ITER, warn_on_cap=False)
         return LinearHypothesis(w=wv, b=float(b), converged=ok)

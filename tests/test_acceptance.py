@@ -35,7 +35,7 @@ from aced.design import (
     waterfill,
 )
 from aced.estimators import (
-    QueryRecord,
+    QueryLog,
     build_admissible_sequence,
     chaining_estimate,
     ips_estimate,
@@ -263,11 +263,11 @@ def test_criterion_9_estimator_unbiasedness():
     se = est.std(axis=0, ddof=1) / math.sqrt(reps)
     ips_ok = bool(np.all(np.abs(mean - eta) <= 3 * se))
     # plus a direct consistency check of the log-based implementations
-    log = [QueryRecord(1, int(i), float(lam[i]), int(y)) for i, y in zip(idx[0], ys[0])]
+    log = QueryLog.from_rows((1, int(i), float(lam[i]), int(y)) for i, y in zip(idx[0], ys[0]))
     assert np.allclose(ips_estimate(log, n, 0.0).values, est[0], atol=1e-12)
 
     labels = LabelModel(np.array([0.0, 1.0, 1.0, 0.0, 1.0]), persistent=True, seed=2)
-    full = [QueryRecord(1, i, 0.2, labels.query(i)) for i in range(5)]
+    full = QueryLog.from_rows((1, i, 0.2, labels.query(i)) for i in range(5))
     naive_ok = bool(np.array_equal(naive_estimate(full, 5).values, labels.eta))
     ok = ips_ok and naive_ok
     report(9, "estimator unbiasedness", ok,
@@ -300,7 +300,7 @@ def test_criterion_11_chaining_feasibility():
     for rep in range(500):
         idx = rng.choice(n, size=t, p=lam)
         ys = (rng.random(t) < inst.labels.eta[idx]).astype(int)
-        log = [QueryRecord(1, int(i), float(lam[i]), int(y)) for i, y in zip(idx, ys)]
+        log = QueryLog.from_rows((1, int(i), float(lam[i]), int(y)) for i, y in zip(idx, ys))
         est = chaining_estimate(H, log, lam, delta)
         feasible += est.flags["feasible"]
     seq = build_admissible_sequence(H, lam, t)

@@ -76,7 +76,7 @@ def test_fixed_confidence_counts_infeasible_rounds(monkeypatch):
 
     def round_one_infeasible(labelings, log, lam, delta):
         est = chaining(labelings, log, lam, delta)
-        if log[0].round == 1:
+        if log.round[0] == 1:
             est.flags["feasible"] = False
         return est
 

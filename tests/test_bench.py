@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import io
 import json
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from aced import bench, cli
+from aced.algorithms import RunRecord
 from aced.bench import (
     ConfigError,
     ResultRow,
@@ -121,6 +123,24 @@ def test_holdout_never_queried_and_scored(tmp_path):
     assert any(r.holdout_acc is not None for r in rows)
 
 
+def test_zero_query_run_is_scored_on_the_holdout(tmp_path):
+    body = (BASE.format(seeds="0", holdout=0.25, out=tmp_path / "o")
+            .replace("n = 8", "n = 12").replace("T = 8", "T = 3")
+            + "\n[algorithm passive:zero]\nT = 0\n")
+    cfg = load_config(write_config(tmp_path, body))
+    paths = run(cfg)
+    assert not paths["errors"]
+    zero = [r for r in read_results_csv(paths["results"]) if r.algorithm == "passive:zero"]
+    assert [r.queries for r in zero] == [0]
+    with open(paths["records"]) as fh:
+        rec = next(r for r in map(RunRecord.from_jsonl, fh) if not r.params["T"])
+    full = build_instance(cfg.instance)
+    holdout_idx = np.array(json.load(open(paths["meta"]))["holdout_indices"])
+    assert holdout_idx.size == 3
+    want = bench._score(full.hypotheses.labeling(rec.returned), full.labels, holdout_idx)
+    assert zero[0].holdout_acc == pytest.approx(want, abs=1e-10)
+
+
 def test_ingest_csv_paths(tmp_path):
     feats = tmp_path / "features.csv"
     labs = tmp_path / "labels.csv"
@@ -199,7 +219,18 @@ def test_cli_end_to_end(tmp_path, capsys):
     assert (tmp_path / "o" / "results.csv").exists()
 
     assert cli.main(["complexity", str(cfg), "--epsilon", "0.2", "--out", str(tmp_path)]) == 0
-    assert (tmp_path / "complexity.csv").exists()
+    assert cli.main(["complexity", str(cfg), "--epsilon", "0.2", "--out", str(tmp_path),
+                     "--format", "jsonl"]) == 0
+    with open(tmp_path / "complexity.csv") as fh:
+        csv_rows = list(csv.DictReader(fh))
+    with open(tmp_path / "complexity.jsonl") as fh:
+        jsonl_rows = [json.loads(line) for line in fh]
+    assert [r["measure"] for r in csv_rows] == [r["measure"] for r in jsonl_rows]
+    assert len(csv_rows) >= 4
+    for c, j in zip(csv_rows, jsonl_rows):
+        assert float(c["epsilon"]) == j["epsilon"]
+        assert float(c["value"]) == pytest.approx(j["value"], rel=1e-9, abs=1e-12)
+        assert float(c["spread"]) == pytest.approx(j["spread"], rel=1e-9, abs=1e-12)
 
     assert cli.main(["instance", "core_tail", "--out", str(tmp_path / "i"),
                      "--param", "m=2"]) == 0

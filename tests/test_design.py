@@ -18,6 +18,7 @@ from aced.design import (
     gap_objective,
     line_search_max,
     objective_sample,
+    oracle_gap_objective,
     pair_width_objective,
     psi_objective,
     rho_objective,
@@ -178,6 +179,29 @@ def test_line_search_matches_enumeration_on_frozen_seeds():
     assert hits >= 32  # the multi-scale sweep finds the exact maximizer on most draws
 
 
+def test_oracle_gradient_differentiates_the_reported_value():
+    # the flipping labeling's denominator 0.5 + (-0.5)(2 * 0.99995 - 1) = 5e-5
+    # is positive but below 1e-3 * scale: it must not be clamped
+    H = np.array([[0, 0], [1, 0]], dtype=np.int8)
+
+    def maximizer(w):
+        i = int(np.argmax(H @ w))
+        return i, H[i]
+
+    obj = oracle_gap_objective(2, H[0], np.array([0.99995, 0.5]), 0.5, maximizer)
+    lam, Z = np.full(2, 0.5), np.array([[-1.0, 0.0]])
+
+    def value(lam0):
+        return batch_values(obj, np.array([lam0, 0.5]), Z)[0][0]
+
+    vals, labs = batch_values(obj, lam, Z)
+    assert vals[0] == pytest.approx(math.sqrt(0.5) / 5e-5, rel=1e-6)
+    gmean, _ = batch_gradient(obj, lam, Z, vals, labs)
+    h = 1e-7
+    assert gmean[0] == pytest.approx((value(0.5 + h) - value(0.5 - h)) / (2 * h), rel=1e-5)
+    assert gmean[0] == pytest.approx(-vals[0], rel=1e-6)  # the value is c / sqrt(lam0)
+
+
 def test_smd_duplication_invariance():
     H = np.array([[0, 0], [1, 0]], dtype=np.int8)
     eta = np.array([0.2, 0.6])
@@ -277,9 +301,9 @@ def test_waterfill_matches_grid_minimax():
 
 
 def test_sample_unique_basic_and_fallback():
-    out, fb = sample_unique(np.full(8, 1 / 8), 5, set(), seed=0)
+    out, fb = sample_unique(np.full(8, 1 / 8), 5, set(), rng=np.random.default_rng(0))
     assert len(out) == len(set(out)) == 5 and not fb
-    out, fb = sample_unique(np.array([1.0, 0.0, 0.0]), 2, {0}, seed=1)
+    out, fb = sample_unique(np.array([1.0, 0.0, 0.0]), 2, {0}, rng=np.random.default_rng(1))
     assert fb and set(out) <= {1, 2} and len(out) == 2
 
 
@@ -288,7 +312,7 @@ def test_sample_unique_first_draw_distribution():
     p = floor_simplex(rng.random(10))
     # the first draw with an empty history follows p itself
     sub = 20_000
-    picks = [sample_unique(p, 1, set(), seed=1000 + j)[0][0] for j in range(sub)]
+    picks = [sample_unique(p, 1, set(), rng=np.random.default_rng(1000 + j))[0][0] for j in range(sub)]
     counts = np.bincount(picks, minlength=10) / sub
     tv = 0.5 * float(np.abs(counts - p).sum())
     assert tv <= 0.02

@@ -27,7 +27,8 @@ from aced.estimators import (
 
 
 def make_log(indices, probs, labels, rnd=1):
-    return [QueryRecord(rnd, int(i), float(p), int(y)) for i, p, y in zip(indices, probs, labels)]
+    return QueryLog.from_rows((rnd, int(i), float(p), int(y))
+                              for i, p, y in zip(indices, probs, labels))
 
 
 def test_naive_simple_average():
@@ -87,7 +88,7 @@ def test_ips_gamma_limit():
 
 def test_ips_guards():
     with pytest.raises(ValueError):
-        ips_estimate([], 2, gamma=-1.0)
+        ips_estimate(QueryLog(), 2, gamma=-1.0)
     with pytest.raises(InvalidDesignError):
         ips_estimate(make_log([0], [0.0], [1]), 2, gamma=0.0)
 
@@ -221,7 +222,7 @@ def test_err_from_estimate_identity_and_difference_form():
     hclass = HypothesisClass(H, dedup=False)
     eta = rng.random(5)
     labels = LabelModel(eta)
-    est = naive_estimate([], 5)
+    est = naive_estimate(QueryLog(), 5)
     est.values = eta.copy()
     for h in range(6):
         assert err_from_estimate(hclass, est, h) == pytest.approx(
@@ -242,7 +243,7 @@ def test_err_from_estimate_matches_direct_sum(seed):
     H = rng.integers(0, 2, size=(3, n)).astype(np.int8)
     hclass = HypothesisClass(H, dedup=False)
     vals = rng.uniform(-0.5, 1.5, size=n)  # IPS values may leave [0,1]
-    est = naive_estimate([], n)
+    est = naive_estimate(QueryLog(), n)
     est.values = vals
     h = int(rng.integers(3))
     direct = float(np.mean(vals * (1 - H[h]) + (1 - vals) * H[h]))
@@ -390,7 +391,7 @@ def test_chaining_duplicate_rows_build_no_empty_slab():
     # is 1.2e-7; the pair used to keep an empty slab and crash reduceat
     G = np.array([[1, 1], [1, 0], [1, 1], [0, 0], [0, 0]], dtype=np.int8)
     lam = np.array([0.996, 0.004])
-    log = [QueryRecord(1, i % 2, lam[i % 2], i % 2) for i in range(4)]
+    log = QueryLog.from_rows((1, i % 2, lam[i % 2], i % 2) for i in range(4))
     assert pair_distance_matrix(G, lam, 4)[0, 2] > 0.0
     est = chaining_estimate(G, log, lam, 0.1)
     assert est.flags["feasible"] and np.all(np.abs(est.mu) <= 1.0)
@@ -472,21 +473,26 @@ def test_chaining_projection_reaches_a_feasible_point():
 
 
 def test_query_log_protocol_matches_the_record_list():
-    records = (make_log([3, 0, 3, 1], [0.25, 0.5, 0.25, 0.125], [1, 0, 0, 1], rnd=2)
-               + make_log([2], [1.0], [1], rnd=3))
-    log = QueryLog.of(records)
-    assert len(log) == len(records) == 5 and log
-    assert list(log) == records
-    assert [log[i] for i in range(-5, 5)] == records + records
+    rows = [(2, 3, 0.25, 1), (2, 0, 0.5, 0), (2, 3, 0.25, 0), (2, 1, 0.125, 1), (3, 2, 1.0, 1)]
+    records = [QueryRecord(*row) for row in rows]
+    log = QueryLog.from_rows(rows)
+    assert len(log) == 5 and log
+    assert list(log) == records and log.rows() == rows
     assert [tuple(map(type, dataclasses.astuple(q))) for q in log] == [(int, int, float, int)] * 5
     assert isinstance(log[1:3], QueryLog) and list(log[1:3]) == records[1:3]
-    assert log[:2] + log[2:] == log and log[:2] + records[2:] == log
-    assert log != log[:4] and log != QueryLog.of(records[:4] + make_log([1], [0.125], [0], rnd=2))
-    assert QueryLog.of(log) is log
-    assert QueryLog.from_rows(dataclasses.astuple(q) for q in records) == log
-    empty = QueryLog.of([])
-    assert len(empty) == 0 and not empty and list(empty) == [] and empty == QueryLog() == log[:0]
-
+    assert list(log[np.array([4, 0])]) == [records[4], records[0]]
+    for bad in (lambda: log[0], lambda: QueryLog([1, 1], [0], [0.5], [1])):
+        with pytest.raises(ValueError, match="1-d and of one length"):
+            bad()
+    assert log[:2] + log[2:] == log
+    assert log != log[:4] and log != log[:4] + QueryLog.from_rows([(2, 1, 0.125, 0)])
+    empty = QueryLog()
+    assert len(empty) == 0 and not empty and list(empty) == [] and empty.rows() == []
+    assert empty == QueryLog.from_rows([]) == log[:0]
+    # the record list is not a log: the estimators read columns only
+    for estimate in (naive_estimate, ips_estimate):
+        with pytest.raises((AttributeError, ValueError)):
+            estimate(records, 4)
 
 
 def test_estimators_reject_a_logged_index_outside_the_pool():
@@ -519,34 +525,26 @@ def _reference_ips(records, n, gamma):
     return values / len(records), mu / len(records), counts
 
 
-def _same_estimate(a, b):
-    return (a.kind == b.kind and a.t == b.t and a.flags == b.flags
-            and all(np.array_equal(x, y) and x.dtype == y.dtype
-                    for x, y in ((a.values, b.values), (a.mu, b.mu), (a.counts, b.counts))))
-
-
 def test_estimators_read_a_query_log_as_its_record_list_bitwise():
     for seed in range(60):
         G, _, _, lam, t, _ = _slab_case(seed)
         rng = np.random.default_rng([seed, 9])
         n = lam.size
         idx = rng.choice(n, size=t, p=lam)
-        records = make_log(idx, lam[idx], rng.integers(0, 2, size=t))
-        log = QueryLog.of(records)
+        log = make_log(idx, lam[idx], rng.integers(0, 2, size=t))
+        records = list(log)
         gamma = float(rng.uniform(0.0, 0.1))
-        v = G[0].astype(float) - G[-1]
-        pairs = [(naive_estimate(log, n), naive_estimate(records, n)),
-                 (ips_estimate(log, n, gamma), ips_estimate(records, n, gamma)),
-                 (chaining_estimate(G, log, lam, 0.1), chaining_estimate(G, records, lam, 0.1))]
-        assert all(_same_estimate(a, b) for a, b in pairs)
-        assert ridge_ips_pair(log, lam, v, 0.1) == ridge_ips_pair(records, lam, v, 0.1)
-        # the column sums are the query-at-a-time sums, bit for bit
-        naive, ips = pairs[0][0], pairs[1][0]
+        # the column sums are the query-at-a-time sums over the records, bit for bit
+        naive, ips = naive_estimate(log, n), ips_estimate(log, n, gamma)
         values, counts = _reference_naive(records, n)
         assert np.array_equal(naive.values, values) and np.array_equal(naive.counts, counts)
         values, mu, counts = _reference_ips(records, n, gamma)
         assert np.array_equal(ips.values, values) and np.array_equal(ips.mu, mu)
         assert np.array_equal(ips.counts, counts)
+        v = G[0].astype(float) - G[-1]
+        if v.any():
+            mu_hat = _label_sums(records, n) / (t * lam + ridge_shift(v, lam, t, 0.1))
+            assert ridge_ips_pair(log, lam, v, 0.1) == float(v @ mu_hat)
 
 
 def test_run_records_round_trip_through_json():
