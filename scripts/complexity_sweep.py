@@ -33,9 +33,9 @@ def main():
         inst = make_core_tail_instance(m)
         hc, lb = inst.hypotheses, inst.labels
         theta = disagreement_coefficient(hc, lb, 0.01)
-        rho = rho_star(hc, lb, 0.0, solver=SOLVER).value
+        rho = rho_star(hc, lb, 0.0).value
         gam = gamma_star(hc, lb, 0.0, mc_samples=args.mc_samples, solver=SOLVER).value
-        psi = psi_star(hc, lb, 0.0, solver=SOLVER).value
+        psi = psi_star(hc, lb, 0.0).value
         print(f"{m:>3} {inst.n:>4} {theta:>7.2f} {rho:>7.3f} {gam:>8.3f} {psi:>7.2f} "
               f"{theta / rho:>10.2f} {math.sqrt(inst.n):>8.2f}")
 

@@ -16,7 +16,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import ImplicitClassError, Instance
+from .core import ImplicitClassError, Instance, disagreement_region
 from .design import (
     Design,
     gap_objective,
@@ -38,6 +38,13 @@ from .estimators import (
 from .oracles import weighted_max
 
 DEFAULT_SOLVER = {"tol": 1e-3, "rel_tol": 0.1, "b0": 16, "max_iters": 150, "max_batch": 256}
+# aced_fixed_confidence's round k draws C_BUDGET * value * 4^(k+1) samples, capped
+C_BUDGET = 1.0
+MAX_ROUND_QUERIES = 1_000_000
+# confidence of the fixed-budget chaining estimator in every round
+CHAINING_DELTA = 0.1
+# IWAL's floor on the query probability
+P_MIN = 1e-6
 
 
 @dataclass(eq=False)
@@ -125,22 +132,21 @@ def _round_log(k, idx, probs, ys) -> QueryLog:
 def aced_fixed_confidence(
     instance: Instance,
     delta: float,
-    c_budget: float = 1.0,
     round_cap: int = 40,
     solver: dict | None = None,
     design_cache: dict | None = None,
     seed: int = 0,
-    max_round_queries: int = 1_000_000,
 ) -> RunRecord:
     """Elimination with per-round optimized designs at confidence delta.
 
     Each round solves the pair-width design, queries enough samples to
-    halve the resolved gap scale, re-estimates with the feasibility
-    estimator at delta_k = delta / (2 k^2), and drops every hypothesis
-    beaten by more than the current scale. Stops at a singleton or at the
-    round cap (then returns the plug-in minimizer, flagged). A round whose
-    query count was cut to max_round_queries is counted in
-    flags["round_queries_capped"], present only when some round was cut.
+    halve the resolved gap scale (C_BUDGET times the design value times
+    4^(k+1)), re-estimates with the feasibility estimator at
+    delta_k = delta / (2 k^2), and drops every hypothesis beaten by more
+    than the current scale. Stops at a singleton or at the round cap (then
+    returns the plug-in minimizer, flagged). A round whose query count was
+    cut to MAX_ROUND_QUERIES is counted in flags["round_queries_capped"],
+    present only when some round was cut.
     """
     if not 0 < delta < 1:
         raise ValueError("delta must be in (0,1)")
@@ -149,7 +155,7 @@ def aced_fixed_confidence(
         raise ImplicitClassError("fixed-confidence elimination enumerates the class")
     solver_params = dict(DEFAULT_SOLVER, **(solver or {}))
     rec = RunRecord(algorithm="aced_fixed_confidence", seed=seed,
-                    params={"delta": delta, "c_budget": c_budget, "round_cap": round_cap})
+                    params={"delta": delta, "c_budget": C_BUDGET, "round_cap": round_cap})
     H = hclass.labelings
     n = hclass.n
     active = np.arange(H.shape[0])
@@ -165,9 +171,9 @@ def aced_fixed_confidence(
         rep = _solve_cached(lambda: pair_width_objective(H_active, delta_k), solver_params,
                             design_cache, ("fc", H_active, delta_k, solver_params["tol"]))
         lam = rep.design.lam
-        wanted = max(1, math.ceil(c_budget * rep.value_estimate * 2 ** (2 * (k + 1))))
-        n_k = int(min(wanted, max_round_queries))
-        capped_rounds += wanted > max_round_queries
+        wanted = max(1, math.ceil(C_BUDGET * rep.value_estimate * 2 ** (2 * (k + 1))))
+        n_k = int(min(wanted, MAX_ROUND_QUERIES))
+        capped_rounds += wanted > MAX_ROUND_QUERIES
         rng = np.random.default_rng([seed, k])
         idx = rng.choice(lam.size, size=n_k, p=lam)
         ys = instance.labels.query_many(idx)
@@ -231,7 +237,7 @@ def _erm_handle(hclass, est):
 
 
 def _fixed_budget_loop(instance, rec, T, epsilon, est, *, estimator_kind, solver, design_cache,
-                       mix_psi=False, N_batch=None, chaining_delta=0.1, line_search_iters=20):
+                       mix_psi=False, N_batch=None, line_search_iters=20):
     """The round loop of the fixed-budget family; fills in and returns rec.
 
     Round k anchors at the plug-in ERM of the estimate est, solves the gap
@@ -300,7 +306,7 @@ def _fixed_budget_loop(instance, rec, T, epsilon, est, *, estimator_kind, solver
         elif estimator_kind == "ips":
             est = ips_estimate(round_log, n, gamma=0.0)
         else:
-            est = chaining_estimate(H, round_log, lam, chaining_delta)
+            est = chaining_estimate(H, round_log, lam, CHAINING_DELTA)
         if mix_psi:
             rec.designs.append({
                 "round": k, "lam": [float(x) for x in lam],
@@ -328,7 +334,6 @@ def aced_fixed_budget(
     estimator_kind: str = "ips",
     seed: int = 0,
     solver: dict | None = None,
-    chaining_delta: float = 0.1,
     design_cache: dict | None = None,
 ) -> RunRecord:
     """Fixed budget split over floor(log2(1/eps)) rounds of optimized designs.
@@ -347,7 +352,7 @@ def aced_fixed_budget(
                     params={"T": T, "epsilon": epsilon, "estimator_kind": estimator_kind})
     return _fixed_budget_loop(instance, rec, T, epsilon, _prior_estimate(instance.n),
                               estimator_kind=estimator_kind, solver=solver,
-                              design_cache=design_cache, chaining_delta=chaining_delta)
+                              design_cache=design_cache)
 
 
 def aced_fixed_budget_efficient(
@@ -419,7 +424,6 @@ def baseline_uniform_disagreement(
     T: int,
     delta: float = 0.1,
     seed: int = 0,
-    recompute_every: int = 1,
 ) -> RunRecord:
     """Uniform sampling on the disagreement region with a Bernstein
     version space and a naive union bound over the class.
@@ -440,21 +444,16 @@ def baseline_uniform_disagreement(
     cum = np.zeros(m)  # importance-weighted mistake sums
     queried = np.zeros(n, dtype=bool)
     rows = []  # (round, index, probability, label) per query
-    t = 0
-    while t < T:
-        sub = H[alive]
-        dis = np.flatnonzero(np.any(sub != sub[0], axis=0))
+    for t in range(1, T + 1):
+        dis = disagreement_region(H[alive])
         if dis.size == 0:
             break
         lam_val = 1.0 / dis.size
-        block = min(recompute_every, T - t)
-        draws = rng.choice(dis, size=block)
-        ys = instance.labels.query_many(draws)
-        for i, y in zip(draws, ys):
-            t += 1
-            rows.append((1, i, lam_val, y))
-            cum += (H[:, i] != y) / (n * lam_val)
-        queried[draws] = True
+        i = rng.choice(dis)
+        y = instance.labels.query(i)
+        rows.append((1, i, lam_val, y))
+        cum += (H[:, i] != y) / (n * lam_val)
+        queried[i] = True
         errs = cum / t
         live_idx = np.flatnonzero(alive)
         best_h = live_idx[int(np.argmin(errs[live_idx]))]
@@ -466,9 +465,7 @@ def baseline_uniform_disagreement(
         lg = math.log(2.0 * m * t * (t + 1) / delta)
         var_bound = diff_sizes * dis.size / (n * n)
         radius = np.sqrt(2.0 * var_bound * lg / t) + (dis.size / n) * lg / (3.0 * t)
-        drop = alive & (errs - best > 2.0 * radius)
-        if drop.any():
-            alive &= ~drop
+        alive &= errs - best <= 2.0 * radius
         rec.eliminations.append(int(alive.sum()))
         live_idx = np.flatnonzero(alive)
         rec.progress.append((1, int(np.count_nonzero(queried)),
@@ -485,14 +482,19 @@ def baseline_uniform_disagreement(
     return rec
 
 
-def _iwal_probability(G: float, k: int, C0: float, aggressiveness: float, p_min: float) -> float:
+def _iwal_probability(G: float, k: int, C0: float, aggressiveness: float) -> float:
+    """IWAL's query probability at stream step k for the loss gap G (flip
+    hypothesis minus ERM), by the rejection-threshold rule: with slack
+    s = sqrt(C0 * aggressiveness * log(max(k, 2)) / max(k - 1, 1)), a gap
+    G <= s + s^2 queries surely, and a larger one with probability 1/x^2,
+    where x > 1 solves G = s x + s^2 x^2; never below P_MIN."""
     s = math.sqrt(C0 * aggressiveness * math.log(max(k, 2)) / max(k - 1, 1))
     if s <= 0:
-        return p_min
+        return P_MIN
     if G <= s + s * s:
         return 1.0
     x = (math.sqrt(1.0 + 4.0 * G) - 1.0) / (2.0 * s)
-    return max(p_min, min(1.0, 1.0 / (x * x)))
+    return max(P_MIN, min(1.0, 1.0 / (x * x)))
 
 
 def baseline_iwal(
@@ -501,8 +503,6 @@ def baseline_iwal(
     C0: float,
     variant: str = "iwal0",
     seed: int = 0,
-    margin: float = 1e-3,
-    p_min: float = 1e-6,
 ) -> RunRecord:
     """Streaming importance-weighted active learner.
 
@@ -551,8 +551,8 @@ def baseline_iwal(
 
         def erm(x):  # before the first query: any hypothesis labeling x 1
             if w_q.size:
-                return fit(erm_logistic(X_q, w_q, y_q, warn_on_cap=False))
-            return erm_flip_constrained(X_q, w_q, y_q, x, +1, margin)
+                return fit(erm_logistic(X_q, w_q, y_q))
+            return erm_flip_constrained(X_q, w_q, y_q, x, +1)
     for step, i in enumerate(stream, start=1):
         i, denom = int(i), max(step - 1, 1)
         if explicit:
@@ -565,13 +565,12 @@ def baseline_iwal(
         else:
             hyp = erm(feats[i])
             pred = int(hyp.predict(feats[i])[0])
-            flip_hyp = fit(erm_flip_constrained(X_q, w_q, y_q, feats[i], -1 if pred == 1 else 1,
-                                                margin))
+            flip_hyp = fit(erm_flip_constrained(X_q, w_q, y_q, feats[i], -1 if pred == 1 else 1))
             assert int(flip_hyp.predict(feats[i])[0]) != pred
             loss_flip, loss = (float((w_q * (h.predict(X_q) != y_q)).sum()) / denom
                                for h in (flip_hyp, hyp))
             G = max(0.0, loss_flip - loss)
-        p = _iwal_probability(G, step, C0, aggressiveness, p_min)
+        p = _iwal_probability(G, step, C0, aggressiveness)
         if rng.random() < p:
             y = instance.labels.query(i)
             rows.append((step, i, p, y))

@@ -26,6 +26,7 @@ import numpy as np
 from .algorithms import REGISTRY, RunRecord, _erm_handle
 from .complexity import make_core_tail_instance, make_thresholds, make_tsybakov
 from .core import HypothesisClass, Instance, LabelModel, Pool
+from .design import smd_solve
 from .estimators import naive_estimate
 # weighted_max stays importable here: perfbench/tracer.py wraps bench.weighted_max
 from .oracles import LinearOracleClass, weighted_max  # noqa: F401
@@ -35,6 +36,11 @@ GENERATORS = {  # each generator's signature is the one build_instance checks sp
     "thresholds": make_thresholds,
     "tsybakov": functools.wraps(make_tsybakov)(lambda **kw: make_tsybakov(**kw)[0]),
 }
+SUPPLIED = ("instance", "stream", "seed")  # run arguments that bench itself supplies
+# the smd_solve settings a solver_<setting> key may set; the algorithms derive the seed
+SOLVER_SETTINGS = set(inspect.signature(smd_solve).parameters) - {"obj", "seed"}
+# taken at import, before anything can wrap a REGISTRY entry
+_SIGNATURES = {name: inspect.signature(fn) for name, fn in REGISTRY.items()}
 
 
 class ConfigError(ValueError):
@@ -119,7 +125,7 @@ def load_config(path) -> ExperimentConfig:
         if name not in REGISTRY:
             raise ConfigError(f"unknown algorithm {name!r}")
         params = {k: _coerce(v) for k, v in parser[section].items()}
-        algorithms.append((label, name, params))
+        algorithms.append((label, name, _algorithm_params(section, name, params)))
     if not algorithms:
         raise ConfigError("config declares no algorithms")
     return ExperimentConfig(
@@ -130,6 +136,27 @@ def load_config(path) -> ExperimentConfig:
         output_dir=str(run.get("output_dir", "results")),
         holdout_seed=int(run.get("holdout_seed", 0)),
     )
+
+
+def _algorithm_params(section: str, name: str, params: dict) -> dict:
+    """An [algorithm] section's keys as its run's keyword arguments, checked
+    where they enter: solver_<setting> keys fold into the solver dict of an
+    algorithm that takes one, iwal's passes stays for _run_one, and the rest
+    must bind to REGISTRY[name] beside SUPPLIED (else ConfigError)."""
+    sig, params = _SIGNATURES[name], dict(params)
+    solver = {k[len("solver_"):]: params.pop(k) for k in list(params) if "solver" in sig.parameters
+              and k.startswith("solver_") and k[len("solver_"):] in SOLVER_SETTINGS}
+    for key in params:  # a solver_ key not folded above, or a bare solver key, is bad
+        if key in SUPPLIED or key.startswith("solver"):
+            raise ConfigError(f"[{section}]: {name} takes no key {key!r}")
+    if solver:
+        params["solver"] = solver
+    try:
+        sig.bind(**{k: None for k in SUPPLIED if k in sig.parameters},
+                 **{k: v for k, v in params.items() if not (name == "iwal" and k == "passes")})
+    except TypeError as exc:
+        raise ConfigError(f"[{section}]: {exc}") from None
+    return params
 
 
 def build_instance(spec: dict) -> Instance:
@@ -269,11 +296,8 @@ def _restrict_instance(instance: Instance, train_idx: np.ndarray) -> Instance:
 
 
 def _run_one(instance: Instance, name: str, params: dict, seed: int):
-    params = dict(params)
-    solver = {k[len("solver_"):]: params.pop(k) for k in list(params) if k.startswith("solver_")}
-    if solver and name not in ("iwal", "passive", "uniform_disagreement"):
-        params["solver"] = solver  # the baselines solve no designs
     if name == "iwal":
+        params = dict(params)
         passes = int(params.pop("passes", 1))
         rng = np.random.default_rng([seed, 17])
         stream = np.concatenate([rng.permutation(instance.n) for _ in range(passes)])

@@ -16,10 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import HypothesisClass, Instance, LabelModel, Pool, gap_table
+from .core import HypothesisClass, Instance, LabelModel, Pool, disagreement_region, gap_table
 from .design import (
     Design,
-    DesignObjective,
     batch_values,
     gap_objective,
     psi_objective,
@@ -73,24 +72,18 @@ def tsybakov_holds(hclass: HypothesisClass, labels: LabelModel, spec: TsybakovSp
     return bool(np.all(frac[live] <= spec.a * np.power(gt.gaps[live], spec.alpha) + 1e-12))
 
 
-def _solve(obj: DesignObjective, solver: dict | None, seed: int):
-    params = dict(DIAGNOSTIC_SOLVER, **(solver or {}))
-    return smd_solve(obj, seed=seed, **params)
-
-
-def rho_star(hclass: HypothesisClass, labels: LabelModel, epsilon: float,
-             solver: dict | None = None, seed: int = 0) -> MeasureResult:
+def rho_star(hclass: HypothesisClass, labels: LabelModel, epsilon: float) -> MeasureResult:
     """Minimize the worst inverse-information-to-gap ratio over designs.
 
-    Solved through its dual over hypothesis weights, so solver and seed
-    are ignored; the certificate is the exact duality gap, and converged
-    means it fell to 1e-4 of the value within the iteration cap.
+    Solved through its dual over hypothesis weights, with no solver settings
+    or seed; the certificate is the exact duality gap, and converged means
+    it fell to 1e-4 of the value within the iteration cap.
     """
     if hclass.size == 1:
         return MeasureResult(0.0, Design.uniform(hclass.n))
     gt = gap_table(hclass, labels)
     obj = rho_objective(hclass.labelings, labels.eta, epsilon, gt.h_star)
-    rep = _solve(obj, solver, seed)
+    rep = smd_solve(obj, **DIAGNOSTIC_SOLVER)
     return MeasureResult(rep.value_estimate, rep.design, certificate=rep.certificate,
                          converged=rep.converged)
 
@@ -102,7 +95,7 @@ def gamma_star(hclass: HypothesisClass, labels: LabelModel, epsilon: float,
         return MeasureResult(0.0, Design.uniform(hclass.n))
     gt = gap_table(hclass, labels)
     obj = gap_objective(hclass.labelings, labels.eta, gt.h_star, epsilon, mode="true_gap")
-    rep = _solve(obj, solver, seed)
+    rep = smd_solve(obj, seed=seed, **dict(DIAGNOSTIC_SOLVER, **(solver or {})))
     Z = np.random.default_rng([seed, 0xFEED]).standard_normal((mc_samples, hclass.n))
     W, _ = batch_values(obj, rep.design.lam, Z)
     mean = float(W.mean())
@@ -113,30 +106,20 @@ def gamma_star(hclass: HypothesisClass, labels: LabelModel, epsilon: float,
     return MeasureResult(value, rep.design, stderr=stderr, converged=rep.converged, flags=flags)
 
 
-def psi_star(hclass: HypothesisClass, labels: LabelModel, epsilon: float,
-             solver: dict | None = None, seed: int = 0) -> MeasureResult:
+def psi_star(hclass: HypothesisClass, labels: LabelModel, epsilon: float) -> MeasureResult:
     """Minimize the worst-coordinate importance weight over designs.
 
     The minimum has a closed form, lam_i proportional to
     a_i = max over h with i in S_h of 1/max(gap_h, eps), with value
-    (1/n) sum_i a_i; it is solved exactly, so solver and seed are
-    ignored.
+    (1/n) sum_i a_i; it is solved exactly, with no solver settings or seed.
     """
     if hclass.size == 1:
         return MeasureResult(0.0, Design.uniform(hclass.n))
     gt = gap_table(hclass, labels)
     obj = psi_objective(hclass.labelings, labels.eta, gt.h_star, epsilon, floor_at_scale=True)
-    rep = _solve(obj, solver, seed)
+    rep = smd_solve(obj, **DIAGNOSTIC_SOLVER)
     return MeasureResult(rep.value_estimate, rep.design, certificate=rep.certificate,
                          converged=rep.converged)
-
-
-def disagreement_region(labelings) -> np.ndarray:
-    """Coordinates where some pair of the given labelings disagrees."""
-    L = np.asarray(labelings)
-    if L.shape[0] <= 1:
-        return np.array([], dtype=int)
-    return np.flatnonzero(np.any(L != L[0][None, :], axis=0))
 
 
 def disagreement_coefficient(hclass: HypothesisClass, labels: LabelModel, xi: float) -> float:
@@ -171,8 +154,6 @@ def disagreement_bound_check(
     mode: str = "noiseless",
     c_bound: float = 9.0,
     tsybakov: TsybakovSpec | None = None,
-    solver: dict | None = None,
-    seed: int = 0,
 ) -> tuple:
     """Compare rho*(eps) against its disagreement-coefficient ceiling.
 
@@ -205,7 +186,7 @@ def disagreement_bound_check(
     dmin = gt.delta_min
     arg = max(1.0 / epsilon, (n / dmin) if dmin > 0 else 1.0 / epsilon)
     peel = 2.0 * max(1.0, math.ceil(math.log2(arg)))
-    rho = rho_star(hclass, labels, epsilon, solver=solver, seed=seed)
+    rho = rho_star(hclass, labels, epsilon)
     denom = expr * peel
     ratio = rho.value / denom if denom > 0 else math.inf
     report = {
@@ -282,9 +263,9 @@ def complexity_report(instance: Instance, epsilon: float, xis=(0.01, 0.05, 0.1),
     theta = {float(x): disagreement_coefficient(hclass, labels, float(x)) for x in xis}
     return ComplexityReport(
         epsilon=epsilon,
-        rho_star=rho_star(hclass, labels, epsilon, solver=solver, seed=seed),
+        rho_star=rho_star(hclass, labels, epsilon),
         gamma_star=gamma_star(hclass, labels, epsilon, mc_samples=mc_samples,
                               solver=solver, seed=seed),
-        psi_star=psi_star(hclass, labels, epsilon, solver=solver, seed=seed),
+        psi_star=psi_star(hclass, labels, epsilon),
         theta=theta,
     )

@@ -228,6 +228,14 @@ def gap_table(hclass: HypothesisClass, labels: LabelModel) -> GapTable:
     return GapTable(h_star=h_star, nu=float(errs[h_star]), gaps=gaps, delta_min=delta_min)
 
 
+def disagreement_region(labelings) -> np.ndarray:
+    """Coordinates where some pair of the given labelings disagrees."""
+    L = np.asarray(labelings)
+    if L.shape[0] <= 1:
+        return np.array([], dtype=int)
+    return np.flatnonzero(np.any(L != L[0][None, :], axis=0))
+
+
 def to_bandit(hclass: HypothesisClass, labels: LabelModel) -> BanditView:
     """Coordinate change: argmin pool error = argmax set-sum of mu."""
     if not hclass.explicit:

@@ -236,13 +236,13 @@ def pair_distance_matrix(labelings, lam, t: int) -> np.ndarray:
     return np.sqrt(d2)
 
 
-def build_admissible_sequence(labelings, lam, t: int, root: int = 0) -> AdmissibleSequence:
-    """Farthest-point-greedy admissible sequence under the design metric."""
+def build_admissible_sequence(labelings, lam, t: int) -> AdmissibleSequence:
+    """Farthest-point-greedy admissible sequence from row 0 under the design metric."""
     m = np.asarray(labelings).shape[0]
     dist = pair_distance_matrix(labelings, lam, t)
-    closest = dist[root].copy()
-    closest[root] = -1.0
-    levels = [np.array([root])]
+    closest = dist[0].copy()
+    closest[0] = -1.0
+    levels = [np.array([0])]
     placed = 1
     k = 0
     while placed < m:
@@ -264,6 +264,10 @@ SLAB_RADIUS_COEFF = 2.0 * (math.sqrt(2.0 / 3.0) + 1.0)
 # entries (pairs x pool size) per chunk of the slab build: bounds the
 # dense row-difference block and every per-chunk intermediate
 SLAB_CHUNK_ENTRIES = 1 << 18
+# the cyclic projection gives up after MAX_SWEEPS sweeps; a point is
+# feasible when no slab is exceeded by more than FEAS_TOL
+MAX_SWEEPS = 10_000
+FEAS_TOL = 1e-9
 
 
 def _pair_chunks(pairs: int, n: int) -> list:
@@ -325,20 +329,20 @@ def _slab_rows(G, a, b):
     return np.concatenate(idx), np.concatenate(val), ptr, nnz.astype(float)
 
 
-def _project(G, a, b, betas, radii, res, start, max_sweeps: int, feas_tol: float):
+def _project(G, a, b, betas, radii, res, start):
     """Cyclic projection onto the slabs intersected with [-1,1]^n, from
     the point start whose residuals are res. Returns (point, feasible,
     sweeps); the point is start itself if no sweep ends feasible."""
     z = start
     sweeps = 0
-    for sweeps in range(1, max_sweeps + 1):
+    for sweeps in range(1, MAX_SWEEPS + 1):
         excess = np.abs(res) - radii
-        if float(excess.max()) <= feas_tol:
+        if float(excess.max()) <= FEAS_TOL:
             return z, True, sweeps
         if z is start:  # first projection: build the sparse slab rows
             z = start.copy()
             all_idx, all_val, ptr, nsq = _slab_rows(G, a, b)
-        for j in np.flatnonzero(excess > feas_tol):
+        for j in np.flatnonzero(excess > FEAS_TOL):
             sl = slice(ptr[j], ptr[j + 1])
             r = float(all_val[sl] @ z[all_idx[sl]]) - betas[j]
             if r > radii[j]:
@@ -350,21 +354,14 @@ def _project(G, a, b, betas, radii, res, start, max_sweeps: int, feas_tol: float
     return start, False, sweeps
 
 
-def chaining_estimate(
-    labelings,
-    log: QueryLog,
-    lam,
-    delta: float,
-    max_sweeps: int = 10_000,
-    feas_tol: float = 1e-9,
-) -> EtaEstimate:
+def chaining_estimate(labelings, log: QueryLog, lam, delta: float) -> EtaEstimate:
     """Multi-scale feasibility estimator over a hypothesis subset.
 
     Builds an admissible sequence, computes a ridge-IPS pair estimate with
     a level-dependent shift for every pair inside each cumulative level,
     and returns a point of the intersection of the induced slabs with
     [-1,1]^n (found by cyclic projection). If the program is infeasible
-    within the sweep cap, falls back to the single ridge-IPS vector at the
+    within MAX_SWEEPS sweeps, falls back to the single ridge-IPS vector at the
     diameter scale and flags it.
 
     Identical rows give no slab, nor do rows at zero distance under the
@@ -391,8 +388,7 @@ def chaining_estimate(
     if m > 1 and diam > 0.0:
         a, b, betas, radii, res = _pair_slabs(G, seq, sums, lam, t, u, fallback)
         if a.size:
-            mu, feasible, sweeps = _project(G, a, b, betas, radii, res, fallback,
-                                            max_sweeps, feas_tol)
+            mu, feasible, sweeps = _project(G, a, b, betas, radii, res, fallback)
     return EtaEstimate(values=(1.0 + mu) / 2.0, mu=mu, counts=counts,
                        kind="chaining", t=len(log),
                        flags={"feasible": feasible, "levels": seq.depth, "sweeps": sweeps})

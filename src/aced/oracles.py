@@ -6,16 +6,22 @@ logistic surrogate for linear classes fitted by damped Newton (IRLS), and
 the fixed-margin "flip" variant that forces a prediction at one point.
 A weighted sample is given as parallel arrays: the examples (pool
 indices for the exact oracle, an n x p feature matrix for the logistic
-ones), the weights w and the 0/1 labels y.
+ones), the weights w and the 0/1 labels y. A logistic fit that stops at
+its iteration cap says so through LinearHypothesis.converged, not a warning.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import HypothesisClass, ImplicitClassError
+
+# the logistic fit of erm_logistic and erm_flip_constrained, and the flip's margin
+ERM_REG = 1e-6
+ERM_TOL = 1e-6
+ERM_MAX_ITER = 5000
+FLIP_MARGIN = 1e-3
 
 
 def _weighted_arrays(w, y) -> tuple:
@@ -80,7 +86,7 @@ def weighted_max(hclass: HypothesisClass, w) -> tuple:
     return hyp, value
 
 
-def _fit_logistic(X, w, y, reg, tol, max_iter, fixed_intercept=None, warn_on_cap=True):
+def _fit_logistic(X, w, y, reg, tol, max_iter, fixed_intercept=None):
     """Damped Newton (IRLS) on the weighted logistic loss, from zero.
 
     Minimizes sum_i w_i log(1 + exp(-y_i (v.x_i + b))) + reg ||v||^2 with b
@@ -88,8 +94,7 @@ def _fit_logistic(X, w, y, reg, tol, max_iter, fixed_intercept=None, warn_on_cap
     a p x p system, not (p+1) x (p+1)); steps backtrack to the Armijo
     condition. Converged once the gradient infinity-norm is <= tol within
     max_iter Newton steps; otherwise the last (lowest-loss) iterate comes
-    back with converged=False and, if warn_on_cap, a warning.
-    Returns (v, b, converged).
+    back with converged=False. Returns (v, b, converged).
     """
     n, p = X.shape
     y_pm = 2.0 * np.asarray(y, dtype=float) - 1.0
@@ -128,57 +133,40 @@ def _fit_logistic(X, w, y, reg, tol, max_iter, fixed_intercept=None, warn_on_cap
         else:
             break
         theta, loss, m, e = cand, cand_loss, cand_m, cand_e
-    if not converged and warn_on_cap:
-        warnings.warn("logistic solver hit the iteration cap; returning best iterate")
     return theta[:p], (theta[p] if free else fixed_intercept), converged
 
 
-def erm_logistic(X, w, y, reg: float = 1e-6, tol: float = 1e-6, max_iter: int = 5000,
-                 warn_on_cap: bool = True) -> LinearHypothesis:
+def erm_logistic(X, w, y) -> LinearHypothesis:
     """Approximate weighted ERM over halfspaces via the logistic surrogate.
 
-    L2 penalty reg * ||w||^2 (intercept free), fitted by damped Newton.
-    Convergence when the gradient infinity-norm drops below tol within
-    max_iter Newton steps; otherwise the best iterate is returned with
-    converged=False and a warning. Needs a positive weight somewhere.
+    L2 penalty ERM_REG * ||w||^2 (intercept free), fitted by damped Newton.
+    Convergence when the gradient infinity-norm drops below ERM_TOL within
+    ERM_MAX_ITER Newton steps; otherwise the best iterate is returned with
+    converged=False. Needs a positive weight somewhere.
     """
     w, y = _weighted_arrays(w, y)
     if not (w > 0).any():
         raise ValueError("need at least one positive-weight sample")
-    wv, b, ok = _fit_logistic(np.asarray(X, dtype=float), w, y, reg, tol, max_iter,
-                              warn_on_cap=warn_on_cap)
+    wv, b, ok = _fit_logistic(np.asarray(X, dtype=float), w, y, ERM_REG, ERM_TOL, ERM_MAX_ITER)
     return LinearHypothesis(w=wv, b=float(b), converged=ok)
 
 
-def erm_flip_constrained(
-    X,
-    w,
-    y,
-    x_k,
-    desired_sign: int,
-    margin: float = 1e-3,
-    reg: float = 1e-6,
-    tol: float = 1e-6,
-    max_iter: int = 5000,
-) -> LinearHypothesis:
+def erm_flip_constrained(X, w, y, x_k, desired_sign: int) -> LinearHypothesis:
     """Weighted logistic fit constrained to predict desired_sign at x_k.
 
     Features are translated by x_k and the intercept is pinned to the
-    signed margin, so w.x_k + b = desired_sign * margin exactly; an empty
-    sample gives the zero normal. A fit that hits the iteration cap is
-    reported through converged=False, without a warning.
+    signed margin, so w.x_k + b = desired_sign * FLIP_MARGIN exactly; an
+    empty sample gives the zero normal. A capped fit has converged=False.
     """
     if desired_sign not in (-1, 1):
         raise ValueError("desired_sign must be -1 or +1")
-    if margin <= 0:
-        raise ValueError("margin must be positive")
     w, y = _weighted_arrays(w, y)
     x_k = np.asarray(x_k, dtype=float)
-    pinned = desired_sign * margin
+    pinned = desired_sign * FLIP_MARGIN
     if not w.size:
         return LinearHypothesis(w=np.zeros(x_k.size), b=pinned, converged=True)
-    wv, b0, ok = _fit_logistic(np.asarray(X, dtype=float) - x_k, w, y, reg, tol, max_iter,
-                               fixed_intercept=pinned, warn_on_cap=False)
+    wv, b0, ok = _fit_logistic(np.asarray(X, dtype=float) - x_k, w, y, ERM_REG, ERM_TOL,
+                               ERM_MAX_ITER, fixed_intercept=pinned)
     # translate back: prediction on raw x uses w.(x - x_k) + pinned
     return LinearHypothesis(w=wv, b=float(pinned - wv @ x_k), converged=ok)
 
@@ -215,5 +203,5 @@ class LinearOracleClass:
         if not keep.any():
             return LinearHypothesis(w=np.zeros(self.features.shape[1]), b=0.0)
         wv, b, ok = _fit_logistic(self.features[keep], weights[keep], np.asarray(labels)[keep],
-                                  ORACLE_REG, ORACLE_TOL, ORACLE_MAX_ITER, warn_on_cap=False)
+                                  ORACLE_REG, ORACLE_TOL, ORACLE_MAX_ITER)
         return LinearHypothesis(w=wv, b=float(b), converged=ok)

@@ -56,8 +56,7 @@ def test_criterion_1_core_tail_gap():
     assert inst.n == 72
     theta = disagreement_coefficient(inst.hypotheses, inst.labels, 0.01)
     theta_floor = math.sqrt(72) / (2 * math.sqrt(2))
-    rho = rho_star(inst.hypotheses, inst.labels, 0.0,
-                   solver={"tol": 1e-4, "rel_tol": 0.01, "max_iters": 8000})
+    rho = rho_star(inst.hypotheses, inst.labels, 0.0)
     ceiling = 4 * m * m / (m + 1) ** 2  # the explicit-design bound, 3.1605...
     ok = theta >= theta_floor and rho.value <= ceiling * 1.05
     report(1, "core-tail separation", ok,

@@ -54,12 +54,15 @@ def test_fixed_confidence_determinism():
     assert r1.to_jsonl() == r2.to_jsonl()
 
 
-def test_fixed_confidence_flags_rounds_cut_to_the_query_cap():
+def test_fixed_confidence_flags_rounds_cut_to_the_query_cap(monkeypatch):
+    import aced.algorithms as alg
+
     inst = make_thresholds(8, 3, 1.0, seed=1)
     free = aced_fixed_confidence(inst, delta=0.2, seed=7)
     assert "round_queries_capped" not in free.flags
     for cap in (1, 40, 100):
-        rec = aced_fixed_confidence(inst, delta=0.2, seed=7, max_round_queries=cap)
+        monkeypatch.setattr(alg, "MAX_ROUND_QUERIES", cap)
+        rec = aced_fixed_confidence(inst, delta=0.2, seed=7)
         wanted = [max(1, math.ceil(d["value"] * 2 ** (2 * (d["round"] + 1)))) for d in rec.designs]
         assert [d["N"] for d in rec.designs] == [min(w, cap) for w in wanted]
         cut = sum(w > cap for w in wanted)
@@ -272,8 +275,7 @@ def test_uniform_disagreement_matches_passive_on_easy_thresholds():
         inst = make_thresholds(8, 5, 1.0, persistent=True, seed=seed)
         gt = gap_table(inst.hypotheses, inst.labels)
         pw += baseline_passive(inst, T=400, seed=seed).returned == gt.h_star
-        rb = baseline_uniform_disagreement(inst, T=400, delta=0.1, seed=seed,
-                                           recompute_every=4)
+        rb = baseline_uniform_disagreement(inst, T=400, delta=0.1, seed=seed)
         bw += rb.returned == gt.h_star
     assert bw >= pw
 
@@ -281,15 +283,15 @@ def test_uniform_disagreement_matches_passive_on_easy_thresholds():
 def test_iwal_probability_rule_boundary():
     # zero loss gap always queries, whatever the aggressiveness
     for k in (2, 10, 500):
-        assert _iwal_probability(0.0, k, 0.01, 1.0, 1e-6) == 1.0
+        assert _iwal_probability(0.0, k, 0.01, 1.0) == 1.0
     # continuity at the threshold
     import math
 
     k, C0 = 50, 0.05
     s = math.sqrt(C0 * math.log(k) / (k - 1))
     thr = s + s * s
-    assert _iwal_probability(thr * 0.999, k, C0, 1.0, 1e-6) == 1.0
-    assert _iwal_probability(thr * 1.001, k, C0, 1.0, 1e-6) < 1.0
+    assert _iwal_probability(thr * 0.999, k, C0, 1.0) == 1.0
+    assert _iwal_probability(thr * 1.001, k, C0, 1.0) < 1.0
 
 
 def test_iwal_explicit_runs_and_dedups_stream():

@@ -286,6 +286,30 @@ def test_run_records_failures_and_continues(tmp_path):
     assert any(r.algorithm == "passive" for r in rows)  # the sweep survived
 
 
+@pytest.mark.parametrize("section, key", [
+    ("[algorithm iwal]\nC0 = 0.01\nmargin = 0.001\n", "margin"),  # a constant, not a parameter
+    ("[algorithm aced_fixed_budget]\nT = 8\nepsilon = 0.25\nestimator_knd = naive\n",
+     "estimator_knd"),
+    ("[algorithm passive:solved]\nT = 8\nsolver_max_iters = 2\n", "solver_max_iters"),
+    ("[algorithm aced_fixed_budget]\nT = 8\nepsilon = 0.25\nsolver_max_iter = 2\n",
+     "solver_max_iter"),
+    ("[algorithm aced_fixed_budget]\nT = 8\nepsilon = 0.25\nsolver = fast\n", "solver"),
+    ("[algorithm iwal]\nC0 = 0.01\nstream = 3\n", "stream"),  # the harness supplies it
+    ("[algorithm aced_waterfilled]\nepsilon = 0.25\n", "T"),  # missing
+])
+def test_bad_algorithm_keys_are_rejected_where_they_enter(tmp_path, capsys, section, key):
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, BASE.format(seeds="0", holdout=0.0, out=out) + "\n" + section)
+    label = section.splitlines()[0]
+    with pytest.raises(ConfigError) as exc:
+        load_config(cfg)
+    assert label in str(exc.value) and repr(key) in str(exc.value)
+    assert cli.main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert label in err and repr(key) in err
+    assert not (out / "runrecords.jsonl").exists()
+
+
 def test_run_worker_pool_matches_sequential(tmp_path):
     cfg = load_config(write_config(tmp_path, BASE.format(seeds="0,1", holdout=0.0,
                                                          out=tmp_path / "s")))

@@ -25,7 +25,7 @@ QUICK = {"tol": 1e-4, "rel_tol": 0.02, "b0": 32, "max_iters": 2000, "max_batch":
 
 def test_rho_star_core_tail_matches_explicit_design_bound():
     inst = make_core_tail_instance(4)
-    r = rho_star(inst.hypotheses, inst.labels, 0.0, solver=QUICK)
+    r = rho_star(inst.hypotheses, inst.labels, 0.0)
     assert r.value <= 4 * 16 / 25 * 1.02  # 2.56 with 2% solver slack
     # the optimal design halves its mass between core and tail blocks
     assert r.design.lam[:4].sum() == pytest.approx(0.5, abs=0.02)
@@ -37,7 +37,7 @@ def test_rho_star_two_point_analytic():
     gap = 0.5  # err(h1) - err(h0) = eta-weighted single coordinate
     gt = gap_table(HypothesisClass(H), labels)
     assert gt.gaps[1] == pytest.approx(0.5)
-    r = rho_star(HypothesisClass(H), labels, 0.0, solver=QUICK)
+    r = rho_star(HypothesisClass(H), labels, 0.0)
     assert r.value == pytest.approx((1 / 4) / gap**2, rel=0.02)
     assert r.design.lam[0] > 0.95
 
@@ -48,7 +48,7 @@ def test_rho_star_grid_agreement_n3():
     eta = np.array([0.9, 0.15, 0.55])
     labels = LabelModel(eta)
     hclass = HypothesisClass(H)
-    r = rho_star(hclass, labels, 0.1, solver=QUICK)
+    r = rho_star(hclass, labels, 0.1)
     gt = gap_table(hclass, labels)
     obj = rho_objective(hclass.labelings, eta, 0.1, gt.h_star)
     best = np.inf
@@ -130,7 +130,7 @@ def test_gamma_star_diagnostic_solve_leaves_the_uniform_start():
 
 def test_psi_star_core_tail_exceeds_rho_bound():
     inst = make_core_tail_instance(4)
-    p = psi_star(inst.hypotheses, inst.labels, 0.0, solver=QUICK)
+    p = psi_star(inst.hypotheses, inst.labels, 0.0)
     assert p.value >= 16 / 5 - 1e-6  # m^2/(m+1): forced tail coordinates
     assert p.value == pytest.approx(4.0, rel=0.02)  # full value n/(m+1)
     assert p.value > 4 * 16 / 25  # strictly above the rho* ceiling
@@ -145,7 +145,7 @@ def test_psi_star_singleton_and_grid():
     eta = np.array([0.8, 0.3, 0.6])
     labels = LabelModel(eta)
     hclass = HypothesisClass(H)
-    p = psi_star(hclass, labels, 0.05, solver=QUICK)
+    p = psi_star(hclass, labels, 0.05)
     from aced.design import psi_objective
 
     gt = gap_table(hclass, labels)
@@ -230,9 +230,9 @@ def test_measures_monotone_in_epsilon():
     hclass, labels = inst.hypotheses, inst.labels
     rho_last = gamma_last = psi_last = np.inf
     for eps in (0.05, 0.1, 0.3, 0.6):
-        r = rho_star(hclass, labels, eps, solver=QUICK).value
+        r = rho_star(hclass, labels, eps).value
         g = gamma_star(hclass, labels, eps, mc_samples=3000, solver=QUICK, seed=5)
-        p = psi_star(hclass, labels, eps, solver=QUICK).value
+        p = psi_star(hclass, labels, eps).value
         assert r <= rho_last * 1.03 + 1e-9
         assert g.value <= gamma_last * 1.10 + 3 * g.stderr  # MC slack
         assert p <= psi_last * 1.03 + 1e-9
@@ -243,14 +243,14 @@ def test_theta_to_rho_separation_grows_with_m():
     for m in (4, 6, 8):
         inst = make_core_tail_instance(m)
         theta = disagreement_coefficient(inst.hypotheses, inst.labels, 0.01)
-        rho = rho_star(inst.hypotheses, inst.labels, 0.0, solver=QUICK).value
+        rho = rho_star(inst.hypotheses, inst.labels, 0.0).value
         assert theta / rho >= m / 4
 
 
 def test_disagreement_bound_check_noiseless():
     inst = make_thresholds(16, 9, 1.0)
     ok, report = disagreement_bound_check(inst.hypotheses, inst.labels, epsilon=1 / 16,
-                                          mode="noiseless", c_bound=9.0, solver=QUICK)
+                                          mode="noiseless", c_bound=9.0)
     assert ok, report
     assert math.isfinite(report["ratio"]) and report["ratio"] <= 9.0
 
@@ -260,8 +260,7 @@ def test_disagreement_bound_check_tsybakov():
     spec = TsybakovSpec(a=1.0, alpha=1.0)
     assert tsybakov_holds(inst.hypotheses, inst.labels, spec)
     ok, report = disagreement_bound_check(inst.hypotheses, inst.labels, epsilon=0.125,
-                                          mode="tsybakov", tsybakov=spec, c_bound=9.0,
-                                          solver=QUICK)
+                                          mode="tsybakov", tsybakov=spec, c_bound=9.0)
     assert ok, report
 
 
@@ -269,7 +268,7 @@ def test_disagreement_bound_check_degenerate_single_gap():
     H = np.array([[0, 0], [1, 1]], dtype=np.int8)
     labels = LabelModel(np.array([0.0, 0.0]))
     ok, report = disagreement_bound_check(HypothesisClass(H), labels, epsilon=0.5,
-                                          mode="noiseless", solver=QUICK)
+                                          mode="noiseless")
     assert math.isfinite(report["ratio"])  # delta_min guard worked
 
 
@@ -378,4 +377,4 @@ def test_zero_gap_duplicate_of_h_star_is_degenerate_for_every_measure():
     assert gap_table(hclass, inst.labels).h_star == 2
     for measure in (rho_star, gamma_star, psi_star):
         with pytest.raises(ObjectiveDegenerateError):
-            measure(hclass, inst.labels, 0.0, solver=QUICK)
+            measure(hclass, inst.labels, 0.0)

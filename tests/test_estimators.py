@@ -441,10 +441,11 @@ def _off_design_case(seed):
     return inst.hypotheses.labelings, make_log(idx, lam[idx], ys), lam
 
 
-def test_chaining_projection_infeasible_returns_fallback():
+def test_chaining_projection_infeasible_returns_fallback(monkeypatch):
     G, log, lam = _off_design_case(54)
     delta, t = 0.1, len(log)
-    est = chaining_estimate(G, log, lam, delta, max_sweeps=40)
+    monkeypatch.setattr(estimators, "MAX_SWEEPS", 40)
+    est = chaining_estimate(G, log, lam, delta)
     seq = build_admissible_sequence(G, lam, t)
     assert est.flags == {"feasible": False, "levels": seq.depth, "sweeps": 40}
     u = math.sqrt(math.log(2.0 / delta) / 2.0)
@@ -455,10 +456,12 @@ def test_chaining_projection_infeasible_returns_fallback():
     assert np.array_equal(est.values, (1.0 + fallback) / 2.0)
 
 
-def test_chaining_projection_reaches_a_feasible_point():
+def test_chaining_projection_reaches_a_feasible_point(monkeypatch):
     G, log, lam = _off_design_case(92)
     t = len(log)
-    infeasible_start = chaining_estimate(G, log, lam, 0.1, max_sweeps=1)
+    with monkeypatch.context() as m:
+        m.setattr(estimators, "MAX_SWEEPS", 1)
+        infeasible_start = chaining_estimate(G, log, lam, 0.1)
     assert infeasible_start.flags["feasible"] is False
     est = chaining_estimate(G, log, lam, 0.1)
     assert est.flags["feasible"] is True and est.flags["sweeps"] > 1
@@ -554,7 +557,7 @@ def test_run_records_round_trip_through_json():
     inst = make_thresholds(10, 4, 0.8, persistent=True, seed=6)
     recs = [baseline_passive(inst, T=0, seed=1),
             baseline_iwal(inst, list(range(10)) * 2, C0=0.01, seed=6),
-            baseline_uniform_disagreement(inst, T=15, recompute_every=4, seed=2)]
+            baseline_uniform_disagreement(inst, T=15, seed=2)]
     assert [len(rec.queries) > 0 for rec in recs] == [False, True, True]
     for rec in recs:
         line = rec.to_jsonl()

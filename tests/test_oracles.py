@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from aced.core import HypothesisClass
 from aced.oracles import (
+    FLIP_MARGIN,
     LinearHypothesis,
     _fit_logistic,
     erm_exact,
@@ -64,19 +65,20 @@ def test_weighted_max_edge_cases():
 
 
 def test_logistic_separates_two_points():
-    h = erm_logistic(np.array([[-1.0, 0.0], [1.0, 0.0]]), np.ones(2), np.array([0, 1]), reg=1e-4)
-    assert h.converged
-    assert h.predict(np.array([[-1.0, 0.0], [1.0, 0.0]])).tolist() == [0, 1]
+    X = np.array([[-1.0, 0.0], [1.0, 0.0]])
+    v, b, ok = _fit_logistic(X, np.ones(2), np.array([0, 1]), 1e-4, 1e-6, 5000)
+    assert ok
+    assert LinearHypothesis(w=v, b=float(b)).predict(X).tolist() == [0, 1]
 
 
 def test_logistic_weight_scale_invariance():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(12, 2))
     y = (X[:, 0] + 0.3 * rng.normal(size=12) > 0).astype(int)
-    h1 = erm_logistic(X, np.full(12, 1.0), y, reg=1e-2, tol=1e-7)
-    h2 = erm_logistic(X, np.full(12, 2.0), y, reg=2e-2, tol=1e-7)
-    assert np.allclose(h1.w, h2.w, atol=1e-4)
-    assert h1.b == pytest.approx(h2.b, abs=1e-4)
+    v1, b1, _ = _fit_logistic(X, np.full(12, 1.0), y, 1e-2, 1e-7, 5000)
+    v2, b2, _ = _fit_logistic(X, np.full(12, 2.0), y, 2e-2, 1e-7, 5000)
+    assert np.allclose(v1, v2, atol=1e-4)
+    assert b1 == pytest.approx(b2, abs=1e-4)
 
 
 def test_logistic_near_exact_on_tiny_instance():
@@ -85,7 +87,7 @@ def test_logistic_near_exact_on_tiny_instance():
     X = rng.normal(size=(6, 2))
     y = rng.integers(0, 2, size=6)
     w = rng.random(6) + 0.1
-    fit = erm_logistic(X, w, y, reg=1e-6)
+    fit = erm_logistic(X, w, y)
     fit_loss = float((w * (fit.predict(X) != y)).sum())
     best = np.inf
     # all dichotomies induced by pairs of points plus axis directions
@@ -155,7 +157,7 @@ def test_flip_constraint_is_exact():
     y = rng.integers(0, 2, size=10)
     x_k = rng.normal(size=3)
     for sign in (-1, 1):
-        h = erm_flip_constrained(X, np.ones(10), y, x_k, sign, margin=1e-3)
+        h = erm_flip_constrained(X, np.ones(10), y, x_k, sign)
         val = float(h.w @ x_k + h.b)
         assert val == pytest.approx(sign * 1e-3, abs=1e-12)
         assert int(h.predict(x_k)[0]) == (1 if sign > 0 else 0)
@@ -163,7 +165,7 @@ def test_flip_constraint_is_exact():
 
 def test_flip_empty_samples():
     h = erm_flip_constrained(np.empty((0, 2)), np.empty(0), np.empty(0, dtype=int),
-                             np.array([1.0, 2.0]), -1, margin=1e-3)
+                             np.array([1.0, 2.0]), -1)
     assert np.all(h.w == 0) and h.b == pytest.approx(-1e-3)
     assert int(h.predict(np.array([1.0, 2.0]))[0]) == 0
 
@@ -176,8 +178,7 @@ def test_flip_fit_beats_random_constrained_candidates():
     y = rng.integers(0, 2, size=20)
     w = rng.random(20) + 0.5
     x_k = np.array([0.3, -0.2])
-    margin = 1e-3
-    fit = erm_flip_constrained(X, w, y, x_k, +1, margin=margin, reg=1e-6)
+    fit = erm_flip_constrained(X, w, y, x_k, +1)
 
     def loss(wv, b):
         z = X @ wv + b
@@ -186,7 +187,7 @@ def test_flip_fit_beats_random_constrained_candidates():
     fit_loss = loss(fit.w, fit.b)
     for _ in range(200):
         wv = rng.normal(size=2) * rng.choice([0.1, 1.0, 5.0])
-        b = margin - float(wv @ x_k)
+        b = FLIP_MARGIN - float(wv @ x_k)
         assert fit_loss <= loss(wv, b) + 1e-6
 
 
