@@ -1,7 +1,6 @@
 """Agnostic pool-based active classification via adaptive experimental design."""
 
 from .core import (
-    BanditView,
     GapTable,
     HypothesisClass,
     ImplicitClassError,
@@ -9,13 +8,10 @@ from .core import (
     LabelModel,
     Pool,
     gap_table,
-    pool_error,
-    to_bandit,
 )
 from .oracles import (
     LinearHypothesis,
     LinearOracleClass,
-    erm_exact,
     erm_flip_constrained,
     erm_logistic,
     weighted_max,
@@ -25,10 +21,8 @@ from .estimators import (
     QueryLog,
     QueryRecord,
     chaining_estimate,
-    err_from_estimate,
     ips_estimate,
     naive_estimate,
-    ridge_ips_pair,
 )
 from .design import (
     Design,

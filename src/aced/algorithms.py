@@ -263,6 +263,12 @@ def _fixed_budget_loop(instance, rec, T, epsilon, est, *, estimator_kind, solver
         rec.flags["pool_exhausted"] = False
     handle, anchor_lab = _erm_handle(hclass, est)
     for k in range(1, rounds + 1):
+        if unique:  # a round with no budget or pool left solves nothing
+            spent = int(np.count_nonzero(queried))
+            want = min(N_batch, T - spent, n - spent)
+            if want <= 0:
+                rec.flags["pool_exhausted"] = spent >= n
+                break
         eta, scale = est.values, 2.0 ** (-k + 1)
         if hclass.explicit:
             H, anchor = hclass.labelings, int(handle)
@@ -287,11 +293,6 @@ def _fixed_budget_loop(instance, rec, T, epsilon, est, *, estimator_kind, solver
             p_k = waterfill(rep.design, marginals, k)
             lam = p_k.lam
             marginals.append(lam)
-            spent = int(np.count_nonzero(queried))
-            want = min(N_batch, T - spent, n - spent)
-            if want <= 0:
-                rec.flags["pool_exhausted"] = spent >= n
-                break
             idx, fallback = sample_unique(p_k, want, np.flatnonzero(queried), rng=rng)
             if fallback:
                 rec.flags["sampling_fallback"] = True

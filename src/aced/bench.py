@@ -96,7 +96,13 @@ def _coerce(value: str):
 def load_config(path) -> ExperimentConfig:
     parser = configparser.ConfigParser()
     parser.optionxform = str  # option keys are case-sensitive (T vs t)
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.DuplicateOptionError as exc:
+        raise ConfigError(f"[{exc.section}]: key {exc.option!r} repeated "
+                          f"(line {exc.lineno})") from None
+    except configparser.DuplicateSectionError as exc:
+        raise ConfigError(f"[{exc.section}]: section repeated (line {exc.lineno})") from None
     if not read:
         raise ConfigError(f"cannot read config {path}")
     if "instance" not in parser:

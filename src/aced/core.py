@@ -2,9 +2,7 @@
 
 Pools of unlabeled examples, Bernoulli label models (optionally with
 persistent realizations), finite hypothesis classes given as labeling
-matrices, pool error / gap computation, and the exact coordinate change
-to the combinatorial-bandit view (means mu = 2*eta - 1, hypotheses as
-subsets of the pool).
+matrices, and pool error / gap computation.
 """
 from __future__ import annotations
 
@@ -179,28 +177,11 @@ class Instance:
 
 
 @dataclass(frozen=True, eq=False)
-class BanditView:
-    """Combinatorial-bandit coordinates: mu = 2*eta - 1, hypotheses as sets."""
-
-    mu: np.ndarray
-    sets: tuple
-    labelings: np.ndarray
-
-    def set_sum(self, h: int) -> float:
-        return float(self.mu[self.labelings[h].astype(bool)].sum())
-
-
-@dataclass(frozen=True, eq=False)
 class GapTable:
     h_star: int
     nu: float
     gaps: np.ndarray
     delta_min: float
-
-
-def pool_error(hclass: HypothesisClass, h: int, labels: LabelModel) -> float:
-    """Expected pool error of hypothesis h under the label means."""
-    return float(plugin_errors(hclass.labeling(h)[None, :], labels.eta)[0])
 
 
 def plugin_errors(labelings, eta) -> np.ndarray:
@@ -235,11 +216,3 @@ def disagreement_region(labelings) -> np.ndarray:
         return np.array([], dtype=int)
     return np.flatnonzero(np.any(L != L[0][None, :], axis=0))
 
-
-def to_bandit(hclass: HypothesisClass, labels: LabelModel) -> BanditView:
-    """Coordinate change: argmin pool error = argmax set-sum of mu."""
-    if not hclass.explicit:
-        raise ImplicitClassError("bandit view needs an explicit class")
-    mu = 2.0 * labels.eta - 1.0
-    sets = tuple(np.flatnonzero(row) for row in hclass.labelings)
-    return BanditView(mu=mu, sets=sets, labelings=hclass.labelings)

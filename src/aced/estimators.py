@@ -1,13 +1,15 @@
 """Label-mean estimators built from query logs.
 
-Four families: the naive per-coordinate average, inverse-propensity
-scoring with an additive shift gamma, the ridge-shifted IPS pair
-estimator (per-direction shrinkage with a prescribed shift), and the
-multi-scale feasibility estimator that intersects pairwise ridge-IPS
-confidence slabs over an admissible sequence of the hypothesis set.
+Three families: the naive per-coordinate average, inverse-propensity
+scoring with an additive shift gamma, and the multi-scale feasibility
+(chaining) estimator that intersects pairwise confidence slabs over an
+admissible sequence of the hypothesis set. The ridge-shifted IPS pair
+estimate (per-direction shrinkage with a prescribed shift) lives inside
+the chaining estimator: it is the centre of each slab.
 
 A query log is columnar (QueryLog: round, index, prob and label as
-parallel arrays), and every estimator reads the columns.
+parallel arrays). Every estimator reads the columns and accepts only a
+QueryLog; any other log, a list of QueryRecords included, is a TypeError.
 """
 from __future__ import annotations
 
@@ -128,18 +130,22 @@ def ips_estimate(log: QueryLog, n: int, gamma: float = 0.0) -> EtaEstimate:
     """
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
+    counts = _query_counts(log, n)
     idx, y, denom = log.index, log.label, log.prob + gamma
     if np.any(denom <= 0):
         raise InvalidDesignError("logged probability + gamma must be positive")
     t = max(len(log), 1)  # an empty log estimates zeros
     values = np.bincount(idx, weights=y / denom, minlength=n) / t
     mu = np.bincount(idx, weights=(2.0 * y - 1.0) / denom, minlength=n) / t
-    return EtaEstimate(values=values, mu=mu, counts=_query_counts(log, n), kind="ips",
+    return EtaEstimate(values=values, mu=mu, counts=counts, kind="ips",
                        t=len(log), flags={"gamma": gamma})
 
 
 def _query_counts(log: QueryLog, n):
-    """Per-coordinate query counts; a logged index outside [0, n) raises."""
+    """Per-coordinate query counts; a log that is not a QueryLog raises
+    TypeError, and a logged index outside [0, n) raises IndexError."""
+    if not isinstance(log, QueryLog):
+        raise TypeError(f"expected a QueryLog, got {type(log).__name__}")
     counts = np.bincount(log.index, minlength=n)
     if counts.size > n:
         raise IndexError(f"logged index out of range for a pool of size {n}")
@@ -164,31 +170,6 @@ def ridge_shift(v, lam, t: int, delta: float) -> float:
     if norm_sq == 0:
         raise ValueError("zero direction has no prescribed shift")
     return math.sqrt(math.log(2.0 / delta) / (3.0 * norm_sq))
-
-
-def ridge_ips_pair(log: QueryLog, lam, v, delta: float) -> float:
-    """Estimate <v, mu> with the ridge-shifted IPS estimator.
-
-    The shift is the one balancing the bias and the Bernstein tail for
-    this direction; a zero direction returns 0 exactly.
-    """
-    v = np.asarray(v, dtype=float)
-    if not np.any(v):
-        return 0.0
-    t = len(log)
-    s = ridge_shift(v, lam, t, delta)
-    # mu-hat = (A(t lam) + s I)^{-1} X^T y, diagonal so O(n)
-    mu_hat = _query_counts_and_sums(log, v.size)[1] / (t * np.asarray(lam, dtype=float) + s)
-    return float(v @ mu_hat)
-
-
-def ridge_pair_bound(v, lam, t: int, delta: float) -> float:
-    """Deviation bound (sqrt(2/3)+1) sqrt(2 ||v||^2_{A(lam)^-1} log(2/delta) / t)."""
-    v = np.asarray(v, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    support = v != 0
-    norm_sq = float(np.sum(v[support] ** 2 / lam[support]))
-    return (math.sqrt(2.0 / 3.0) + 1.0) * math.sqrt(2.0 * norm_sq * math.log(2.0 / delta) / t)
 
 
 @dataclass(eq=False)
@@ -392,11 +373,6 @@ def chaining_estimate(labelings, log: QueryLog, lam, delta: float) -> EtaEstimat
     return EtaEstimate(values=(1.0 + mu) / 2.0, mu=mu, counts=counts,
                        kind="chaining", t=len(log),
                        flags={"feasible": feasible, "levels": seq.depth, "sweeps": sweeps})
-
-
-def err_from_estimate(hclass: HypothesisClass, est: EtaEstimate, h) -> float:
-    """Plug-in pool error under eta-hat (no clipping before use)."""
-    return float(plugin_errors(hclass.labeling(h)[None, :], est.values)[0])
 
 
 def estimated_errors_all(hclass: HypothesisClass, est: EtaEstimate) -> np.ndarray:

@@ -1,13 +1,12 @@
 """Weighted 0/1-classification oracles.
 
-Exact weighted ERM by enumeration over explicit classes, weighted linear
-maximization (an argmax, or the sign reduction to weighted ERM), a
-logistic surrogate for linear classes fitted by damped Newton (IRLS), and
-the fixed-margin "flip" variant that forces a prediction at one point.
-A weighted sample is given as parallel arrays: the examples (pool
-indices for the exact oracle, an n x p feature matrix for the logistic
-ones), the weights w and the 0/1 labels y. A logistic fit that stops at
-its iteration cap says so through LinearHypothesis.converged, not a warning.
+Weighted linear maximization (an argmax over an explicit class, or the
+sign reduction to weighted ERM), a logistic surrogate for linear classes
+fitted by damped Newton (IRLS), and the fixed-margin "flip" variant that
+forces a prediction at one point. A weighted sample is given as parallel
+arrays: an n x p feature matrix, the weights w and the 0/1 labels y. A
+logistic fit that stops at its iteration cap says so through
+LinearHypothesis.converged, not a warning.
 """
 from __future__ import annotations
 
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HypothesisClass, ImplicitClassError
+from .core import HypothesisClass
 
 # the logistic fit of erm_logistic and erm_flip_constrained, and the flip's margin
 ERM_REG = 1e-6
@@ -47,24 +46,6 @@ class LinearHypothesis:
     def predict(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return (X @ self.w + self.b >= 0).astype(np.int8)
-
-
-def erm_exact(hclass: HypothesisClass, idx, w, y) -> int:
-    """Exact argmin over an explicit class of the weighted 0/1 loss.
-
-    Ties break to the lowest hypothesis index; an empty sample makes
-    every loss zero so index 0 is returned.
-    """
-    if not hclass.explicit:
-        raise ImplicitClassError("exact ERM enumerates an explicit class")
-    return int(np.argmin(weighted_losses(hclass, idx, w, y)))
-
-
-def weighted_losses(hclass: HypothesisClass, idx, w, y) -> np.ndarray:
-    """Weighted 0/1 loss of every hypothesis on samples at pool indices idx."""
-    w, y = _weighted_arrays(w, y)
-    preds = hclass.labelings[:, np.asarray(idx, dtype=int)]
-    return ((preds != y) * w).sum(axis=1)
 
 
 def weighted_max(hclass: HypothesisClass, w) -> tuple:

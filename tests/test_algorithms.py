@@ -196,6 +196,24 @@ def test_waterfilled_pool_exhaustion_flag():
     assert rec.unique_queried == 4
 
 
+def test_waterfilled_solves_no_round_without_budget(monkeypatch):
+    # round 1 draws N_batch = T = 6 labels, so round 2 has nothing to spend
+    # and must break before its design solve
+    import aced.algorithms as alg
+
+    solves = []
+
+    def counting_solve(*args, **kw):
+        solves.append(1)
+        return smd_solve(*args, **kw)
+
+    monkeypatch.setattr(alg, "smd_solve", counting_solve)
+    inst = make_thresholds(16, 7, 1.0, persistent=True, seed=1)
+    rec = aced_waterfilled(inst, T=6, epsilon=0.1, N_batch=6, seed=0)
+    assert len(rec.designs) == 1 and rec.unique_queried == 6
+    assert len(solves) == 1
+
+
 def test_waterfilled_single_uniform_round_is_passive_like():
     # eps = 0.5 gives one round; the recorded sampling probabilities are p_1
     inst = make_thresholds(8, 5, 1.0, persistent=True, seed=6)

@@ -296,6 +296,8 @@ def test_run_records_failures_and_continues(tmp_path):
     ("[algorithm aced_fixed_budget]\nT = 8\nepsilon = 0.25\nsolver = fast\n", "solver"),
     ("[algorithm iwal]\nC0 = 0.01\nstream = 3\n", "stream"),  # the harness supplies it
     ("[algorithm aced_waterfilled]\nepsilon = 0.25\n", "T"),  # missing
+    ("[algorithm passive]\nT = 4\n", None),  # BASE already has this section
+    ("[algorithm iwal]\nC0 = 0.01\nC0 = 0.02\n", "C0"),
 ])
 def test_bad_algorithm_keys_are_rejected_where_they_enter(tmp_path, capsys, section, key):
     out = tmp_path / "o"
@@ -303,10 +305,11 @@ def test_bad_algorithm_keys_are_rejected_where_they_enter(tmp_path, capsys, sect
     label = section.splitlines()[0]
     with pytest.raises(ConfigError) as exc:
         load_config(cfg)
-    assert label in str(exc.value) and repr(key) in str(exc.value)
+    named = [label] + ([repr(key)] if key else ["section repeated"])
+    assert all(part in str(exc.value) for part in named)
     assert cli.main(["run", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert label in err and repr(key) in err
+    assert all(part in err for part in named)
     assert not (out / "runrecords.jsonl").exists()
 
 

@@ -11,8 +11,6 @@ from aced.core import (
     Pool,
     errors_all,
     gap_table,
-    pool_error,
-    to_bandit,
 )
 from aced.complexity import make_core_tail_instance
 
@@ -35,7 +33,7 @@ def test_pool_validation():
 def test_perfect_classifier_has_zero_error():
     hclass = HypothesisClass(np.array([[0, 0, 0]]))
     labels = LabelModel(np.zeros(3))
-    assert pool_error(hclass, 0, labels) == 0.0
+    assert errors_all(hclass, labels)[0] == 0.0
 
 
 def test_core_tail_instance_gaps_are_quarter():
@@ -56,7 +54,7 @@ def test_pool_error_matches_direct_sum(labelings, data):
     direct = sum(
         eta[i] * (1 - labelings[h][i]) + (1 - eta[i]) * labelings[h][i] for i in range(n)
     ) / n
-    assert pool_error(hclass, h, labels) == pytest.approx(direct, abs=1e-12)
+    assert errors_all(hclass, labels)[h] == pytest.approx(direct, abs=1e-12)
 
 
 @given(small_classes(), st.data())
@@ -66,15 +64,15 @@ def test_pool_error_affine_in_eta(labelings, data):
     eta1 = np.array(data.draw(st.lists(st.floats(0, 1), min_size=n, max_size=n)))
     eta2 = np.array(data.draw(st.lists(st.floats(0, 1), min_size=n, max_size=n)))
     h = data.draw(st.integers(0, hclass.size - 1))
-    mid = pool_error(hclass, h, LabelModel((eta1 + eta2) / 2))
-    ends = 0.5 * (pool_error(hclass, h, LabelModel(eta1)) + pool_error(hclass, h, LabelModel(eta2)))
+    mid = errors_all(hclass, LabelModel((eta1 + eta2) / 2))[h]
+    ends = 0.5 * (errors_all(hclass, LabelModel(eta1))[h] + errors_all(hclass, LabelModel(eta2))[h])
     assert mid == pytest.approx(ends, abs=1e-12)
 
 
 def test_pool_error_index_out_of_range():
     hclass = HypothesisClass(np.array([[0, 1]]))
     with pytest.raises(ValueError):
-        pool_error(hclass, 5, LabelModel(np.array([0.5, 0.5])))
+        hclass.labeling(5)
 
 
 def test_gap_table_singleton_and_ties():
@@ -95,7 +93,7 @@ def test_gap_table_matches_brute_force(labelings, data):
     n = hclass.n
     eta = np.array(data.draw(st.lists(st.floats(0, 1), min_size=n, max_size=n)))
     labels = LabelModel(eta)
-    errs = [pool_error(hclass, h, labels) for h in range(hclass.size)]
+    errs = errors_all(hclass, labels)
     gt = gap_table(hclass, labels)
     assert gt.h_star == int(np.argmin(errs))
     assert gt.nu == pytest.approx(min(errs), abs=1e-12)
@@ -134,21 +132,24 @@ def test_query_empirical_mean():
     assert abs(draws.mean() - 0.3) < 0.01
 
 
+def set_sums(hclass, labels):
+    """The bandit view's set sums: sum of mu = 2*eta - 1 over each hypothesis's
+    positive set."""
+    return hclass.labelings @ (2.0 * labels.eta - 1.0)
+
+
 def test_to_bandit_exact_relation():
     inst = make_core_tail_instance(3)
-    bv = to_bandit(inst.hypotheses, inst.labels)
-    assert np.all(bv.mu == -1.0)
     eta = inst.labels.eta
+    assert np.all(2.0 * eta - 1.0 == -1.0)
+    sums, errs = set_sums(inst.hypotheses, inst.labels), errors_all(inst.hypotheses, inst.labels)
     for h in range(inst.hypotheses.size):
-        err = pool_error(inst.hypotheses, h, inst.labels)
-        assert err == pytest.approx((eta.sum() - bv.set_sum(h)) / inst.n, abs=1e-12)
+        assert errs[h] == pytest.approx((eta.sum() - sums[h]) / inst.n, abs=1e-12)
 
 
 def test_to_bandit_neutral_means():
     hclass = HypothesisClass(np.array([[0, 1], [1, 0]]))
-    bv = to_bandit(hclass, LabelModel(np.full(2, 0.5)))
-    assert np.all(bv.mu == 0.0)
-    assert bv.set_sum(0) == bv.set_sum(1) == 0.0
+    assert set_sums(hclass, LabelModel(np.full(2, 0.5))).tolist() == [0.0, 0.0]
 
 
 @given(small_classes(), st.data())
@@ -157,8 +158,7 @@ def test_argmin_error_is_argmax_set_sum(labelings, data):
     n = hclass.n
     eta = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=n, max_size=n)))
     labels = LabelModel(eta)
-    bv = to_bandit(hclass, labels)
-    sums = np.array([bv.set_sum(h) for h in range(hclass.size)])
+    sums = set_sums(hclass, labels)
     errs = errors_all(hclass, labels)
     assert errs[np.argmax(sums)] == pytest.approx(errs.min(), abs=1e-12)
 

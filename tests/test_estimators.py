@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from aced import estimators
-from aced.core import HypothesisClass, LabelModel, pool_error
+from aced.core import HypothesisClass, LabelModel, errors_all
 from aced.estimators import (
     AdmissibleSequence,
     InvalidDesignError,
@@ -16,12 +16,10 @@ from aced.estimators import (
     QueryRecord,
     build_admissible_sequence,
     chaining_estimate,
-    err_from_estimate,
+    estimated_errors_all,
     ips_estimate,
     naive_estimate,
     pair_distance_matrix,
-    ridge_ips_pair,
-    ridge_pair_bound,
     ridge_shift,
 )
 
@@ -93,27 +91,6 @@ def test_ips_guards():
         ips_estimate(make_log([0], [0.0], [1]), 2, gamma=0.0)
 
 
-def test_ridge_pair_zero_direction():
-    log = make_log([0, 1], [0.5, 0.5], [1, 0])
-    assert ridge_ips_pair(log, np.array([0.5, 0.5]), np.zeros(2), 0.1) == 0.0
-
-
-def test_ridge_pair_closed_form_on_constant_labels():
-    # all labels 1: per-coordinate estimate is count / (t lam + s), exactly
-    n, t = 4, 50
-    lam = np.full(n, 0.25)
-    rng = np.random.default_rng(3)
-    idx = rng.choice(n, size=t, p=lam)
-    log = make_log(idx, lam[idx], np.ones(t, dtype=int))
-    counts = np.bincount(idx, minlength=n)
-    for i in range(n):
-        v = np.zeros(n)
-        v[i] = 1.0
-        s = ridge_shift(v, lam, t, 0.1)
-        got = ridge_ips_pair(log, lam, v, 0.1)
-        assert got == pytest.approx(counts[i] / (t * lam[i] + s), abs=1e-12)
-
-
 def test_ridge_bias_bound_closed_form():
     # E<v, mu_hat - mu> = -s sum v_i mu_i/(t lam_i + s); check |.| <= s ||v||^2
     rng = np.random.default_rng(5)
@@ -131,10 +108,9 @@ def test_ridge_bias_bound_closed_form():
 
 
 def test_ridge_pair_invalid_design():
-    log = make_log([0], [1.0], [1])
     lam = np.array([1.0, 0.0])
     with pytest.raises(InvalidDesignError):
-        ridge_ips_pair(log, lam, np.array([0.0, 1.0]), 0.1)
+        ridge_shift(np.array([0.0, 1.0]), lam, 1, 0.1)
 
 
 def test_admissible_sequence_caps_enforced():
@@ -189,6 +165,10 @@ def test_chaining_two_hypotheses_obeys_pair_bound():
     mu = 2 * eta - 1
     v = (G[0] - G[1]).astype(float)
     delta = 0.1
+    # the ridge-IPS pair deviation bound
+    # (sqrt(2/3) + 1) sqrt(2 ||v||^2_{A(lam)^-1} log(2/delta) / t)
+    pair_bound = (math.sqrt(2.0 / 3.0) + 1.0) * math.sqrt(
+        2.0 * float((v**2 / lam).sum()) * math.log(2.0 / delta) / t)
     viol = 0
     for rep in range(200):
         idx = rng.choice(n, size=t, p=lam)
@@ -197,7 +177,7 @@ def test_chaining_two_hypotheses_obeys_pair_bound():
         est = chaining_estimate(G, log, lam, delta)
         dev = abs(float(v @ (est.mu - mu)))
         # feasibility slab radius at level 1 plus the pair estimator's own error
-        viol += dev > 2 * ridge_pair_bound(v, lam, t, delta) + 2 * (
+        viol += dev > 2 * pair_bound + 2 * (
             2.428 * (math.sqrt(math.log(2 / delta) / 2) + math.sqrt(2))
             * math.sqrt((v**2 / (t * lam)).sum())
         )
@@ -224,14 +204,13 @@ def test_err_from_estimate_identity_and_difference_form():
     labels = LabelModel(eta)
     est = naive_estimate(QueryLog(), 5)
     est.values = eta.copy()
+    errs = estimated_errors_all(hclass, est)
     for h in range(6):
-        assert err_from_estimate(hclass, est, h) == pytest.approx(
-            pool_error(hclass, h, labels), abs=1e-12
-        )
+        assert errs[h] == pytest.approx(errors_all(hclass, labels)[h], abs=1e-12)
     # difference form: err(h') - err(h) = <h - h', 2 eta_hat - 1>/n
     for _ in range(10):
         i, j = rng.integers(0, 6, size=2)
-        lhs = err_from_estimate(hclass, est, int(i)) - err_from_estimate(hclass, est, int(j))
+        lhs = errs[i] - errs[j]
         rhs = float((H[j] - H[i]).astype(float) @ (2 * eta - 1)) / 5
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
@@ -247,7 +226,7 @@ def test_err_from_estimate_matches_direct_sum(seed):
     est.values = vals
     h = int(rng.integers(3))
     direct = float(np.mean(vals * (1 - H[h]) + (1 - vals) * H[h]))
-    assert err_from_estimate(hclass, est, h) == pytest.approx(direct, abs=1e-12)
+    assert estimated_errors_all(hclass, est)[h] == pytest.approx(direct, abs=1e-12)
 
 
 def test_chaining_64_hypotheses_reports_empirical_constant():
@@ -492,9 +471,11 @@ def test_query_log_protocol_matches_the_record_list():
     empty = QueryLog()
     assert len(empty) == 0 and not empty and list(empty) == [] and empty.rows() == []
     assert empty == QueryLog.from_rows([]) == log[:0]
-    # the record list is not a log: the estimators read columns only
-    for estimate in (naive_estimate, ips_estimate):
-        with pytest.raises((AttributeError, ValueError)):
+    # the record list is not a log: the estimators take a QueryLog only
+    G, lam = np.array([[1, 0, 0, 0], [0, 1, 0, 0]]), np.full(4, 0.25)
+    for estimate in (naive_estimate, ips_estimate,
+                     lambda log, n: chaining_estimate(G, log, lam, 0.1)):
+        with pytest.raises(TypeError, match="QueryLog"):
             estimate(records, 4)
 
 
@@ -504,7 +485,7 @@ def test_estimators_reject_a_logged_index_outside_the_pool():
         with pytest.raises(IndexError, match="out of range"):
             estimate(log, 3)
     with pytest.raises(IndexError, match="out of range"):
-        ridge_ips_pair(log, np.full(3, 1 / 3), np.array([1.0, -1.0, 0.0]), 0.1)
+        chaining_estimate(np.array([[1, 0, 0], [0, 1, 0]]), log, np.full(3, 1 / 3), 0.1)
 
 def _reference_naive(records, n):
     """naive_estimate's counts and sums accumulated one query at a time."""
@@ -544,10 +525,9 @@ def test_estimators_read_a_query_log_as_its_record_list_bitwise():
         values, mu, counts = _reference_ips(records, n, gamma)
         assert np.array_equal(ips.values, values) and np.array_equal(ips.mu, mu)
         assert np.array_equal(ips.counts, counts)
-        v = G[0].astype(float) - G[-1]
-        if v.any():
-            mu_hat = _label_sums(records, n) / (t * lam + ridge_shift(v, lam, t, 0.1))
-            assert ridge_ips_pair(log, lam, v, 0.1) == float(v @ mu_hat)
+        # the +/-1 label sums the chaining estimator's pair estimates read
+        assert np.array_equal(estimators._query_counts_and_sums(log, n)[1],
+                              _label_sums(records, n))
 
 
 def test_run_records_round_trip_through_json():

@@ -8,38 +8,14 @@ from aced.oracles import (
     FLIP_MARGIN,
     LinearHypothesis,
     _fit_logistic,
-    erm_exact,
     erm_flip_constrained,
     erm_logistic,
-    weighted_losses,
     weighted_max,
 )
 
 
 def rand_class(rng, m, n):
     return HypothesisClass(rng.integers(0, 2, size=(m, n)).astype(np.int8))
-
-
-def test_all_zero_weights_tie_break_to_zero():
-    hclass = rand_class(np.random.default_rng(0), 6, 4)
-    assert erm_exact(hclass, np.arange(4), np.zeros(4), np.ones(4, dtype=int)) == 0
-
-
-def test_erm_exact_is_global_minimizer():
-    rng = np.random.default_rng(1)
-    hclass = rand_class(rng, 12, 6)
-    draws = [(float(rng.random()), int(rng.integers(6)), int(rng.integers(2))) for _ in range(20)]
-    w, idx, y = (np.array(col) for col in zip(*draws))
-    h = erm_exact(hclass, idx, w, y)
-    losses = weighted_losses(hclass, idx, w, y)
-    assert losses[h] == losses.min()
-    assert np.all(losses[:h] > losses[h])  # lowest-index tie break
-
-
-def test_single_sample_erm():
-    hclass = HypothesisClass(np.array([[0, 0], [1, 0], [0, 1]]))
-    h = erm_exact(hclass, [0], [1.0], [1])
-    assert hclass.labelings[h][0] == 1
 
 
 @given(st.integers(0, 2**31 - 1))
