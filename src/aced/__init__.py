@@ -21,6 +21,7 @@ from .estimators import (
     QueryLog,
     QueryRecord,
     chaining_estimate,
+    chaining_plan,
     ips_estimate,
     naive_estimate,
 )

@@ -31,6 +31,7 @@ from .estimators import (
     EtaEstimate,
     QueryLog,
     chaining_estimate,
+    chaining_plan,
     estimated_errors_all,
     ips_estimate,
     naive_estimate,
@@ -129,6 +130,18 @@ def _round_log(k, idx, probs, ys) -> QueryLog:
     return QueryLog(np.full(len(idx), k), idx, probs, ys)
 
 
+def _fc_round_design(H_active, delta_k: float, k: int, solver_params: dict) -> tuple:
+    """Everything fixed-confidence round k needs before it draws a label:
+    (solver report, wanted query count, query count n_k after the cap,
+    chaining plan for n_k queries). A pure function of its arguments; the
+    solver seed derives from (H_active, delta_k, tol)."""
+    seed = _content_seed("fc", H_active, delta_k, solver_params["tol"])
+    rep = smd_solve(pair_width_objective(H_active, delta_k), seed=seed, **solver_params)
+    wanted = max(1, math.ceil(C_BUDGET * rep.value_estimate * 2 ** (2 * (k + 1))))
+    n_k = int(min(wanted, MAX_ROUND_QUERIES))
+    return rep, wanted, n_k, chaining_plan(H_active, rep.design.lam, n_k, delta_k)
+
+
 def aced_fixed_confidence(
     instance: Instance,
     delta: float,
@@ -147,6 +160,13 @@ def aced_fixed_confidence(
     returns the plug-in minimizer, flagged). A round whose query count was
     cut to MAX_ROUND_QUERIES is counted in flags["round_queries_capped"],
     present only when some round was cut.
+
+    A design_cache entry holds all of a round's label-free work: the
+    solver report, the wanted and capped query counts and the chaining
+    plan (see _fc_round_design). Its key is ("fc", shape and bytes of the
+    active rows, delta_k, k, solver settings): the bytes hash exactly, so
+    a cache shared across instances, deltas or solver settings returns
+    only what a fresh solve would, and a hit costs one lookup.
     """
     if not 0 < delta < 1:
         raise ValueError("delta must be in (0,1)")
@@ -154,6 +174,8 @@ def aced_fixed_confidence(
     if not hclass.explicit:
         raise ImplicitClassError("fixed-confidence elimination enumerates the class")
     solver_params = dict(DEFAULT_SOLVER, **(solver or {}))
+    settings = tuple(sorted(solver_params.items()))
+    cache = {} if design_cache is None else design_cache
     rec = RunRecord(algorithm="aced_fixed_confidence", seed=seed,
                     params={"delta": delta, "c_budget": C_BUDGET, "round_cap": round_cap})
     H = hclass.labelings
@@ -168,11 +190,12 @@ def aced_fixed_confidence(
         k += 1
         delta_k = delta / (2.0 * k * k)
         H_active = H[active]
-        rep = _solve_cached(lambda: pair_width_objective(H_active, delta_k), solver_params,
-                            design_cache, ("fc", H_active, delta_k, solver_params["tol"]))
+        key = ("fc", H_active.shape, H_active.tobytes(), delta_k, k, settings)
+        entry = cache.get(key)
+        if entry is None:
+            entry = cache[key] = _fc_round_design(H_active, delta_k, k, solver_params)
+        rep, wanted, n_k, plan = entry
         lam = rep.design.lam
-        wanted = max(1, math.ceil(C_BUDGET * rep.value_estimate * 2 ** (2 * (k + 1))))
-        n_k = int(min(wanted, MAX_ROUND_QUERIES))
         capped_rounds += wanted > MAX_ROUND_QUERIES
         rng = np.random.default_rng([seed, k])
         idx = rng.choice(lam.size, size=n_k, p=lam)
@@ -180,7 +203,7 @@ def aced_fixed_confidence(
         round_log = _round_log(k, idx, lam[idx], ys)
         rec.queries = rec.queries + round_log
         queried[idx] = True
-        est = chaining_estimate(H_active, round_log, lam, delta_k)
+        est = chaining_estimate(H_active, round_log, lam, delta_k, plan=plan)
         if not est.flags.get("feasible", True):
             infeasible_rounds += 1
         errs = estimated_errors_all(hclass.subset(active), est)

@@ -103,6 +103,12 @@ def load_config(path) -> ExperimentConfig:
                           f"(line {exc.lineno})") from None
     except configparser.DuplicateSectionError as exc:
         raise ConfigError(f"[{exc.section}]: section repeated (line {exc.lineno})") from None
+    except configparser.MissingSectionHeaderError as exc:
+        raise ConfigError(f"line {exc.lineno}: {exc.line.strip()!r} comes before any "
+                          "[section] header") from None
+    except configparser.ParsingError as exc:
+        raise ConfigError("; ".join(f"line {lineno} is not a 'key = value' line"
+                                    for lineno, _ in exc.errors)) from None
     if not read:
         raise ConfigError(f"cannot read config {path}")
     if "instance" not in parser:

@@ -431,7 +431,11 @@ def line_search_max(lam, zeta, anchor_labeling, eta_hat, scale, maximizer, n_max
     shrink by gamma^2 while refining gamma, collecting every oracle
     answer; the best collected hypothesis under the ratio is returned.
     Starts from r=100, gamma=10, refinement sqrt(2). The anchor seeds the
-    candidate set so the returned value is never below its zero.
+    candidate set so the returned value is never below its zero. The
+    maximizer must be a pure function of w: when the halving stops early,
+    the first refine step reuses the answer at that r instead of asking
+    again, so the oracle is called n_max times (n_max + 1 when every
+    step halves).
     """
     lam = np.asarray(lam, dtype=float)
     zeta = np.asarray(zeta, dtype=float)
@@ -458,8 +462,9 @@ def line_search_max(lam, zeta, anchor_labeling, eta_hat, scale, maximizer, n_max
         r /= 2.0
         ghat = oracle_step(r)
         t += 1
-    for _ in range(t, n_max):
-        ghat = oracle_step(r)
+    for step in range(t, n_max):
+        if step > t:  # the first refine step is at the r the halving stopped at
+            ghat = oracle_step(r)
         if ghat > 0:
             r *= gamma
         else:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate, starmap
+from typing import NamedTuple
 
 import numpy as np
 
@@ -258,14 +259,14 @@ def _pair_chunks(pairs: int, n: int) -> list:
     return [slice(lo, lo + step) for lo in range(0, pairs, step)]
 
 
-def _pair_slabs(G, seq: AdmissibleSequence, sums, lam, t: int, u: float, z):
-    """Slab constraints of the chaining program, and their residuals at z.
+def _slab_geometry(G, seq: AdmissibleSequence, u: float):
+    """The label-free part of the chaining program's slabs: (a, b, s_pair,
+    radii), one entry per slab.
 
     One slab per level k >= 1 and pair of differing rows at nonzero
     distance inside cumulative(k): levels in order, pairs in lexicographic
-    position order within a level. Slab j asks |res_j| <= radii[j], where
-    res_j = <G[a[j]] - G[b[j]], z> - betas[j]. Returns
-    (a, b, betas, radii, res).
+    position order within a level. Slab j joins rows a[j] and b[j], with
+    ridge shift s_pair[j] and radius radii[j].
     """
     order = seq.cumulative(seq.depth)
     sizes = list(accumulate(len(lv) for lv in seq.levels))
@@ -275,21 +276,27 @@ def _pair_slabs(G, seq: AdmissibleSequence, sums, lam, t: int, u: float, z):
     # position is below sizes[k], and selecting them keeps the order
     earlier = [pairs[:, pairs[1] < c] for c in sizes[1:-1]]
     a, b = order[np.concatenate(earlier + [pairs], axis=1)]
-    level_scale = np.repeat([u + 2 ** (k / 2.0) for k in range(1, seq.depth + 1)],
-                            [c * (c - 1) // 2 for c in sizes[1:]])
+    scale = np.repeat([u + 2 ** (k / 2.0) for k in range(1, seq.depth + 1)],
+                      [c * (c - 1) // 2 for c in sizes[1:]])
     dist = seq.dist[a, b]
+    keep = dist != 0.0
+    for chunk in _pair_chunks(a.size, G.shape[1]):
+        keep[chunk] &= (G[a[chunk]] != G[b[chunk]]).any(axis=1)
+    a, b, dist, scale = a[keep], b[keep], dist[keep], scale[keep]
+    return a, b, math.sqrt(1.0 / 3.0) * scale / dist, SLAB_RADIUS_COEFF * scale * dist
+
+
+def _slab_offsets(G, a, b, s_pair, sums, lam, t: int, z):
+    """The label-dependent part of the slabs (a, b, s_pair): each centre
+    betas[j], the ridge-IPS estimate at shift s_pair[j] of the pair
+    difference G[a[j]] - G[b[j]], and each residual res_j = <G[a[j]] -
+    G[b[j]], z> - betas[j]. Returns (betas, res)."""
     t_lam = t * lam
     parts = []
     for chunk in _pair_chunks(a.size, G.shape[1]):
-        pa, pb, d, scale = a[chunk], b[chunk], dist[chunk], level_scale[chunk]
-        diff = G[pa] - G[pb]
-        differ = diff.any(axis=1)
-        if not (differ.all() and d.all()):
-            keep = differ & (d != 0.0)
-            pa, pb, d, scale, diff = pa[keep], pb[keep], d[keep], scale[keep], diff[keep]
-        s_pair = math.sqrt(1.0 / 3.0) * scale / d
-        betas = (diff * (sums / (t_lam + s_pair[:, None]))).sum(axis=1)
-        parts.append((pa, pb, betas, SLAB_RADIUS_COEFF * scale * d, diff @ z - betas))
+        diff = G[a[chunk]] - G[b[chunk]]
+        betas = (diff * (sums / (t_lam + s_pair[chunk, None]))).sum(axis=1)
+        parts.append((betas, diff @ z - betas))
     return parts[0] if len(parts) == 1 else tuple(np.concatenate(col) for col in zip(*parts))
 
 
@@ -335,7 +342,42 @@ def _project(G, a, b, betas, radii, res, start):
     return start, False, sweeps
 
 
-def chaining_estimate(labelings, log: QueryLog, lam, delta: float) -> EtaEstimate:
+class ChainingPlan(NamedTuple):
+    """The label-free part of chaining_estimate for one (labelings, lam,
+    t, delta): a pure function of the design and the sample size, so a
+    caller that repeats a design can build it once.
+
+    t is the sample size it was built for, depth the admissible
+    sequence's, and s_diam the diameter-scale shift of the fallback. The
+    slabs are (a, b, s_pair, radii), as _slab_geometry gives them; each
+    array has one entry per slab, so the plan holds no pairs x n block and
+    no m x m distance matrix.
+    """
+
+    t: int
+    depth: int
+    s_diam: float
+    a: np.ndarray
+    b: np.ndarray
+    s_pair: np.ndarray
+    radii: np.ndarray
+
+
+def chaining_plan(labelings, lam, t: int, delta: float) -> ChainingPlan:
+    """The admissible sequence, diameter shift and slab geometry that
+    chaining_estimate uses for a log of t queries (t >= 1) drawn from lam."""
+    G = np.asarray(labelings, dtype=np.int8)
+    if G.shape[0] > 4096:
+        raise ValueError("feasibility program capped at 4096 hypotheses")
+    u = math.sqrt(math.log(2.0 / delta) / 2.0)
+    seq = build_admissible_sequence(G, np.asarray(lam, dtype=float), t)
+    diam = float(seq.dist.max())
+    s_diam = (math.sqrt(1.0 / 3.0) * (u + 2 ** (seq.depth / 2.0)) / diam) if diam > 0 else 1.0
+    return ChainingPlan(t, seq.depth, s_diam, *_slab_geometry(G, seq, u))
+
+
+def chaining_estimate(labelings, log: QueryLog, lam, delta: float,
+                      plan: ChainingPlan | None = None) -> EtaEstimate:
     """Multi-scale feasibility estimator over a hypothesis subset.
 
     Builds an admissible sequence, computes a ridge-IPS pair estimate with
@@ -345,34 +387,32 @@ def chaining_estimate(labelings, log: QueryLog, lam, delta: float) -> EtaEstimat
     within MAX_SWEEPS sweeps, falls back to the single ridge-IPS vector at the
     diameter scale and flags it.
 
-    Identical rows give no slab, nor do rows at zero distance under the
-    design metric. The slabs are built a chunk of pairs at a time, so a
-    dense pairs x n block holds at most max(n, SLAB_CHUNK_ENTRIES) entries
-    whatever m (at most 4096); the sparse rows the projection needs are
-    built only when the fallback breaks a slab.
+    Everything but the label sums is in the plan, chaining_plan(labelings,
+    lam, max(len(log), 1), delta), built here when none is given; a plan
+    built for another sample size is a ValueError. Identical rows give no
+    slab, nor do rows at zero distance under the design metric. The slabs
+    are built a chunk of pairs at a time, so a dense pairs x n block holds
+    at most max(n, SLAB_CHUNK_ENTRIES) entries whatever m (at most 4096);
+    the sparse rows the projection needs are built only when the fallback
+    breaks a slab.
     """
     G = np.asarray(labelings, dtype=np.int8)
-    m, n = G.shape
-    if m > 4096:
-        raise ValueError("feasibility program capped at 4096 hypotheses")
     lam = np.asarray(lam, dtype=float)
     t = max(len(log), 1)
-    counts, sums = _query_counts_and_sums(log, n)
-    u = math.sqrt(math.log(2.0 / delta) / 2.0)
-
-    seq = build_admissible_sequence(G, lam, t)
-    diam = float(seq.dist.max())
-    s_diam = (math.sqrt(1.0 / 3.0) * (u + 2 ** (seq.depth / 2.0)) / diam) if diam > 0 else 1.0
-    fallback = np.clip(sums / (t * lam + s_diam), -1.0, 1.0)
+    counts, sums = _query_counts_and_sums(log, G.shape[1])
+    if plan is None:
+        plan = chaining_plan(G, lam, t, delta)
+    elif plan.t != t:
+        raise ValueError(f"chaining plan built for t={plan.t}, log has t={t}")
+    fallback = np.clip(sums / (t * lam + plan.s_diam), -1.0, 1.0)
 
     mu, feasible, sweeps = fallback, True, 0
-    if m > 1 and diam > 0.0:
-        a, b, betas, radii, res = _pair_slabs(G, seq, sums, lam, t, u, fallback)
-        if a.size:
-            mu, feasible, sweeps = _project(G, a, b, betas, radii, res, fallback)
+    if plan.a.size:
+        betas, res = _slab_offsets(G, plan.a, plan.b, plan.s_pair, sums, lam, t, fallback)
+        mu, feasible, sweeps = _project(G, plan.a, plan.b, betas, plan.radii, res, fallback)
     return EtaEstimate(values=(1.0 + mu) / 2.0, mu=mu, counts=counts,
                        kind="chaining", t=len(log),
-                       flags={"feasible": feasible, "levels": seq.depth, "sweeps": sweeps})
+                       flags={"feasible": feasible, "levels": plan.depth, "sweeps": sweeps})
 
 
 def estimated_errors_all(hclass: HypothesisClass, est: EtaEstimate) -> np.ndarray:

@@ -77,8 +77,8 @@ def test_fixed_confidence_counts_infeasible_rounds(monkeypatch):
     assert run().flags["infeasible_rounds"] == 0
     chaining = alg.chaining_estimate
 
-    def round_one_infeasible(labelings, log, lam, delta):
-        est = chaining(labelings, log, lam, delta)
+    def round_one_infeasible(labelings, log, lam, delta, **kwargs):
+        est = chaining(labelings, log, lam, delta, **kwargs)
         if log.round[0] == 1:
             est.flags["feasible"] = False
         return est
@@ -479,6 +479,40 @@ def test_design_cache_keys_on_solver_params():
     fresh_run = aced_fixed_budget(inst, T=24, epsilon=0.25, estimator_kind="naive", seed=0,
                                   solver={"max_iters": 60})
     assert shared.to_jsonl() == fresh_run.to_jsonl()
+
+
+def test_fixed_confidence_warm_run_does_no_design_work(monkeypatch):
+    import aced.algorithms as alg
+    import aced.estimators as est
+
+    inst = make_thresholds(16, 7, 1.0, seed=0)
+    cache = {}
+    first = aced_fixed_confidence(inst, delta=0.1, seed=3, design_cache=cache)
+    calls = []
+    for owner, name in ((alg, "smd_solve"), (est, "build_admissible_sequence"),
+                        (alg, "_content_seed")):
+        def counted(*args, _orig=getattr(owner, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    again = aced_fixed_confidence(inst, delta=0.1, seed=3, design_cache=cache)
+    assert calls == [] and again.to_jsonl() == first.to_jsonl()
+
+
+def test_fixed_confidence_cache_keys_on_solver_params_and_round():
+    # delta 0.4 in round 2 and delta 0.1 in round 1 share delta_k = 0.05,
+    # and here round 1 at delta 0.4 keeps every hypothesis: the two rounds
+    # solve one design but draw different query counts
+    inst = lambda: make_thresholds(8, 3, 0.4, seed=0)  # fresh label draws per run
+    runs = [(delta, solver, seed) for delta in (0.4, 0.1)
+            for solver in ({"max_iters": 2}, None) for seed in (0, 1)]
+    cache = {}
+    shared = [aced_fixed_confidence(inst(), delta=d, seed=seed, solver=s, design_cache=cache)
+              for d, s, seed in runs]
+    fresh = [aced_fixed_confidence(inst(), delta=d, seed=seed, solver=s) for d, s, seed in runs]
+    assert [r.to_jsonl() for r in shared] == [r.to_jsonl() for r in fresh]
+    m = inst().hypotheses.size
+    assert [len(r.designs[0]["survivors"]) for r in fresh[:4:2]] == [m, m]
 
 
 def test_oracle_design_cache_keys_on_line_search_iters():

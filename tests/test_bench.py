@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -486,6 +487,18 @@ def test_bad_generator_parameters_are_rejected_where_they_enter(tmp_path, capsys
     assert "'thresholds'" in capsys.readouterr().err and not (tmp_path / "i").exists()
     assert cli.main(["instance", "nope", "--out", str(tmp_path / "i")]) == 2
     assert "choices: ['core_tail', 'thresholds', 'tsybakov']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, named", [
+    ("T = 3\n[instance]\ngenerator = thresholds\n", "line 1: 'T = 3' comes before any [section]"),
+    ("[instance]\ngenerator = thresholds\nn\n", "line 3 is not a 'key = value' line"),
+])
+def test_unparsable_config_lines_are_named(tmp_path, capsys, text, named):
+    cfg = write_config(tmp_path, text)
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        load_config(cfg)
+    assert cli.main(["run", str(cfg)]) == 2
+    assert named in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["run", "complexity"])

@@ -130,6 +130,63 @@ def test_line_search_recovers_r_sequence():
     assert any(1.0 < r for r in ratios) or any(r < 0.5 for r in ratios)
 
 
+def _line_search_asking_every_step(lam, zeta, anchor, eta, scale, maximizer, n_max):
+    """line_search_max's schedule with an oracle call at every step, the
+    first refine step included, and its ratio over the answers collected."""
+    n = lam.size
+    d, c = -zeta / (n * np.sqrt(lam)), (1.0 - 2.0 * eta) / n
+    a, b = -scale - float(c @ anchor), -float(d @ anchor)
+    labs, r, gamma, t = [], 100.0, 10.0, 0
+
+    def step(r):
+        w = c * r + d
+        labs.append(np.asarray(maximizer(w)[1], dtype=float))
+        return a * r + b + float(w @ labs[-1])
+
+    first = ghat = step(r)
+    while ghat < 0 and t < n_max:
+        r /= 2.0
+        ghat, t = step(r), t + 1
+    for _ in range(t, n_max):
+        if step(r) > 0:
+            r *= gamma
+        else:
+            r, gamma = r / gamma**2, gamma / math.sqrt(2.0)
+    best_val, best_lab = 0.0, anchor
+    for lab in labs:
+        den = aced.design._ratio_denominator(scale + float(c @ (lab - anchor)), scale)
+        val = 0.0 if np.array_equal(lab, anchor) else float(d @ (lab - anchor)) / den
+        if val > best_val:
+            best_val, best_lab = val, lab
+    return first, best_val, best_lab
+
+
+def test_line_search_reuses_the_answer_where_halving_stops():
+    rng = np.random.default_rng(8)
+    checked = 0
+    for _ in range(40):
+        H = np.unique(rng.integers(0, 2, size=(10, 6)), axis=0).astype(np.int8)
+        eta, lam, zeta = rng.random(6), floor_simplex(rng.random(6)), rng.standard_normal(6)
+        anchor = H[int(np.argmin(H @ (1 - 2 * eta)))].astype(float)
+        calls = []
+
+        def maximizer(w):
+            calls.append(1)
+            i = int(np.argmax(H @ w))
+            return i, H[i]
+
+        first, ref_val, ref_lab = _line_search_asking_every_step(
+            lam, zeta, anchor, eta, 0.05, maximizer, n_max=12)
+        if first < 0:
+            continue
+        calls.clear()
+        value, lab, _ = line_search_max(lam, zeta, anchor, eta, 0.05, maximizer, n_max=12)
+        assert len(calls) == 12
+        assert value == ref_val and np.array_equal(lab, ref_lab)
+        checked += 1
+    assert checked >= 10
+
+
 def test_line_search_never_below_collected_max():
     rng = np.random.default_rng(12)
     H = np.unique(rng.integers(0, 2, size=(8, 4)), axis=0).astype(np.int8)

@@ -16,6 +16,7 @@ from aced.estimators import (
     QueryRecord,
     build_admissible_sequence,
     chaining_estimate,
+    chaining_plan,
     estimated_errors_all,
     ips_estimate,
     naive_estimate,
@@ -325,11 +326,20 @@ def _assert_same_slabs(got, ref, sums, lam, t):
     assert np.all(np.abs(betas - r_betas) <= 1e-12 * np.maximum(np.abs(r_betas), terms))
 
 
+def _pair_slabs(G, seq, sums, lam, t, u, z):
+    """The estimator's slabs for an admissible sequence, (a, b, betas,
+    radii, res), residuals at z: its label-free geometry composed with its
+    label-dependent offsets, as chaining_estimate composes them."""
+    a, b, s_pair, radii = estimators._slab_geometry(G, seq, u)
+    betas, res = estimators._slab_offsets(G, a, b, s_pair, sums, lam, t, z)
+    return a, b, betas, radii, res
+
+
 def _built_slabs(G, seq, sums, lam, t, u):
     """The estimator's slabs in the reference's CSR layout, once the
     residuals it reports at a point are checked against that layout."""
     z = np.linspace(-1.0, 1.0, G.shape[1])
-    a, b, betas, radii, res = estimators._pair_slabs(G, seq, sums, lam, t, u, z)
+    a, b, betas, radii, res = _pair_slabs(G, seq, sums, lam, t, u, z)
     idx, val, ptr, nsq = estimators._slab_rows(G, a, b)
     sparse_res = np.add.reduceat(val * z[idx], ptr[:-1]) - betas
     assert np.all(np.abs(res - sparse_res) <= 1e-12 * (nsq + np.abs(betas)))
@@ -452,6 +462,52 @@ def test_chaining_projection_reaches_a_feasible_point(monkeypatch):
         G, build_admissible_sequence(G, lam, t), sums, lam, t, u)
     res = np.add.reduceat(val * est.mu[idx], ptr[:-1]) - betas
     assert np.all(np.abs(res) - radii <= 1e-9)
+
+
+def _plan_case(rng):
+    """A random class, duplicate rows kept, a design on it and two logs of
+    one length with independent labels, drawn from the design or off it."""
+    n = int(rng.integers(2, 20))
+    G = rng.integers(0, 2, size=(int(rng.integers(1, 40)), n)).astype(np.int8)
+    if G.shape[0] > 2:
+        G[-1] = G[0]
+    lam = rng.dirichlet(np.full(n, 0.5))
+    lam = np.maximum(lam, 1e-3) / np.maximum(lam, 1e-3).sum()
+    t = int(rng.integers(1, 300))
+    draw = lam if rng.random() < 0.5 else rng.dirichlet(np.full(n, 0.3))
+    idx = rng.choice(n, size=t, p=draw)
+    logs = [make_log(idx, lam[idx], rng.integers(0, 2, size=t)) for _ in range(2)]
+    return G, lam, logs, float(rng.uniform(0.01, 0.5))
+
+
+def _assert_plan_changes_no_bits(G, lam, logs, delta):
+    plan = chaining_plan(G, lam, len(logs[0]), delta)
+    for log in logs:  # one plan serves every labeling of the draws
+        got = chaining_estimate(G, log, lam, delta, plan=plan)
+        ref = chaining_estimate(G, log, lam, delta)
+        assert got.mu.tobytes() == ref.mu.tobytes()
+        assert got.values.tobytes() == ref.values.tobytes()
+        assert got.flags == ref.flags
+    with pytest.raises(ValueError, match=f"built for t={len(logs[0])}"):
+        chaining_estimate(G, logs[0] + logs[1], lam, delta, plan=plan)
+    return ref.flags["sweeps"]
+
+
+@pytest.mark.parametrize("pairs_per_chunk", [None, 3])
+def test_chaining_plan_changes_no_bits(monkeypatch, pairs_per_chunk):
+    rng = np.random.default_rng(17)
+    cases = [_plan_case(rng) for _ in range(40)]
+    for seed in range(60):  # off-design logs, some of which the projection repairs
+        G, log, lam = _off_design_case(seed)
+        flipped = QueryLog(log.round, log.index, log.prob, 1 - log.label)
+        cases.append((G, lam, [log, flipped], 0.1))
+    monkeypatch.setattr(estimators, "MAX_SWEEPS", 50)  # the infeasible logs give up soon
+    projected = 0
+    for G, lam, logs, delta in cases:
+        if pairs_per_chunk:
+            monkeypatch.setattr(estimators, "SLAB_CHUNK_ENTRIES", pairs_per_chunk * G.shape[1])
+        projected += _assert_plan_changes_no_bits(G, lam, logs, delta) > 1
+    assert projected >= 3
 
 
 def test_query_log_protocol_matches_the_record_list():

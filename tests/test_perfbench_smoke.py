@@ -34,6 +34,10 @@ def test_perfbench_traced_run_is_correct(workload, tmp_path):
         for name in ("estimators.chaining_estimate.calls", "estimators.chaining_estimate.slabs",
                      "core.labels.queried"):
             assert result["metrics"][name]["value"] > 0
+        # the counting cache sees each round's one lookup, and nearly all hit
+        hits, misses = (result["metrics"][f"algorithms.design_cache.{name}"]["value"]
+                        for name in ("hits", "misses"))
+        assert hits > 10 * misses
     if workload == "oracle_linear_csv":
         # iwal's streaming fits reach the oracle module's names at call time
         for name in ("oracles.erm_logistic.calls", "oracles.erm_flip_constrained.calls"):
