@@ -67,10 +67,6 @@ class RunRecord:
     returned_labeling: list = field(default_factory=list)
     flags: dict = field(default_factory=dict)
 
-    @property
-    def unique_queried(self) -> int:
-        return int(np.unique(self.queries.index).size)
-
     def to_jsonl(self) -> str:
         payload = {f.name: getattr(self, f.name) for f in fields(self)}
         payload["queries"] = self.queries.rows()
@@ -97,10 +93,11 @@ def _content_seed(*parts) -> int:
 
 def _solve_cached(build, solver_params, cache, key_parts, unseeded=()):
     """Solve the design objective that build() returns, building it only
-    on a cache miss. The solver seed derives from the content key so
-    cached and recomputed designs are identical; the cache key adds the
-    solver parameters and the unseeded parts, so differently tuned solves
-    never share a design."""
+    on a cache miss. The solver seed derives from key_parts, so cached and
+    recomputed designs are identical; the cache key adds the solver
+    parameters and the unseeded parts. A cache entry is shared only by
+    solves whose key_parts, unseeded parts and solver parameters all
+    agree, so together they must determine the objective."""
     seed = _content_seed(*key_parts)
     key = (seed, tuple(sorted(solver_params.items())), *unseeded)
     if cache is not None:
@@ -206,7 +203,7 @@ def aced_fixed_confidence(
         est = chaining_estimate(H_active, round_log, lam, delta_k, plan=plan)
         if not est.flags.get("feasible", True):
             infeasible_rounds += 1
-        errs = estimated_errors_all(hclass.subset(active), est)
+        errs = estimated_errors_all(H_active, est)
         keep = errs < errs.min() + 2.0 ** (-(k + 1))
         active = active[keep]
         errs = errs[keep]
@@ -239,9 +236,8 @@ def _fixed_budget_rounds(T: int, epsilon: float) -> tuple:
 
 
 def _prior_estimate(n: int) -> EtaEstimate:
-    """eta-hat_0 = 0 (bandit mu = -1): every hypothesis judged by its size."""
-    return EtaEstimate(values=np.zeros(n), mu=-np.ones(n), counts=np.zeros(n, dtype=int),
-                       kind="prior", t=0)
+    """eta-hat_0 = 0: every hypothesis judged by its size."""
+    return EtaEstimate(values=np.zeros(n), counts=np.zeros(n, dtype=int))
 
 
 def _max_labeling(hclass, w):
@@ -254,7 +250,7 @@ def _erm_handle(hclass, est):
     """Plug-in ERM under eta-hat for explicit or oracle-backed classes: the
     plug-in error is minimized where the weights 2 eta-hat - 1 are maximized."""
     if hclass.explicit:
-        idx = int(np.argmin(estimated_errors_all(hclass, est)))
+        idx = int(np.argmin(estimated_errors_all(hclass.labelings, est)))
         return idx, hclass.labelings[idx]
     return _max_labeling(hclass, 2.0 * est.values - 1.0)
 
@@ -272,8 +268,10 @@ def _fixed_budget_loop(instance, rec, T, epsilon, est, *, estimator_kind, solver
     spent or the pool runs out. The ERM is computed once per round, after
     estimating: it is the progress entry, the next anchor and the answer.
 
-    The cache-key tags ("fb" with its trailing tol, "fbe1", "fbe2", "wf",
-    "wf-oracle") stay verbatim because they seed the solver.
+    The cache-key tags ("fb" with its trailing tol, "fbe1", "wf",
+    "wf-oracle") stay verbatim because they seed the solver. The
+    worst-coordinate design is solved in closed form from (H, eta-hat,
+    anchor, scale), so it is neither seeded nor cached.
     """
     hclass = instance.hypotheses
     n = instance.n
@@ -299,17 +297,17 @@ def _fixed_budget_loop(instance, rec, T, epsilon, est, *, estimator_kind, solver
             key = (tag, H, eta, anchor, scale) + ((solver_params["tol"],) if tag == "fb" else ())
             rep = _solve_cached(lambda: gap_objective(H, eta, anchor, scale), solver_params,
                                 design_cache, key)
-        else:
+        else:  # the pool features fix the oracle's answers, but not the seed
+            feats = hclass.oracle.features
             rep = _solve_cached(
                 lambda: oracle_gap_objective(n, anchor_lab, eta, scale,
                                              partial(_max_labeling, hclass), line_search_iters),
                 solver_params, design_cache, ("wf-oracle", anchor_lab, eta, scale),
-                unseeded=(line_search_iters,))
+                unseeded=(line_search_iters, feats.shape, feats.tobytes()))
         lam = rep.design.lam
         if mix_psi:
-            rep_psi = _solve_cached(
-                lambda: psi_objective(H, eta, anchor, scale, floor_at_scale=False),
-                solver_params, design_cache, ("fbe2", H, eta, anchor, scale))
+            rep_psi = smd_solve(psi_objective(H, eta, anchor, scale, floor_at_scale=False),
+                                **solver_params)
             lam = Design(0.5 * (lam + rep_psi.design.lam)).lam
         rng = np.random.default_rng([rec.seed, k])
         if unique:
@@ -328,7 +326,7 @@ def _fixed_budget_loop(instance, rec, T, epsilon, est, *, estimator_kind, solver
         if estimator_kind == "naive":
             est = naive_estimate(rec.queries, n)
         elif estimator_kind == "ips":
-            est = ips_estimate(round_log, n, gamma=0.0)
+            est = ips_estimate(round_log, n)
         else:
             est = chaining_estimate(H, round_log, lam, CHAINING_DELTA)
         if mix_psi:

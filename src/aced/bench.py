@@ -115,21 +115,29 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError("config needs an [instance] section")
     instance = {k: _coerce(v) for k, v in parser["instance"].items()}
     run = {k: _coerce(v) for k, v in parser["run"].items()} if "run" in parser else {}
+    for key in run:
+        if key not in ("seeds", "replicates", "seed0", "holdout_fraction", "holdout_seed",
+                       "output_dir"):
+            raise ConfigError(f"[run]: unknown key {key!r}")
     seeds = run.get("seeds")
     if seeds is None:
-        reps = int(run.get("replicates", 1))
+        reps = _run_integer("replicates", run.get("replicates", 1))
         if reps < 1:
             raise ConfigError("replicates must be >= 1")
-        seed0 = int(run.get("seed0", 0))
+        seed0 = _run_integer("seed0", run.get("seed0", 0))
         seeds = list(range(seed0, seed0 + reps))
-    elif isinstance(seeds, (int, float)):
-        seeds = [int(seeds)]
     else:
-        seeds = [int(s) for s in seeds]
+        seeds = [_run_integer("seeds", s) for s in (seeds if isinstance(seeds, list) else [seeds])]
+    holdout_fraction = run.get("holdout_fraction", 0.0)
+    if isinstance(holdout_fraction, bool) or not isinstance(holdout_fraction, (int, float)):
+        raise ConfigError(f"[run]: holdout_fraction must be a number, got {holdout_fraction!r}")
     algorithms = []
     for section in parser.sections():
-        if not section.startswith("algorithm"):
+        if section in ("instance", "run"):
             continue
+        if not section.startswith("algorithm"):
+            raise ConfigError(f"unknown section [{section}]; a config has [instance], [run] "
+                              "and [algorithm <name>] sections")
         label = section[len("algorithm"):].strip()
         if not label:
             raise ConfigError("algorithm sections look like [algorithm <name>]")
@@ -144,10 +152,18 @@ def load_config(path) -> ExperimentConfig:
         instance=instance,
         algorithms=algorithms,
         seeds=seeds,
-        holdout_fraction=float(run.get("holdout_fraction", 0.0)),
-        output_dir=str(run.get("output_dir", "results")),
-        holdout_seed=int(run.get("holdout_seed", 0)),
+        holdout_fraction=float(holdout_fraction),
+        output_dir=parser.get("run", "output_dir", fallback="results"),  # a path, not coerced
+        holdout_seed=_run_integer("holdout_seed", run.get("holdout_seed", 0)),
     )
+
+
+def _run_integer(key: str, value) -> int:
+    """A [run] value that must be an integer; a bool, float or string is a
+    ConfigError naming the key."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"[run]: {key} must be an integer, got {value!r}")
+    return value
 
 
 def _algorithm_params(section: str, name: str, params: dict) -> dict:

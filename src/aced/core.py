@@ -143,15 +143,6 @@ class HypothesisClass:
             return self.labelings.shape[1]
         return self.oracle.n
 
-    def subset(self, rows) -> "HypothesisClass":
-        """The explicit class of the given rows, taken as they are: the
-        rows were validated when this class was built."""
-        if not self.explicit:
-            raise ImplicitClassError("only an explicit class has rows to select")
-        sub = object.__new__(HypothesisClass)
-        sub.oracle, sub.labelings = None, self.labelings[rows]
-        return sub
-
     def labeling(self, h) -> np.ndarray:
         """Labeling vector for a hypothesis handle (index or model)."""
         if isinstance(h, (int, np.integer)):

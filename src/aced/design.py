@@ -254,11 +254,10 @@ def _paired_se(a, b) -> float:
 
 @dataclass(eq=False)
 class SolverReport:
-    """Solver output: design, value with spread, certificate and why it stopped."""
+    """Solver output: design, value, certificate and why it stopped."""
 
     design: Design
     value_estimate: float
-    value_stderr: float
     certificate: float  # smd_solve: the proposing iteration's, inf if its batch was all zeros
     batch_trajectory: list
     iterations: int
@@ -279,8 +278,8 @@ def _psi_exact(obj: DesignObjective) -> SolverReport:
     a = np.where(obj.S > 0, 1.0 / obj.den[:, None], 0.0).max(axis=0)
     design = Design(a)
     value, _ = objective_sample(obj, design, np.zeros(obj.n))
-    return SolverReport(design=design, value_estimate=value, value_stderr=0.0,
-                        certificate=0.0, batch_trajectory=[], iterations=0, stop_reason="exact")
+    return SolverReport(design=design, value_estimate=value, certificate=0.0,
+                        batch_trajectory=[], iterations=0, stop_reason="exact")
 
 
 RHO_REL_GAP = 1e-4
@@ -315,7 +314,7 @@ def _rho_dual(obj: DesignObjective) -> SolverReport:
             break
         mu *= vals
         mu /= mu.sum()
-    return SolverReport(design=best_design, value_estimate=best_value, value_stderr=0.0,
+    return SolverReport(design=best_design, value_estimate=best_value,
                         certificate=max(best_value - bound, 0.0), batch_trajectory=[],
                         iterations=it, stop_reason=stop_reason)
 
@@ -340,14 +339,14 @@ def smd_solve(
     lowest batch value so far; every PLATEAU_WINDOW iterations the mean of
     the second half of the iterates) are scored on one evaluation batch of
     max(b0, eval_samples) draws, eval_samples at most 32 when
-    oracle-backed; the best is returned with its score as value and
-    standard error. stop_reason: "certificate" once 2 max_k sigma_k +
-    max_k <g, lam - e_k> <= tol + rel_tol |value| on a batch with a
-    nonzero value; "plateau" at a checkpoint whose best score beats the
-    previous checkpoint's by at most tol plus one paired standard error;
-    else "cap". Values come from _outer, whose slope also scales the
-    noise and standard errors. psi returns its closed form ("exact"), rho
-    its dual-certified minimizer; both ignore the stochastic parameters.
+    oracle-backed; the best is returned with its score as value.
+    stop_reason: "certificate" once 2 max_k sigma_k + max_k <g, lam - e_k>
+    <= tol + rel_tol |value| on a batch with a nonzero value; "plateau"
+    at a checkpoint whose best score beats the previous checkpoint's by at
+    most tol plus one paired standard error; else "cap". Values come from
+    _outer, whose slope also scales the noise and standard errors. psi
+    returns its closed form ("exact"), rho its dual-certified minimizer;
+    both ignore the stochastic parameters.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -408,11 +407,9 @@ def smd_solve(
         else:  # no trial accepted: take the smallest step
             cand = _mirror_step(lam, g, trial)
         lam, step = cand, trial
-    value, slope, vals, lam, cert = best
-    return SolverReport(design=Design(lam), value_estimate=value,
-                        value_stderr=float(np.std(vals) / math.sqrt(vals.size)) * slope,
-                        certificate=float(cert), batch_trajectory=batch_trajectory,
-                        iterations=it,
+    value, _, _, lam, cert = best
+    return SolverReport(design=Design(lam), value_estimate=value, certificate=float(cert),
+                        batch_trajectory=batch_trajectory, iterations=it,
                         stop_reason="certificate" if certified else "plateau" if plateau else "cap")
 
 

@@ -1,11 +1,11 @@
 """Label-mean estimators built from query logs.
 
 Three families: the naive per-coordinate average, inverse-propensity
-scoring with an additive shift gamma, and the multi-scale feasibility
-(chaining) estimator that intersects pairwise confidence slabs over an
-admissible sequence of the hypothesis set. The ridge-shifted IPS pair
-estimate (per-direction shrinkage with a prescribed shift) lives inside
-the chaining estimator: it is the centre of each slab.
+scoring, and the multi-scale feasibility (chaining) estimator that
+intersects pairwise confidence slabs over an admissible sequence of the
+hypothesis set. The ridge-shifted IPS pair estimate (per-direction
+shrinkage with a prescribed shift) lives inside the chaining estimator:
+it is the centre of each slab.
 
 A query log is columnar (QueryLog: round, index, prob and label as
 parallel arrays). Every estimator reads the columns and accepts only a
@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import HypothesisClass, plugin_errors
+from .core import plugin_errors
 
 
 class InvalidDesignError(ValueError):
@@ -96,19 +96,12 @@ class QueryLog:
 
 @dataclass(eq=False)
 class EtaEstimate:
-    """An estimate of the label means with its bandit-scale twin.
-
-    values is the eta-hat vector (clipped to [0,1] only for the naive
-    family); mu is the matching bandit estimate. For the naive family
-    mu = 2*values - 1 exactly; the IPS families estimate mu directly
-    from +/-1 labels, so the two are distinct estimators.
-    """
+    """An estimate of the label means: values is the eta-hat vector (in
+    [0,1] for the naive and chaining families, unclipped for IPS), counts
+    the per-coordinate query counts, flags what the estimator reports."""
 
     values: np.ndarray
-    mu: np.ndarray
     counts: np.ndarray
-    kind: str
-    t: int
     flags: dict = field(default_factory=dict)
 
 
@@ -119,27 +112,17 @@ def naive_estimate(log: QueryLog, n: int) -> EtaEstimate:
     values = np.full(n, 0.5)
     seen = counts > 0
     values[seen] = sums[seen] / counts[seen]
-    return EtaEstimate(values=values, mu=2.0 * values - 1.0, counts=counts,
-                       kind="naive", t=len(log))
+    return EtaEstimate(values=values, counts=counts)
 
 
-def ips_estimate(log: QueryLog, n: int, gamma: float = 0.0) -> EtaEstimate:
-    """Importance-weighted estimate (1/T) sum_t y_t / (lambda_{I_t} + gamma).
-
-    The bandit-scale mu uses +/-1 labels with the same weights. gamma = 0
-    is unbiased; the shift trades bias for bounded weights.
-    """
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
+def ips_estimate(log: QueryLog, n: int) -> EtaEstimate:
+    """Unbiased importance-weighted estimate (1/T) sum_t y_t / lambda_{I_t}."""
     counts = _query_counts(log, n)
-    idx, y, denom = log.index, log.label, log.prob + gamma
-    if np.any(denom <= 0):
-        raise InvalidDesignError("logged probability + gamma must be positive")
+    if np.any(log.prob <= 0):
+        raise InvalidDesignError("logged probability must be positive")
     t = max(len(log), 1)  # an empty log estimates zeros
-    values = np.bincount(idx, weights=y / denom, minlength=n) / t
-    mu = np.bincount(idx, weights=(2.0 * y - 1.0) / denom, minlength=n) / t
-    return EtaEstimate(values=values, mu=mu, counts=counts, kind="ips",
-                       t=len(log), flags={"gamma": gamma})
+    values = np.bincount(log.index, weights=log.label / log.prob, minlength=n) / t
+    return EtaEstimate(values=values, counts=counts)
 
 
 def _query_counts(log: QueryLog, n):
@@ -410,11 +393,10 @@ def chaining_estimate(labelings, log: QueryLog, lam, delta: float,
     if plan.a.size:
         betas, res = _slab_offsets(G, plan.a, plan.b, plan.s_pair, sums, lam, t, fallback)
         mu, feasible, sweeps = _project(G, plan.a, plan.b, betas, plan.radii, res, fallback)
-    return EtaEstimate(values=(1.0 + mu) / 2.0, mu=mu, counts=counts,
-                       kind="chaining", t=len(log),
+    return EtaEstimate(values=(1.0 + mu) / 2.0, counts=counts,
                        flags={"feasible": feasible, "levels": plan.depth, "sweeps": sweeps})
 
 
-def estimated_errors_all(hclass: HypothesisClass, est: EtaEstimate) -> np.ndarray:
-    """Plug-in error of every hypothesis of an explicit class."""
-    return plugin_errors(hclass.labelings, est.values)
+def estimated_errors_all(labelings, est: EtaEstimate) -> np.ndarray:
+    """Plug-in error of every row of labelings under the estimate."""
+    return plugin_errors(labelings, est.values)

@@ -263,7 +263,7 @@ def test_criterion_9_estimator_unbiasedness():
     ips_ok = bool(np.all(np.abs(mean - eta) <= 3 * se))
     # plus a direct consistency check of the log-based implementations
     log = QueryLog.from_rows((1, int(i), float(lam[i]), int(y)) for i, y in zip(idx[0], ys[0]))
-    assert np.allclose(ips_estimate(log, n, 0.0).values, est[0], atol=1e-12)
+    assert np.allclose(ips_estimate(log, n).values, est[0], atol=1e-12)
 
     labels = LabelModel(np.array([0.0, 1.0, 1.0, 0.0, 1.0]), persistent=True, seed=2)
     full = QueryLog.from_rows((1, i, 0.2, labels.query(i)) for i in range(5))

@@ -131,7 +131,7 @@ def test_fixed_budget_logs_probabilities_of_designs():
     lam_by_round = {d["round"]: d["lam"] for d in rec.designs}
     for q in rec.queries:
         assert q.prob == pytest.approx(lam_by_round[q.round][q.index], abs=1e-12)
-    assert rec.unique_queried <= 30
+    assert np.unique(rec.queries.index).size <= 30
 
 
 def test_fixed_budget_estimator_kinds_run():
@@ -160,6 +160,20 @@ def test_efficient_mixes_designs_and_covers_tails():
     assert lam[4:].min() >= 1.0 / (4 * 16)
 
 
+def test_efficient_round_hashes_only_its_gap_design(monkeypatch):
+    # the worst-coordinate design is a closed form: it needs no seed, so the
+    # one content hash per round is the gap design's
+    import aced.algorithms as alg
+
+    tags = []
+    content_seed = alg._content_seed
+    monkeypatch.setattr(alg, "_content_seed", lambda *parts: tags.append(parts[0])
+                        or content_seed(*parts))
+    rec = aced_fixed_budget_efficient(make_core_tail_instance(3, persistent=True, seed=1),
+                                      T=24, epsilon=0.2, seed=1, design_cache={})
+    assert len(rec.designs) == 2 and tags == ["fbe1", "fbe1"]
+
+
 def test_efficient_parity_with_ips_on_thresholds():
     wins_a = wins_b = 0
     cache = {}
@@ -186,14 +200,14 @@ def test_waterfilled_budget_and_uniqueness():
     rec = aced_waterfilled(inst, T=10, epsilon=0.25, N_batch=4, seed=4)
     idxs = [q.index for q in rec.queries]
     assert len(idxs) == len(set(idxs))  # fresh points only
-    assert rec.unique_queried <= 10
+    assert np.unique(rec.queries.index).size <= 10
 
 
 def test_waterfilled_pool_exhaustion_flag():
     inst = make_thresholds(4, 2, 1.0, persistent=True, seed=0)
     rec = aced_waterfilled(inst, T=64, epsilon=0.03125, N_batch=2, seed=0)
     assert rec.flags["pool_exhausted"]
-    assert rec.unique_queried == 4
+    assert np.unique(rec.queries.index).size == 4
 
 
 def test_waterfilled_solves_no_round_without_budget(monkeypatch):
@@ -210,7 +224,7 @@ def test_waterfilled_solves_no_round_without_budget(monkeypatch):
     monkeypatch.setattr(alg, "smd_solve", counting_solve)
     inst = make_thresholds(16, 7, 1.0, persistent=True, seed=1)
     rec = aced_waterfilled(inst, T=6, epsilon=0.1, N_batch=6, seed=0)
-    assert len(rec.designs) == 1 and rec.unique_queried == 6
+    assert len(rec.designs) == 1 and np.unique(rec.queries.index).size == 6
     assert len(solves) == 1
 
 
@@ -393,7 +407,7 @@ def test_budget_accounting_all_fixed_budget_variants():
         lambda: baseline_uniform_disagreement(inst, T=T, seed=7),
     ):
         rec = runner()
-        assert rec.unique_queried <= T
+        assert np.unique(rec.queries.index).size <= T
 
 
 def test_passive_success_monotone_in_budget():
@@ -532,6 +546,28 @@ def test_oracle_design_cache_keys_on_line_search_iters():
     shared = run(3, cache)
     assert shared.designs[1]["value"] != first.designs[1]["value"]
     assert shared.to_jsonl() == run(3, None).to_jsonl()
+
+
+def test_oracle_design_cache_keys_on_the_pool():
+    # round 1 anchors every pool of one size at the all-ones labeling with
+    # eta-hat 0.5, so its solver seed is the same for any two such pools
+    def inst(seed):
+        X = np.random.default_rng(seed).standard_normal((10, 2))
+        eta = 1.0 / (1.0 + np.exp(-2.0 * (X[:, 0] - 0.5 * X[:, 1])))
+        return Instance(Pool(n=10, features=X), HypothesisClass(oracle=LinearOracleClass(X)),
+                        LabelModel(eta, persistent=True, seed=3))
+
+    def run(instance, cache):
+        return aced_waterfilled(instance, T=8, epsilon=0.25, N_batch=4, seed=7,
+                                solver={"max_iters": 3, "b0": 4, "max_batch": 8},
+                                line_search_iters=3, design_cache=cache)
+
+    for a, b in ((4, 5), (6, 7)):
+        cache = {}
+        first = run(inst(a), cache)
+        shared = run(inst(b), cache)
+        assert len(cache) == 4 and shared.designs[0]["value"] != first.designs[0]["value"]
+        assert shared.to_jsonl() == run(inst(b), None).to_jsonl()
 
 
 def test_solve_cached_builds_objective_only_on_miss():

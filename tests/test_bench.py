@@ -501,6 +501,34 @@ def test_unparsable_config_lines_are_named(tmp_path, capsys, text, named):
     assert named in capsys.readouterr().err
 
 
+def test_output_dir_is_read_verbatim(tmp_path):
+    # a comma used to split the path into a list, named "['runs', 'v2']"
+    cfg = load_config(write_config(tmp_path, BASE.format(seeds="0", holdout=0.0, out="runs,v2")))
+    assert cfg.output_dir == "runs,v2"
+
+
+@pytest.mark.parametrize("section, named", [
+    ("[run]\nseeds = abc", "[run]: seeds must be an integer, got 'abc'"),
+    ("[run]\nseeds = 1.5", "[run]: seeds must be an integer, got 1.5"),
+    ("[run]\nseeds = true", "[run]: seeds must be an integer, got True"),
+    ("[run]\nseeds = 0,x", "[run]: seeds must be an integer, got 'x'"),
+    ("[run]\nreplicates = x", "[run]: replicates must be an integer, got 'x'"),
+    ("[run]\nreplicates = 2.9", "[run]: replicates must be an integer, got 2.9"),
+    ("[run]\nseed0 = 1.5", "[run]: seed0 must be an integer, got 1.5"),
+    ("[run]\nholdout_seed = yes", "[run]: holdout_seed must be an integer, got True"),
+    ("[run]\nholdout_fraction = abc", "[run]: holdout_fraction must be a number, got 'abc'"),
+    ("[run]\nreplicate = 5", "[run]: unknown key 'replicate'"),
+    ("[run]\nseed = 3", "[run]: unknown key 'seed'"),
+    ("[runs]\nreplicates = 5", "unknown section [runs]"),
+])
+def test_run_section_is_checked_where_it_enters(tmp_path, capsys, section, named):
+    cfg = write_config(tmp_path, "[instance]\ngenerator = thresholds\nn = 4\nk_star = 2\n"
+                                 f"eps = 1.0\n\n{section}\n\n[algorithm passive]\nT = 4\n")
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["run", "complexity"])
 def test_cli_reports_a_bad_config_without_a_traceback(tmp_path, command):
     missing = tmp_path / "nowhere" / "features.csv"

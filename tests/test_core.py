@@ -167,13 +167,3 @@ def test_dedup_keeps_first_occurrence_order():
     mat = np.array([[1, 0], [0, 1], [1, 0], [0, 0]])
     hclass = HypothesisClass(mat)
     assert hclass.labelings.tolist() == [[1, 0], [0, 1], [0, 0]]
-
-
-def test_subset_selects_rows_without_revalidating():
-    hc = HypothesisClass(np.array([[0, 1, 1], [1, 1, 0], [0, 0, 1]]))
-    sub = hc.subset(np.array([2, 0]))
-    assert sub.explicit and sub.n == 3 and sub.size == 2
-    assert np.array_equal(sub.labelings, hc.labelings[[2, 0]])
-    assert sub.labelings.dtype == np.int8
-    with pytest.raises(ImplicitClassError):
-        HypothesisClass(oracle=object()).subset([0])

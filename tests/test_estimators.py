@@ -35,8 +35,7 @@ def test_naive_simple_average():
     est = naive_estimate(log, 2)
     assert est.values[0] == pytest.approx(2 / 3)
     assert est.values[1] == 0.5  # unqueried default
-    assert est.mu[1] == 0.0
-    assert est.t == 3 == est.counts.sum()
+    assert est.counts.sum() == 3
 
 
 def test_naive_exact_under_persistent_binary_labels():
@@ -45,7 +44,6 @@ def test_naive_exact_under_persistent_binary_labels():
     log = make_log(range(4), [0.25] * 4, [labels.query(i) for i in range(4)])
     est = naive_estimate(log, 4)
     assert np.array_equal(est.values, eta)
-    assert np.array_equal(est.mu, 2 * eta - 1)
 
 
 def test_naive_concentrates():
@@ -59,9 +57,8 @@ def test_naive_concentrates():
 
 def test_ips_single_coordinate_is_sample_mean():
     log = make_log([0, 0, 0, 0], [1.0] * 4, [1, 0, 1, 1])
-    est = ips_estimate(log, 1, gamma=0.0)
+    est = ips_estimate(log, 1)
     assert est.values[0] == pytest.approx(0.75)
-    assert est.mu[0] == pytest.approx(0.5)
 
 
 def test_ips_unbiased_monte_carlo():
@@ -79,17 +76,9 @@ def test_ips_unbiased_monte_carlo():
     assert np.all(np.abs(est_mean - eta) <= 3 * se)
 
 
-def test_ips_gamma_limit():
-    log = make_log([0, 1], [0.5, 0.5], [1, 1])
-    est = ips_estimate(log, 2, gamma=1e9)
-    assert np.all(np.abs(est.values) < 1e-8)
-
-
 def test_ips_guards():
-    with pytest.raises(ValueError):
-        ips_estimate(QueryLog(), 2, gamma=-1.0)
     with pytest.raises(InvalidDesignError):
-        ips_estimate(make_log([0], [0.0], [1]), 2, gamma=0.0)
+        ips_estimate(make_log([0], [0.0], [1]), 2)
 
 
 def test_ridge_bias_bound_closed_form():
@@ -154,7 +143,7 @@ def test_chaining_singleton_trivial():
     log = make_log([0, 1], [0.5, 0.5], [1, 0])
     est = chaining_estimate(np.array([[1, 0]], dtype=np.int8), log, np.array([0.5, 0.5]), 0.1)
     assert est.flags["feasible"] is True
-    assert np.all(np.abs(est.mu) <= 1.0)
+    assert np.all(np.abs(2 * est.values - 1) <= 1.0)
 
 
 def test_chaining_two_hypotheses_obeys_pair_bound():
@@ -176,7 +165,7 @@ def test_chaining_two_hypotheses_obeys_pair_bound():
         ys = (rng.random(t) < eta[idx]).astype(int)
         log = make_log(idx, lam[idx], ys)
         est = chaining_estimate(G, log, lam, delta)
-        dev = abs(float(v @ (est.mu - mu)))
+        dev = abs(float(v @ (2 * est.values - 1 - mu)))
         # feasibility slab radius at level 1 plus the pair estimator's own error
         viol += dev > 2 * pair_bound + 2 * (
             2.428 * (math.sqrt(math.log(2 / delta) / 2) + math.sqrt(2))
@@ -193,7 +182,6 @@ def test_chaining_output_in_box():
     idx = rng.choice(8, size=100, p=lam)
     log = make_log(idx, lam[idx], rng.integers(0, 2, size=100))
     est = chaining_estimate(G, log, lam, 0.05)
-    assert np.all(est.mu >= -1.0) and np.all(est.mu <= 1.0)
     assert np.all(est.values >= 0.0) and np.all(est.values <= 1.0)
 
 
@@ -205,7 +193,7 @@ def test_err_from_estimate_identity_and_difference_form():
     labels = LabelModel(eta)
     est = naive_estimate(QueryLog(), 5)
     est.values = eta.copy()
-    errs = estimated_errors_all(hclass, est)
+    errs = estimated_errors_all(H, est)
     for h in range(6):
         assert errs[h] == pytest.approx(errors_all(hclass, labels)[h], abs=1e-12)
     # difference form: err(h') - err(h) = <h - h', 2 eta_hat - 1>/n
@@ -221,13 +209,12 @@ def test_err_from_estimate_matches_direct_sum(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 7))
     H = rng.integers(0, 2, size=(3, n)).astype(np.int8)
-    hclass = HypothesisClass(H, dedup=False)
     vals = rng.uniform(-0.5, 1.5, size=n)  # IPS values may leave [0,1]
     est = naive_estimate(QueryLog(), n)
     est.values = vals
     h = int(rng.integers(3))
     direct = float(np.mean(vals * (1 - H[h]) + (1 - vals) * H[h]))
-    assert estimated_errors_all(hclass, est)[h] == pytest.approx(direct, abs=1e-12)
+    assert estimated_errors_all(H, est)[h] == pytest.approx(direct, abs=1e-12)
 
 
 def test_chaining_64_hypotheses_reports_empirical_constant():
@@ -253,7 +240,7 @@ def test_chaining_64_hypotheses_reports_empirical_constant():
         log = make_log(idx, lam[idx], ys)
         est = chaining_estimate(H, log, lam, delta)
         feasible += est.flags["feasible"]
-        dev = float(np.abs((H - H[0]) @ (est.mu - mu)).max())
+        dev = float(np.abs((H - H[0]) @ (2 * est.values - 1 - mu)).max())
         ratios.append(dev / scale)
     c_fitted = max(ratios)
     print(f"[report] chaining 64-hypothesis deviation constant C = {c_fitted:.2f}")
@@ -383,7 +370,7 @@ def test_chaining_duplicate_rows_build_no_empty_slab():
     log = QueryLog.from_rows((1, i % 2, lam[i % 2], i % 2) for i in range(4))
     assert pair_distance_matrix(G, lam, 4)[0, 2] > 0.0
     est = chaining_estimate(G, log, lam, 0.1)
-    assert est.flags["feasible"] and np.all(np.abs(est.mu) <= 1.0)
+    assert est.flags["feasible"] and np.all(np.abs(2 * est.values - 1) <= 1.0)
     seq, sums = build_admissible_sequence(G, lam, 4), np.array([-2.0, 2.0])
     slabs = _built_slabs(G, seq, sums, lam, 4, 1.0)
     assert np.all(np.diff(slabs[2]) > 0)
@@ -404,7 +391,7 @@ def test_chaining_random_duplicate_rows():
         idx = rng.choice(n, size=6, p=lam)
         log = make_log(idx, lam[idx], rng.integers(0, 2, size=6))
         est = chaining_estimate(G, log, lam, 0.1)
-        assert np.all(np.abs(est.mu) <= 1.0)
+        assert np.all(np.abs(2 * est.values - 1) <= 1.0)
         seq = build_admissible_sequence(G, lam, 6)
         if seq.depth == 0 or float(seq.dist.max()) == 0.0:
             continue
@@ -441,7 +428,6 @@ def test_chaining_projection_infeasible_returns_fallback(monkeypatch):
     s_diam = math.sqrt(1.0 / 3.0) * (u + 2 ** (seq.depth / 2.0)) / float(seq.dist.max())
     sums = _label_sums(log, lam.size)
     fallback = np.clip(sums / (t * lam + s_diam), -1.0, 1.0)
-    assert np.array_equal(est.mu, fallback)
     assert np.array_equal(est.values, (1.0 + fallback) / 2.0)
 
 
@@ -454,13 +440,14 @@ def test_chaining_projection_reaches_a_feasible_point(monkeypatch):
     assert infeasible_start.flags["feasible"] is False
     est = chaining_estimate(G, log, lam, 0.1)
     assert est.flags["feasible"] is True and est.flags["sweeps"] > 1
-    assert not np.array_equal(est.mu, infeasible_start.mu)
-    assert np.all(np.abs(est.mu) <= 1.0)
+    assert not np.array_equal(est.values, infeasible_start.values)
+    mu = 2 * est.values - 1
+    assert np.all(np.abs(mu) <= 1.0)
     sums = _label_sums(log, lam.size)
     u = math.sqrt(math.log(2.0 / 0.1) / 2.0)
     idx, val, ptr, betas, radii, nsq = _reference_slabs(
         G, build_admissible_sequence(G, lam, t), sums, lam, t, u)
-    res = np.add.reduceat(val * est.mu[idx], ptr[:-1]) - betas
+    res = np.add.reduceat(val * mu[idx], ptr[:-1]) - betas
     assert np.all(np.abs(res) - radii <= 1e-9)
 
 
@@ -485,7 +472,6 @@ def _assert_plan_changes_no_bits(G, lam, logs, delta):
     for log in logs:  # one plan serves every labeling of the draws
         got = chaining_estimate(G, log, lam, delta, plan=plan)
         ref = chaining_estimate(G, log, lam, delta)
-        assert got.mu.tobytes() == ref.mu.tobytes()
         assert got.values.tobytes() == ref.values.tobytes()
         assert got.flags == ref.flags
     with pytest.raises(ValueError, match=f"built for t={len(logs[0])}"):
@@ -553,16 +539,15 @@ def _reference_naive(records, n):
     return values, counts
 
 
-def _reference_ips(records, n, gamma):
+def _reference_ips(records, n):
     """ips_estimate's weighted sums accumulated one query at a time."""
     idx = [q.index for q in records]
     y = np.array([float(q.label) for q in records])
-    denom = np.array([q.prob for q in records]) + gamma
-    counts, values, mu = np.zeros(n, dtype=int), np.zeros(n), np.zeros(n)
+    prob = np.array([q.prob for q in records])
+    counts, values = np.zeros(n, dtype=int), np.zeros(n)
     np.add.at(counts, idx, 1)
-    np.add.at(values, idx, y / denom)
-    np.add.at(mu, idx, (2.0 * y - 1.0) / denom)
-    return values / len(records), mu / len(records), counts
+    np.add.at(values, idx, y / prob)
+    return values / len(records), counts
 
 
 def test_estimators_read_a_query_log_as_its_record_list_bitwise():
@@ -573,14 +558,12 @@ def test_estimators_read_a_query_log_as_its_record_list_bitwise():
         idx = rng.choice(n, size=t, p=lam)
         log = make_log(idx, lam[idx], rng.integers(0, 2, size=t))
         records = list(log)
-        gamma = float(rng.uniform(0.0, 0.1))
         # the column sums are the query-at-a-time sums over the records, bit for bit
-        naive, ips = naive_estimate(log, n), ips_estimate(log, n, gamma)
+        naive, ips = naive_estimate(log, n), ips_estimate(log, n)
         values, counts = _reference_naive(records, n)
         assert np.array_equal(naive.values, values) and np.array_equal(naive.counts, counts)
-        values, mu, counts = _reference_ips(records, n, gamma)
-        assert np.array_equal(ips.values, values) and np.array_equal(ips.mu, mu)
-        assert np.array_equal(ips.counts, counts)
+        values, counts = _reference_ips(records, n)
+        assert np.array_equal(ips.values, values) and np.array_equal(ips.counts, counts)
         # the +/-1 label sums the chaining estimator's pair estimates read
         assert np.array_equal(estimators._query_counts_and_sums(log, n)[1],
                               _label_sums(records, n))
@@ -600,4 +583,4 @@ def test_run_records_round_trip_through_json():
         back = RunRecord.from_jsonl(line)
         assert back.to_jsonl() == line and back.queries == rec.queries
         assert json.loads(line)["queries"] == [list(dataclasses.astuple(q)) for q in rec.queries]
-        assert back.unique_queried == len({q.index for q in rec.queries})
+        assert np.unique(back.queries.index).size == len({q.index for q in rec.queries})

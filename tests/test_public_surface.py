@@ -1,10 +1,12 @@
-"""Every top-level definition in src/aced is used by the system itself.
+"""Every top-level definition and class member in src/aced is used by the
+system itself.
 
 A def or class in an aced module must be named, as a whole word, somewhere
 in src/, scripts/ or perfbench/ outside its own definition; a re-export in
-aced/__init__.py is not a use. A definition that only tests reach is dead
-weight in the package: the test should call the surviving function that
-computes the same quantity, or carry the reference itself.
+aced/__init__.py is not a use. A member of a class must be read there as
+an attribute. A definition or member that only tests reach is dead weight
+in the package: the test should call the surviving function that computes
+the same quantity, or carry the reference itself.
 """
 import ast
 import re
@@ -52,3 +54,69 @@ def test_every_definition_is_used_outside_tests():
     assert not extra, f"defined in src/aced but used only by tests: {extra}"
     # an allowlist entry is a definition that still needs its exemption
     assert ALLOWED <= unused.keys(), f"stale allowlist entries: {ALLOWED - unused.keys()}"
+
+
+# class members kept although no system code reads them as an attribute
+ALLOWED_MEMBERS = {
+    # serialised with every other field through dataclasses.fields in to_jsonl
+    "RunRecord.params",
+    # the reader of the format RunRecord.to_jsonl writes
+    "RunRecord.from_jsonl",
+}
+
+
+def _members():
+    """(module path, "Class.name", first line, last line) of every
+    non-dunder member of a class in the aced modules: its methods and
+    properties, the names its body assigns (dataclass and NamedTuple fields
+    included) and the self attributes its methods assign."""
+    for path in sorted((ROOT / "src" / "aced").glob("*.py")):
+        for cls in ast.parse(path.read_text()).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                    found = [(node.name, first, node.end_lineno)]
+                    found += [(sub.attr, sub.lineno, sub.end_lineno) for sub in ast.walk(node)
+                              if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                              and isinstance(sub.value, ast.Name) and sub.value.id == "self"]
+                elif isinstance(node, (ast.AnnAssign, ast.Assign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    found = [(t.id, node.lineno, node.end_lineno) for t in targets
+                             if isinstance(t, ast.Name)]
+                else:
+                    found = []
+                for name, first, last in found:
+                    if not (name.startswith("__") and name.endswith("__")):
+                        yield path, f"{cls.name}.{name}", first, last
+
+
+def _attribute_reads():
+    """(path, line, name) of every attribute read in src/, scripts/ and
+    perfbench/: obj.name in a load, or getattr/hasattr with a literal name."""
+    for d in SYSTEM_DIRS:
+        for path in sorted((ROOT / d).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    yield path, node.lineno, node.attr
+                elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                      and node.func.id in ("getattr", "hasattr") and len(node.args) >= 2
+                      and isinstance(node.args[1], ast.Constant)):
+                    yield path, node.lineno, node.args[1].value
+
+
+def test_every_class_member_is_read_outside_tests():
+    reads = {}
+    for path, line, name in _attribute_reads():
+        reads.setdefault(name, []).append((path, line))
+    unread = set()
+    for def_path, qual, first, last in _members():
+        name = qual.split(".", 1)[1]
+        if not any(not (path == def_path and first <= line <= last)
+                   for path, line in reads.get(name, [])):
+            unread.add(qual)
+    extra = sorted(unread - ALLOWED_MEMBERS)
+    assert not extra, f"class members in src/aced read only by tests: {extra}"
+    # an allowlist entry is a member that still needs its exemption
+    assert ALLOWED_MEMBERS <= unread, f"stale allowlist entries: {ALLOWED_MEMBERS - unread}"
