@@ -1,0 +1,76 @@
+#!/usr/bin/env python3
+"""Where an oracle-backed waterfilled run spends its logistic fits.
+
+Builds a generated linear pool (n points, p standard-normal features,
+labels from a logistic model of slope 2 around a seeded unit direction,
+realized once) and runs aced_waterfilled through the logistic ERM oracle.
+For each design solve it prints why the solve stopped, its iterations,
+its logistic fits (oracles._fit_logistic calls) and its wall time; then
+the run's total fits and wall time.
+
+    python3 scripts/oracle_probe.py --n 100 --p 10 --T 10 --epsilon 0.25
+"""
+import argparse
+import time
+
+import numpy as np
+
+from aced import algorithms, oracles
+from aced.algorithms import DEFAULT_SOLVER, aced_waterfilled
+from aced.core import HypothesisClass, Instance, LabelModel, Pool
+from aced.oracles import LinearOracleClass
+
+
+def linear_pool(n: int, p: int, seed: int) -> Instance:
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, p))
+    w = rng.standard_normal(p)
+    eta = 1.0 / (1.0 + np.exp(-2.0 * (X @ (w / np.linalg.norm(w)))))
+    return Instance(Pool(n=n, features=X), HypothesisClass(oracle=LinearOracleClass(X)),
+                    LabelModel(eta, persistent=True, seed=seed))
+
+
+def main():
+    ap = argparse.ArgumentParser()
+    ap.add_argument("--n", type=int, default=100)
+    ap.add_argument("--p", type=int, default=10)
+    ap.add_argument("--T", type=int, default=10)
+    ap.add_argument("--epsilon", type=float, default=0.25)
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--line-search-iters", type=int, default=20)
+    ap.add_argument("--max-iters", type=int, default=DEFAULT_SOLVER["max_iters"])
+    args = ap.parse_args()
+
+    fits = [0]
+    fit = oracles._fit_logistic
+
+    def counting_fit(*a, **kw):
+        fits[0] += 1
+        return fit(*a, **kw)
+
+    solves = []
+    solve = algorithms.smd_solve
+
+    def timed_solve(*a, **kw):
+        before, start = fits[0], time.perf_counter()
+        rep = solve(*a, **kw)
+        solves.append((rep.stop_reason, rep.iterations, fits[0] - before, time.perf_counter() - start))
+        return rep
+
+    oracles._fit_logistic = counting_fit
+    algorithms.smd_solve = timed_solve
+    inst = linear_pool(args.n, args.p, args.seed)
+    start = time.perf_counter()
+    rec = aced_waterfilled(inst, T=args.T, epsilon=args.epsilon, seed=args.seed,
+                           solver={"max_iters": args.max_iters},
+                           line_search_iters=args.line_search_iters)
+    wall = time.perf_counter() - start
+
+    print(f"{'solve':>5} {'stop_reason':>12} {'iterations':>10} {'fits':>9} {'seconds':>8}")
+    for k, (reason, iters, n_fits, secs) in enumerate(solves, start=1):
+        print(f"{k:>5} {reason:>12} {iters:>10} {n_fits:>9} {secs:>8.2f}")
+    print(f"total: {fits[0]} fits in {wall:.2f} s, {len(rec.queries)} labels")
+
+
+if __name__ == "__main__":
+    main()

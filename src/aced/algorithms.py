@@ -537,9 +537,10 @@ def baseline_iwal(
     variants count plain mistakes over every label revealed so far (the
     stream point's label under a persistent model, else the label last
     queried there); they enumerate the class, so an oracle-backed class
-    raises ImplicitClassError. On an oracle-backed class,
-    flags["logistic_cap_hits"] counts the logistic fits that stopped at
-    their iteration cap.
+    raises ImplicitClassError. On an oracle-backed class the ERM is a
+    pure function of the queried sample, so it is refit only after a
+    query, and flags["logistic_cap_hits"] counts the logistic fits made
+    that stopped at their iteration cap.
     """
     if variant not in ("iwal0", "iwal1", "oracular0", "oracular1"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -571,10 +572,15 @@ def baseline_iwal(
             rec.flags["logistic_cap_hits"] += not hyp.converged
             return hyp
 
+        fitted = None  # the ERM of (X_q, w_q, y_q), until a query appends to them
+
         def erm(x):  # before the first query: any hypothesis labeling x 1
-            if w_q.size:
-                return fit(erm_logistic(X_q, w_q, y_q))
-            return erm_flip_constrained(X_q, w_q, y_q, x, +1)
+            nonlocal fitted
+            if not w_q.size:
+                return erm_flip_constrained(X_q, w_q, y_q, x, +1)
+            if fitted is None:
+                fitted = fit(erm_logistic(X_q, w_q, y_q))
+            return fitted
     for step, i in enumerate(stream, start=1):
         i, denom = int(i), max(step - 1, 1)
         if explicit:
@@ -599,6 +605,7 @@ def baseline_iwal(
             queried[i] = True
             if not explicit:
                 X_q, w_q, y_q = np.vstack([X_q, feats[i]]), np.append(w_q, 1.0 / p), np.append(y_q, y)
+                fitted = None
             elif oracular:
                 revealed[i] = y
             else:

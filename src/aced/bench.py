@@ -23,10 +23,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .algorithms import REGISTRY, RunRecord, _erm_handle
+from .algorithms import DEFAULT_SOLVER, REGISTRY, RunRecord, _erm_handle
 from .complexity import make_core_tail_instance, make_thresholds, make_tsybakov
 from .core import HypothesisClass, Instance, LabelModel, Pool
-from .design import smd_solve
+from .design import check_solver_settings, smd_solve
 from .estimators import naive_estimate
 # weighted_max stays importable here: perfbench/tracer.py wraps bench.weighted_max
 from .oracles import LinearOracleClass, weighted_max  # noqa: F401
@@ -169,8 +169,9 @@ def _run_integer(key: str, value) -> int:
 def _algorithm_params(section: str, name: str, params: dict) -> dict:
     """An [algorithm] section's keys as its run's keyword arguments, checked
     where they enter: solver_<setting> keys fold into the solver dict of an
-    algorithm that takes one, iwal's passes stays for _run_one, and the rest
-    must bind to REGISTRY[name] beside SUPPLIED (else ConfigError)."""
+    algorithm that takes one and must pass check_solver_settings over
+    DEFAULT_SOLVER, iwal's passes stays for _run_one, and the rest must bind
+    to REGISTRY[name] beside SUPPLIED (else ConfigError)."""
     sig, params = _SIGNATURES[name], dict(params)
     solver = {k[len("solver_"):]: params.pop(k) for k in list(params) if "solver" in sig.parameters
               and k.startswith("solver_") and k[len("solver_"):] in SOLVER_SETTINGS}
@@ -178,6 +179,10 @@ def _algorithm_params(section: str, name: str, params: dict) -> dict:
         if key in SUPPLIED or key.startswith("solver"):
             raise ConfigError(f"[{section}]: {name} takes no key {key!r}")
     if solver:
+        try:
+            check_solver_settings(dict(DEFAULT_SOLVER, **solver))
+        except ValueError as exc:
+            raise ConfigError(f"[{section}]: solver_{exc}") from None
         params["solver"] = solver
     try:
         sig.bind(**{k: None for k in SUPPLIED if k in sig.parameters},

@@ -15,6 +15,7 @@ per-round designs with the cumulative sampling distribution.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -319,6 +320,27 @@ def _rho_dual(obj: DesignObjective) -> SolverReport:
                         iterations=it, stop_reason=stop_reason)
 
 
+def check_solver_settings(settings: dict) -> None:
+    """Reject smd_solve settings it cannot run with, as a ValueError whose
+    message starts with the setting's name: b0, max_iters, max_halvings,
+    eval_samples and max_batch are integers, tol and rel_tol numbers;
+    tol > 0, rel_tol >= 0, max_iters >= 1, max_halvings >= 0,
+    eval_samples >= 0, and max_batch >= max(b0, 2), the first batch's size.
+    A setting not given is not checked."""
+    for key, value in settings.items():
+        integer = key in ("b0", "max_iters", "max_halvings", "eval_samples", "max_batch")
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral if integer else numbers.Real):
+            raise ValueError(f"{key} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    if "tol" in settings and not settings["tol"] > 0:
+        raise ValueError(f"tol must be positive, got {settings['tol']!r}")
+    for key, low in (("rel_tol", 0), ("max_iters", 1), ("max_halvings", 0), ("eval_samples", 0)):
+        if key in settings and not settings[key] >= low:
+            raise ValueError(f"{key} must be at least {low}, got {settings[key]!r}")
+    if "b0" in settings and "max_batch" in settings and settings["max_batch"] < max(settings["b0"], 2):
+        raise ValueError(f"max_batch must be at least max(b0, 2) = {max(settings['b0'], 2)}, "
+                         f"got {settings['max_batch']!r}")
+
+
 def smd_solve(
     obj: DesignObjective,
     tol: float,
@@ -343,21 +365,21 @@ def smd_solve(
     stop_reason: "certificate" once 2 max_k sigma_k + max_k <g, lam - e_k>
     <= tol + rel_tol |value| on a batch with a nonzero value; "plateau"
     at a checkpoint whose best score beats the previous checkpoint's by at
-    most tol plus one paired standard error; else "cap". Values come from
-    _outer, whose slope also scales the noise and standard errors. psi
-    returns its closed form ("exact"), rho its dual-certified minimizer;
-    both ignore the stochastic parameters.
+    most tol plus one paired standard error; else "cap", and a capped solve
+    proposes no step after its last iteration. Values come from _outer,
+    whose slope also scales the noise and standard errors. psi returns its
+    closed form ("exact"), rho its dual-certified minimizer; both ignore
+    the stochastic parameters. Settings that check_solver_settings rejects
+    raise ValueError before anything is drawn.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_solver_settings({"tol": tol, "b0": b0, "max_iters": max_iters, "max_halvings": max_halvings,
+                           "eval_samples": eval_samples, "rel_tol": rel_tol, "max_batch": max_batch})
     if obj.mode == "psi":
         return _psi_exact(obj)
     if obj.mode == "rho":
         return _rho_dual(obj)
     if not obj.stochastic:
         raise ValueError(f"unknown objective mode {obj.mode!r}")
-    if max_iters < 1:
-        raise ValueError("max_iters must be positive")
     n = obj.n
     lam = np.full(n, 1.0 / n)
     B = max(int(b0), 2)
@@ -390,7 +412,7 @@ def smd_solve(
             best = min(best, (*_outer(obj, c, evals)[:2], evals, c, cert), key=lambda t: t[0])
         plateau = at_checkpoint and checkpoint is not None and checkpoint[0] - best[0] <= tol + (
             _paired_se(checkpoint[2], best[2]) * max(checkpoint[1], best[1]))
-        if certified or plateau:
+        if certified or plateau or it == max_iters:  # a capped solve proposes no further step
             break
         checkpoint = best if at_checkpoint else checkpoint
         if 2.0 * sigma_max >= gap_term:

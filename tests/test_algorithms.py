@@ -473,6 +473,31 @@ def test_iwal_oracle_counts_capped_fits_without_warning(monkeypatch):
     assert rec.flags["logistic_cap_hits"] == sum(capped) > 0
 
 
+def test_iwal_oracle_refits_the_erm_only_after_a_query(monkeypatch):
+    # the unconstrained ERM is a pure function of the queried sample, which
+    # changes only when a point is queried: one fit per distinct sample
+    from aced import oracles
+
+    samples = []
+    erm = oracles.erm_logistic
+
+    def spy(X, w, y):
+        samples.append((X.tobytes(), w.tobytes(), y.tobytes()))
+        return erm(X, w, y)
+
+    monkeypatch.setattr(oracles, "erm_logistic", spy)
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((10, 2))
+    eta = 1.0 / (1.0 + np.exp(-2.0 * (X[:, 0] - 0.5 * X[:, 1])))
+    inst = Instance(Pool(n=10, features=X), HypothesisClass(oracle=LinearOracleClass(X)),
+                    LabelModel(eta, persistent=True, seed=3))
+    stream = np.concatenate([rng.permutation(10) for _ in range(3)])
+    rec = baseline_iwal(inst, stream, C0=0.01, seed=14)
+    first = int(rec.queries.round[0])  # the step of the first query
+    assert 0 < len(samples) == len(set(samples)) <= len(rec.queries)
+    assert len(samples) < len(stream) - first
+
+
 @pytest.mark.parametrize("variant", ["oracular0", "oracular1"])
 def test_iwal_oracular_rejects_oracle_backed_class(variant):
     # the oracular variants score every hypothesis on the revealed labels

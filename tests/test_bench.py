@@ -314,6 +314,29 @@ def test_bad_algorithm_keys_are_rejected_where_they_enter(tmp_path, capsys, sect
     assert not (out / "runrecords.jsonl").exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("solver_max_iters", "0"),
+    ("solver_tol", "-1"),
+    ("solver_max_batch", "0"),
+    ("solver_max_batch", "8"),  # below the default b0 = 16
+    ("solver_b0", "0.5"),
+    ("solver_max_halvings", "-1"),
+    ("solver_eval_samples", "-1"),
+    ("solver_eval_samples", "many"),
+    ("solver_rel_tol", "abc"),
+])
+def test_bad_solver_settings_are_rejected_where_they_enter(tmp_path, capsys, key, value):
+    # the same check smd_solve makes, before any run
+    out = tmp_path / "o"
+    section = f"[algorithm aced_waterfilled]\nT = 8\nepsilon = 0.25\n{key} = {value}\n"
+    cfg = write_config(tmp_path, BASE.format(seeds="0", holdout=0.0, out=out) + "\n" + section)
+    with pytest.raises(ConfigError, match=rf"^\[algorithm aced_waterfilled\]: {key} "):
+        load_config(cfg)
+    assert cli.main(["run", str(cfg)]) == 2
+    assert f"{key} " in capsys.readouterr().err
+    assert not (out / "runrecords.jsonl").exists()
+
+
 def test_run_worker_pool_matches_sequential(tmp_path):
     cfg = load_config(write_config(tmp_path, BASE.format(seeds="0,1", holdout=0.0,
                                                          out=tmp_path / "s")))

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import aced.design
-from aced.algorithms import DEFAULT_SOLVER
+from aced.algorithms import DEFAULT_SOLVER, _max_labeling
 from aced.complexity import make_core_tail_instance, make_thresholds
+from aced.core import HypothesisClass
 from aced.design import (
     Design,
     LAMBDA_FLOOR,
@@ -26,6 +28,7 @@ from aced.design import (
     smd_solve,
     waterfill,
 )
+from aced.oracles import LinearOracleClass
 from test_design_parity import PAIR_RTOL, reference_pair_rows, reference_pair_width
 
 
@@ -497,3 +500,78 @@ def test_backtracking_ties_on_the_draws_the_trial_was_scored_on(monkeypatch):
             assert (diff <= se) == accepted
             doubling_ties += rep.batch_trajectory[t + 1] > vals.size and se / math.sqrt(2) < diff <= se
     assert doubling_ties >= 1
+
+
+@pytest.mark.parametrize("oracle", [False, True])
+def test_capped_solve_proposes_no_step_after_its_last_iteration(monkeypatch, oracle):
+    # the returned design is the best scored candidate, so backtracking
+    # trials after the last iteration's candidates would be thrown away;
+    # oracle-backed, each trial is a batch of line searches
+    seed = 1
+    if oracle:
+        X = np.random.default_rng(5).standard_normal((8, 2))
+        eta = 1.0 / (1.0 + np.exp(-2.0 * X[:, 0]))
+        obj = oracle_gap_objective(8, (X[:, 1] >= 0).astype(np.int8), eta, 0.5,
+                                   partial(_max_labeling, HypothesisClass(oracle=LinearOracleClass(X))),
+                                   line_search_iters=3)
+    else:
+        inst = make_thresholds(8, 3, 0.6)
+        obj = gap_objective(inst.hypotheses.labelings, inst.labels.eta, 2, 0.5)
+    draws = []
+
+    def spy(o, lam, Z):
+        draws.append(Z)
+        return batch_values(o, lam, Z)
+
+    monkeypatch.setattr(aced.design, "batch_values", spy)
+    rep = smd_solve(obj, tol=1e-12, b0=2, seed=seed, max_iters=2, eval_samples=4)
+    assert rep.stop_reason == "cap" and rep.iterations == 2
+    kinds = []  # each batch_values call: an iterate's batch, one of its trials, or a candidate
+    for j, Z in enumerate(draws):
+        if np.array_equal(Z, np.random.default_rng([seed, 1 << 30]).standard_normal(Z.shape)):
+            kinds.append("candidate")
+        else:
+            kinds.append("trial" if any(Z is W for W in draws[:j]) else "iterate")
+    last = len(kinds) - 1 - kinds[::-1].index("iterate")
+    assert kinds.count("iterate") == rep.iterations
+    assert "trial" in kinds[:last] and "candidate" in kinds[:last]
+    assert set(kinds[last + 1:]) <= {"candidate"}
+
+
+@pytest.mark.parametrize("settings, name", [
+    ({"max_iters": 0}, "max_iters"),
+    ({"tol": -1.0}, "tol"),
+    ({"tol": 0.0}, "tol"),
+    ({"max_batch": 0}, "max_batch"),
+    ({"b0": 16, "max_batch": 8}, "max_batch"),
+    ({"b0": 0, "max_batch": 1}, "max_batch"),
+    ({"max_halvings": -1}, "max_halvings"),
+    ({"eval_samples": -1}, "eval_samples"),
+    ({"b0": 0.5}, "b0"),
+    ({"max_batch": 64.0}, "max_batch"),
+    ({"max_halvings": True}, "max_halvings"),
+    ({"eval_samples": "8"}, "eval_samples"),
+    ({"max_iters": 2.5}, "max_iters"),
+    ({"rel_tol": -0.1}, "rel_tol"),
+    ({"rel_tol": "abc"}, "rel_tol"),
+    ({"tol": float("nan")}, "tol"),
+])
+def test_bad_solver_settings_raise_before_anything_is_drawn(monkeypatch, settings, name):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew before checking the settings")
+
+    inst = make_thresholds(8, 3, 0.6)
+    obj = gap_objective(inst.hypotheses.labelings, inst.labels.eta, 2, 0.5)
+    monkeypatch.setattr(aced.design.np.random, "default_rng", no_draws)
+    with pytest.raises(ValueError, match=f"^{name} "):
+        smd_solve(obj, **{"tol": 1e-3, **settings})
+
+
+def test_edge_solver_settings_are_accepted():
+    # the smallest settings that run: one iteration, no trials, no extra
+    # evaluation draws, a batch that never grows past its start
+    inst = make_thresholds(8, 3, 0.6)
+    obj = gap_objective(inst.hypotheses.labelings, inst.labels.eta, 2, 0.5)
+    rep = smd_solve(obj, tol=1e-3, b0=np.int64(2), max_iters=1, max_halvings=0, eval_samples=0,
+                    max_batch=2)
+    assert rep.iterations == 1 and rep.batch_trajectory == [2]

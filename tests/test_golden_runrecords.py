@@ -79,7 +79,8 @@ CASES = {
     "iwal_oracular1/thresholds": lambda: REGISTRY["iwal"](
         _thresholds(), np.concatenate([_stream(8, 11), _stream(8, 12)]), C0=0.5,
         variant="oracular1", seed=11),
-    # two passes over the stream: the oracle back-end refits on every point
+    # two passes over the stream: the oracle back-end fits a flip at every point and
+    # refits the ERM after each query
     "iwal_oracle/linear": lambda: REGISTRY["iwal"](
         _linear(), np.concatenate([_stream(10, 14), _stream(10, 15)]), C0=0.01, seed=14),
     # a non-persistent model reveals a point's label only where it was queried
@@ -118,6 +119,30 @@ GOLDEN = {
 def test_runrecord_digest(name):
     body = CASES[name]().to_jsonl()
     assert hashlib.sha256(body.encode()).hexdigest() == GOLDEN[name]
+
+
+# logistic fits (oracles._fit_logistic calls) per oracle-backed golden run,
+# so that a change in oracle work shows as a count, not only as a time
+FITS = {
+    "waterfilled_oracle/linear": 241,
+    "iwal_oracle/linear": 32,
+}
+
+
+@pytest.mark.parametrize("name", sorted(FITS))
+def test_oracle_golden_runs_make_pinned_logistic_fits(monkeypatch, name):
+    from aced import oracles
+
+    fits = []
+    fit = oracles._fit_logistic
+
+    def counting_fit(*args, **kwargs):
+        fits.append(1)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(oracles, "_fit_logistic", counting_fit)
+    CASES[name]()
+    assert len(fits) == FITS[name]
 
 
 def test_fixed_confidence_seed_panel_digest():

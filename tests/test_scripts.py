@@ -36,3 +36,16 @@ def test_complexity_sweep_prints_core_tail_closed_forms():
     fields = row.split()
     assert fields[:2] == ["2", "6"]
     assert fields[3] == "1.778" and fields[5] == "2.00"
+
+
+def test_oracle_probe_prints_each_solve_and_the_run_total():
+    proc = _run_script("oracle_probe.py", "--n", "24", "--p", "3", "--T", "8", "--epsilon", "0.25",
+                       "--line-search-iters", "4", "--max-iters", "4")
+    assert proc.returncode == 0, proc.stderr
+    header, *solves, total = proc.stdout.splitlines()
+    assert header.split() == ["solve", "stop_reason", "iterations", "fits", "seconds"]
+    assert [row.split()[0] for row in solves] == ["1", "2"]  # two rounds of N_batch = 6
+    assert all(row.split()[1] == "cap" and row.split()[2] == "4" for row in solves)
+    fields = total.split()
+    assert fields[0] == "total:" and fields[-2:] == ["8", "labels"]
+    assert int(fields[1]) >= sum(int(row.split()[3]) for row in solves) > 0
