@@ -91,25 +91,6 @@ def _content_seed(*parts) -> int:
     return int.from_bytes(h.digest()[:8], "big")
 
 
-def _solve_cached(build, solver_params, cache, key_parts, unseeded=()):
-    """Solve the design objective that build() returns, building it only
-    on a cache miss. The solver seed derives from key_parts, so cached and
-    recomputed designs are identical; the cache key adds the solver
-    parameters and the unseeded parts. A cache entry is shared only by
-    solves whose key_parts, unseeded parts and solver parameters all
-    agree, so together they must determine the objective."""
-    seed = _content_seed(*key_parts)
-    key = (seed, tuple(sorted(solver_params.items())), *unseeded)
-    if cache is not None:
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-    rep = smd_solve(build(), seed=seed, **solver_params)
-    if cache is not None:
-        cache[key] = rep
-    return rep
-
-
 def _record_design(rec, k, rep, extra):
     rec.designs.append({
         "round": k,
@@ -247,16 +228,14 @@ def _max_labeling(hclass, w):
 
 
 def _erm_handle(hclass, est):
-    """Plug-in ERM under eta-hat for explicit or oracle-backed classes: the
-    plug-in error is minimized where the weights 2 eta-hat - 1 are maximized."""
-    if hclass.explicit:
-        idx = int(np.argmin(estimated_errors_all(hclass.labelings, est)))
-        return idx, hclass.labelings[idx]
+    """Plug-in ERM under eta-hat, as (handle, labeling): the plug-in error is
+    minimized where the weights 2 eta-hat - 1 are maximized (for an explicit
+    class, ties go to the lowest index)."""
     return _max_labeling(hclass, 2.0 * est.values - 1.0)
 
 
-def _fixed_budget_loop(instance, rec, T, epsilon, est, *, estimator_kind, solver, design_cache,
-                       mix_psi=False, N_batch=None, line_search_iters=20):
+def _fixed_budget_loop(instance, rec, T, epsilon, est, *, estimator_kind, solver, mix_psi=False,
+                       N_batch=None, line_search_iters=20):
     """The round loop of the fixed-budget family; fills in and returns rec.
 
     Round k anchors at the plug-in ERM of the estimate est, solves the gap
@@ -268,10 +247,10 @@ def _fixed_budget_loop(instance, rec, T, epsilon, est, *, estimator_kind, solver
     spent or the pool runs out. The ERM is computed once per round, after
     estimating: it is the progress entry, the next anchor and the answer.
 
-    The cache-key tags ("fb" with its trailing tol, "fbe1", "wf",
-    "wf-oracle") stay verbatim because they seed the solver. The
-    worst-coordinate design is solved in closed form from (H, eta-hat,
-    anchor, scale), so it is neither seeded nor cached.
+    The seed tags ("fb" with its trailing tol, "fbe1", "wf", "wf-oracle")
+    stay verbatim because they seed the solver. The worst-coordinate design
+    is solved in closed form from (H, eta-hat, anchor, scale), so it is not
+    seeded.
     """
     hclass = instance.hypotheses
     n = instance.n
@@ -295,15 +274,12 @@ def _fixed_budget_loop(instance, rec, T, epsilon, est, *, estimator_kind, solver
             H, anchor = hclass.labelings, int(handle)
             tag = "wf" if unique else "fbe1" if mix_psi else "fb"
             key = (tag, H, eta, anchor, scale) + ((solver_params["tol"],) if tag == "fb" else ())
-            rep = _solve_cached(lambda: gap_objective(H, eta, anchor, scale), solver_params,
-                                design_cache, key)
-        else:  # the pool features fix the oracle's answers, but not the seed
-            feats = hclass.oracle.features
-            rep = _solve_cached(
-                lambda: oracle_gap_objective(n, anchor_lab, eta, scale,
-                                             partial(_max_labeling, hclass), line_search_iters),
-                solver_params, design_cache, ("wf-oracle", anchor_lab, eta, scale),
-                unseeded=(line_search_iters, feats.shape, feats.tobytes()))
+            obj = gap_objective(H, eta, anchor, scale)
+        else:
+            key = ("wf-oracle", anchor_lab, eta, scale)
+            obj = oracle_gap_objective(n, anchor_lab, eta, scale, partial(_max_labeling, hclass),
+                                       line_search_iters)
+        rep = smd_solve(obj, seed=_content_seed(*key), **solver_params)
         lam = rep.design.lam
         if mix_psi:
             rep_psi = smd_solve(psi_objective(H, eta, anchor, scale, floor_at_scale=False),
@@ -356,7 +332,6 @@ def aced_fixed_budget(
     estimator_kind: str = "ips",
     seed: int = 0,
     solver: dict | None = None,
-    design_cache: dict | None = None,
 ) -> RunRecord:
     """Fixed budget split over floor(log2(1/eps)) rounds of optimized designs.
 
@@ -373,8 +348,7 @@ def aced_fixed_budget(
     rec = RunRecord(algorithm="aced_fixed_budget", seed=seed,
                     params={"T": T, "epsilon": epsilon, "estimator_kind": estimator_kind})
     return _fixed_budget_loop(instance, rec, T, epsilon, _prior_estimate(instance.n),
-                              estimator_kind=estimator_kind, solver=solver,
-                              design_cache=design_cache)
+                              estimator_kind=estimator_kind, solver=solver)
 
 
 def aced_fixed_budget_efficient(
@@ -383,7 +357,6 @@ def aced_fixed_budget_efficient(
     epsilon: float,
     seed: int = 0,
     solver: dict | None = None,
-    design_cache: dict | None = None,
 ) -> RunRecord:
     """Fixed budget with a mixed design: each round samples a 50/50 mix of
     the gap design and the worst-coordinate design and estimates with
@@ -394,8 +367,7 @@ def aced_fixed_budget_efficient(
     rec = RunRecord(algorithm="aced_fixed_budget_efficient", seed=seed,
                     params={"T": T, "epsilon": epsilon})
     return _fixed_budget_loop(instance, rec, T, epsilon, _prior_estimate(instance.n),
-                              estimator_kind="ips", solver=solver, design_cache=design_cache,
-                              mix_psi=True)
+                              estimator_kind="ips", solver=solver, mix_psi=True)
 
 
 def aced_waterfilled(
@@ -405,7 +377,6 @@ def aced_waterfilled(
     N_batch: int | None = None,
     seed: int = 0,
     solver: dict | None = None,
-    design_cache: dict | None = None,
     line_search_iters: int = 20,
 ) -> RunRecord:
     """Practical fixed budget for persistent labels.
@@ -423,8 +394,8 @@ def aced_waterfilled(
     rec = RunRecord(algorithm="aced_waterfilled", seed=seed,
                     params={"T": T, "epsilon": epsilon, "N_batch": N_batch})
     return _fixed_budget_loop(instance, rec, T, epsilon, naive_estimate(QueryLog(), n),
-                              estimator_kind="naive", solver=solver, design_cache=design_cache,
-                              N_batch=N_batch, line_search_iters=line_search_iters)
+                              estimator_kind="naive", solver=solver, N_batch=N_batch,
+                              line_search_iters=line_search_iters)
 
 
 def baseline_passive(instance: Instance, T: int, seed: int = 0) -> RunRecord:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import configparser
 import csv
-import functools
 import inspect
 import io
 import json
@@ -34,7 +33,7 @@ from .oracles import LinearOracleClass, weighted_max  # noqa: F401
 GENERATORS = {  # each generator's signature is the one build_instance checks specs against
     "core_tail": make_core_tail_instance,
     "thresholds": make_thresholds,
-    "tsybakov": functools.wraps(make_tsybakov)(lambda **kw: make_tsybakov(**kw)[0]),
+    "tsybakov": make_tsybakov,
 }
 SUPPLIED = ("instance", "stream", "seed")  # run arguments that bench itself supplies
 # the smd_solve settings a solver_<setting> key may set; the algorithms derive the seed
@@ -170,14 +169,19 @@ def _algorithm_params(section: str, name: str, params: dict) -> dict:
     """An [algorithm] section's keys as its run's keyword arguments, checked
     where they enter: solver_<setting> keys fold into the solver dict of an
     algorithm that takes one and must pass check_solver_settings over
-    DEFAULT_SOLVER, iwal's passes stays for _run_one, and the rest must bind
-    to REGISTRY[name] beside SUPPLIED (else ConfigError)."""
+    DEFAULT_SOLVER, iwal's passes must be an integer >= 1 and stays for
+    _run_one, a design_cache (an in-process dict, which no config value can
+    be) is refused, and the rest must bind to REGISTRY[name] beside SUPPLIED
+    (else ConfigError)."""
     sig, params = _SIGNATURES[name], dict(params)
     solver = {k[len("solver_"):]: params.pop(k) for k in list(params) if "solver" in sig.parameters
               and k.startswith("solver_") and k[len("solver_"):] in SOLVER_SETTINGS}
-    for key in params:  # a solver_ key not folded above, or a bare solver key, is bad
-        if key in SUPPLIED or key.startswith("solver"):
+    for key in params:  # a solver_ key not folded above, a bare solver key or a cache is bad
+        if key in SUPPLIED or key == "design_cache" or key.startswith("solver"):
             raise ConfigError(f"[{section}]: {name} takes no key {key!r}")
+    passes = params.get("passes", 1)
+    if name == "iwal" and (isinstance(passes, bool) or not isinstance(passes, int) or passes < 1):
+        raise ConfigError(f"[{section}]: iwal takes 'passes' as an integer >= 1, got {passes!r}")
     if solver:
         try:
             check_solver_settings(dict(DEFAULT_SOLVER, **solver))
@@ -331,7 +335,7 @@ def _restrict_instance(instance: Instance, train_idx: np.ndarray) -> Instance:
 def _run_one(instance: Instance, name: str, params: dict, seed: int):
     if name == "iwal":
         params = dict(params)
-        passes = int(params.pop("passes", 1))
+        passes = params.pop("passes", 1)
         rng = np.random.default_rng([seed, 17])
         stream = np.concatenate([rng.permutation(instance.n) for _ in range(passes)])
         return REGISTRY[name](instance, stream, seed=seed, **params)

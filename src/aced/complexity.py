@@ -242,8 +242,9 @@ def make_thresholds(n: int, k_star: int, eps: float, persistent: bool = False,
 
 
 def make_tsybakov(n: int, a: float, alpha: float, seed: int = 0, m_hyp: int = 8,
-                  max_tries: int = 500, persistent: bool = False) -> tuple:
-    """Rejection-sample a random instance satisfying the low-noise condition."""
+                  max_tries: int = 500, persistent: bool = False) -> Instance:
+    """Rejection-sample a random instance satisfying the low-noise condition
+    TsybakovSpec(a, alpha)."""
     spec = TsybakovSpec(a=a, alpha=alpha)
     rng = np.random.default_rng(seed)
     for _ in range(max_tries):
@@ -252,7 +253,7 @@ def make_tsybakov(n: int, a: float, alpha: float, seed: int = 0, m_hyp: int = 8,
         hclass = HypothesisClass(rows)
         labels = LabelModel(eta, persistent=persistent, seed=seed)
         if hclass.size > 1 and tsybakov_holds(hclass, labels, spec):
-            return Instance(pool=Pool(n=n), hypotheses=hclass, labels=labels), spec
+            return Instance(pool=Pool(n=n), hypotheses=hclass, labels=labels)
     raise ValueError(f"no instance satisfied the condition within {max_tries} tries")
 
 

@@ -203,13 +203,11 @@ def test_criterion_6_fixed_confidence_success():
 
 
 def test_criterion_7_beats_uniform_disagreement():
-    cache = {}
     n01 = n10 = a_err = b_err = 0
     reps = 200
     for seed in range(reps):
         inst = make_core_tail_instance(4, persistent=True, seed=seed)
-        ra = aced_fixed_budget(inst, T=60, epsilon=0.1, estimator_kind="naive",
-                               seed=seed, design_cache=cache)
+        ra = aced_fixed_budget(inst, T=60, epsilon=0.1, estimator_kind="naive", seed=seed)
         rb = baseline_uniform_disagreement(inst, T=60, delta=0.1, seed=seed)
         a_bad = ra.returned != 0
         b_bad = rb.returned != 0

@@ -170,20 +170,17 @@ def test_efficient_round_hashes_only_its_gap_design(monkeypatch):
     monkeypatch.setattr(alg, "_content_seed", lambda *parts: tags.append(parts[0])
                         or content_seed(*parts))
     rec = aced_fixed_budget_efficient(make_core_tail_instance(3, persistent=True, seed=1),
-                                      T=24, epsilon=0.2, seed=1, design_cache={})
+                                      T=24, epsilon=0.2, seed=1)
     assert len(rec.designs) == 2 and tags == ["fbe1", "fbe1"]
 
 
 def test_efficient_parity_with_ips_on_thresholds():
     wins_a = wins_b = 0
-    cache = {}
     for seed in range(20):
         inst = make_thresholds(16, 9, 1.0, persistent=True, seed=seed)
         gt = gap_table(inst.hypotheses, inst.labels)
-        ra = aced_fixed_budget(inst, T=120, epsilon=0.2, estimator_kind="ips",
-                               seed=seed, design_cache=cache)
-        rb = aced_fixed_budget_efficient(inst, T=120, epsilon=0.2, seed=seed,
-                                         design_cache=cache)
+        ra = aced_fixed_budget(inst, T=120, epsilon=0.2, estimator_kind="ips", seed=seed)
+        rb = aced_fixed_budget_efficient(inst, T=120, epsilon=0.2, seed=seed)
         wins_a += ra.returned == gt.h_star
         wins_b += rb.returned == gt.h_star
     assert abs(wins_a - wins_b) <= 6  # same statistical ballpark
@@ -508,18 +505,6 @@ def test_iwal_oracular_rejects_oracle_backed_class(variant):
         baseline_iwal(inst, list(range(5)), C0=0.1, variant=variant, seed=1)
 
 
-def test_design_cache_keys_on_solver_params():
-    inst = make_thresholds(8, 3, 1.0, persistent=True, seed=0)
-    cache = {}
-    aced_fixed_budget(inst, T=24, epsilon=0.25, estimator_kind="naive", seed=0,
-                      solver={"max_iters": 2}, design_cache=cache)
-    shared = aced_fixed_budget(inst, T=24, epsilon=0.25, estimator_kind="naive", seed=0,
-                               solver={"max_iters": 60}, design_cache=cache)
-    fresh_run = aced_fixed_budget(inst, T=24, epsilon=0.25, estimator_kind="naive", seed=0,
-                                  solver={"max_iters": 60})
-    assert shared.to_jsonl() == fresh_run.to_jsonl()
-
-
 def test_fixed_confidence_warm_run_does_no_design_work(monkeypatch):
     import aced.algorithms as alg
     import aced.estimators as est
@@ -552,61 +537,3 @@ def test_fixed_confidence_cache_keys_on_solver_params_and_round():
     assert [r.to_jsonl() for r in shared] == [r.to_jsonl() for r in fresh]
     m = inst().hypotheses.size
     assert [len(r.designs[0]["survivors"]) for r in fresh[:4:2]] == [m, m]
-
-
-def test_oracle_design_cache_keys_on_line_search_iters():
-    rng = np.random.default_rng(4)
-    X = rng.standard_normal((10, 2))
-    eta = 1.0 / (1.0 + np.exp(-2.0 * (X[:, 0] - 0.5 * X[:, 1])))
-    inst = Instance(Pool(n=10, features=X), HypothesisClass(oracle=LinearOracleClass(X)),
-                    LabelModel(eta, persistent=True, seed=3))
-
-    def run(line_search_iters, cache):
-        return aced_waterfilled(inst, T=8, epsilon=0.25, N_batch=4, seed=7,
-                                solver={"max_iters": 3, "b0": 4, "max_batch": 8},
-                                line_search_iters=line_search_iters, design_cache=cache)
-
-    cache = {}
-    first = run(1, cache)
-    shared = run(3, cache)
-    assert shared.designs[1]["value"] != first.designs[1]["value"]
-    assert shared.to_jsonl() == run(3, None).to_jsonl()
-
-
-def test_oracle_design_cache_keys_on_the_pool():
-    # round 1 anchors every pool of one size at the all-ones labeling with
-    # eta-hat 0.5, so its solver seed is the same for any two such pools
-    def inst(seed):
-        X = np.random.default_rng(seed).standard_normal((10, 2))
-        eta = 1.0 / (1.0 + np.exp(-2.0 * (X[:, 0] - 0.5 * X[:, 1])))
-        return Instance(Pool(n=10, features=X), HypothesisClass(oracle=LinearOracleClass(X)),
-                        LabelModel(eta, persistent=True, seed=3))
-
-    def run(instance, cache):
-        return aced_waterfilled(instance, T=8, epsilon=0.25, N_batch=4, seed=7,
-                                solver={"max_iters": 3, "b0": 4, "max_batch": 8},
-                                line_search_iters=3, design_cache=cache)
-
-    for a, b in ((4, 5), (6, 7)):
-        cache = {}
-        first = run(inst(a), cache)
-        shared = run(inst(b), cache)
-        assert len(cache) == 4 and shared.designs[0]["value"] != first.designs[0]["value"]
-        assert shared.to_jsonl() == run(inst(b), None).to_jsonl()
-
-
-def test_solve_cached_builds_objective_only_on_miss():
-    from aced.algorithms import DEFAULT_SOLVER, _solve_cached
-    from aced.design import pair_width_objective
-
-    H = make_thresholds(6, 2, 1.0).hypotheses.labelings
-    builds = []
-
-    def build():
-        builds.append(1)
-        return pair_width_objective(H, 0.1)
-
-    cache = {}
-    first = _solve_cached(build, DEFAULT_SOLVER, cache, ("fc", H, 0.1))
-    again = _solve_cached(build, DEFAULT_SOLVER, cache, ("fc", H, 0.1))
-    assert again is first and len(builds) == 1

@@ -299,6 +299,16 @@ def test_run_records_failures_and_continues(tmp_path):
     ("[algorithm aced_waterfilled]\nepsilon = 0.25\n", "T"),  # missing
     ("[algorithm passive]\nT = 4\n", None),  # BASE already has this section
     ("[algorithm iwal]\nC0 = 0.01\nC0 = 0.02\n", "C0"),
+    # a design cache is an in-process dict shared across runs: a config
+    # value (a string, or the bool "yes") failed every run at its first lookup
+    ("[algorithm aced_fixed_confidence]\ndelta = 0.1\ndesign_cache = foo\n", "design_cache"),
+    ("[algorithm aced_fixed_confidence]\ndelta = 0.1\ndesign_cache = yes\n", "design_cache"),
+    ("[algorithm aced_fixed_budget]\nT = 8\nepsilon = 0.25\ndesign_cache = foo\n",
+     "design_cache"),
+    ("[algorithm iwal]\nC0 = 0.01\npasses = two\n", "passes"),  # passes: an integer >= 1
+    ("[algorithm iwal]\nC0 = 0.01\npasses = 0\n", "passes"),
+    ("[algorithm iwal]\nC0 = 0.01\npasses = -2\n", "passes"),
+    ("[algorithm iwal]\nC0 = 0.01\npasses = 1.5\n", "passes"),
 ])
 def test_bad_algorithm_keys_are_rejected_where_they_enter(tmp_path, capsys, section, key):
     out = tmp_path / "o"

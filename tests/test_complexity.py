@@ -128,6 +128,16 @@ def test_gamma_star_diagnostic_solve_leaves_the_uniform_start():
     assert g.value <= 23.1 and g.converged
 
 
+@pytest.mark.parametrize("mc_samples, low", [(8, True), (4000, False)])
+def test_gamma_star_flags_a_low_precision_estimate(mc_samples, low):
+    # the flag is set when the Monte Carlo standard error exceeds 20% of the value
+    inst = make_core_tail_instance(2)
+    g = gamma_star(inst.hypotheses, inst.labels, 0.05, mc_samples=mc_samples,
+                   solver={"max_iters": 30})
+    assert g.flags["low_precision"] is low
+    assert (g.stderr > 0.2 * g.value) is low
+
+
 def test_psi_star_core_tail_exceeds_rho_bound():
     inst = make_core_tail_instance(4)
     p = psi_star(inst.hypotheses, inst.labels, 0.0)
@@ -298,10 +308,10 @@ def test_thresholds_instance_gaps():
 
 
 def test_make_tsybakov_paths():
-    inst, spec = make_tsybakov(6, a=4.0, alpha=0.5, seed=1)
-    assert tsybakov_holds(inst.hypotheses, inst.labels, spec)
+    inst = make_tsybakov(6, a=4.0, alpha=0.5, seed=1)
+    assert tsybakov_holds(inst.hypotheses, inst.labels, TsybakovSpec(a=4.0, alpha=0.5))
     # enormous a accepts anything
-    inst2, _ = make_tsybakov(5, a=1e6, alpha=1.0, seed=2, max_tries=3)
+    inst2 = make_tsybakov(5, a=1e6, alpha=1.0, seed=2, max_tries=3)
     assert inst2.n == 5
     # a tight spec over a crowded class has near-ties that violate it
     with pytest.raises(ValueError):

@@ -1,5 +1,5 @@
 """Every top-level definition and class member in src/aced is used by the
-system itself.
+system itself, and the package grows no keyword knobs unnoticed.
 
 A def or class in an aced module must be named, as a whole word, somewhere
 in src/, scripts/ or perfbench/ outside its own definition; a re-export in
@@ -9,8 +9,13 @@ in the package: the test should call the surviving function that computes
 the same quantity, or carry the reference itself.
 """
 import ast
+import importlib
+import inspect
+import pkgutil
 import re
 from pathlib import Path
+
+import aced
 
 ROOT = Path(__file__).resolve().parents[1]
 SYSTEM_DIRS = ("src", "scripts", "perfbench")
@@ -120,3 +125,40 @@ def test_every_class_member_is_read_outside_tests():
     assert not extra, f"class members in src/aced read only by tests: {extra}"
     # an allowlist entry is a member that still needs its exemption
     assert ALLOWED_MEMBERS <= unread, f"stale allowlist entries: {ALLOWED_MEMBERS - unread}"
+
+
+# defaulted parameters over the functions and methods of aced.*; a change
+# that adds a knob raises this number and says why in CHANGES.md
+DEFAULTED_PARAMETERS = 99
+
+
+def _defaulted_parameters():
+    """"module.function.parameter" of every parameter with a default, over
+    the module functions and class methods (a dataclass's generated
+    __init__ included) defined in the aced modules."""
+    found = []
+
+    def collect(qual, fn):
+        found.extend(f"{qual}.{p.name}" for p in inspect.signature(fn).parameters.values()
+                     if p.default is not inspect.Parameter.empty)
+
+    for info in pkgutil.iter_modules(aced.__path__):
+        mod = importlib.import_module(f"aced.{info.name}")
+        for name, obj in vars(mod).items():
+            if getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isfunction(obj):
+                collect(f"{info.name}.{name}", obj)
+            elif inspect.isclass(obj):
+                for member, fn in vars(obj).items():
+                    fn = fn.__func__ if isinstance(fn, (staticmethod, classmethod)) else fn
+                    if inspect.isfunction(fn):
+                        collect(f"{info.name}.{name}.{member}", fn)
+    return found
+
+
+def test_defaulted_parameter_count_does_not_grow():
+    found = _defaulted_parameters()
+    assert len(found) <= DEFAULTED_PARAMETERS, (
+        f"{len(found)} defaulted parameters in aced.* (at most {DEFAULTED_PARAMETERS}):\n"
+        + "\n".join(found))
