@@ -30,7 +30,6 @@ from .design import (
     DesignObjective,
     SolverReport,
     line_search_max,
-    objective_sample,
     sample_unique,
     smd_solve,
     waterfill,

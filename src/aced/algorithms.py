@@ -22,7 +22,7 @@ from .design import (
     gap_objective,
     oracle_gap_objective,
     pair_width_objective,
-    psi_objective,
+    psi_design,
     sample_unique,
     smd_solve,
     waterfill,
@@ -282,8 +282,7 @@ def _fixed_budget_loop(instance, rec, T, epsilon, est, *, estimator_kind, solver
         rep = smd_solve(obj, seed=_content_seed(*key), **solver_params)
         lam = rep.design.lam
         if mix_psi:
-            rep_psi = smd_solve(psi_objective(H, eta, anchor, scale, floor_at_scale=False),
-                                **solver_params)
+            rep_psi = psi_design(H, eta, anchor, scale, floor_at_scale=False)
             lam = Design(0.5 * (lam + rep_psi.design.lam)).lam
         rng = np.random.default_rng([rec.seed, k])
         if unique:
@@ -383,8 +382,10 @@ def aced_waterfilled(
 
     Rounds solve the gap design on the running naive estimate, waterfill
     against the cumulative sampling marginals, and query fresh unique
-    points only; repeated indices never arise, so the unique-label budget
-    T is exact. Pool exhaustion stops the run early, flagged.
+    points only, at most N_batch a round; repeated indices never arise.
+    The run spends at most min(T, floor(log2(1/epsilon)) * N_batch)
+    unique labels, so T is not always spent. Pool exhaustion stops the
+    run early, flagged.
     """
     if not instance.labels.persistent:
         raise ValueError("waterfilled variant expects a persistent label model")

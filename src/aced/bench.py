@@ -120,13 +120,13 @@ def load_config(path) -> ExperimentConfig:
             raise ConfigError(f"[run]: unknown key {key!r}")
     seeds = run.get("seeds")
     if seeds is None:
-        reps = _run_integer("replicates", run.get("replicates", 1))
-        if reps < 1:
-            raise ConfigError("replicates must be >= 1")
-        seed0 = _run_integer("seed0", run.get("seed0", 0))
+        reps = _run_integer("replicates", run.get("replicates", 1), 1)
+        seed0 = _run_integer("seed0", run.get("seed0", 0), 0)
         seeds = list(range(seed0, seed0 + reps))
     else:
-        seeds = [_run_integer("seeds", s) for s in (seeds if isinstance(seeds, list) else [seeds])]
+        seeds = [_run_integer("seeds", s, 0) for s in (seeds if isinstance(seeds, list) else [seeds])]
+        if len(set(seeds)) < len(seeds):  # a repeated seed runs twice into one seed's curve
+            raise ConfigError(f"[run]: seeds must be distinct, got {seeds!r}")
     holdout_fraction = run.get("holdout_fraction", 0.0)
     if isinstance(holdout_fraction, bool) or not isinstance(holdout_fraction, (int, float)):
         raise ConfigError(f"[run]: holdout_fraction must be a number, got {holdout_fraction!r}")
@@ -153,15 +153,17 @@ def load_config(path) -> ExperimentConfig:
         seeds=seeds,
         holdout_fraction=float(holdout_fraction),
         output_dir=parser.get("run", "output_dir", fallback="results"),  # a path, not coerced
-        holdout_seed=_run_integer("holdout_seed", run.get("holdout_seed", 0)),
+        holdout_seed=_run_integer("holdout_seed", run.get("holdout_seed", 0), 0),
     )
 
 
-def _run_integer(key: str, value) -> int:
-    """A [run] value that must be an integer; a bool, float or string is a
-    ConfigError naming the key."""
+def _run_integer(key: str, value, low: int) -> int:
+    """A [run] value that must be an integer of at least low; a bool, float
+    or string, or a smaller integer, is a ConfigError naming the key."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"[run]: {key} must be an integer, got {value!r}")
+    if value < low:
+        raise ConfigError(f"[run]: {key} must be at least {low}, got {value!r}")
     return value
 
 
@@ -218,17 +220,24 @@ def build_instance(spec: dict) -> Instance:
 def ingest_csv(features_path, labels_path) -> Instance:
     """Pool CSV (feature columns f0..f{p-1}, optional id) + labels CSV
     (id,eta for means or id,y for persistent realizations) to an instance
-    with an oracle-backed linear hypothesis class."""
-    labels_rows = []
+    with an oracle-backed linear hypothesis class. The labels' ids must be
+    distinct, a features id column must list them in the same order, and
+    the pool needs at least one row; anything else is a ConfigError
+    naming the file."""
+    labels_rows, line_of = [], {}
     with open(labels_path, newline="") as fh:
         reader = csv.reader(fh)
-        header = [c.strip() for c in next(reader)]
+        header = [c.strip() for c in next(reader, [])]
         if header[:1] != ["id"] or len(header) != 2 or header[1] not in ("eta", "y"):
             raise ConfigError(f"{labels_path}: header must be id,eta or id,y")
         kind = header[1]
         for ln, row in enumerate(reader, start=2):
             if len(row) != 2:
                 raise ConfigError(f"{labels_path}:{ln}: expected 2 columns")
+            rid = row[0].strip()
+            if rid in line_of:
+                raise ConfigError(f"{labels_path}:{ln}: id {rid!r} repeats line {line_of[rid]}")
+            line_of[rid] = ln
             try:
                 val = float(row[1])
             except ValueError as exc:
@@ -237,21 +246,26 @@ def ingest_csv(features_path, labels_path) -> Instance:
                 raise ConfigError(f"{labels_path}:{ln}: y must be 0 or 1")
             if not 0.0 <= val <= 1.0:
                 raise ConfigError(f"{labels_path}:{ln}: eta must be in [0,1]")
-            labels_rows.append((row[0].strip(), val))
+            labels_rows.append((rid, val))
+    if not labels_rows:
+        raise ConfigError(f"{labels_path}: no examples below the header")
     ids = tuple(r[0] for r in labels_rows)
     eta = np.array([r[1] for r in labels_rows])
 
     with open(features_path, newline="") as fh:
         reader = csv.reader(fh)
-        header = [c.strip() for c in next(reader)]
-        has_id = header and header[0] == "id"
+        header = [c.strip() for c in next(reader, [])]
+        has_id = header[:1] == ["id"]
         fcols = header[1:] if has_id else header
-        if fcols != [f"f{j}" for j in range(len(fcols))]:
+        if not fcols or fcols != [f"f{j}" for j in range(len(fcols))]:
             raise ConfigError(f"{features_path}: feature columns must be f0..f{{p-1}}")
         rows = []
         for ln, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise ConfigError(f"{features_path}:{ln}: expected {len(header)} columns")
+            if has_id and len(rows) < len(ids) and row[0].strip() != ids[len(rows)]:
+                raise ConfigError(f"{features_path}:{ln}: id {row[0].strip()!r} where "
+                                  f"{labels_path} has {ids[len(rows)]!r}")
             try:
                 vals = [float(x) for x in (row[1:] if has_id else row)]
             except ValueError as exc:
@@ -261,7 +275,8 @@ def ingest_csv(features_path, labels_path) -> Instance:
             rows.append(vals)
     features = np.array(rows)
     if features.shape[0] != eta.size:
-        raise ConfigError("features and labels row counts differ")
+        raise ConfigError(f"{features_path}: {features.shape[0]} rows, but {labels_path} "
+                          f"has {eta.size}")
     return Instance(pool=Pool(n=eta.size, features=features, ids=ids),
                     hypotheses=HypothesisClass(oracle=LinearOracleClass(features)),
                     labels=LabelModel(eta, persistent=kind == "y", seed=0))

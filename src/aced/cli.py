@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -12,6 +13,20 @@ from . import bench
 from .bench import ConfigError, StdinLabelModel, build_instance, load_config
 from .complexity import complexity_report
 from .core import Instance
+
+
+def _at_least(cast, low, what):
+    """An argparse type: cast(text), finite and at least low, else an
+    error naming the flag."""
+    def parse(text):
+        try:
+            value = cast(text)
+        except ValueError:
+            value = None
+        if value is None or not (math.isfinite(value) and value >= low):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+    return parse
 
 
 def _cmd_run(args):
@@ -90,8 +105,9 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("complexity", help="emit a complexity report for a config's instance")
     p.add_argument("config")
-    p.add_argument("--epsilon", type=float, default=0.1)
-    p.add_argument("--mc-samples", type=int, default=4000)
+    # epsilon 0 is the unfloored measure; a spread needs two draws
+    p.add_argument("--epsilon", type=_at_least(float, 0.0, "a finite number >= 0"), default=0.1)
+    p.add_argument("--mc-samples", type=_at_least(int, 2, "an integer >= 2"), default=4000)
     p.add_argument("--format", choices=["csv", "jsonl"], default="csv")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_complexity)

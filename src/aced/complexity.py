@@ -17,14 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import HypothesisClass, Instance, LabelModel, Pool, disagreement_region, gap_table
-from .design import (
-    Design,
-    batch_values,
-    gap_objective,
-    psi_objective,
-    rho_objective,
-    smd_solve,
-)
+from .design import Design, batch_values, gap_objective, psi_design, rho_design, smd_solve
 
 DIAGNOSTIC_SOLVER = {"tol": 1e-4, "rel_tol": 0.02, "b0": 32, "max_iters": 4000, "max_batch": 4096}
 
@@ -82,8 +75,7 @@ def rho_star(hclass: HypothesisClass, labels: LabelModel, epsilon: float) -> Mea
     if hclass.size == 1:
         return MeasureResult(0.0, Design.uniform(hclass.n))
     gt = gap_table(hclass, labels)
-    obj = rho_objective(hclass.labelings, labels.eta, epsilon, gt.h_star)
-    rep = smd_solve(obj, **DIAGNOSTIC_SOLVER)
+    rep = rho_design(hclass.labelings, labels.eta, epsilon, gt.h_star)
     return MeasureResult(rep.value_estimate, rep.design, certificate=rep.certificate,
                          converged=rep.converged)
 
@@ -116,8 +108,7 @@ def psi_star(hclass: HypothesisClass, labels: LabelModel, epsilon: float) -> Mea
     if hclass.size == 1:
         return MeasureResult(0.0, Design.uniform(hclass.n))
     gt = gap_table(hclass, labels)
-    obj = psi_objective(hclass.labelings, labels.eta, gt.h_star, epsilon, floor_at_scale=True)
-    rep = smd_solve(obj, **DIAGNOSTIC_SOLVER)
+    rep = psi_design(hclass.labelings, labels.eta, gt.h_star, epsilon)
     return MeasureResult(rep.value_estimate, rep.design, certificate=rep.certificate,
                          converged=rep.converged)
 

@@ -6,11 +6,12 @@ candidate designs are scored on common draws, and the best is returned
 once a first-order certificate holds, the best score plateaus or the
 iteration cap is hit. Gap-style objectives maximize a Gaussian-perturbed
 excess-error ratio per sample; pair-width objectives combine a squared
-Gaussian width with a worst-pair inverse-mass penalty. The deterministic
-objectives skip the descent: the worst-coordinate objective is solved
-exactly in closed form, and the inverse-information objective through
-its dual, certified by the exact duality gap. Waterfilling reconciles
-per-round designs with the cumulative sampling distribution.
+Gaussian width with a worst-pair inverse-mass penalty. The two
+deterministic designs behind the complexity measures need no descent:
+psi_design solves the worst-coordinate objective in closed form, and
+rho_design the inverse-information objective through its dual,
+certified by the exact duality gap. Waterfilling reconciles per-round
+designs with the cumulative sampling distribution.
 """
 from __future__ import annotations
 
@@ -59,16 +60,12 @@ class Design:
 
 @dataclass(eq=False)
 class DesignObjective:
-    """One of the design criteria, with precomputed per-hypothesis data.
+    """One of the stochastic design criteria, with precomputed per-hypothesis data.
 
     modes, and the fields each reads besides mode and n:
       fixed_budget     E[max_h (anchor-h) gap ratio], additive scale: V, den, anchor
       true_gap         same ratio with true gaps floored at epsilon: V, den, anchor
       fixed_confidence E[max_h - min_h score]^2 + penalty * max-pair inverse mass: V, den, penalty
-      rho              max_h (inverse-information / gap^2), solved through
-                       its dual (hypothesis weights, exact duality gap): S, coeff
-      psi              max_{h, i in disagreement} worst-coordinate ratio,
-                       solved exactly (lam_i proportional to a_i): S, den
     An oracle-backed fixed_budget objective (maximizer set) reads
     anchor_labeling, eta, scale and line_search_iters in place of V, den
     and anchor.
@@ -80,17 +77,11 @@ class DesignObjective:
     den: np.ndarray | None = None      # (m,) positive denominators
     anchor: int = 0
     penalty: float = 0.0
-    S: np.ndarray | None = None        # (m, n) 0/1 disagreement supports
-    coeff: np.ndarray | None = None    # (m,) rho coefficients
     scale: float = 0.0
     eta: np.ndarray | None = None      # eta-hat for oracle-backed line search
     anchor_labeling: np.ndarray | None = None
     maximizer: object = None           # weighted-max oracle, oracle-backed mode
     line_search_iters: int = 20
-
-    @property
-    def stochastic(self) -> bool:
-        return self.mode in ("fixed_budget", "true_gap", "fixed_confidence")
 
 
 def _gap_denominators(labelings, eta, anchor, scale, floor_at_scale):
@@ -133,57 +124,6 @@ def pair_width_objective(labelings, delta: float) -> DesignObjective:
     m, n = L.shape
     return DesignObjective(mode="fixed_confidence", n=n, V=L / n, den=np.ones(m),
                            penalty=2.0 * math.log(1.0 / delta))
-
-
-def rho_objective(labelings, eta, epsilon: float, anchor: int) -> DesignObjective:
-    """Worst-hypothesis inverse-information-to-gap-squared ratio on the
-    diagnostic psi objective's supports and floored gaps: coefficients
-    1/(n gap)^2, exactly 0 at the anchor."""
-    psi = psi_objective(labelings, eta, anchor, epsilon)
-    return DesignObjective(mode="rho", n=psi.n, S=psi.S, coeff=1.0 / (psi.n**2 * psi.den**2))
-
-
-def psi_objective(labelings, eta, anchor: int, scale: float, floor_at_scale: bool = True) -> DesignObjective:
-    """Worst-coordinate importance-weight objective.
-
-    floor_at_scale gives the diagnostic form max(eps, gap); otherwise the
-    in-algorithm form scale + plug-in gap.
-    """
-    L = np.asarray(labelings, dtype=float)
-    den = _gap_denominators(L, np.asarray(eta, dtype=float), anchor, scale, floor_at_scale)
-    den[anchor] = np.inf  # no self-term
-    S = (L != L[anchor][None, :]).astype(float)
-    return DesignObjective(mode="psi", n=L.shape[1], S=S, den=den)
-
-
-def objective_sample(obj: DesignObjective, design: Design, zeta) -> tuple:
-    """One-sample objective value and its maximizer.
-
-    Gap modes return (max_h f, argmax h) with the anchor worth exactly 0
-    (the labeling the line search found, when oracle-backed); the
-    pair-width mode returns (max - min score, (argmax h, argmin h)); the
-    stochastic modes evaluate through batch_values on a one-row batch.
-    The rho and psi modes ignore zeta.
-    """
-    lam = design.lam if isinstance(design, Design) else np.asarray(design, dtype=float)
-    if obj.mode == "rho":
-        vals = obj.coeff * (obj.S @ (1.0 / lam))
-        idx = int(np.argmax(vals))
-        return float(vals[idx]), idx
-    if obj.mode == "psi":
-        ratio = np.where(obj.S > 0, (1.0 / (obj.n * lam))[None, :] / obj.den[:, None], -np.inf)
-        h, i = np.unravel_index(np.argmax(ratio), ratio.shape)
-        return float(ratio[h, i]), (int(h), int(i))
-    if not obj.stochastic:
-        raise ValueError(f"unknown objective mode {obj.mode!r}")
-    vals, argmax = batch_values(obj, lam, np.asarray(zeta, dtype=float)[None, :])
-    if obj.maximizer is not None:
-        return float(vals[0]), argmax[0]
-    if obj.mode == "fixed_confidence":
-        return float(vals[0]), (int(np.argmax(argmax[:, 0])), int(np.argmin(argmax[:, 0])))
-    if vals[0] <= 0.0:
-        return 0.0, obj.anchor
-    return float(vals[0]), int(np.argmax(argmax[:, 0]))
 
 
 def batch_values(obj: DesignObjective, lam: np.ndarray, Z: np.ndarray):
@@ -269,17 +209,30 @@ class SolverReport:
         return self.stop_reason != "cap"
 
 
-def _psi_exact(obj: DesignObjective) -> SolverReport:
-    """Closed-form minimizer of the worst-coordinate objective.
+def _disagreement_supports(labelings, eta, anchor: int, scale: float, floor_at_scale: bool) -> tuple:
+    """(S, den): the 0/1 rows S_h of the coordinates where h disagrees with
+    the anchor, and the gap denominators of _gap_denominators, inf at the
+    anchor (no self-term)."""
+    L = np.asarray(labelings, dtype=float)
+    den = _gap_denominators(L, np.asarray(eta, dtype=float), anchor, scale, floor_at_scale)
+    den[anchor] = np.inf
+    return (L != L[anchor][None, :]).astype(float), den
 
-    With a_i = max over h with i in S_h of 1/den_h the objective is
+
+def psi_design(labelings, eta, anchor: int, scale: float, floor_at_scale: bool = True) -> SolverReport:
+    """Closed-form minimizer of the worst-coordinate importance-weight
+    objective max over h and i in S_h of 1/(n lam_i den_h).
+
+    floor_at_scale gives the diagnostic denominators max(eps, gap);
+    otherwise the in-algorithm form scale + plug-in gap. With
+    a_i = max over h with i in S_h of 1/den_h the objective is
     max_i a_i / (n lam_i), so lam proportional to a equalizes every
     coordinate at the optimum (1/n) sum_i a_i.
     """
-    a = np.where(obj.S > 0, 1.0 / obj.den[:, None], 0.0).max(axis=0)
-    design = Design(a)
-    value, _ = objective_sample(obj, design, np.zeros(obj.n))
-    return SolverReport(design=design, value_estimate=value, certificate=0.0,
+    S, den = _disagreement_supports(labelings, eta, anchor, scale, floor_at_scale)
+    design = Design(np.where(S > 0, 1.0 / den[:, None], 0.0).max(axis=0))
+    ratio = np.where(S > 0, (1.0 / (S.shape[1] * design.lam))[None, :] / den[:, None], -np.inf)
+    return SolverReport(design=design, value_estimate=float(ratio.max()), certificate=0.0,
                         batch_trajectory=[], iterations=0, stop_reason="exact")
 
 
@@ -288,17 +241,23 @@ RHO_MAX_ITERS = 20_000
 PLATEAU_WINDOW = 10  # smd_solve iterations between candidate averages and plateau tests
 
 
-def _rho_dual(obj: DesignObjective) -> SolverReport:
-    """Certified minimizer of the rho objective through its dual.
+def rho_design(labelings, eta, epsilon: float, anchor: int) -> SolverReport:
+    """Certified minimizer of the worst inverse-information-to-gap-squared
+    ratio max_h c_h S_h.(1/lam), c_h = 1/(n max(eps, gap_h))^2 (exactly 0
+    at the anchor), through its dual.
 
     For hypothesis weights mu on the simplex and w = sum_h mu_h c_h S_h,
     min over lam of sum_i w_i / lam_i is (sum_i sqrt(w_i))^2, attained at
     lam proportional to sqrt(w): a lower bound on the minimax value. The
     Silvey-Titterington-Torsney update mu_h <- mu_h c_h S_h.(1/lam),
     renormalized, raises it; the best primal iterate is returned with the
-    exact duality gap as its certificate.
+    exact duality gap as its certificate, once that gap is at most
+    RHO_REL_GAP of the value ("certificate") or after RHO_MAX_ITERS
+    iterations ("cap").
     """
-    CS = obj.coeff[:, None] * obj.S
+    S, den = _disagreement_supports(labelings, eta, anchor, epsilon, floor_at_scale=True)
+    coeff = 1.0 / (S.shape[1] ** 2 * den**2)
+    CS = coeff[:, None] * S
     mu = np.full(CS.shape[0], 1.0 / CS.shape[0])
     best_value, best_design, bound = np.inf, None, 0.0
     stop_reason = "cap"
@@ -306,7 +265,7 @@ def _rho_dual(obj: DesignObjective) -> SolverReport:
         root = np.sqrt(mu @ CS)
         bound = max(bound, float(root.sum()) ** 2)
         design = Design(root)
-        vals = obj.coeff * (obj.S @ (1.0 / design.lam))
+        vals = coeff * (S @ (1.0 / design.lam))
         value = float(vals.max())
         if value < best_value:
             best_value, best_design = value, design
@@ -352,7 +311,7 @@ def smd_solve(
     rel_tol: float = 0.0,
     max_batch: int = 1 << 16,
 ) -> SolverReport:
-    """Minimize a design objective over the simplex by mirror descent.
+    """Minimize a stochastic design objective over the simplex by mirror descent.
 
     Exponentiated-gradient updates from the uniform design; the batch
     doubles whenever gradient noise dominates the first-order gap; the
@@ -367,18 +326,13 @@ def smd_solve(
     at a checkpoint whose best score beats the previous checkpoint's by at
     most tol plus one paired standard error; else "cap", and a capped solve
     proposes no step after its last iteration. Values come from _outer,
-    whose slope also scales the noise and standard errors. psi returns its
-    closed form ("exact"), rho its dual-certified minimizer; both ignore
-    the stochastic parameters. Settings that check_solver_settings rejects
-    raise ValueError before anything is drawn.
+    whose slope also scales the noise and standard errors. Settings that
+    check_solver_settings rejects, and a mode other than fixed_budget,
+    true_gap or fixed_confidence, raise ValueError before anything is drawn.
     """
     check_solver_settings({"tol": tol, "b0": b0, "max_iters": max_iters, "max_halvings": max_halvings,
                            "eval_samples": eval_samples, "rel_tol": rel_tol, "max_batch": max_batch})
-    if obj.mode == "psi":
-        return _psi_exact(obj)
-    if obj.mode == "rho":
-        return _rho_dual(obj)
-    if not obj.stochastic:
+    if obj.mode not in ("fixed_budget", "true_gap", "fixed_confidence"):
         raise ValueError(f"unknown objective mode {obj.mode!r}")
     n = obj.n
     lam = np.full(n, 1.0 / n)

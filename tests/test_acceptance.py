@@ -26,10 +26,10 @@ from aced.core import HypothesisClass, LabelModel, gap_table
 from aced.design import (
     Design,
     floor_simplex,
+    _disagreement_supports,
     gap_objective,
-    objective_sample,
-    psi_objective,
-    rho_objective,
+    psi_design,
+    rho_design,
     sample_unique,
     smd_solve,
     waterfill,
@@ -43,6 +43,7 @@ from aced.estimators import (
     ridge_shift,
 )
 from aced.oracles import weighted_max
+from test_design_parity import psi_sample, rho_terms, rho_value
 
 
 def report(num, name, ok, detail=""):
@@ -155,25 +156,28 @@ def test_criterion_5_solver_grid_optimality():
         errs = (eta.sum() + H.astype(float) @ (1 - 2 * eta)) / n
         anchor = int(np.argmin(errs))
         if mode == "rho":
-            obj = rho_objective(H, eta, scale, anchor)
+            rep = rho_design(H, eta, scale, anchor)
+            terms = rho_terms(H, eta, scale, anchor)
+
+            def evaluate(lam):
+                return rho_value(terms, Design(lam).lam)
+
         elif mode == "psi":
-            obj = psi_objective(H, eta, anchor, scale, floor_at_scale=True)
+            rep = psi_design(H, eta, anchor, scale, floor_at_scale=True)
+            terms = _disagreement_supports(H, eta, anchor, scale, floor_at_scale=True)
+
+            def evaluate(lam):
+                return psi_sample(terms, Design(lam).lam)[0]
+
         else:
             obj = gap_objective(H, eta, anchor, scale, mode=mode)
-        rep = smd_solve(obj, tol=1e-4, rel_tol=0.01, b0=64, seed=11,
-                        max_iters=4000, max_batch=4096)
-        if obj.stochastic:
+            rep = smd_solve(obj, tol=1e-4, rel_tol=0.01, b0=64, seed=11,
+                            max_iters=4000, max_batch=4096)
             Z = np.random.default_rng(999).standard_normal((4000, n))
 
             def evaluate(lam):
                 scores = (obj.V @ (Z / np.sqrt(lam)).T) / obj.den[:, None]
                 return float(np.maximum(scores.max(axis=0), 0.0).mean())
-
-        else:
-
-            def evaluate(lam):
-                v, _ = objective_sample(obj, Design(lam), np.zeros(n))
-                return v
 
         grid_best = min(evaluate(floor_simplex(g)) for g in _grid_simplex(n))
         solved = evaluate(rep.design.lam)

@@ -169,6 +169,24 @@ def test_ingest_csv_rejects_non_finite_features(tmp_path):
         assert f"{feats}:4:" in str(exc.value)
 
 
+@pytest.mark.parametrize("features, labels, named, detail", [
+    # ids in another order used to be paired row by row
+    ("id,f0\nb,0.0\na,1.0\n", "id,y\na,1\nb,0\n", "features", ":2: id 'b' where "),
+    ("id,f0\na,0.0\nb,1.0\n", "id,y\na,1\na,0\n", "labels", ":3: id 'a' repeats line 2"),
+    ("id,f0\na,0.0\n", "", "labels", ": header must be id,eta or id,y"),
+    ("", "id,y\na,1\n", "features", ": feature columns must be f0..f{p-1}"),
+    ("id,f0\n", "id,y\n", "labels", ": no examples below the header"),
+    ("id,f0\n", "id,y\na,1\n", "features", ": 0 rows, but "),
+])
+def test_ingest_csv_rejects_a_pool_it_cannot_pair(tmp_path, features, labels, named, detail):
+    paths = {"features": tmp_path / "features.csv", "labels": tmp_path / "labels.csv"}
+    paths["features"].write_text(features)
+    paths["labels"].write_text(labels)
+    with pytest.raises(ConfigError) as exc:
+        ingest_csv(str(paths["features"]), str(paths["labels"]))
+    assert str(exc.value).startswith(str(paths[named])) and detail in str(exc.value)
+
+
 def test_instance_export_import_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     from aced.core import HypothesisClass, Instance, LabelModel, Pool
@@ -240,6 +258,31 @@ def test_cli_end_to_end(tmp_path, capsys):
     assert cli.main(["plotdata", str(tmp_path / "o" / "results.csv"),
                      "--out", str(tmp_path / "c.csv")]) == 0
     assert (tmp_path / "c.csv").read_text().startswith("algorithm,queries")
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--epsilon", "-0.5"),  # computed the epsilon = 0 result under a -0.5 label
+    ("--epsilon", "nan"),  # IndexError
+    ("--epsilon", "inf"),
+    ("--mc-samples", "0"),  # ZeroDivisionError
+    ("--mc-samples", "1"),  # a nan spread
+])
+def test_cli_complexity_rejects_arguments_it_cannot_use(tmp_path, capsys, flag, value):
+    cfg = write_config(tmp_path, BASE.format(seeds="0", holdout=0.0, out=tmp_path / "o"))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["complexity", str(cfg), flag, value, "--out", str(tmp_path / "c")])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be " in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+
+def test_cli_complexity_accepts_epsilon_zero(tmp_path, capsys):
+    cfg = write_config(tmp_path, BASE.format(seeds="0", holdout=0.0, out=tmp_path / "o"))
+    assert cli.main(["complexity", str(cfg), "--epsilon", "0", "--mc-samples", "2",
+                     "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "complexity.csv") as fh:
+        assert {r["epsilon"] for r in csv.DictReader(fh)} == {"0"}
     capsys.readouterr()
 
 
@@ -550,6 +593,14 @@ def test_output_dir_is_read_verbatim(tmp_path):
     ("[run]\nseed0 = 1.5", "[run]: seed0 must be an integer, got 1.5"),
     ("[run]\nholdout_seed = yes", "[run]: holdout_seed must be an integer, got True"),
     ("[run]\nholdout_fraction = abc", "[run]: holdout_fraction must be a number, got 'abc'"),
+    # a negative seed used to fail every run into meta.json (a negative
+    # holdout_seed, bench.run), and a repeated one ran the pair twice
+    ("[run]\nseeds = -1", "[run]: seeds must be at least 0, got -1"),
+    ("[run]\nseeds = 0,-2", "[run]: seeds must be at least 0, got -2"),
+    ("[run]\nseed0 = -3", "[run]: seed0 must be at least 0, got -3"),
+    ("[run]\nholdout_seed = -1", "[run]: holdout_seed must be at least 0, got -1"),
+    ("[run]\nseeds = 1,1", "[run]: seeds must be distinct, got [1, 1]"),
+    ("[run]\nreplicates = 0", "[run]: replicates must be at least 1, got 0"),
     ("[run]\nreplicate = 5", "[run]: unknown key 'replicate'"),
     ("[run]\nseed = 3", "[run]: unknown key 'seed'"),
     ("[runs]\nreplicates = 5", "unknown section [runs]"),

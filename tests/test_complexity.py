@@ -18,7 +18,8 @@ from aced.complexity import (
     tsybakov_holds,
 )
 from aced.core import HypothesisClass, LabelModel, gap_table
-from aced.design import Design, ObjectiveDegenerateError, floor_simplex, objective_sample, rho_objective
+from aced.design import Design, ObjectiveDegenerateError, _disagreement_supports, floor_simplex
+from test_design_parity import psi_sample, rho_terms, rho_value
 
 QUICK = {"tol": 1e-4, "rel_tol": 0.02, "b0": 32, "max_iters": 2000, "max_batch": 2048}
 
@@ -50,7 +51,7 @@ def test_rho_star_grid_agreement_n3():
     hclass = HypothesisClass(H)
     r = rho_star(hclass, labels, 0.1)
     gt = gap_table(hclass, labels)
-    obj = rho_objective(hclass.labelings, eta, 0.1, gt.h_star)
+    terms = rho_terms(hclass.labelings, eta, 0.1, gt.h_star)
     best = np.inf
     step = 0.01
     for a in np.arange(step, 1, step):
@@ -58,7 +59,7 @@ def test_rho_star_grid_agreement_n3():
             lam = np.array([a, b, 1 - a - b])
             if lam[2] <= 0:
                 continue
-            v, _ = objective_sample(obj, Design(lam), np.zeros(3))
+            v = rho_value(terms, Design(lam).lam)
             best = min(best, v)
     assert r.value <= best * 1.05
 
@@ -79,9 +80,9 @@ def test_classification_and_bandit_scales_agree():
     hclass = HypothesisClass(H)
     gt = gap_table(hclass, labels)
     eps = 0.07
-    obj = rho_objective(hclass.labelings, eta, eps, gt.h_star)
+    terms = rho_terms(hclass.labelings, eta, eps, gt.h_star)
     lam = floor_simplex(rng.random(4))
-    v_cls, _ = objective_sample(obj, Design(lam), np.zeros(4))
+    v_cls = rho_value(terms, Design(lam).lam)
     n = 4
     mu = 2 * eta - 1
     hs = hclass.labelings[gt.h_star]
@@ -156,10 +157,8 @@ def test_psi_star_singleton_and_grid():
     labels = LabelModel(eta)
     hclass = HypothesisClass(H)
     p = psi_star(hclass, labels, 0.05)
-    from aced.design import psi_objective
-
     gt = gap_table(hclass, labels)
-    obj = psi_objective(hclass.labelings, eta, gt.h_star, 0.05, floor_at_scale=True)
+    terms = _disagreement_supports(hclass.labelings, eta, gt.h_star, 0.05, floor_at_scale=True)
     best = np.inf
     step = 0.01
     for a in np.arange(step, 1, step):
@@ -167,7 +166,7 @@ def test_psi_star_singleton_and_grid():
             lam = np.array([a, b, 1 - a - b])
             if lam[2] <= 0:
                 continue
-            v, _ = objective_sample(obj, Design(lam), np.zeros(3))
+            v, _ = psi_sample(terms, Design(lam).lam)
             best = min(best, v)
     assert p.value <= best * 1.05
 
@@ -339,12 +338,12 @@ def test_rho_star_is_certified_on_thresholds():
 def test_rho_dual_bound_is_below_the_value():
     inst = make_thresholds(16, 7, 0.5)
     gt = gap_table(inst.hypotheses, inst.labels)
-    obj = rho_objective(inst.hypotheses.labelings, inst.labels.eta, 0.05, gt.h_star)
+    S, coeff = rho_terms(inst.hypotheses.labelings, inst.labels.eta, 0.05, gt.h_star)
     value = rho_star(inst.hypotheses, inst.labels, 0.05).value
     rng = np.random.default_rng(4)
     for _ in range(50):
-        mu = rng.dirichlet(np.ones(obj.coeff.size))
-        w = (mu * obj.coeff) @ obj.S
+        mu = rng.dirichlet(np.ones(coeff.size))
+        w = (mu * coeff) @ S
         assert np.sqrt(w).sum() ** 2 <= value
 
 

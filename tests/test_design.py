@@ -12,24 +12,33 @@ from aced.complexity import make_core_tail_instance, make_thresholds
 from aced.core import HypothesisClass
 from aced.design import (
     Design,
+    DesignObjective,
     LAMBDA_FLOOR,
+    _disagreement_supports,
     _gap_denominators,
     batch_gradient,
     batch_values,
     floor_simplex,
     gap_objective,
     line_search_max,
-    objective_sample,
     oracle_gap_objective,
     pair_width_objective,
-    psi_objective,
-    rho_objective,
+    psi_design,
+    rho_design,
     sample_unique,
     smd_solve,
     waterfill,
 )
 from aced.oracles import LinearOracleClass
-from test_design_parity import PAIR_RTOL, reference_pair_rows, reference_pair_width
+from test_design_parity import (
+    PAIR_RTOL,
+    objective_sample,
+    psi_sample,
+    reference_pair_rows,
+    reference_pair_width,
+    rho_terms,
+    rho_value,
+)
 
 
 @given(st.lists(st.floats(0, 100), min_size=2, max_size=12))
@@ -295,15 +304,15 @@ def test_smd_convexity_spot_check():
 def test_smd_certificate_upper_bounds_suboptimality_rho():
     H = np.array([[0, 0, 0], [1, 1, 0], [0, 1, 1]], dtype=np.int8)
     eta = np.array([0.0, 0.0, 0.0])
-    obj = rho_objective(H, eta, 0.3, 0)
-    rep = smd_solve(obj, tol=1e-6, max_iters=500)
+    terms = rho_terms(H, eta, 0.3, 0)
+    rep = rho_design(H, eta, 0.3, 0)
     # exhaustive simplex grid as the truth
     best = np.inf
     step = 0.01
     for a in np.arange(step, 1, step):
         for b in np.arange(step, 1 - a + step / 2, step):
             lam = np.array([a, b, max(1 - a - b, step / 10)])
-            v, _ = objective_sample(obj, Design(lam), np.zeros(3))
+            v = rho_value(terms, Design(lam).lam)
             best = min(best, v)
     assert rep.value_estimate - best <= rep.certificate + 1e-6
 
@@ -318,8 +327,8 @@ def test_pair_width_value_positive_and_penalized():
 
 def test_psi_objective_masks_anchor():
     H = np.array([[0, 0], [1, 0]], dtype=np.int8)
-    obj = psi_objective(H, np.zeros(2), 0, 0.5, floor_at_scale=False)
-    value, (h, i) = objective_sample(obj, Design.uniform(2), np.zeros(2))
+    terms = _disagreement_supports(H, np.zeros(2), 0, 0.5, floor_at_scale=False)
+    value, (h, i) = psi_sample(terms, Design.uniform(2).lam)
     assert h == 1 and i == 0
     assert value == pytest.approx((1 / (2 * 0.5)) / (0.5 + 0.5))
 
@@ -429,14 +438,22 @@ def test_values_step_is_bitwise_the_gradient_path():
 def test_stop_reason_names_the_rule_that_ended_the_solve(monkeypatch):
     H = np.array([[0, 0, 0], [1, 1, 0], [0, 1, 1]], dtype=np.int8)
     eta = np.array([0.1, 0.2, 0.3])
-    psi = smd_solve(psi_objective(H, eta, 0, 0.3), tol=1e-3)
-    rho = smd_solve(rho_objective(H, eta, 0.3, 0), tol=1e-3)
+    psi = psi_design(H, eta, 0, 0.3)
+    rho = rho_design(H, eta, 0.3, 0)
     capped = smd_solve(gap_objective(H, eta, 0, 0.5), tol=1e-3, max_iters=3)
     assert (psi.stop_reason, rho.stop_reason, capped.stop_reason) == ("exact", "certificate", "cap")
     assert psi.converged and rho.converged and not capped.converged
     monkeypatch.setattr(aced.design, "RHO_MAX_ITERS", 1)
-    rho = smd_solve(rho_objective(H, eta, 0.3, 0), tol=1e-3)
+    rho = rho_design(H, eta, 0.3, 0)
     assert rho.stop_reason == "cap" and not rho.converged
+
+
+def test_smd_solve_rejects_a_deterministic_mode():
+    # psi and rho have their own solvers; the mirror-descent solver serves
+    # only the stochastic modes
+    for mode in ("psi", "rho"):
+        with pytest.raises(ValueError, match=f"unknown objective mode '{mode}'"):
+            smd_solve(DesignObjective(mode=mode, n=3), tol=1e-3)
 
 
 def test_core_tail_round_one_gap_solve_stops_on_a_plateau():

@@ -2,9 +2,9 @@
 
 The references below are the former stand-alone implementations: a
 Python pair loop for the pair-width rows, a per-mode one-sample
-evaluator, and the unique sampler with a separate fallback flag. The
-package evaluates through batch_values on a one-row batch, so the gap
-modes and the sampler agree bitwise. The pair-width objective scores the
+evaluator, and the unique sampler with a separate fallback flag.
+objective_sample evaluates through the package's batch_values on a
+one-row batch, so the gap modes and the sampler agree bitwise. The pair-width objective scores the
 labelings themselves (widest pair = max - min score, worst-pair mass
 from the Gram identity), so its checks against the pair loop hold to the
 relative tolerance PAIR_RTOL.
@@ -14,19 +14,61 @@ import numpy as np
 from aced.design import (
     LAMBDA_FLOOR,
     Design,
+    _disagreement_supports,
     _outer,
     batch_gradient,
     batch_values,
     floor_simplex,
     gap_objective,
     line_search_max,
-    objective_sample,
     oracle_gap_objective,
     pair_width_objective,
     sample_unique,
 )
 
 PAIR_RTOL = 1e-10
+
+
+def objective_sample(obj, design, zeta) -> tuple:
+    """One-sample value of a stochastic objective and its maximizer, through
+    batch_values on a one-row batch.
+
+    Gap modes return (max_h f, argmax h) with the anchor worth exactly 0
+    (the labeling the line search found, when oracle-backed); the
+    pair-width mode returns (max - min score, (argmax h, argmin h)).
+    """
+    lam = design.lam if isinstance(design, Design) else np.asarray(design, dtype=float)
+    vals, argmax = batch_values(obj, lam, np.asarray(zeta, dtype=float)[None, :])
+    if obj.maximizer is not None:
+        return float(vals[0]), argmax[0]
+    if obj.mode == "fixed_confidence":
+        return float(vals[0]), (int(np.argmax(argmax[:, 0])), int(np.argmin(argmax[:, 0])))
+    if vals[0] <= 0.0:
+        return 0.0, obj.anchor
+    return float(vals[0]), int(np.argmax(argmax[:, 0]))
+
+
+def rho_terms(labelings, eta, epsilon, anchor) -> tuple:
+    """(S, c): the rho objective's 0/1 disagreement supports and its
+    coefficients c_h = 1/(n max(eps, gap_h))^2, exactly 0 at the anchor."""
+    S, den = _disagreement_supports(labelings, eta, anchor, epsilon, floor_at_scale=True)
+    return S, 1.0 / (S.shape[1] ** 2 * den**2)
+
+
+def rho_value(terms, lam) -> float:
+    """The rho objective max_h c_h S_h.(1/lam) at a design."""
+    S, coeff = terms
+    return float((coeff * (S @ (1.0 / lam))).max())
+
+
+def psi_sample(terms, lam) -> tuple:
+    """(value, (h, i)): the psi objective max over h and i in S_h of
+    1/(n lam_i den_h) at a design, and where it is attained; terms are
+    the (S, den) of _disagreement_supports."""
+    S, den = terms
+    ratio = np.where(S > 0, (1.0 / (S.shape[1] * lam))[None, :] / den[:, None], -np.inf)
+    h, i = np.unravel_index(np.argmax(ratio), ratio.shape)
+    return float(ratio[h, i]), (int(h), int(i))
 
 
 def assert_close(got, want):

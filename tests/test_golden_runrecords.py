@@ -1,17 +1,18 @@
-"""Pinned sha256 digests of seeded RunRecords.
+"""Pinned sha256 digests of seeded RunRecords and of the complexity measures.
 
 Every REGISTRY algorithm runs on small seeded instances with a small
 solver override; a refactor that keeps behaviour must leave each
-RunRecord body byte-identical. A digest that changes on purpose is
+RunRecord body, and each rho* and psi* result, byte-identical. A digest that changes on purpose is
 updated here with its reason in CHANGES.md.
 """
 import hashlib
+import struct
 
 import numpy as np
 import pytest
 
 from aced.algorithms import REGISTRY
-from aced.complexity import make_core_tail_instance, make_thresholds
+from aced.complexity import make_core_tail_instance, make_thresholds, make_tsybakov, psi_star, rho_star
 from aced.core import HypothesisClass, Instance, LabelModel, Pool
 from aced.oracles import LinearOracleClass
 
@@ -164,3 +165,18 @@ def test_fixed_budget_shared_cache_panel_digest():
                      for seed in range(4))
     assert (hashlib.sha256(body.encode()).hexdigest()
             == "4d95807f4bb45bb2a040d9ea35a26b64cf7694135b8d7654c7b7b44c8b540f36")
+
+
+def test_complexity_measures_digest():
+    # rho* and psi* (value, certificate, converged, design bytes) on core-tail,
+    # threshold and low-noise instances over three epsilons
+    instances = [make_core_tail_instance(m) for m in (2, 3, 5)] + [
+        make_thresholds(16, 7, 0.5), make_thresholds(32, 13, 0.4), make_tsybakov(10, 2.0, 0.5, seed=0)]
+    digest = hashlib.sha256()
+    for inst in instances:
+        for eps in (0.01, 0.05, 0.2):
+            for measure in (rho_star, psi_star):
+                r = measure(inst.hypotheses, inst.labels, eps)
+                digest.update(struct.pack("<dd?", r.value, r.certificate, r.converged))
+                digest.update(r.design.lam.tobytes())
+    assert digest.hexdigest() == "e18bd6f55a7cc2a3d8a5e3a0964d7c5fb74c59a7598221c521bbdc5bee044bd2"
