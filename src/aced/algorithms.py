@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from functools import partial
 
@@ -205,6 +206,21 @@ def aced_fixed_confidence(
     return rec
 
 
+def check_budget(budget: dict) -> None:
+    """Reject a label budget no run can spend, as a ValueError whose message
+    starts with the quoted key: T is an integer >= 0 and N_batch, unless
+    None, an integer >= 1 (bools are refused). A key not given is not
+    checked."""
+    for key, low in (("T", 0), ("N_batch", 1)):
+        value = budget.get(key)
+        if value is None:
+            continue
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{key!r} must be an integer, got {value!r}")
+        if value < low:
+            raise ValueError(f"{key!r} must be at least {low}, got {value!r}")
+
+
 def _fixed_budget_rounds(T: int, epsilon: float) -> tuple:
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must be in (0,1)")
@@ -246,6 +262,10 @@ def _fixed_budget_loop(instance, rec, T, epsilon, est, *, estimator_kind, solver
     design and draws up to N_batch fresh points until T unique labels are
     spent or the pool runs out. The ERM is computed once per round, after
     estimating: it is the progress entry, the next anchor and the answer.
+    A waterfilled run that ends its last round with min(T, n) - spent > 0
+    labels left flags that number as budget_unspent; a run that spent it
+    all has no such key. A T or N_batch that check_budget rejects raises
+    ValueError before any round.
 
     The seed tags ("fb" with its trailing tol, "fbe1", "wf", "wf-oracle")
     stay verbatim because they seed the solver. The worst-coordinate design
@@ -254,6 +274,7 @@ def _fixed_budget_loop(instance, rec, T, epsilon, est, *, estimator_kind, solver
     """
     hclass = instance.hypotheses
     n = instance.n
+    check_budget({"T": T, "N_batch": N_batch})
     solver_params = dict(DEFAULT_SOLVER, **(solver or {}))
     rounds, N = _fixed_budget_rounds(T, epsilon)
     unique = N_batch is not None
@@ -286,7 +307,7 @@ def _fixed_budget_loop(instance, rec, T, epsilon, est, *, estimator_kind, solver
             lam = Design(0.5 * (lam + rep_psi.design.lam)).lam
         rng = np.random.default_rng([rec.seed, k])
         if unique:
-            p_k = waterfill(rep.design, marginals, k)
+            p_k = waterfill(rep.design.lam, marginals)
             lam = p_k.lam
             marginals.append(lam)
             idx, fallback = sample_unique(p_k, want, np.flatnonzero(queried), rng=rng)
@@ -319,6 +340,9 @@ def _fixed_budget_loop(instance, rec, T, epsilon, est, *, estimator_kind, solver
         handle, anchor_lab = _erm_handle(hclass, est)
         rec.progress.append((k, int(np.count_nonzero(queried)),
                              int(handle) if hclass.explicit else -1))
+    unspent = min(T, n) - int(np.count_nonzero(queried))
+    if unique and unspent > 0:
+        rec.flags["budget_unspent"] = unspent
     rec.returned = int(handle) if hclass.explicit else -1
     rec.returned_labeling = [int(v) for v in anchor_lab]
     return rec
@@ -384,8 +408,9 @@ def aced_waterfilled(
     against the cumulative sampling marginals, and query fresh unique
     points only, at most N_batch a round; repeated indices never arise.
     The run spends at most min(T, floor(log2(1/epsilon)) * N_batch)
-    unique labels, so T is not always spent. Pool exhaustion stops the
-    run early, flagged.
+    unique labels, so T is not always spent: a run left with
+    min(T, n) - spent > 0 labels flags that number as budget_unspent.
+    Pool exhaustion stops the run early, flagged.
     """
     if not instance.labels.persistent:
         raise ValueError("waterfilled variant expects a persistent label model")
@@ -401,6 +426,7 @@ def aced_waterfilled(
 
 def baseline_passive(instance: Instance, T: int, seed: int = 0) -> RunRecord:
     """Uniform unique draws followed by plug-in ERM on what was observed."""
+    check_budget({"T": T})
     n = instance.n
     rec = RunRecord(algorithm="passive", seed=seed, params={"T": T})
     order = np.random.default_rng([seed, 0]).permutation(n)[:min(T, n)]
@@ -426,6 +452,7 @@ def baseline_uniform_disagreement(
     is scored by a seeded uniformly-drawn survivor: an elimination
     algorithm's answer is only determined once it has certified one.
     """
+    check_budget({"T": T})
     hclass = instance.hypotheses
     if not hclass.explicit:
         raise ImplicitClassError("the version-space baseline enumerates the class")

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algorithms import DEFAULT_SOLVER, REGISTRY, RunRecord, _erm_handle
+from .algorithms import DEFAULT_SOLVER, REGISTRY, RunRecord, _erm_handle, check_budget
 from .complexity import make_core_tail_instance, make_thresholds, make_tsybakov
 from .core import HypothesisClass, Instance, LabelModel, Pool
 from .design import check_solver_settings, smd_solve
@@ -171,7 +171,8 @@ def _algorithm_params(section: str, name: str, params: dict) -> dict:
     """An [algorithm] section's keys as its run's keyword arguments, checked
     where they enter: solver_<setting> keys fold into the solver dict of an
     algorithm that takes one and must pass check_solver_settings over
-    DEFAULT_SOLVER, iwal's passes must be an integer >= 1 and stays for
+    DEFAULT_SOLVER, a T or N_batch the algorithm takes must pass
+    check_budget, iwal's passes must be an integer >= 1 and stays for
     _run_one, a design_cache (an in-process dict, which no config value can
     be) is refused, and the rest must bind to REGISTRY[name] beside SUPPLIED
     (else ConfigError)."""
@@ -184,6 +185,10 @@ def _algorithm_params(section: str, name: str, params: dict) -> dict:
     passes = params.get("passes", 1)
     if name == "iwal" and (isinstance(passes, bool) or not isinstance(passes, int) or passes < 1):
         raise ConfigError(f"[{section}]: iwal takes 'passes' as an integer >= 1, got {passes!r}")
+    try:
+        check_budget({k: v for k, v in params.items() if k in sig.parameters})
+    except ValueError as exc:
+        raise ConfigError(f"[{section}]: {exc}") from None
     if solver:
         try:
             check_solver_settings(dict(DEFAULT_SOLVER, **solver))

@@ -11,7 +11,9 @@ deterministic designs behind the complexity measures need no descent:
 psi_design solves the worst-coordinate objective in closed form, and
 rho_design the inverse-information objective through its dual,
 certified by the exact duality gap. Waterfilling reconciles per-round
-designs with the cumulative sampling distribution.
+designs with the cumulative sampling distribution in closed form: round
+k samples the simplex projection of what k times its design still asks
+for beyond the k - 1 distributions already sampled.
 """
 from __future__ import annotations
 
@@ -454,45 +456,27 @@ def line_search_max(lam, zeta, anchor_labeling, eta_hat, scale, maximizer, n_max
     return best_val, best_lab.astype(np.int8), best_handle
 
 
-def waterfill(lam_k, prior_marginals, k: int) -> Design:
-    """Round-k sampling distribution matching the cumulative target design.
+def waterfill(lam_k, prior_marginals) -> Design:
+    """Round-k sampling distribution matching the cumulative target design,
+    with k = len(prior_marginals) + 1; round 1 samples lam_k itself.
 
     Minimizes over the simplex the worst residual deficit
-    max_j max(0, k*lam_kj - sum_i p_ij - q_j): deficits are covered
-    exactly when they fit in one unit of mass (surplus spread by flooding
-    the low coordinates to a common level), otherwise the largest
-    deficits are shaved to a common water level.
+    max_j max(0, d_j - q_j), d = max(0, k*lam_k - sum_i p_i), by the
+    Euclidean projection of d onto the simplex: q = max(d - th, 0) with
+    th the one level at which q sums to 1, read off the deficits sorted
+    descending (Held, Wolfe & Crowder 1974; Duchi et al. 2008). The k - 1
+    priors consume k - 1 units, so sum d >= sum(k*lam_k - consumed) = 1
+    and the projection shaves the largest deficits to a common level;
+    th < 0 (spreading a surplus) happens only at rounding level.
     """
-    lam_k = lam_k.lam if isinstance(lam_k, Design) else np.asarray(lam_k, dtype=float)
-    if k < 1:
-        raise ValueError("round index must be >= 1")
-    priors = list(prior_marginals)
-    if k == 1 or not priors:
+    k = len(prior_marginals) + 1
+    if k == 1:
         return Design(lam_k)
-    consumed = np.sum([p.lam if isinstance(p, Design) else np.asarray(p, float) for p in priors], axis=0)
-    d = np.maximum(0.0, k * lam_k - consumed)
-    total = float(d.sum())
-    if total <= 1.0:
-        lo, hi = 0.0, 1.0
-        for _ in range(80):
-            w = 0.5 * (lo + hi)
-            if np.maximum(d, w).sum() > 1.0:
-                hi = w
-            else:
-                lo = w
-        q = np.maximum(d, lo)
-    else:
-        lo, hi = 0.0, float(d.max())
-        for _ in range(80):
-            th = 0.5 * (lo + hi)
-            if np.maximum(d - th, 0.0).sum() > 1.0:
-                lo = th
-            else:
-                hi = th
-        q = np.maximum(d - hi, 0.0)
-    s = q.sum()
-    q = q / s if s > 0 else np.full_like(d, 1.0 / d.size)
-    return Design(q)
+    d = np.maximum(0.0, k * np.asarray(lam_k, dtype=float) - np.sum(prior_marginals, axis=0))
+    s = np.sort(d)[::-1]
+    th = (np.cumsum(s) - 1.0) / np.arange(1, s.size + 1)
+    q = np.maximum(d - th[np.flatnonzero(s > th)[-1]], 0.0)  # index 0 always qualifies
+    return Design(q / q.sum())
 
 
 def sample_unique(p, N: int, already_queried, rng: np.random.Generator) -> tuple:

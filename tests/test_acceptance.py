@@ -238,7 +238,7 @@ def test_criterion_8_waterfilling_fidelity():
         seen = set()
         priors = []
         for k, lam in enumerate((lam1, lam2, lam3), start=1):
-            p_k = waterfill(lam, priors, k)
+            p_k = waterfill(lam, priors)
             priors.append(p_k.lam)
             picks, _ = sample_unique(p_k, draws_per_round, seen,
                                      rng=np.random.default_rng([rep, k]))

@@ -198,6 +198,7 @@ def test_waterfilled_budget_and_uniqueness():
     idxs = [q.index for q in rec.queries]
     assert len(idxs) == len(set(idxs))  # fresh points only
     assert np.unique(rec.queries.index).size <= 10
+    assert rec.flags["budget_unspent"] == 2  # 2 rounds of 4 draws leave 2 of T = 10
 
 
 def test_waterfilled_pool_exhaustion_flag():
@@ -205,6 +206,32 @@ def test_waterfilled_pool_exhaustion_flag():
     rec = aced_waterfilled(inst, T=64, epsilon=0.03125, N_batch=2, seed=0)
     assert rec.flags["pool_exhausted"]
     assert np.unique(rec.queries.index).size == 4
+    assert "budget_unspent" not in rec.flags  # min(T, n) = 4 labels, all spent
+
+
+def test_waterfilled_shortfall_is_flagged():
+    # 3 rounds of at most 10 draws spend 30 of T = 40
+    inst = make_thresholds(64, 30, 0.2, persistent=True, seed=1)
+    rec = aced_waterfilled(inst, T=40, epsilon=0.125, N_batch=10)
+    assert len(rec.queries) == 30
+    assert rec.flags["budget_unspent"] == 10
+    full = aced_waterfilled(inst, T=30, epsilon=0.125, N_batch=10)
+    assert len(full.queries) == 30 and "budget_unspent" not in full.flags
+
+
+@pytest.mark.parametrize("algorithm, kw, key", [
+    (baseline_passive, {"T": -2}, "T"),  # once took permutation(n)[:-2]: 14 labels
+    (baseline_passive, {"T": True}, "T"),  # once bought 1 label
+    (baseline_uniform_disagreement, {"T": 2.5}, "T"),  # once a TypeError
+    (aced_fixed_budget, {"T": 8.0, "epsilon": 0.25}, "T"),
+    (aced_waterfilled, {"T": 8, "epsilon": 0.25, "N_batch": 1.5}, "N_batch"),  # once 9 labels
+    (aced_waterfilled, {"T": 8, "epsilon": 0.25, "N_batch": 0}, "N_batch"),  # once 0 labels
+    (aced_waterfilled, {"T": 8, "epsilon": 0.25, "N_batch": -3}, "N_batch"),
+])
+def test_bad_budgets_are_rejected(algorithm, kw, key):
+    inst = make_thresholds(16, 9, 1.0, persistent=True, seed=4)
+    with pytest.raises(ValueError, match=rf"^'{key}' must be"):
+        algorithm(inst, seed=0, **kw)
 
 
 def test_waterfilled_solves_no_round_without_budget(monkeypatch):

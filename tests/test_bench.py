@@ -352,6 +352,14 @@ def test_run_records_failures_and_continues(tmp_path):
     ("[algorithm iwal]\nC0 = 0.01\npasses = 0\n", "passes"),
     ("[algorithm iwal]\nC0 = 0.01\npasses = -2\n", "passes"),
     ("[algorithm iwal]\nC0 = 0.01\npasses = 1.5\n", "passes"),
+    # a budget: T an integer >= 0, N_batch an integer >= 1, bools refused
+    ("[algorithm passive:negative]\nT = -2\n", "T"),
+    ("[algorithm passive:bool]\nT = true\n", "T"),
+    ("[algorithm uniform_disagreement]\nT = 2.5\n", "T"),
+    ("[algorithm aced_fixed_budget]\nT = 8.5\nepsilon = 0.25\n", "T"),
+    ("[algorithm aced_waterfilled]\nT = 8\nepsilon = 0.25\nN_batch = 1.5\n", "N_batch"),
+    ("[algorithm aced_waterfilled]\nT = 8\nepsilon = 0.25\nN_batch = 0\n", "N_batch"),
+    ("[algorithm aced_waterfilled]\nT = 8\nepsilon = 0.25\nN_batch = -3\n", "N_batch"),
 ])
 def test_bad_algorithm_keys_are_rejected_where_they_enter(tmp_path, capsys, section, key):
     out = tmp_path / "o"

@@ -337,14 +337,14 @@ def test_waterfill_constant_design_is_fixed_point():
     lam = np.array([0.5, 0.3, 0.2])
     priors = []
     for k in range(1, 5):
-        p = waterfill(lam, priors, k)
+        p = waterfill(lam, priors)
         assert np.allclose(p.lam, lam, atol=1e-8)
         priors.append(p.lam)
 
 
 def test_waterfill_round_one_identity():
     lam = np.array([0.9, 0.1])
-    assert np.allclose(waterfill(lam, [], 1).lam, lam)
+    assert np.allclose(waterfill(lam, []).lam, lam)
 
 
 def test_waterfill_matches_grid_minimax():
@@ -352,7 +352,7 @@ def test_waterfill_matches_grid_minimax():
     lams = [floor_simplex(rng.random(3)) for _ in range(3)]
     priors = []
     for k, lam in enumerate(lams, start=1):
-        q = waterfill(lam, priors, k)
+        q = waterfill(lam, priors)
         if k == 3:
             consumed = np.sum(priors, axis=0)
             d = np.maximum(0.0, 3 * lam - consumed)

@@ -2,7 +2,9 @@
 
 The references below are the former stand-alone implementations: a
 Python pair loop for the pair-width rows, a per-mode one-sample
-evaluator, and the unique sampler with a separate fallback flag.
+evaluator, the unique sampler with a separate fallback flag, and the
+waterfill that found its level by bisection (waterfill now projects
+onto the simplex in closed form; the two agree to WATERFILL_ATOL).
 objective_sample evaluates through the package's batch_values on a
 one-row batch, so the gap modes and the sampler agree bitwise. The pair-width objective scores the
 labelings themselves (widest pair = max - min score, worst-pair mass
@@ -24,9 +26,11 @@ from aced.design import (
     oracle_gap_objective,
     pair_width_objective,
     sample_unique,
+    waterfill,
 )
 
 PAIR_RTOL = 1e-10
+WATERFILL_ATOL = 1e-14
 
 
 def objective_sample(obj, design, zeta) -> tuple:
@@ -149,6 +153,47 @@ def reference_sample_unique(lam, N, already_queried, rng):
     return out, fallback
 
 
+def reference_waterfill(lam_k, prior_marginals, k: int) -> Design:
+    """Round-k sampling distribution matching the cumulative target design.
+
+    Minimizes over the simplex the worst residual deficit
+    max_j max(0, k*lam_kj - sum_i p_ij - q_j): deficits are covered
+    exactly when they fit in one unit of mass (surplus spread by flooding
+    the low coordinates to a common level), otherwise the largest
+    deficits are shaved to a common water level.
+    """
+    lam_k = lam_k.lam if isinstance(lam_k, Design) else np.asarray(lam_k, dtype=float)
+    if k < 1:
+        raise ValueError("round index must be >= 1")
+    priors = list(prior_marginals)
+    if k == 1 or not priors:
+        return Design(lam_k)
+    consumed = np.sum([p.lam if isinstance(p, Design) else np.asarray(p, float) for p in priors], axis=0)
+    d = np.maximum(0.0, k * lam_k - consumed)
+    total = float(d.sum())
+    if total <= 1.0:
+        lo, hi = 0.0, 1.0
+        for _ in range(80):
+            w = 0.5 * (lo + hi)
+            if np.maximum(d, w).sum() > 1.0:
+                hi = w
+            else:
+                lo = w
+        q = np.maximum(d, lo)
+    else:
+        lo, hi = 0.0, float(d.max())
+        for _ in range(80):
+            th = 0.5 * (lo + hi)
+            if np.maximum(d - th, 0.0).sum() > 1.0:
+                lo = th
+            else:
+                hi = th
+        q = np.maximum(d - hi, 0.0)
+    s = q.sum()
+    q = q / s if s > 0 else np.full_like(d, 1.0 / d.size)
+    return Design(q)
+
+
 def random_classes(rng, count):
     """Random 0/1 classes, with the edge cases first: one row, all rows
     identical, and duplicate rows."""
@@ -255,3 +300,45 @@ def test_sample_unique_matches_reference():
         assert got == reference_sample_unique(Design(lam).lam, N, already, np.random.default_rng(seed))
         flags.append(got[1])
     assert flags[-3:] == [True, True, True] and not all(flags)
+
+
+def _worst_deficit(lam_k, priors, q) -> float:
+    d = np.maximum(0.0, (len(priors) + 1) * lam_k - np.sum(priors, axis=0))
+    return float(np.maximum(d - q, 0.0).max())
+
+
+def _check_waterfill(lam_k, priors):
+    got = waterfill(lam_k, priors)
+    want = reference_waterfill(lam_k, priors, len(priors) + 1)
+    np.testing.assert_allclose(got.lam, want.lam, rtol=0, atol=WATERFILL_ATOL)
+    if priors:
+        assert _worst_deficit(lam_k, priors, got.lam) <= (
+            _worst_deficit(lam_k, priors, want.lam) + WATERFILL_ATOL)
+    return got
+
+
+def test_waterfill_matches_bisection_reference():
+    rng = np.random.default_rng(11)
+    for _ in range(400):
+        n, rounds = int(rng.integers(1, 41)), int(rng.integers(2, 7))
+        priors = []
+        for _ in range(rounds):
+            lam = rng.random(n) ** float(rng.choice([0.5, 1.0, 4.0]))
+            lam[rng.random(n) < 0.3] = 0.0  # coordinates the round's design leaves at the floor
+            lam_k = Design(lam if lam.any() else np.ones(n)).lam
+            priors.append(_check_waterfill(lam_k, priors).lam)
+
+
+def test_waterfill_edge_cases_match_bisection_reference():
+    # the deficits of a design sampled twice before sum to 1 up to rounding:
+    # 1 + 2.2e-16 at seed 2, 1 - 2.2e-16 (the bisection's flooding branch) at seed 0
+    for seed in (2, 0):
+        lam = floor_simplex(np.random.default_rng(seed).random(7))
+        assert np.allclose(_check_waterfill(lam, [lam, lam]).lam, lam, atol=1e-12)
+    one = np.array([1.0])
+    assert _check_waterfill(one, [one]).lam.tolist() == [1.0]
+    assert _check_waterfill(one, [one, one, one]).lam.tolist() == [1.0]
+    # one coordinate holds all the deficit
+    prior = floor_simplex(np.array([0.0, 1.0, 1.0, 1.0, 1.0]))
+    q = _check_waterfill(floor_simplex(np.array([1.0, 0, 0, 0, 0])), [prior]).lam
+    assert q[0] == q.max() and q[0] > 1 - 1e-8

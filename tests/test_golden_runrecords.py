@@ -110,7 +110,7 @@ GOLDEN = {
     "passive_nonpersistent/thresholds": "54acfc1406a7463ace9a27d50616f53cc894521e769ee2b38fa8da0553fa6d40",
     "uniform_disagreement/thresholds": "9cc31249051764ce88a25353e2948fb8c140e70217c0afa6cedc81a588c12a55",
     "waterfilled/core_tail": "685479701722be4bf3f0f6be55343e85ee7c6fa59dc73fe27163156c193297e4",
-    "waterfilled_exhausted/thresholds": "b04af4ace797ba895808e2bea01b406a111c6d529f07b2d26df3f4ebab385f7b",
+    "waterfilled_exhausted/thresholds": "39dd8960ec178d2c864830b6d273cfd4ac71c72e512ba101c07f86796b22114c",
     "waterfilled_oracle/linear": "8669c751cefaacd3cd1184b735c41eed66a138e126335be77de69e972868b1ec",
     "waterfilled_oracle_lsi1/linear": "75bdb4f10683721cd83ceb6b57f505722d882b9b9aca505ca5140b9db4c3cadb",
 }

@@ -38,6 +38,11 @@ def test_perfbench_traced_run_is_correct(workload, tmp_path):
         hits, misses = (result["metrics"][f"algorithms.design_cache.{name}"]["value"]
                         for name in ("hits", "misses"))
         assert hits > 10 * misses
+    if workload in ("sweep_core_tail", "oracle_linear_csv"):
+        # the tracer wraps these two on aced.algorithms by name, and both
+        # workloads run aced_waterfilled: a rename or a moved call reads 0
+        for name in ("design.waterfill.ms", "design.sample_unique.ms"):
+            assert result["metrics"][name]["value"] > 0
     if workload == "oracle_linear_csv":
         # iwal's streaming fits reach the oracle module's names at call time
         for name in ("oracles.erm_logistic.calls", "oracles.erm_flip_constrained.calls"):
