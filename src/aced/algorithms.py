@@ -262,10 +262,10 @@ def _fixed_budget_loop(instance, rec, T, epsilon, est, *, estimator_kind, solver
     design and draws up to N_batch fresh points until T unique labels are
     spent or the pool runs out. The ERM is computed once per round, after
     estimating: it is the progress entry, the next anchor and the answer.
-    A waterfilled run that ends its last round with min(T, n) - spent > 0
-    labels left flags that number as budget_unspent; a run that spent it
-    all has no such key. A T or N_batch that check_budget rejects raises
-    ValueError before any round.
+    A run that leaves labels unspent flags their number as budget_unspent:
+    T % rounds for i.i.d. rounds, min(T, n) - spent for a waterfilled run
+    (unique labels); a run that spent it all has no such key. A T or
+    N_batch that check_budget rejects raises ValueError before any round.
 
     The seed tags ("fb" with its trailing tol, "fbe1", "wf", "wf-oracle")
     stay verbatim because they seed the solver. The worst-coordinate design
@@ -340,8 +340,8 @@ def _fixed_budget_loop(instance, rec, T, epsilon, est, *, estimator_kind, solver
         handle, anchor_lab = _erm_handle(hclass, est)
         rec.progress.append((k, int(np.count_nonzero(queried)),
                              int(handle) if hclass.explicit else -1))
-    unspent = min(T, n) - int(np.count_nonzero(queried))
-    if unique and unspent > 0:
+    unspent = min(T, n) - int(np.count_nonzero(queried)) if unique else T - rounds * N
+    if unspent > 0:
         rec.flags["budget_unspent"] = unspent
     rec.returned = int(handle) if hclass.explicit else -1
     rec.returned_labeling = [int(v) for v in anchor_lab]
@@ -359,10 +359,11 @@ def aced_fixed_budget(
     """Fixed budget split over floor(log2(1/eps)) rounds of optimized designs.
 
     Each round anchors at the current plug-in minimizer, solves the
-    gap-ratio design at scale 2^(1-k), queries N i.i.d. draws from it and
-    re-estimates. The naive estimator pools all labels seen so far; the
-    IPS and feasibility estimators use the round's own draws (whose
-    probabilities they need).
+    gap-ratio design at scale 2^(1-k), queries N = T // rounds i.i.d.
+    draws from it and re-estimates; the T % rounds labels left over are
+    flagged as budget_unspent. The naive estimator pools all labels seen so
+    far; the IPS and feasibility estimators use the round's own draws
+    (whose probabilities they need).
     """
     if estimator_kind not in ("naive", "ips", "chaining"):
         raise ValueError("estimator_kind must be naive, ips, or chaining")
@@ -383,8 +384,10 @@ def aced_fixed_budget_efficient(
 ) -> RunRecord:
     """Fixed budget with a mixed design: each round samples a 50/50 mix of
     the gap design and the worst-coordinate design and estimates with
-    plain IPS. It enumerates the class, so an oracle-backed class raises
-    ImplicitClassError; the waterfilled variant serves those."""
+    plain IPS. As in aced_fixed_budget, T % rounds labels stay unspent and
+    are flagged as budget_unspent. It enumerates the class, so an
+    oracle-backed class raises ImplicitClassError; the waterfilled variant
+    serves those."""
     if not instance.hypotheses.explicit:
         raise ImplicitClassError("desk-scale variant enumerates the class")
     rec = RunRecord(algorithm="aced_fixed_budget_efficient", seed=seed,

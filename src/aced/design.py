@@ -10,16 +10,22 @@ Gaussian width with a worst-pair inverse-mass penalty. The two
 deterministic designs behind the complexity measures need no descent:
 psi_design solves the worst-coordinate objective in closed form, and
 rho_design the inverse-information objective through its dual,
-certified by the exact duality gap. Waterfilling reconciles per-round
-designs with the cumulative sampling distribution in closed form: round
-k samples the simplex projection of what k times its design still asks
-for beyond the k - 1 distributions already sampled.
+certified by the exact duality gap. An oracle-backed gap objective is
+solved by column generation (Kelley's cutting planes): the solve keeps
+the working set W of labelings its oracle line searches have returned,
+asks the oracle only on the first max(b0, 2) draws of each iterate's
+batch, and reads every inner value off W's rows as for an explicit
+class, a lower bound on the supremum over the class. Waterfilling
+reconciles per-round designs with the cumulative sampling distribution
+in closed form: round k samples the simplex projection of what k times
+its design still asks for beyond the k - 1 distributions already
+sampled.
 """
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -68,9 +74,11 @@ class DesignObjective:
       fixed_budget     E[max_h (anchor-h) gap ratio], additive scale: V, den, anchor
       true_gap         same ratio with true gaps floored at epsilon: V, den, anchor
       fixed_confidence E[max_h - min_h score]^2 + penalty * max-pair inverse mass: V, den, penalty
-    An oracle-backed fixed_budget objective (maximizer set) reads
-    anchor_labeling, eta, scale and line_search_iters in place of V, den
-    and anchor.
+    Every objective is scored through its rows V and den. An oracle-backed
+    fixed_budget objective (maximizer set) has one row per labeling of its
+    working set W, the anchor first; smd_solve grows W with what the
+    oracle returns, from anchor_labeling, eta, scale and line_search_iters,
+    on a copy that lives in the solve.
     """
 
     mode: str
@@ -113,10 +121,40 @@ def gap_objective(labelings, eta, anchor: int, scale: float, mode: str = "fixed_
 
 def oracle_gap_objective(n, anchor_labeling, eta, scale: float, maximizer,
                          line_search_iters: int = 20) -> DesignObjective:
-    """Fixed-budget gap objective with the inner max solved by line search."""
-    return DesignObjective(mode="fixed_budget", n=n, anchor_labeling=np.asarray(anchor_labeling, np.int8),
+    """Fixed-budget gap objective over a class reached through a weighted-max
+    oracle. It starts as the explicit objective on W = {anchor}: one zero
+    row, so every value is 0 until smd_solve adds the labelings its line
+    searches return (_grow_working_set)."""
+    return DesignObjective(mode="fixed_budget", n=n, V=np.zeros((1, n)), den=np.ones(1), anchor=0,
+                           anchor_labeling=np.asarray(anchor_labeling, np.int8),
                            eta=np.asarray(eta, dtype=float), scale=scale, maximizer=maximizer,
                            line_search_iters=line_search_iters)
+
+
+def _grow_working_set(obj: DesignObjective, lam, Z, seen: set) -> DesignObjective:
+    """obj with a row for each labeling, not yet in seen, that its oracle
+    returns while line_search_max searches each draw of Z at lam; seen (the
+    bytes of the int8 labelings already in W) gains them. A row is
+    (anchor - lab)/n over _ratio_denominator(scale + plug-in gap), the ratio
+    line_search_max scores; obj itself is returned when nothing is new."""
+    new = []
+
+    def collecting(w):
+        handle, lab = obj.maximizer(w)
+        key = np.asarray(lab, dtype=np.int8).tobytes()
+        if key not in seen:
+            seen.add(key)
+            new.append(lab)
+        return handle, lab
+
+    for zeta in Z:
+        line_search_max(lam, zeta, obj.anchor_labeling, obj.eta, obj.scale, collecting,
+                        obj.line_search_iters)
+    if not new:
+        return obj
+    rows = (obj.anchor_labeling - np.array(new, dtype=np.int8)) / obj.n
+    den = [_ratio_denominator(obj.scale + float(row @ (2.0 * obj.eta - 1.0)), obj.scale) for row in rows]
+    return replace(obj, V=np.vstack([obj.V, rows]), den=np.concatenate([obj.den, den]))
 
 
 def pair_width_objective(labelings, delta: float) -> DesignObjective:
@@ -132,18 +170,9 @@ def batch_values(obj: DesignObjective, lam: np.ndarray, Z: np.ndarray):
     """Per-sample values of a stochastic objective on a batch of Gaussian draws.
 
     A score column's value is max(max, 0) in the gap modes, max - min in the
-    pair-width mode; batch_gradient also gets the (m, B) score matrix, or the
-    labeling each oracle line search found, to differentiate the max.
+    pair-width mode; batch_gradient also gets the (m, B) score matrix, to
+    differentiate the max.
     """
-    if obj.maximizer is not None:
-        vals = np.empty(Z.shape[0])
-        labs = []
-        for s in range(Z.shape[0]):
-            v, lab, _ = line_search_max(lam, Z[s], obj.anchor_labeling, obj.eta,
-                                        obj.scale, obj.maximizer, obj.line_search_iters)
-            vals[s] = max(v, 0.0)
-            labs.append(lab)
-        return vals, labs
     scores = (obj.V @ (Z / np.sqrt(lam)).T) / obj.den[:, None]
     if obj.mode == "fixed_confidence":
         return scores.max(axis=0) - scores.min(axis=0), scores
@@ -153,13 +182,6 @@ def batch_values(obj: DesignObjective, lam: np.ndarray, Z: np.ndarray):
 def batch_gradient(obj: DesignObjective, lam: np.ndarray, Z: np.ndarray, vals, argmax):
     """Batch mean and mean square of the per-sample gradients, from batch_values."""
     inv32 = lam ** (-1.5)
-    if obj.maximizer is not None:
-        grads = np.empty(Z.shape)
-        for s, lab in enumerate(argmax):
-            row = (obj.anchor_labeling - lab) / obj.n
-            den = _ratio_denominator(obj.scale + float(row @ (2.0 * obj.eta - 1.0)), obj.scale)
-            grads[s] = -0.5 * row * Z[s] * inv32 / den if vals[s] > 0 else 0.0
-        return grads.mean(axis=0), (grads**2).mean(axis=0)
     if obj.mode == "fixed_confidence":
         W = obj.V[np.argmax(argmax, axis=0)] - obj.V[np.argmin(argmax, axis=0)]
     else:
@@ -331,6 +353,18 @@ def smd_solve(
     whose slope also scales the noise and standard errors. Settings that
     check_solver_settings rejects, and a mode other than fixed_budget,
     true_gap or fixed_confidence, raise ValueError before anything is drawn.
+
+    Oracle-backed (obj.maximizer set), the solve keeps its own working set
+    W, a copy of obj that starts at the anchor. Each iteration first
+    line-searches the first max(b0, 2) draws of its batch, the size of the
+    first batch, so the oracle's work per iteration stays fixed while the
+    batch doubles; every distinct labeling the oracle returns joins W.
+    Then the iterate's values and gradient, its backtracking trials and
+    the candidate scores all read W's rows. A W value is a lower bound on
+    the supremum over the class. The iterate and its trials are scored on
+    the same W, so backtracking acceptance is as for an explicit class;
+    whenever W has grown, the incumbent best and the plateau checkpoint
+    are re-scored on it, so candidates are always compared on one W.
     """
     check_solver_settings({"tol": tol, "b0": b0, "max_iters": max_iters, "max_halvings": max_halvings,
                            "eval_samples": eval_samples, "rel_tol": rel_tol, "max_batch": max_batch})
@@ -339,18 +373,33 @@ def smd_solve(
     n = obj.n
     lam = np.full(n, 1.0 / n)
     B = max(int(b0), 2)
+    b_oracle = B
     step = 1.0
     batch_trajectory, iterates = [], []
-    # oracle-backed objectives pay one inner line search per evaluation draw
+    # an oracle-backed solve re-scores its incumbents each time W grows,
+    # and W can hold thousands of rows
     size = max(B, min(eval_samples, 32) if obj.maximizer is not None else eval_samples)
     Z_eval = np.random.default_rng([seed, 1 << 30]).standard_normal((size, n))
+    work = obj
+    seen = {obj.anchor_labeling.tobytes()} if obj.maximizer is not None else None
+
+    def score(c, cert):  # (value, slope, per-draw values, design, certificate) on W
+        evals = batch_values(work, c, Z_eval)[0]
+        return (*_outer(work, c, evals)[:2], evals, c, cert)
+
     best, checkpoint, lowest = (np.inf,), None, np.inf
     for it in range(1, max_iters + 1):
         Z = np.random.default_rng([seed, it - 1]).standard_normal((B, n))
-        vals, argmax = batch_values(obj, lam, Z)
-        gmean, gsq = batch_gradient(obj, lam, Z, vals, argmax)
-        value, slope, gpen = _outer(obj, lam, vals)
-        g = gmean if gpen is None else slope * gmean + obj.penalty * gpen
+        if seen is not None:
+            grown = _grow_working_set(work, lam, Z[:b_oracle], seen)
+            if grown is not work:
+                work = grown
+                best = score(*best[3:]) if len(best) > 1 else best
+                checkpoint = score(*checkpoint[3:]) if checkpoint is not None else None
+        vals, argmax = batch_values(work, lam, Z)
+        gmean, gsq = batch_gradient(work, lam, Z, vals, argmax)
+        value, slope, gpen = _outer(work, lam, vals)
+        g = gmean if gpen is None else slope * gmean + work.penalty * gpen
         gvar = slope**2 * np.maximum(gsq - gmean**2, 0.0) / B
         sigma_max = float(np.sqrt(gvar.max()))
         gap_term = float(g @ lam - g.min())
@@ -363,9 +412,8 @@ def smd_solve(
         at_checkpoint = it % PLATEAU_WINDOW == 0
         if at_checkpoint:
             cands.append(floor_simplex(np.mean(iterates[it // 2:], axis=0)))
-        for c in cands:  # (value, slope, per-draw values, design, certificate)
-            evals = batch_values(obj, c, Z_eval)[0]
-            best = min(best, (*_outer(obj, c, evals)[:2], evals, c, cert), key=lambda t: t[0])
+        for c in cands:
+            best = min(best, score(c, cert), key=lambda t: t[0])
         plateau = at_checkpoint and checkpoint is not None and checkpoint[0] - best[0] <= tol + (
             _paired_se(checkpoint[2], best[2]) * max(checkpoint[1], best[1]))
         if certified or plateau or it == max_iters:  # a capped solve proposes no further step
@@ -377,8 +425,8 @@ def smd_solve(
         trial = min(1.0, 2.0 * step)
         for _ in range(max_halvings):
             cand = _mirror_step(lam, g, trial)
-            cvals, _ = batch_values(obj, cand, Z)
-            cvalue, cslope, _ = _outer(obj, cand, cvals)
+            cvals, _ = batch_values(work, cand, Z)
+            cvalue, cslope, _ = _outer(work, cand, cvals)
             if cvalue - value <= _paired_se(cvals, vals) * max(slope, cslope):
                 break
             trial *= 0.5

@@ -91,6 +91,7 @@ def _fit_logistic(X, w, y, reg, tol, max_iter, fixed_intercept=None):
         e = np.exp(-np.abs(m))  # log(1 + e^m) = max(m, 0) + log1p(e), overflow-free
         return float(w @ (np.maximum(m, 0.0) + np.log1p(e))) + 0.5 * float(pen @ (th * th)), m, e
 
+    penalty_hessian = np.diag(pen)
     theta = np.zeros(B.shape[1])
     loss, m, e = evaluate(theta)
     for it in range(max_iter + 1):
@@ -99,7 +100,7 @@ def _fit_logistic(X, w, y, reg, tol, max_iter, fixed_intercept=None):
         if converged or it == max_iter:
             break
         try:
-            step = np.linalg.solve((B.T * (w * e / (1.0 + e) ** 2)) @ B + np.diag(pen), -grad)
+            step = np.linalg.solve((B.T * (w * e / (1.0 + e) ** 2)) @ B + penalty_hessian, -grad)
         except np.linalg.LinAlgError:
             break
         slope = float(grad @ step)

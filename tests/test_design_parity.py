@@ -12,11 +12,13 @@ from the Gram identity), so its checks against the pair loop hold to the
 relative tolerance PAIR_RTOL.
 """
 import numpy as np
+import pytest
 
 from aced.design import (
     LAMBDA_FLOOR,
     Design,
     _disagreement_supports,
+    _grow_working_set,
     _outer,
     batch_gradient,
     batch_values,
@@ -38,13 +40,11 @@ def objective_sample(obj, design, zeta) -> tuple:
     batch_values on a one-row batch.
 
     Gap modes return (max_h f, argmax h) with the anchor worth exactly 0
-    (the labeling the line search found, when oracle-backed); the
-    pair-width mode returns (max - min score, (argmax h, argmin h)).
+    (h indexes the working set's rows, when oracle-backed); the pair-width
+    mode returns (max - min score, (argmax h, argmin h)).
     """
     lam = design.lam if isinstance(design, Design) else np.asarray(design, dtype=float)
     vals, argmax = batch_values(obj, lam, np.asarray(zeta, dtype=float)[None, :])
-    if obj.maximizer is not None:
-        return float(vals[0]), argmax[0]
     if obj.mode == "fixed_confidence":
         return float(vals[0]), (int(np.argmax(argmax[:, 0])), int(np.argmin(argmax[:, 0])))
     if vals[0] <= 0.0:
@@ -261,6 +261,9 @@ def test_objective_sample_matches_reference_explicit_modes():
 
 
 def test_objective_sample_matches_reference_oracle_mode():
+    # the working set grown by line-searching one draw scores that draw as the
+    # line search does, to rounding (the ratio's two forms sum in another
+    # order), and its best row is the labeling the line search returned
     rng = np.random.default_rng(2)
     for _ in range(40):
         H, eta, anchor = _gap_case(rng)
@@ -273,10 +276,11 @@ def test_objective_sample_matches_reference_oracle_mode():
         obj = oracle_gap_objective(n, H[anchor], eta, 0.25, maximizer, line_search_iters=6)
         design = Design(rng.random(n))
         zeta = rng.standard_normal(n)
-        value, lab = objective_sample(obj, design, zeta)
+        work = _grow_working_set(obj, design.lam, zeta[None, :], {obj.anchor_labeling.tobytes()})
+        value, row = objective_sample(work, design, zeta)
         ref_value, ref_lab = reference_objective_sample(obj, design.lam, zeta)
-        assert value == ref_value
-        assert np.array_equal(lab, ref_lab) and lab.dtype == ref_lab.dtype
+        assert value == pytest.approx(ref_value, rel=1e-12, abs=0)
+        assert np.array_equal(np.rint(H[anchor] - n * work.V[row]), ref_lab)
 
 
 def test_sample_unique_matches_reference():

@@ -46,6 +46,9 @@ def test_oracle_probe_prints_each_solve_and_the_run_total():
     assert header.split() == ["solve", "stop_reason", "iterations", "fits", "seconds"]
     assert [row.split()[0] for row in solves] == ["1", "2"]  # two rounds of N_batch = 6
     assert all(row.split()[1] == "cap" and row.split()[2] == "4" for row in solves)
+    # the oracle sees max(b0, 2) = 16 draws per iteration (DEFAULT_SOLVER's b0),
+    # each a line search of at most line_search_iters + 1 = 5 oracle fits
+    assert all(int(row.split()[3]) <= 4 * 16 * 5 for row in solves)
     fields = total.split()
     assert fields[0] == "total:" and fields[-2:] == ["8", "labels"]
     assert int(fields[1]) >= sum(int(row.split()[3]) for row in solves) > 0
