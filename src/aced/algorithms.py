@@ -5,6 +5,12 @@ one round loop (the naive/IPS/chaining form, the mixed-design form, and
 the practical waterfilled form for persistent labels), plus passive,
 uniform-disagreement, and streaming importance-weighted baselines.
 Every run yields a RunRecord sufficient to replay it bit-for-bit.
+
+A fixed-budget round solve on an explicit class is a pure function of
+the round's content and the solver settings, so the process keeps the
+ROUND_SOLVES_KEPT most recently used ones and a repeat (round 1 of every
+seed, or a later round that reaches the same eta-hat) reads its design
+from there.
 """
 from __future__ import annotations
 
@@ -12,6 +18,7 @@ import hashlib
 import json
 import math
 import numbers
+from collections import OrderedDict
 from dataclasses import dataclass, field, fields
 from functools import partial
 
@@ -47,6 +54,12 @@ MAX_ROUND_QUERIES = 1_000_000
 CHAINING_DELTA = 0.1
 # IWAL's floor on the query probability
 P_MIN = 1e-6
+# the explicit-class round solves of the fixed-budget family, keyed on
+# (content digest, solver settings), least recently used first; at most
+# ROUND_SOLVES_KEPT are kept. An entry is a pure function of its key, so
+# two threads that race on one key at worst solve it twice.
+ROUND_SOLVES_KEPT = 256
+_ROUND_SOLVES = OrderedDict()
 
 
 @dataclass(eq=False)
@@ -81,7 +94,10 @@ class RunRecord:
         return cls(**d)
 
 
-def _content_seed(*parts) -> int:
+def _content_seed(*parts) -> tuple:
+    """(seed, digest): the SHA-256 digest of the parts (an array by its bytes
+    and shape, anything else by its repr) and the solver seed cut from it,
+    its first 8 bytes read big-endian."""
     h = hashlib.sha256()
     for p in parts:
         if isinstance(p, np.ndarray):
@@ -89,7 +105,8 @@ def _content_seed(*parts) -> int:
             h.update(str(p.shape).encode())
         else:
             h.update(repr(p).encode())
-    return int.from_bytes(h.digest()[:8], "big")
+    digest = h.digest()
+    return int.from_bytes(digest[:8], "big"), digest
 
 
 def _record_design(rec, k, rep, extra):
@@ -114,7 +131,7 @@ def _fc_round_design(H_active, delta_k: float, k: int, solver_params: dict) -> t
     (solver report, wanted query count, query count n_k after the cap,
     chaining plan for n_k queries). A pure function of its arguments; the
     solver seed derives from (H_active, delta_k, tol)."""
-    seed = _content_seed("fc", H_active, delta_k, solver_params["tol"])
+    seed, _ = _content_seed("fc", H_active, delta_k, solver_params["tol"])
     rep = smd_solve(pair_width_objective(H_active, delta_k), seed=seed, **solver_params)
     wanted = max(1, math.ceil(C_BUDGET * rep.value_estimate * 2 ** (2 * (k + 1))))
     n_k = int(min(wanted, MAX_ROUND_QUERIES))
@@ -271,11 +288,20 @@ def _fixed_budget_loop(instance, rec, T, epsilon, est, *, estimator_kind, solver
     stay verbatim because they seed the solver. The worst-coordinate design
     is solved in closed form from (H, eta-hat, anchor, scale), so it is not
     seeded.
+
+    On an explicit class the round's SHA-256 digest of (tag, H, eta-hat,
+    anchor, scale[, tol]) gives the seed (its first 8 bytes) and, with the
+    merged solver settings, the key of the process-wide memo _ROUND_SOLVES:
+    a hit skips the objective and the solve, and returns the same report a
+    fresh solve would, its design read-only. Oracle-backed rounds are always
+    solved, since the maximizer's answers depend on the pool features and
+    the fit settings, which their key does not hold.
     """
     hclass = instance.hypotheses
     n = instance.n
     check_budget({"T": T, "N_batch": N_batch})
     solver_params = dict(DEFAULT_SOLVER, **(solver or {}))
+    settings = tuple(sorted(solver_params.items()))
     rounds, N = _fixed_budget_rounds(T, epsilon)
     unique = N_batch is not None
     queried = np.zeros(n, dtype=bool)
@@ -295,12 +321,19 @@ def _fixed_budget_loop(instance, rec, T, epsilon, est, *, estimator_kind, solver
             H, anchor = hclass.labelings, int(handle)
             tag = "wf" if unique else "fbe1" if mix_psi else "fb"
             key = (tag, H, eta, anchor, scale) + ((solver_params["tol"],) if tag == "fb" else ())
-            obj = gap_objective(H, eta, anchor, scale)
+            seed, digest = _content_seed(*key)
+            rep = _ROUND_SOLVES.pop((digest, settings), None)
+            if rep is None:
+                rep = smd_solve(gap_objective(H, eta, anchor, scale), seed=seed, **solver_params)
+                rep.design.lam.flags.writeable = False
+            _ROUND_SOLVES[digest, settings] = rep  # re-inserted: now the most recently used
+            if len(_ROUND_SOLVES) > ROUND_SOLVES_KEPT:
+                _ROUND_SOLVES.popitem(last=False)
         else:
-            key = ("wf-oracle", anchor_lab, eta, scale)
+            seed, _ = _content_seed("wf-oracle", anchor_lab, eta, scale)
             obj = oracle_gap_objective(n, anchor_lab, eta, scale, partial(_max_labeling, hclass),
                                        line_search_iters)
-        rep = smd_solve(obj, seed=_content_seed(*key), **solver_params)
+            rep = smd_solve(obj, seed=seed, **solver_params)
         lam = rep.design.lam
         if mix_psi:
             rep_psi = psi_design(H, eta, anchor, scale, floor_at_scale=False)

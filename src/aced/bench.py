@@ -430,10 +430,13 @@ def run(config: ExperimentConfig, out_dir=None, workers: int = 1, instance=None)
     labels do not depend on the runs before it. With workers > 1 the
     pairs run on a process pool; outputs are sorted before the single
     writer emits them, so results are identical to the sequential
-    schedule. A given instance replaces config.instance and
-    needs workers == 1, since each worker builds its own from the config; an
-    interactive label source needs no holdout, as held-out points have no
-    labels to score against (ConfigError).
+    schedule. Each worker process has its own memo of fixed-budget round
+    solves (see aced.algorithms), so a pool may solve a round that the
+    sequential schedule reads from the memo; no output changes. A given
+    instance replaces config.instance and needs workers == 1, since each
+    worker builds its own from the config; an interactive label source
+    needs no holdout, as held-out points have no labels to score against
+    (ConfigError).
     Query logs never touch holdout indices (asserted here). Returns the
     output paths.
     """

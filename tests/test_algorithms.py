@@ -1,5 +1,6 @@
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -576,3 +577,124 @@ def test_fixed_confidence_cache_keys_on_solver_params_and_round():
     assert [r.to_jsonl() for r in shared] == [r.to_jsonl() for r in fresh]
     m = inst().hypotheses.size
     assert [len(r.designs[0]["survivors"]) for r in fresh[:4:2]] == [m, m]
+
+
+def _counted_solves(monkeypatch):
+    """The list that gets one entry per smd_solve call of the algorithms module."""
+    import aced.algorithms as alg
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return smd_solve(*args, **kwargs)
+
+    monkeypatch.setattr(alg, "smd_solve", counted)
+    return calls
+
+
+FIXED_BUDGET_RUNS = {
+    "naive": (aced_fixed_budget, {"T": 60, "epsilon": 0.1, "estimator_kind": "naive"}),
+    "ips": (aced_fixed_budget, {"T": 60, "epsilon": 0.1, "estimator_kind": "ips"}),
+    "efficient": (aced_fixed_budget_efficient, {"T": 60, "epsilon": 0.1}),
+    "waterfilled": (aced_waterfilled, {"T": 12, "epsilon": 0.1, "N_batch": 4}),
+}
+
+
+@pytest.mark.parametrize("variant", FIXED_BUDGET_RUNS)
+def test_fixed_budget_warm_repeat_solves_nothing(monkeypatch, variant):
+    # a second identical run, on a freshly built instance, reads every round
+    # solve from the memo and replays the cold run byte for byte
+    import aced.algorithms as alg
+
+    algo, params = FIXED_BUDGET_RUNS[variant]
+    calls = _counted_solves(monkeypatch)
+    cold = algo(make_core_tail_instance(4, persistent=True, seed=3), seed=5, **params)
+    assert len(calls) == len(cold.designs)
+    calls.clear()
+    warm = algo(make_core_tail_instance(4, persistent=True, seed=3), seed=5, **params)
+    assert calls == [] and warm.to_jsonl() == cold.to_jsonl()
+    # a memoized design refuses in-place writes
+    assert not any(rep.design.lam.flags.writeable for rep in alg._ROUND_SOLVES.values())
+
+
+THRESHOLDS_8 = np.array([[int(i >= t) for i in range(8)] for t in range(9)])
+SOLVER_CHANGES = {"max_iters": 7, "b0": 8, "eval_samples": 64}
+
+
+@pytest.mark.parametrize("change", [*SOLVER_CHANGES, "labels", "eta_hat"])
+def test_round_memo_misses_where_the_solve_differs(monkeypatch, change):
+    # two rounds of aced_fixed_budget. A solver setting is outside the seed's
+    # content key but keys every memo entry; labels reach the key from round
+    # 2 on, through eta-hat; a starting eta-hat one ulp away keys round 1
+    import aced.algorithms as alg
+    from aced.estimators import EtaEstimate
+
+    def run(flipped=False, eta_hat=0.0, solver=None):
+        eta = ((np.arange(8) >= 3) != flipped).astype(float)
+        inst = Instance(Pool(n=8), HypothesisClass(THRESHOLDS_8),
+                        LabelModel(eta, persistent=True, seed=0))
+        rec = RunRecord(algorithm="aced_fixed_budget", seed=2, params={})
+        start = EtaEstimate(values=np.full(8, eta_hat), counts=np.zeros(8, dtype=int))
+        return alg._fixed_budget_loop(inst, rec, 24, 0.25, start, estimator_kind="naive",
+                                      solver=solver)
+
+    if change == "labels":
+        changed = partial(run, flipped=True)
+    elif change == "eta_hat":
+        changed = partial(run, eta_hat=np.nextafter(0.0, 1.0))
+    else:
+        changed = partial(run, solver={change: SOLVER_CHANGES[change]})
+    calls = _counted_solves(monkeypatch)
+    cold = changed()
+    assert len(calls) == 2
+    alg._ROUND_SOLVES.clear()
+    base = run()
+    calls.clear()
+    warm = changed()
+    # only the labels change leaves round 1 (the prior eta-hat) as it was
+    assert len(calls) == 2 - (change == "labels")
+    assert warm.to_jsonl() == cold.to_jsonl()
+    assert warm.to_jsonl() != base.to_jsonl()
+
+
+def test_oracle_backed_rounds_bypass_the_round_memo():
+    import aced.algorithms as alg
+
+    aced_fixed_budget(make_core_tail_instance(3, persistent=True, seed=1), T=24, epsilon=0.25,
+                      seed=1)
+    size = len(alg._ROUND_SOLVES)
+    assert size > 0
+    X = np.random.default_rng(0).normal(size=(12, 2))
+    inst = Instance(Pool(n=12, features=X), HypothesisClass(oracle=LinearOracleClass(X)),
+                    LabelModel((X[:, 0] > 0).astype(float), persistent=True, seed=0))
+    rec = aced_waterfilled(inst, T=8, epsilon=0.25, N_batch=4, seed=0,
+                           solver={"max_iters": 2, "b0": 2, "max_batch": 4}, line_search_iters=2)
+    assert len(rec.designs) == 2 and len(alg._ROUND_SOLVES) == size
+
+
+def test_round_memo_keeps_the_most_recently_used_solves(monkeypatch):
+    # one-round runs, one distinct solve each (tol is in the "fb" key); past
+    # the bound the least recently used entry goes, and a hit counts as a use
+    import aced.algorithms as alg
+
+    inst = Instance(Pool(n=8), HypothesisClass(THRESHOLDS_8),
+                    LabelModel((np.arange(8) >= 3).astype(float), persistent=True, seed=0))
+
+    def run(i):
+        solver = {"tol": 1e-3 * (1 + i / 1024), "max_iters": 1}
+        return aced_fixed_budget(inst, T=4, epsilon=0.5, seed=0, solver=solver)
+
+    calls = _counted_solves(monkeypatch)
+    kept = alg.ROUND_SOLVES_KEPT
+    for i in range(kept + 3):
+        run(i)
+    assert len(calls) == kept + 3 and len(alg._ROUND_SOLVES) == kept
+    calls.clear()
+    run(3)  # the least recently used entry: a hit, which makes it the most recent
+    run(kept + 3)  # a new solve evicts entry 4, not entry 3
+    run(3)
+    assert len(calls) == 1
+    run(4)
+    run(2)  # evicted by the first overflow
+    assert len(calls) == 3 and len(alg._ROUND_SOLVES) == kept

@@ -112,6 +112,64 @@ def test_run_replicates_average_in_curves(tmp_path):
     assert len(curves) >= 2
 
 
+CORE_TAIL = """
+[instance]
+generator = core_tail
+m = 4
+persistent = true
+seed = 3
+
+[run]
+seeds = 0,1,2
+output_dir = {out}
+
+[algorithm aced_fixed_budget:naive]
+T = 60
+epsilon = 0.1
+estimator_kind = naive
+
+[algorithm aced_fixed_budget:ips]
+T = 60
+epsilon = 0.1
+estimator_kind = ips
+
+[algorithm aced_fixed_budget_efficient]
+T = 60
+epsilon = 0.1
+
+[algorithm aced_waterfilled]
+T = 12
+epsilon = 0.1
+N_batch = 4
+"""
+
+
+def test_run_outputs_do_not_depend_on_the_round_memo(tmp_path, monkeypatch):
+    # the fixed-budget rounds of later seeds hit solves memoized by earlier
+    # ones; with the memo emptied before every run they solve afresh
+    from aced import algorithms
+
+    solves, solve, task = [], algorithms.smd_solve, bench._task
+
+    def counted_solve(*args, **kwargs):
+        solves.append(1)
+        return solve(*args, **kwargs)
+
+    def cold_task(*args):
+        algorithms._ROUND_SOLVES.clear()
+        return task(*args)
+
+    monkeypatch.setattr(algorithms, "smd_solve", counted_solve)
+    cfg = load_config(write_config(tmp_path, CORE_TAIL.format(out=tmp_path / "o")))
+    warm = run(cfg, out_dir=tmp_path / "warm")
+    warm_solves = len(solves)
+    monkeypatch.setattr(bench, "_task", cold_task)
+    cold = run(cfg, out_dir=tmp_path / "cold")
+    assert warm_solves < len(solves) - warm_solves
+    for key in ("results", "curves", "records"):
+        assert _body(warm[key]) == _body(cold[key])
+
+
 def test_holdout_never_queried_and_scored(tmp_path):
     body = BASE.format(seeds="0,1", holdout=0.25, out=tmp_path / "o")
     cfg = load_config(write_config(tmp_path, body))
