@@ -5,8 +5,11 @@ Builds a generated linear pool (n points, p standard-normal features,
 labels from a logistic model of slope 2 around a seeded unit direction,
 realized once) and runs aced_waterfilled through the logistic ERM oracle.
 For each design solve it prints why the solve stopped, its iterations,
-its logistic fits (oracles._fit_logistic calls) and its wall time; then
-the run's total fits and wall time.
+the oracle calls its line searches asked for (design.line_search_max's
+maximizer calls), its logistic fits (oracles._fit_logistic calls) and
+its wall time; then the run's total fits and wall time. A weight vector
+asked again within one working-set growth is answered without a fit, so
+asked over fits is the repeat ratio.
 
     python3 scripts/oracle_probe.py --n 100 --p 10 --T 10 --epsilon 0.25
 """
@@ -15,7 +18,7 @@ import time
 
 import numpy as np
 
-from aced import algorithms, oracles
+from aced import algorithms, design, oracles
 from aced.algorithms import DEFAULT_SOLVER, aced_waterfilled
 from aced.core import HypothesisClass, Instance, LabelModel, Pool
 from aced.oracles import LinearOracleClass
@@ -41,23 +44,33 @@ def main():
     ap.add_argument("--max-iters", type=int, default=DEFAULT_SOLVER["max_iters"])
     args = ap.parse_args()
 
-    fits = [0]
+    fits, asked = [0], [0]
     fit = oracles._fit_logistic
 
     def counting_fit(*a, **kw):
         fits[0] += 1
         return fit(*a, **kw)
 
+    search = design.line_search_max
+
+    def counting_search(lam, zeta, anchor_labeling, eta_hat, scale, maximizer, *a, **kw):
+        def asking(w):
+            asked[0] += 1
+            return maximizer(w)
+        return search(lam, zeta, anchor_labeling, eta_hat, scale, asking, *a, **kw)
+
     solves = []
     solve = algorithms.smd_solve
 
     def timed_solve(*a, **kw):
-        before, start = fits[0], time.perf_counter()
+        before, asked_before, start = fits[0], asked[0], time.perf_counter()
         rep = solve(*a, **kw)
-        solves.append((rep.stop_reason, rep.iterations, fits[0] - before, time.perf_counter() - start))
+        solves.append((rep.stop_reason, rep.iterations, asked[0] - asked_before, fits[0] - before,
+                       time.perf_counter() - start))
         return rep
 
     oracles._fit_logistic = counting_fit
+    design.line_search_max = counting_search
     algorithms.smd_solve = timed_solve
     inst = linear_pool(args.n, args.p, args.seed)
     start = time.perf_counter()
@@ -66,9 +79,9 @@ def main():
                            line_search_iters=args.line_search_iters)
     wall = time.perf_counter() - start
 
-    print(f"{'solve':>5} {'stop_reason':>12} {'iterations':>10} {'fits':>9} {'seconds':>8}")
-    for k, (reason, iters, n_fits, secs) in enumerate(solves, start=1):
-        print(f"{k:>5} {reason:>12} {iters:>10} {n_fits:>9} {secs:>8.2f}")
+    print(f"{'solve':>5} {'stop_reason':>12} {'iterations':>10} {'asked':>9} {'fits':>9} {'seconds':>8}")
+    for k, (reason, iters, n_asked, n_fits, secs) in enumerate(solves, start=1):
+        print(f"{k:>5} {reason:>12} {iters:>10} {n_asked:>9} {n_fits:>9} {secs:>8.2f}")
     print(f"total: {fits[0]} fits in {wall:.2f} s, {len(rec.queries)} labels")
 
 

@@ -15,7 +15,10 @@ solved by column generation (Kelley's cutting planes): the solve keeps
 the working set W of labelings its oracle line searches have returned,
 asks the oracle only on the first max(b0, 2) draws of each iterate's
 batch, and reads every inner value off W's rows as for an explicit
-class, a lower bound on the supremum over the class. Waterfilling
+class, a lower bound on the supremum over the class. A weight vector
+the oracle was already asked while W grows is answered from memory:
+before the first label eta-hat is 1/2, the line search's slope is 0,
+and each search asks the same weight vector at every step. Waterfilling
 reconciles per-round designs with the cumulative sampling distribution
 in closed form: round k samples the simplex projection of what k times
 its design still asks for beyond the k - 1 distributions already
@@ -136,14 +139,23 @@ def _grow_working_set(obj: DesignObjective, lam, Z, seen: set) -> DesignObjectiv
     returns while line_search_max searches each draw of Z at lam; seen (the
     bytes of the int8 labelings already in W) gains them. A row is
     (anchor - lab)/n over _ratio_denominator(scale + plug-in gap), the ratio
-    line_search_max scores; obj itself is returned when nothing is new."""
-    new = []
+    line_search_max scores; obj itself is returned when nothing is new.
+
+    The oracle is asked each distinct weight vector once per call; a repeat
+    is answered from memory, which is exact because line_search_max needs
+    its maximizer to be a pure function of w. Repeats are the rule where
+    eta-hat is 1/2, as everywhere before the first label: the search's
+    slope c = (1 - 2 eta-hat)/n is then 0, so every step asks w = d."""
+    new, answers = [], {}
 
     def collecting(w):
-        handle, lab = obj.maximizer(w)
-        key = np.asarray(lab, dtype=np.int8).tobytes()
-        if key not in seen:
-            seen.add(key)
+        key = w.tobytes()
+        if key in answers:
+            return answers[key]
+        handle, lab = answers[key] = obj.maximizer(w)
+        lab_key = np.asarray(lab, dtype=np.int8).tobytes()
+        if lab_key not in seen:
+            seen.add(lab_key)
             new.append(lab)
         return handle, lab
 
@@ -358,7 +370,11 @@ def smd_solve(
     W, a copy of obj that starts at the anchor. Each iteration first
     line-searches the first max(b0, 2) draws of its batch, the size of the
     first batch, so the oracle's work per iteration stays fixed while the
-    batch doubles; every distinct labeling the oracle returns joins W.
+    batch doubles; every distinct labeling the oracle returns joins W. The
+    oracle is asked each distinct weight vector once per iteration, repeats
+    being answered from memory: where eta-hat is 1/2 (every round-1 solve)
+    the search's slope c = (1 - 2 eta-hat)/n is 0 and every step of a
+    search asks the same w, so the search costs one oracle call.
     Then the iterate's values and gradient, its backtracking trials and
     the candidate scores all read W's rows. A W value is a lower bound on
     the supremum over the class. The iterate and its trials are scored on

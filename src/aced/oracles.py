@@ -156,7 +156,7 @@ def erm_flip_constrained(X, w, y, x_k, desired_sign: int) -> LinearHypothesis:
 # the logistic fit of LinearOracleClass. Looser tolerance than erm_logistic:
 # design solves call this oracle thousands of times and only need
 # surrogate-grade answers. The iteration cap counts Newton steps, far more
-# than a fit takes: a median of 3 (max 10) over the 6,404 fits of
+# than a fit takes: a median of 3 (p90 4, max 10) over the 321 fits of
 # scripts/oracle_probe.py at its defaults, and of 20 (p90 28, max 35) over
 # the 980 fits of the 16-point halfspace-twin test in tests/test_design.py
 ORACLE_REG = 1e-6

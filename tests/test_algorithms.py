@@ -304,8 +304,10 @@ def test_waterfilled_oracle_makes_no_capped_fits(monkeypatch):
 
     monkeypatch.setattr(oracles, "_fit_logistic", counting_fit)
     test_waterfilled_oracle_backed_runs()
-    # pinned: the oracle line-searches only max(b0, 2) = 2 draws per solve iteration
-    assert len(converged) == 116 and all(converged)
+    # pinned: the oracle line-searches only max(b0, 2) = 2 draws per solve
+    # iteration and is asked each weight vector once per working-set growth;
+    # round 1's searches (eta-hat = 1/2) make one fit each
+    assert len(converged) == 73 and all(converged)
 
 
 def test_passive_full_budget_is_exact_erm():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -569,6 +570,105 @@ def test_oracle_sees_only_each_iterates_first_draws(monkeypatch):
         group = searched[it * b0:(it + 1) * b0]
         assert all(np.array_equal(zeta, Z[s]) for s, (_, zeta) in enumerate(group))
         assert all(np.array_equal(lam, group[0][0]) for lam, _ in group)
+
+
+def _spy_line_searches(monkeypatch):
+    """Per line search of design's, the number of maximizer calls it made."""
+    asked = []
+
+    def spy(lam, zeta, anchor_labeling, eta_hat, scale, maximizer, n_max):
+        asked.append(0)
+
+        def asking(w):
+            asked[-1] += 1
+            return maximizer(w)
+
+        return line_search_max(lam, zeta, anchor_labeling, eta_hat, scale, asking, n_max)
+
+    monkeypatch.setattr(aced.design, "line_search_max", spy)
+    return asked
+
+
+def _counting_explicit_maximizer(H):
+    calls = []
+
+    def maximizer(w):
+        calls.append(w.copy())
+        i = int(np.argmax(H @ w))
+        return i, H[i]
+
+    return maximizer, calls
+
+
+def test_growth_at_eta_one_half_asks_the_oracle_once_per_draw(monkeypatch):
+    # eta-hat = 1/2 makes the search's slope c = 0, so every step asks w = d;
+    # at scale 10 the constraint stays negative and every step halves
+    rng = np.random.default_rng(4)
+    H = np.unique(rng.integers(0, 2, size=(12, 6)), axis=0).astype(np.int8)
+    maximizer, calls = _counting_explicit_maximizer(H)
+    obj = oracle_gap_objective(6, H[0], np.full(6, 0.5), 10.0, maximizer, line_search_iters=4)
+    lam, Z = floor_simplex(rng.random(6)), rng.standard_normal((5, 6))
+    asked = _spy_line_searches(monkeypatch)
+    work = _grow_working_set(obj, lam, Z, {obj.anchor_labeling.tobytes()})
+    assert asked == [obj.line_search_iters + 1] * len(Z)
+    assert len(calls) == len(Z)
+    for w, zeta in zip(calls, Z):
+        assert np.array_equal(w, -zeta / (6 * np.sqrt(lam)))
+    assert work.V.shape[0] > 1
+
+
+def test_growth_asks_every_step_where_no_eta_is_one_half(monkeypatch):
+    # c has no zero entry, so the steps' weights differ and none is a repeat
+    rng = np.random.default_rng(6)
+    H = np.unique(rng.integers(0, 2, size=(12, 6)), axis=0).astype(np.int8)
+    eta = np.where(rng.random(6) < 0.5, rng.uniform(0.05, 0.45, 6), rng.uniform(0.55, 0.95, 6))
+    maximizer, calls = _counting_explicit_maximizer(H)
+    obj = oracle_gap_objective(6, H[0], eta, 0.05, maximizer, line_search_iters=12)
+    lam, Z = floor_simplex(rng.random(6)), rng.standard_normal((5, 6))
+    asked = _spy_line_searches(monkeypatch)
+    _grow_working_set(obj, lam, Z, {obj.anchor_labeling.tobytes()})
+    assert len({w.tobytes() for w in calls}) == len(calls) == sum(asked)
+    assert all(a in (obj.line_search_iters, obj.line_search_iters + 1) for a in asked)
+
+
+def _grown_without_memory(obj, lam, Z, seen):
+    """_grow_working_set's V and den, with every step asked of the oracle."""
+    new = []
+
+    def collecting(w):
+        handle, lab = obj.maximizer(w)
+        if lab.tobytes() not in seen:
+            seen.add(lab.tobytes())
+            new.append(lab)
+        return handle, lab
+
+    for zeta in Z:
+        line_search_max(lam, zeta, obj.anchor_labeling, obj.eta, obj.scale, collecting,
+                        obj.line_search_iters)
+    if not new:
+        return obj.V, obj.den
+    rows = (obj.anchor_labeling - np.array(new, dtype=np.int8)) / obj.n
+    den = [aced.design._ratio_denominator(obj.scale + float(row @ (2.0 * obj.eta - 1.0)), obj.scale)
+           for row in rows]
+    return np.vstack([obj.V, rows]), np.concatenate([obj.den, den])
+
+
+@pytest.mark.parametrize("band", [np.inf, 0.5, 0.0])
+def test_growth_with_memory_grows_what_asking_every_step_grows(band):
+    # eta-hat is 1/2 where |x_0| < band: everywhere, on some points, nowhere.
+    # Two growths in a row, the second from the first's working set
+    X = np.random.default_rng(5).standard_normal((8, 2))
+    obj = replace(_linear_oracle_objective(), line_search_iters=8)
+    obj = replace(obj, eta=np.where(np.abs(X[:, 0]) < band, 0.5, obj.eta))
+    rng = np.random.default_rng(11)
+    work, seen, ref_seen = obj, {obj.anchor_labeling.tobytes()}, {obj.anchor_labeling.tobytes()}
+    for _ in range(2):
+        lam, Z = floor_simplex(rng.random(8)), rng.standard_normal((4, 8))
+        V, den = _grown_without_memory(work, lam, Z, ref_seen)
+        work = _grow_working_set(work, lam, Z, seen)
+        assert work.V.tobytes() == V.tobytes() and work.den.tobytes() == den.tobytes()
+        assert seen == ref_seen
+    assert work.V.shape[0] > 1
 
 
 def test_oracle_design_is_near_the_exact_design_on_the_halfspace_twin():

@@ -43,12 +43,16 @@ def test_oracle_probe_prints_each_solve_and_the_run_total():
                        "--line-search-iters", "4", "--max-iters", "4")
     assert proc.returncode == 0, proc.stderr
     header, *solves, total = proc.stdout.splitlines()
-    assert header.split() == ["solve", "stop_reason", "iterations", "fits", "seconds"]
+    assert header.split() == ["solve", "stop_reason", "iterations", "asked", "fits", "seconds"]
     assert [row.split()[0] for row in solves] == ["1", "2"]  # two rounds of N_batch = 6
     assert all(row.split()[1] == "cap" and row.split()[2] == "4" for row in solves)
     # the oracle sees max(b0, 2) = 16 draws per iteration (DEFAULT_SOLVER's b0),
-    # each a line search of at most line_search_iters + 1 = 5 oracle fits
-    assert all(int(row.split()[3]) <= 4 * 16 * 5 for row in solves)
+    # each a line search asking at most line_search_iters + 1 = 5 weight vectors
+    asked, fits = ([int(row.split()[k]) for row in solves] for k in (3, 4))
+    assert all(f <= a <= 4 * 16 * 5 for a, f in zip(asked, fits))
+    # before the first label eta-hat is 1/2, so each round-1 search asks one
+    # weight vector again and again and makes a single fit: 4 iterations x 16
+    assert asked[0] > fits[0] == 4 * 16
     fields = total.split()
     assert fields[0] == "total:" and fields[-2:] == ["8", "labels"]
-    assert int(fields[1]) >= sum(int(row.split()[3]) for row in solves) > 0
+    assert int(fields[1]) >= sum(fits) > 0
