@@ -572,10 +572,11 @@ def baseline_iwal(
     variants count plain mistakes over every label revealed so far (the
     stream point's label under a persistent model, else the label last
     queried there); they enumerate the class, so an oracle-backed class
-    raises ImplicitClassError. On an oracle-backed class the ERM is a
-    pure function of the queried sample, so it is refit only after a
-    query, and flags["logistic_cap_hits"] counts the logistic fits made
-    that stopped at their iteration cap.
+    raises ImplicitClassError. On an oracle-backed class the ERM changes
+    only with the queried sample, so it is refit only after a query, each
+    refit starting from the last ERM (the first from zero), and
+    flags["logistic_cap_hits"] counts the logistic fits made that stopped
+    at their iteration cap.
     """
     if variant not in ("iwal0", "iwal1", "oracular0", "oracular1"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -608,13 +609,15 @@ def baseline_iwal(
             return hyp
 
         fitted = None  # the ERM of (X_q, w_q, y_q), until a query appends to them
+        start = None  # the last ERM's (w, b): the next refit starts there
 
         def erm(x):  # before the first query: any hypothesis labeling x 1
-            nonlocal fitted
+            nonlocal fitted, start
             if not w_q.size:
                 return erm_flip_constrained(X_q, w_q, y_q, x, +1)
             if fitted is None:
-                fitted = fit(erm_logistic(X_q, w_q, y_q))
+                fitted = fit(erm_logistic(X_q, w_q, y_q, theta0=start))
+                start = np.append(fitted.w, fitted.b)
             return fitted
     for step, i in enumerate(stream, start=1):
         i, denom = int(i), max(step - 1, 1)

@@ -520,9 +520,9 @@ def test_iwal_oracle_refits_the_erm_only_after_a_query(monkeypatch):
     samples = []
     erm = oracles.erm_logistic
 
-    def spy(X, w, y):
+    def spy(X, w, y, theta0=None):
         samples.append((X.tobytes(), w.tobytes(), y.tobytes()))
-        return erm(X, w, y)
+        return erm(X, w, y, theta0=theta0)
 
     monkeypatch.setattr(oracles, "erm_logistic", spy)
     rng = np.random.default_rng(4)
@@ -535,6 +535,31 @@ def test_iwal_oracle_refits_the_erm_only_after_a_query(monkeypatch):
     first = int(rec.queries.round[0])  # the step of the first query
     assert 0 < len(samples) == len(set(samples)) <= len(rec.queries)
     assert len(samples) < len(stream) - first
+
+
+def test_iwal_oracle_warm_refits_give_the_cold_run(monkeypatch):
+    # each ERM refit starts from the last ERM. On this pool a query
+    # contradicts a large-norm fit of a separable sample, where the loss is
+    # flat and Newton stalls; the refit begins again from zero, so the run
+    # is the one cold refits make
+    from aced import oracles
+
+    rng = np.random.default_rng(7)
+    X = rng.standard_normal((40, 2))
+    u = rng.standard_normal(2)
+    eta = 1.0 / (1.0 + np.exp(-2.0 * (X @ (u / np.linalg.norm(u)))))
+    stream_rng = np.random.default_rng([7, 17])
+    stream = np.concatenate([stream_rng.permutation(40) for _ in range(2)])
+
+    def run():
+        inst = Instance(Pool(n=40, features=X), HypothesisClass(oracle=LinearOracleClass(X)),
+                        LabelModel(eta, persistent=True, seed=7))
+        return baseline_iwal(inst, stream, C0=0.01, seed=7).to_jsonl()
+
+    warm = run()
+    erm = oracles.erm_logistic
+    monkeypatch.setattr(oracles, "erm_logistic", lambda X, w, y, theta0=None: erm(X, w, y))
+    assert run() == warm
 
 
 @pytest.mark.parametrize("variant", ["oracular0", "oracular1"])

@@ -581,6 +581,32 @@ def test_holdout_scores_on_oracle_class_and_non_persistent_labels(tmp_path, work
     assert _sha(_body(paths["results"])) == "7b2a62994ca1c50823e92ecdcdf5bbe006a6771fd92fa9c0d9bfd4697027b7e4"
 
 
+def test_run_fits_each_oracle_erm_once(tmp_path, monkeypatch):
+    # curve scoring asks for plug-in ERMs the run already fitted; the oracle
+    # class answers them from the fits it keeps. With none kept, the run
+    # refits them, and its outputs are the same bytes
+    from aced import oracles
+
+    fits, fit = [], oracles._fit_logistic
+
+    def counted(X, w, y, reg, tol, max_iter, **kwargs):
+        if tol == oracles.ORACLE_TOL:  # the oracle's fits, not iwal's
+            fits.append((X.tobytes(), w.tobytes(), y.tobytes()))
+        return fit(X, w, y, reg, tol, max_iter, **kwargs)
+
+    monkeypatch.setattr(oracles, "_fit_logistic", counted)
+    feats, labels = _write_csv_pool(tmp_path)
+    cfg = load_config(write_config(tmp_path, CSV_POOL.format(feats=feats, labels=labels, out=tmp_path / "o")))
+    kept = run(cfg, out_dir=tmp_path / "kept")
+    assert fits and len(fits) == len(set(fits))
+    fitted = len(fits)
+    monkeypatch.setattr(oracles, "ERM_FITS_KEPT", 0)
+    refit = run(cfg, out_dir=tmp_path / "refit")
+    assert len(fits) - fitted > fitted
+    for key in ("results", "curves", "records"):
+        assert _body(kept[key]) == _body(refit[key])
+
+
 def test_pool_workers_build_the_instance_once_each(tmp_path, monkeypatch):
     import multiprocessing
 

@@ -148,6 +148,22 @@ def test_oracle_golden_runs_make_pinned_logistic_fits(monkeypatch, name):
     assert len(fits) == FITS[name]
 
 
+def test_iwal_oracle_golden_run_makes_pinned_newton_steps(monkeypatch):
+    # every Newton step of a logistic fit is one linear solve. Each ERM refit
+    # starts from the last ERM, so the run takes 269 steps; from zero, it
+    # took 380 (a median of 13 per ERM refit, against 3 warm)
+    steps = []
+    solve = np.linalg.solve
+
+    def counting_solve(*args):
+        steps.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    CASES["iwal_oracle/linear"]()
+    assert len(steps) == 269
+
+
 def test_fixed_confidence_seed_panel_digest():
     # the fc_thresholds benchmark instance: 200 seeds sharing one design
     # cache, so later runs replay cached designs

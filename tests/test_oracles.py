@@ -3,10 +3,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from aced import oracles
 from aced.core import HypothesisClass
 from aced.oracles import (
+    ERM_FITS_KEPT,
     FLIP_MARGIN,
     LinearHypothesis,
+    LinearOracleClass,
     _fit_logistic,
     erm_flip_constrained,
     erm_logistic,
@@ -42,7 +45,7 @@ def test_weighted_max_edge_cases():
 
 def test_logistic_separates_two_points():
     X = np.array([[-1.0, 0.0], [1.0, 0.0]])
-    v, b, ok = _fit_logistic(X, np.ones(2), np.array([0, 1]), 1e-4, 1e-6, 5000)
+    v, b, ok = _fit_logistic(X, np.ones(2), np.array([0, 1]), 1e-4, 1e-6, 5000, theta0=None)
     assert ok
     assert LinearHypothesis(w=v, b=float(b)).predict(X).tolist() == [0, 1]
 
@@ -51,8 +54,8 @@ def test_logistic_weight_scale_invariance():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(12, 2))
     y = (X[:, 0] + 0.3 * rng.normal(size=12) > 0).astype(int)
-    v1, b1, _ = _fit_logistic(X, np.full(12, 1.0), y, 1e-2, 1e-7, 5000)
-    v2, b2, _ = _fit_logistic(X, np.full(12, 2.0), y, 2e-2, 1e-7, 5000)
+    v1, b1, _ = _fit_logistic(X, np.full(12, 1.0), y, 1e-2, 1e-7, 5000, theta0=None)
+    v2, b2, _ = _fit_logistic(X, np.full(12, 2.0), y, 2e-2, 1e-7, 5000, theta0=None)
     assert np.allclose(v1, v2, atol=1e-4)
     assert b1 == pytest.approx(b2, abs=1e-4)
 
@@ -104,15 +107,27 @@ def _weighted_pool(seed, separable):
     return np.vstack([X, X]), w, np.concatenate([y, 1 - y])
 
 
+def _prefix_start(X, w, y, reg, tol, pinned):
+    # the fit on the sample without its last point, as a streaming learner
+    # would start its next fit; pinned fits count v only
+    v, b, _ = _fit_logistic(X[:-1], w[:-1], y[:-1], reg, tol, 25, theta0=None,
+                            fixed_intercept=pinned)
+    return v if pinned is not None else np.append(v, b)
+
+
+@pytest.mark.parametrize("warm", [False, True])
 @pytest.mark.parametrize("pinned", [None, 1e-3])
 @pytest.mark.parametrize("separable", [True, False])
-def test_newton_fit_converges_in_25_steps(separable, pinned):
+def test_newton_fit_converges_in_25_steps(separable, pinned, warm):
+    # a warm start moves only where Newton begins: the fit passes the same
+    # gradient test, and reaches the same loss, as one from zero
     from scipy.optimize import minimize
 
     reg, tol = 1e-6, 1e-6
     for seed in range(40):
         X, w, y = _weighted_pool(seed, separable)
-        v, b, ok = _fit_logistic(X, w, y, reg, tol, 25, fixed_intercept=pinned)
+        start = _prefix_start(X, w, y, reg, tol, pinned) if warm else None
+        v, b, ok = _fit_logistic(X, w, y, reg, tol, 25, theta0=start, fixed_intercept=pinned)
         assert ok
         A = X if pinned is not None else np.hstack([X, np.ones((len(y), 1))])
         theta = v if pinned is not None else np.append(v, b)
@@ -167,6 +182,37 @@ def test_flip_fit_beats_random_constrained_candidates():
         assert fit_loss <= loss(wv, b) + 1e-6
 
 
+@pytest.mark.parametrize("pinned", [None, 1e-3])
+def test_fit_from_a_converged_start_takes_no_step(monkeypatch, pinned):
+    X, w, y = _weighted_pool(3, separable=False)
+    v, b, ok = _fit_logistic(X, w, y, 1e-6, 1e-6, 25, theta0=None, fixed_intercept=pinned)
+    assert ok
+    start = v if pinned is not None else np.append(v, b)
+    steps = []
+    solve = np.linalg.solve
+
+    def counting_solve(*args):
+        steps.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    v2, b2, ok2 = _fit_logistic(X, w, y, 1e-6, 1e-6, 25, theta0=start, fixed_intercept=pinned)
+    assert ok2 and not steps
+    assert v2.tobytes() == v.tobytes() and b2 == b
+    with pytest.raises(ValueError):
+        _fit_logistic(X, w, y, 1e-6, 1e-6, 25, theta0=np.append(start, 0.0), fixed_intercept=pinned)
+
+
+def test_a_stalled_warm_start_begins_again_from_zero():
+    # from (v, b) = (1000, 0) every margin is far out in the loss's flat
+    # tails: the Hessian is singular and Newton cannot step from there
+    X, y, w = np.array([[-1.0], [1.0], [2.0]]), np.array([0, 1, 0]), np.ones(3)
+    v, b, ok = _fit_logistic(X, w, y, 1e-6, 1e-6, 25, theta0=None)
+    v2, b2, ok2 = _fit_logistic(X, w, y, 1e-6, 1e-6, 25, theta0=np.array([1000.0, 0.0]))
+    assert ok and ok2
+    assert v2.tobytes() == v.tobytes() and b2 == b
+
+
 def test_weighted_sample_validation():
     X = np.zeros((1, 1))
     with pytest.raises(ValueError):
@@ -175,6 +221,79 @@ def test_weighted_sample_validation():
         erm_logistic(X, [1.0], [2])
 
 
+@pytest.mark.parametrize("label", [2, -1, 0.5, np.nan])
+def test_weighted_sample_rejects_labels_other_than_0_or_1(label):
+    with pytest.raises(ValueError, match="labels must be 0 or 1"):
+        erm_logistic(np.zeros((2, 1)), [1.0, 1.0], np.array([1, label]))
+
+
+@pytest.mark.parametrize("labels", [np.array([0, 1]), np.array([0.0, 1.0]), np.array([False, True])],
+                         ids=["int", "float", "bool"])
+def test_weighted_sample_accepts_0_1_in_any_dtype(labels):
+    X = np.array([[-1.0], [1.0]])
+    assert erm_logistic(X, [1.0, 1.0], labels).predict(X).tolist() == [0, 1]
+
+
 def test_linear_hypothesis_predict_shape():
     h = LinearHypothesis(w=np.array([1.0, -1.0]), b=0.0)
     assert h.predict(np.array([2.0, 1.0])).tolist() == [1]
+
+
+def _counted_fits(monkeypatch):
+    fits, fit = [], oracles._fit_logistic
+
+    def counted(*args, **kwargs):
+        fits.append(1)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(oracles, "_fit_logistic", counted)
+    return fits
+
+
+def test_erm_weights_answers_a_repeat_without_a_fit(monkeypatch):
+    fits = _counted_fits(monkeypatch)
+    rng = np.random.default_rng(11)
+    X = rng.standard_normal((9, 2))
+    oracle = LinearOracleClass(X)
+    w, y = rng.uniform(0.1, 1.0, size=9), rng.integers(0, 2, size=9)
+    hyp = oracle.erm_weights(w, y)
+    # the same weight and label bytes, the labels in any 0/1 dtype
+    assert oracle.erm_weights(w.copy(), y.astype(bool)) is hyp
+    assert oracle.erm_weights(w.tolist(), y.astype(np.int8)) is hyp
+    assert len(fits) == 1 and not hyp.w.flags.writeable
+    flipped, heavier = y ^ 1, w.copy()
+    heavier[0] *= 2.0
+    assert oracle.erm_weights(w, flipped) is not hyp
+    assert oracle.erm_weights(heavier, y) is not hyp
+    assert len(fits) == 3
+
+
+def test_erm_weights_keeps_the_most_recently_used_fits(monkeypatch):
+    X = np.random.default_rng(12).standard_normal((6, 2))
+    oracle, y = LinearOracleClass(X), np.array([0, 1, 0, 1, 1, 0])
+
+    def weights(j):
+        w = np.ones(6)
+        w[0] += j
+        return w
+
+    for j in range(ERM_FITS_KEPT):
+        oracle.erm_weights(weights(j), y)
+    oracle.erm_weights(weights(0), y)  # now the most recently used
+    oracle.erm_weights(weights(ERM_FITS_KEPT), y)  # evicts weights(1)
+    fits = _counted_fits(monkeypatch)
+    oracle.erm_weights(weights(0), y)
+    assert not fits
+    oracle.erm_weights(weights(1), y)
+    assert len(fits) == 1
+
+
+def test_linear_oracle_class_keeps_a_read_only_copy_of_its_features():
+    # the kept fits are keyed on weights and labels only, so the features
+    # they were fitted on must not change under them
+    X = np.random.default_rng(13).standard_normal((4, 2))
+    oracle = LinearOracleClass(X)
+    X[0, 0] += 1.0
+    assert oracle.features[0, 0] == X[0, 0] - 1.0
+    with pytest.raises(ValueError):
+        oracle.features[0, 0] = 0.0

@@ -129,7 +129,7 @@ def test_every_class_member_is_read_outside_tests():
 
 # defaulted parameters over the functions and methods of aced.*; a change
 # that adds a knob raises this number and says why in CHANGES.md
-DEFAULTED_PARAMETERS = 97
+DEFAULTED_PARAMETERS = 98
 
 
 def _defaulted_parameters():
