@@ -8,8 +8,8 @@ For each design solve it prints why the solve stopped, its iterations,
 the oracle calls its line searches asked for (design.line_search_max's
 maximizer calls), its logistic fits (oracles._fit_logistic calls) and
 its wall time; then the run's total fits and wall time. A weight vector
-asked again within one working-set growth is answered without a fit, so
-asked over fits is the repeat ratio.
+whose fit the oracle still keeps (LinearOracleClass keeps its most recent
+fits) is answered without a new one, so asked can exceed fits.
 
     python3 scripts/oracle_probe.py --n 100 --p 10 --T 10 --epsilon 0.25
 """
@@ -40,7 +40,8 @@ def main():
     ap.add_argument("--T", type=int, default=10)
     ap.add_argument("--epsilon", type=float, default=0.25)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--line-search-iters", type=int, default=20)
+    ap.add_argument("--line-search-iters", type=int, default=20,
+                    help="the most oracle calls one line search makes")
     ap.add_argument("--max-iters", type=int, default=DEFAULT_SOLVER["max_iters"])
     args = ap.parse_args()
 

@@ -224,11 +224,12 @@ def aced_fixed_confidence(
 
 
 def check_budget(budget: dict) -> None:
-    """Reject a label budget no run can spend, as a ValueError whose message
-    starts with the quoted key: T is an integer >= 0 and N_batch, unless
-    None, an integer >= 1 (bools are refused). A key not given is not
-    checked."""
-    for key, low in (("T", 0), ("N_batch", 1)):
+    """Reject a label budget no run can spend, or an oracle line search
+    that may ask nothing, as a ValueError whose message starts with the
+    quoted key: T is an integer >= 0, N_batch (unless None) and
+    line_search_iters integers >= 1, and bools are refused. A key not given
+    is not checked."""
+    for key, low in (("T", 0), ("N_batch", 1), ("line_search_iters", 1)):
         value = budget.get(key)
         if value is None:
             continue
@@ -282,7 +283,8 @@ def _fixed_budget_loop(instance, rec, T, epsilon, est, *, estimator_kind, solver
     A run that leaves labels unspent flags their number as budget_unspent:
     T % rounds for i.i.d. rounds, min(T, n) - spent for a waterfilled run
     (unique labels); a run that spent it all has no such key. A T or
-    N_batch that check_budget rejects raises ValueError before any round.
+    N_batch or line_search_iters that check_budget rejects raises
+    ValueError before any round.
 
     The seed tags ("fb" with its trailing tol, "fbe1", "wf", "wf-oracle")
     stay verbatim because they seed the solver. The worst-coordinate design
@@ -299,7 +301,7 @@ def _fixed_budget_loop(instance, rec, T, epsilon, est, *, estimator_kind, solver
     """
     hclass = instance.hypotheses
     n = instance.n
-    check_budget({"T": T, "N_batch": N_batch})
+    check_budget({"T": T, "N_batch": N_batch, "line_search_iters": line_search_iters})
     solver_params = dict(DEFAULT_SOLVER, **(solver or {}))
     settings = tuple(sorted(solver_params.items()))
     rounds, N = _fixed_budget_rounds(T, epsilon)
@@ -446,7 +448,9 @@ def aced_waterfilled(
     The run spends at most min(T, floor(log2(1/epsilon)) * N_batch)
     unique labels, so T is not always spent: a run left with
     min(T, n) - spent > 0 labels flags that number as budget_unspent.
-    Pool exhaustion stops the run early, flagged.
+    Pool exhaustion stops the run early, flagged. On an oracle-backed
+    class, line_search_iters caps the oracle calls of each line search
+    (design.line_search_max's n_max), an integer >= 1.
     """
     if not instance.labels.persistent:
         raise ValueError("waterfilled variant expects a persistent label model")

@@ -15,10 +15,7 @@ solved by column generation (Kelley's cutting planes): the solve keeps
 the working set W of labelings its oracle line searches have returned,
 asks the oracle only on the first max(b0, 2) draws of each iterate's
 batch, and reads every inner value off W's rows as for an explicit
-class, a lower bound on the supremum over the class. A weight vector
-the oracle was already asked while W grows is answered from memory:
-before the first label eta-hat is 1/2, the line search's slope is 0,
-and each search asks the same weight vector at every step. Waterfilling
+class, a lower bound on the supremum over the class. Waterfilling
 reconciles per-round designs with the cumulative sampling distribution
 in closed form: round k samples the simplex projection of what k times
 its design still asks for beyond the k - 1 distributions already
@@ -94,7 +91,7 @@ class DesignObjective:
     eta: np.ndarray | None = None      # eta-hat for oracle-backed line search
     anchor_labeling: np.ndarray | None = None
     maximizer: object = None           # weighted-max oracle, oracle-backed mode
-    line_search_iters: int = 20
+    line_search_iters: int = 20        # the most oracle calls one line search makes
 
 
 def _gap_denominators(labelings, eta, anchor, scale, floor_at_scale):
@@ -139,20 +136,11 @@ def _grow_working_set(obj: DesignObjective, lam, Z, seen: set) -> DesignObjectiv
     returns while line_search_max searches each draw of Z at lam; seen (the
     bytes of the int8 labelings already in W) gains them. A row is
     (anchor - lab)/n over _ratio_denominator(scale + plug-in gap), the ratio
-    line_search_max scores; obj itself is returned when nothing is new.
-
-    The oracle is asked each distinct weight vector once per call; a repeat
-    is answered from memory, which is exact because line_search_max needs
-    its maximizer to be a pure function of w. Repeats are the rule where
-    eta-hat is 1/2, as everywhere before the first label: the search's
-    slope c = (1 - 2 eta-hat)/n is then 0, so every step asks w = d."""
-    new, answers = [], {}
+    line_search_max scores; obj itself is returned when nothing is new."""
+    new = []
 
     def collecting(w):
-        key = w.tobytes()
-        if key in answers:
-            return answers[key]
-        handle, lab = answers[key] = obj.maximizer(w)
+        handle, lab = obj.maximizer(w)
         lab_key = np.asarray(lab, dtype=np.int8).tobytes()
         if lab_key not in seen:
             seen.add(lab_key)
@@ -370,11 +358,7 @@ def smd_solve(
     W, a copy of obj that starts at the anchor. Each iteration first
     line-searches the first max(b0, 2) draws of its batch, the size of the
     first batch, so the oracle's work per iteration stays fixed while the
-    batch doubles; every distinct labeling the oracle returns joins W. The
-    oracle is asked each distinct weight vector once per iteration, repeats
-    being answered from memory: where eta-hat is 1/2 (every round-1 solve)
-    the search's slope c = (1 - 2 eta-hat)/n is 0 and every step of a
-    search asks the same w, so the search costs one oracle call.
+    batch doubles; every distinct labeling the oracle returns joins W.
     Then the iterate's values and gradient, its backtracking trials and
     the candidate scores all read W's rows. A W value is a lower bound on
     the supremum over the class. The iterate and its trials are scored on
@@ -463,61 +447,37 @@ def _ratio_denominator(den: float, scale: float) -> float:
 
 
 def line_search_max(lam, zeta, anchor_labeling, eta_hat, scale, maximizer, n_max: int = 20):
-    """Inner maximization of the gap ratio through a weighted-max oracle.
+    """Inner maximization of the gap ratio N(h)/D(h) through a weighted-max
+    oracle, as (value, int8 labeling, handle).
 
-    Multi-scale search over the slack variable r: halve while the
-    constraint value is negative, then alternately grow by gamma or
-    shrink by gamma^2 while refining gamma, collecting every oracle
-    answer; the best collected hypothesis under the ratio is returned.
-    Starts from r=100, gamma=10, refinement sqrt(2). The anchor seeds the
-    candidate set so the returned value is never below its zero. The
-    maximizer must be a pure function of w: when the halving stops early,
-    the first refine step reuses the answer at that r instead of asking
-    again, so the oracle is called n_max times (n_max + 1 when every
-    step halves).
+    N(h) = d.(h - anchor) and D(h) = scale + c.(h - anchor), clamped by
+    _ratio_denominator, with d = -zeta/(n sqrt(lam)) and c = (1 - 2 eta-hat)/n.
+    Dinkelbach's iteration (Management Science, 1967): from r = 0, each
+    step asks the maximizer for argmax_h (d - r c).h, the maximizer of
+    N(h) - r D(h), and sets r to its answer's ratio. It stops when the ratio
+    does not rise (an answer equal to the anchor scores 0), when the next
+    weight vector equals the last (c = 0 where eta-hat is 1/2, so such a
+    search asks once), or after n_max calls. The best answer is returned,
+    or the anchor at value 0 when none beats it.
     """
     lam = np.asarray(lam, dtype=float)
-    zeta = np.asarray(zeta, dtype=float)
     anchor = np.asarray(anchor_labeling, dtype=float)
-    eta_hat = np.asarray(eta_hat, dtype=float)
     n = lam.size
-    d = -zeta / (n * np.sqrt(lam))
-    c = (1.0 - 2.0 * eta_hat) / n
-    b = -float(d @ anchor)
-    a = -scale - float(c @ anchor)
-    cands = [(anchor, None)]
-
-    def oracle_step(r):
-        w = c * r + d
+    d = -np.asarray(zeta, dtype=float) / (n * np.sqrt(lam))
+    c = (1.0 - 2.0 * np.asarray(eta_hat, dtype=float)) / n
+    r, w, best_lab, best_handle = 0.0, d, anchor, None
+    for _ in range(n_max):
         handle, lab = maximizer(w)
-        ghat = a * r + b + float(w @ lab)
-        cands.append((np.asarray(lab, dtype=float), handle))
-        return ghat
-
-    r, gamma, refine = 100.0, 10.0, math.sqrt(2.0)
-    t = 0
-    ghat = oracle_step(r)
-    while ghat < 0 and t < n_max:
-        r /= 2.0
-        ghat = oracle_step(r)
-        t += 1
-    for step in range(t, n_max):
-        if step > t:  # the first refine step is at the r the halving stopped at
-            ghat = oracle_step(r)
-        if ghat > 0:
-            r *= gamma
-        else:
-            r /= gamma**2
-            gamma /= refine
-
-    best_val, best_lab, best_handle = 0.0, anchor, None
-    for lab, handle in cands:
-        num = float(d @ (lab - anchor))
-        den = _ratio_denominator(scale + float(c @ (lab - anchor)), scale)
-        val = 0.0 if np.array_equal(lab, anchor) else num / den
-        if val > best_val:
-            best_val, best_lab, best_handle = val, lab, handle
-    return best_val, best_lab.astype(np.int8), best_handle
+        lab = np.asarray(lab, dtype=float)
+        value = float(d @ (lab - anchor)) / _ratio_denominator(scale + float(c @ (lab - anchor)), scale)
+        if value <= r:
+            break
+        r, best_lab, best_handle = value, lab, handle
+        w_next = d - c * r
+        if np.array_equal(w_next, w):
+            break
+        w = w_next
+    return r, best_lab.astype(np.int8), best_handle
 
 
 def waterfill(lam_k, prior_marginals) -> Design:

@@ -183,8 +183,8 @@ def erm_flip_constrained(X, w, y, x_k, desired_sign: int) -> LinearHypothesis:
 # design solves call this oracle thousands of times and only need
 # surrogate-grade answers. The iteration cap counts Newton steps, far more
 # than a fit takes: a median of 3 (p90 4, max 10) over the 321 fits of
-# scripts/oracle_probe.py at its defaults, and of 20 (p90 28, max 35) over
-# the 980 fits of the 16-point halfspace-twin test in tests/test_design.py
+# scripts/oracle_probe.py at its defaults, and of 4 (p90 7, max 14) over
+# the 440 fits of the 16-point halfspace-twin test in tests/test_design.py
 ORACLE_REG = 1e-6
 ORACLE_TOL = 1e-4
 ORACLE_MAX_ITER = 300
@@ -214,14 +214,15 @@ class LinearOracleClass:
     def erm_weights(self, weights, labels) -> LinearHypothesis:
         """Logistic weighted ERM on the pool points with positive weight.
 
-        The labels are read as int8. A fit is then a pure function of the
-        weight and label bytes, so the class keeps the ERM_FITS_KEPT most
-        recently used fits under those bytes and answers a repeat (curve
-        scoring's ERM on labels the run already fitted, say) with the same
-        hypothesis, whose normal is read-only.
+        A negative or non-finite weight, or a label other than 0 or 1, raises
+        ValueError (_weighted_arrays); the labels are then read as int8. A
+        fit is a pure function of the weight and label bytes, so the class
+        keeps the ERM_FITS_KEPT most recently used fits under those bytes and
+        answers a repeat (curve scoring's ERM on labels the run already
+        fitted, say) with the same hypothesis, whose normal is read-only.
         """
-        weights = np.asarray(weights, dtype=float)
-        labels = np.asarray(labels, dtype=np.int8)
+        weights, labels = _weighted_arrays(weights, labels)
+        labels = labels.astype(np.int8)
         keep = weights > 0
         if not keep.any():
             return LinearHypothesis(w=np.zeros(self.features.shape[1]), b=0.0)

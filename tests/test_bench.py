@@ -418,6 +418,15 @@ def test_run_records_failures_and_continues(tmp_path):
     ("[algorithm aced_waterfilled]\nT = 8\nepsilon = 0.25\nN_batch = 1.5\n", "N_batch"),
     ("[algorithm aced_waterfilled]\nT = 8\nepsilon = 0.25\nN_batch = 0\n", "N_batch"),
     ("[algorithm aced_waterfilled]\nT = 8\nepsilon = 0.25\nN_batch = -3\n", "N_batch"),
+    # line_search_iters: an integer >= 1, bools refused
+    ("[algorithm aced_waterfilled]\nT = 8\nepsilon = 0.25\nline_search_iters = 0\n",
+     "line_search_iters"),
+    ("[algorithm aced_waterfilled]\nT = 8\nepsilon = 0.25\nline_search_iters = -3\n",
+     "line_search_iters"),
+    ("[algorithm aced_waterfilled]\nT = 8\nepsilon = 0.25\nline_search_iters = true\n",
+     "line_search_iters"),
+    ("[algorithm aced_waterfilled]\nT = 8\nepsilon = 0.25\nline_search_iters = 2.5\n",
+     "line_search_iters"),
 ])
 def test_bad_algorithm_keys_are_rejected_where_they_enter(tmp_path, capsys, section, key):
     out = tmp_path / "o"

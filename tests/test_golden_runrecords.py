@@ -64,8 +64,8 @@ CASES = {
     "waterfilled_exhausted/thresholds": lambda: REGISTRY["aced_waterfilled"](
         make_thresholds(4, 2, 1.0, persistent=True, seed=0), T=64, epsilon=1 / 32, N_batch=2,
         solver=SOLVER, seed=13),
-    # its round-2 design depends on line_search_iters (0.5950 at 1, 1.4351 at 20);
-    # at 1 it is the uniform start, proposed on an all-zero batch (certificate null)
+    # its round-2 design value depends on line_search_iters (1.3063 at 1, 1.3898
+    # at 2 and 20): at 1 each search is Dinkelbach's first step, max N(h) at r = 0
     "waterfilled_oracle_lsi1/linear": lambda: REGISTRY["aced_waterfilled"](
         _linear(), T=8, epsilon=0.25, N_batch=4, solver={"max_iters": 3, "b0": 4, "max_batch": 8},
         line_search_iters=1, seed=7),
@@ -112,7 +112,7 @@ GOLDEN = {
     "waterfilled/core_tail": "685479701722be4bf3f0f6be55343e85ee7c6fa59dc73fe27163156c193297e4",
     "waterfilled_exhausted/thresholds": "39dd8960ec178d2c864830b6d273cfd4ac71c72e512ba101c07f86796b22114c",
     "waterfilled_oracle/linear": "90d685db3cb9419ad2d0118e4bbcf5799ab5cee3045dc4f22aaa38f85d3b7484",
-    "waterfilled_oracle_lsi1/linear": "985826c089f82afdffb0520f15432745dcd6c3bac9f61441cee0fe57f2fa35ba",
+    "waterfilled_oracle_lsi1/linear": "98db287a16bc4621bbb7f08bf776ccb1ea13a284fb1aeae5ce775dd35d094c32",
 }
 
 
@@ -124,8 +124,8 @@ def test_runrecord_digest(name):
 
 # logistic fits (oracles._fit_logistic calls) per oracle-backed golden run,
 # so that a change in oracle work shows as a count, not only as a time.
-# The waterfilled run's design solves ask each weight vector once per
-# working-set growth
+# The waterfilled run has one round, where eta-hat is 1/2 and each line
+# search makes one fit
 FITS = {
     "waterfilled_oracle/linear": 9,
     "iwal_oracle/linear": 32,

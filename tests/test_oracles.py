@@ -297,3 +297,13 @@ def test_linear_oracle_class_keeps_a_read_only_copy_of_its_features():
     assert oracle.features[0, 0] == X[0, 0] - 1.0
     with pytest.raises(ValueError):
         oracle.features[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("bad", [0.5, 2])
+def test_erm_weights_rejects_a_label_other_than_0_or_1(monkeypatch, bad):
+    # read as int8 unchecked, 0.5 would be fitted as 0 and 2 as a third label
+    fits = _counted_fits(monkeypatch)
+    oracle = LinearOracleClass(np.random.default_rng(13).standard_normal((4, 2)))
+    with pytest.raises(ValueError, match="labels must be 0 or 1"):
+        oracle.erm_weights(np.ones(4), np.array([0, 1, bad, 1]))
+    assert not fits

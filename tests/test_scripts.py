@@ -47,12 +47,12 @@ def test_oracle_probe_prints_each_solve_and_the_run_total():
     assert [row.split()[0] for row in solves] == ["1", "2"]  # two rounds of N_batch = 6
     assert all(row.split()[1] == "cap" and row.split()[2] == "4" for row in solves)
     # the oracle sees max(b0, 2) = 16 draws per iteration (DEFAULT_SOLVER's b0),
-    # each a line search asking at most line_search_iters + 1 = 5 weight vectors
+    # each a line search asking at most line_search_iters = 4 weight vectors
     asked, fits = ([int(row.split()[k]) for row in solves] for k in (3, 4))
-    assert all(f <= a <= 4 * 16 * 5 for a, f in zip(asked, fits))
+    assert all(f <= a <= 4 * 16 * 4 for a, f in zip(asked, fits))
     # before the first label eta-hat is 1/2, so each round-1 search asks one
-    # weight vector again and again and makes a single fit: 4 iterations x 16
-    assert asked[0] > fits[0] == 4 * 16
+    # weight vector, one fit: 4 iterations x 16
+    assert asked[0] == fits[0] == 4 * 16
     fields = total.split()
     assert fields[0] == "total:" and fields[-2:] == ["8", "labels"]
     assert int(fields[1]) >= sum(fits) > 0
