@@ -6,7 +6,10 @@ candidate designs are scored on common draws, and the best is returned
 once a first-order certificate holds, the best score plateaus or the
 iteration cap is hit. Gap-style objectives maximize a Gaussian-perturbed
 excess-error ratio per sample; pair-width objectives combine a squared
-Gaussian width with a worst-pair inverse-mass penalty. The two
+Gaussian width with a worst-pair inverse-mass penalty. A batch of draws
+is scored in one matrix product with the objective's rows; the gap
+modes take their gradient moments from per-row sums of the draws each
+row won, so a step's work is a few small products. The two
 deterministic designs behind the complexity measures need no descent:
 psi_design solves the worst-coordinate objective in closed form, and
 rho_design the inverse-information objective through its dual,
@@ -74,11 +77,14 @@ class DesignObjective:
       fixed_budget     E[max_h (anchor-h) gap ratio], additive scale: V, den, anchor
       true_gap         same ratio with true gaps floored at epsilon: V, den, anchor
       fixed_confidence E[max_h - min_h score]^2 + penalty * max-pair inverse mass: V, den, penalty
-    Every objective is scored through its rows V and den. An oracle-backed
-    fixed_budget objective (maximizer set) has one row per labeling of its
-    working set W, the anchor first; smd_solve grows W with what the
-    oracle returns, from anchor_labeling, eta, scale and line_search_iters,
-    on a copy that lives in the solve.
+    Every objective is scored through its rows V and den. The gap modes
+    divide the rows, V / den, and score a batch with one product; their
+    gradient sums, per row, the draws that row won. The pair-width mode
+    divides its scores by den (all ones). An oracle-backed fixed_budget
+    objective (maximizer set) has one row per labeling of its working set
+    W, the anchor first; smd_solve grows W with what the oracle returns,
+    from anchor_labeling, eta, scale and line_search_iters, on a copy that
+    lives in the solve.
     """
 
     mode: str
@@ -171,25 +177,42 @@ def batch_values(obj: DesignObjective, lam: np.ndarray, Z: np.ndarray):
 
     A score column's value is max(max, 0) in the gap modes, max - min in the
     pair-width mode; batch_gradient also gets the (m, B) score matrix, to
-    differentiate the max.
+    differentiate the max. The gap modes divide the rows first and score
+    the batch in one product, ((V / den) / sqrt(lam)) @ Z^T; the pair-width
+    mode scales the draws, (V @ (Z / sqrt(lam))^T) / den.
     """
-    scores = (obj.V @ (Z / np.sqrt(lam)).T) / obj.den[:, None]
     if obj.mode == "fixed_confidence":
+        scores = (obj.V @ (Z / np.sqrt(lam)).T) / obj.den[:, None]
         return scores.max(axis=0) - scores.min(axis=0), scores
+    scores = ((obj.V / obj.den[:, None]) / np.sqrt(lam)) @ Z.T
     return np.maximum(scores.max(axis=0), 0.0), scores
 
 
 def batch_gradient(obj: DesignObjective, lam: np.ndarray, Z: np.ndarray, vals, argmax):
-    """Batch mean and mean square of the per-sample gradients, from batch_values."""
+    """Batch mean and mean square of the per-sample gradients, from batch_values.
+
+    A draw z's gradient is -1/2 w z lam^(-3/2), w the row that won it. In
+    the pair-width mode w is the argmax row of V minus the argmin row. In
+    the gap modes it is the argmax row of Vd = V / den, the anchor's where
+    the value is <= 0; with G the (m, B) 0/1 indicator of those rows, the
+    moments are per-row sums of the draws each row won:
+    mean = -1/2 lam^(-3/2) sum_h Vd_h (G @ Z)_h / B and
+    mean square = 1/4 lam^(-3) sum_h Vd_h^2 (G @ Z^2)_h / B.
+    """
     inv32 = lam ** (-1.5)
     if obj.mode == "fixed_confidence":
         W = obj.V[np.argmax(argmax, axis=0)] - obj.V[np.argmin(argmax, axis=0)]
-    else:
-        rows = np.argmax(argmax, axis=0)
-        rows[vals <= 0] = obj.anchor
-        W = obj.V[rows] / obj.den[rows][:, None]
-    grads = -0.5 * W * Z * inv32
-    return grads.mean(axis=0), (grads**2).mean(axis=0)
+        grads = -0.5 * W * Z * inv32
+        return grads.mean(axis=0), (grads**2).mean(axis=0)
+    B = Z.shape[0]
+    rows = np.argmax(argmax, axis=0)
+    rows[vals <= 0] = obj.anchor
+    G = np.zeros(argmax.shape)
+    G[rows, np.arange(B)] = 1.0
+    Vd = obj.V / obj.den[:, None]
+    gmean = -0.5 * inv32 * (Vd * (G @ Z)).sum(axis=0) / B
+    gsq = 0.25 * inv32**2 * (Vd**2 * (G @ Z**2)).sum(axis=0) / B
+    return gmean, gsq
 
 
 def _outer(obj, lam, vals):
@@ -197,7 +220,7 @@ def _outer(obj, lam, vals):
     for gap modes; for fixed_confidence mean^2 + penalty * worst-pair inverse
     mass (the squared design distance of rows V_a, V_b), the square's slope
     2 * mean, and that mass's gradient -(V_a - V_b)^2 / lam^2."""
-    mean = float(np.mean(vals))
+    mean = float(vals.sum() / vals.size)
     if obj.mode != "fixed_confidence":
         return mean, 1.0, None
     dist = pair_distance_matrix(obj.V, lam, 1)
@@ -206,15 +229,19 @@ def _outer(obj, lam, vals):
     return mean**2 + obj.penalty * float(dist[a, b]) ** 2, 2.0 * mean, gpen
 
 
-def _mirror_step(lam, g, step):
-    u = np.log(lam) - step * g
+def _mirror_step(log_lam, g, step):
+    u = log_lam - step * g
     u -= u.max()  # scale-invariant; keeps exp finite
     return floor_simplex(np.exp(u))
 
 
 def _paired_se(a, b) -> float:
-    """Standard error of mean(a - b) over the draws both were scored on."""
-    return float(np.std(a - b) / math.sqrt(a.size))
+    """Standard error of mean(a - b) over the draws both were scored on: the
+    population standard deviation over sqrt(size), reduced in np.std's order."""
+    d = a - b
+    d -= d.sum() / d.size
+    d *= d
+    return math.sqrt(d.sum() / d.size) / math.sqrt(d.size)
 
 
 @dataclass(eq=False)
@@ -283,22 +310,21 @@ def rho_design(labelings, eta, epsilon: float, anchor: int) -> SolverReport:
     coeff = 1.0 / (S.shape[1] ** 2 * den**2)
     CS = coeff[:, None] * S
     mu = np.full(CS.shape[0], 1.0 / CS.shape[0])
-    best_value, best_design, bound = np.inf, None, 0.0
+    best_value, best_root, bound = np.inf, None, 0.0
     stop_reason = "cap"
     for it in range(1, RHO_MAX_ITERS + 1):
         root = np.sqrt(mu @ CS)
         bound = max(bound, float(root.sum()) ** 2)
-        design = Design(root)
-        vals = coeff * (S @ (1.0 / design.lam))
+        vals = coeff * (S @ (1.0 / floor_simplex(root)))
         value = float(vals.max())
         if value < best_value:
-            best_value, best_design = value, design
+            best_value, best_root = value, root
         if best_value - bound <= RHO_REL_GAP * best_value:
             stop_reason = "certificate"
             break
         mu *= vals
         mu /= mu.sum()
-    return SolverReport(design=best_design, value_estimate=best_value,
+    return SolverReport(design=Design(best_root), value_estimate=best_value,
                         certificate=max(best_value - bound, 0.0), batch_trajectory=[],
                         iterations=it, stop_reason=stop_reason)
 
@@ -423,15 +449,16 @@ def smd_solve(
             B = min(2 * B, max_batch)
         # backtracking exponentiated step on common draws
         trial = min(1.0, 2.0 * step)
+        log_lam = np.log(lam)
         for _ in range(max_halvings):
-            cand = _mirror_step(lam, g, trial)
+            cand = _mirror_step(log_lam, g, trial)
             cvals, _ = batch_values(work, cand, Z)
             cvalue, cslope, _ = _outer(work, cand, cvals)
             if cvalue - value <= _paired_se(cvals, vals) * max(slope, cslope):
                 break
             trial *= 0.5
         else:  # no trial accepted: take the smallest step
-            cand = _mirror_step(lam, g, trial)
+            cand = _mirror_step(log_lam, g, trial)
         lam, step = cand, trial
     value, _, _, lam, cert = best
     return SolverReport(design=Design(lam), value_estimate=value, certificate=float(cert),

@@ -524,7 +524,7 @@ def test_run_non_persistent_labels_do_not_depend_on_schedule(tmp_path):
     assert records == open(p2["records"]).read()
     assert _body(p1["results"]) == _body(p2["results"])
     # pinned from the worker pool, whose workers always start from a fresh label model
-    assert _sha(records) == "2e72c1127a9e353def1c6cc36ddc43ed87758397a708e4f5a0b490ed92fe29da"
+    assert _sha(records) == "4c9107c3eafb123d57b3268a5cb69f573fa690117d11436a137acbf4f126d87d"
 
     swapped = load_config(write_config(tmp_path, NON_PERSISTENT.format(holdout=0.0, out=tmp_path / "o")
                                        + "".join(reversed(NON_PERSISTENT_ALGORITHMS))))

@@ -34,6 +34,7 @@ from aced.oracles import LinearOracleClass
 from halfspace_twin import explicit_twin, halfspace_labelings
 from test_design_parity import (
     PAIR_RTOL,
+    check_gap_kernels,
     objective_sample,
     psi_sample,
     reference_pair_rows,
@@ -312,21 +313,7 @@ def test_sample_unique_first_draw_distribution():
     assert tv <= 0.02
 
 
-def _gradient_path(obj, lam, Z):
-    """Reference values and gradient moments of a gap mode: argmax rows
-    picked from the score matrix, values read off those rows."""
-    Zs = Z / np.sqrt(lam)
-    scores = (obj.V @ Zs.T) / obj.den[:, None]
-    rows = np.argmax(scores, axis=0)
-    vals = scores[rows, np.arange(Z.shape[0])]
-    rows[vals <= 0] = obj.anchor
-    vals = np.maximum(vals, 0.0)
-    W = obj.V[rows] / obj.den[rows][:, None]
-    grads = -0.5 * W * Z * (lam ** (-1.5))
-    return vals, grads.mean(axis=0), (grads**2).mean(axis=0)
-
-
-def test_values_step_is_bitwise_the_gradient_path():
+def test_values_step_matches_the_gradient_path():
     rng = np.random.default_rng(21)
     H = np.array([[0, 0, 0, 1], [1, 0, 0, 1], [1, 1, 0, 0], [0, 1, 1, 1],
                   [1, 0, 0, 1], [0, 1, 1, 1]], dtype=np.int8)  # rows 4, 5 tie rows 1, 3
@@ -338,24 +325,38 @@ def test_values_step_is_bitwise_the_gradient_path():
     # of z_0, so a batch of nonnegative draws scores <= 0 everywhere
     two = gap_objective(np.array([[0, 0], [1, 0]], dtype=np.int8), np.array([0.2, 0.6]), 0, 0.5)
     cases = [(two, floor_simplex(rng.random(2)), np.abs(rng.standard_normal((64, 2))))]
-    # [0, 1] against the anchor [1, 0] scores exactly 0 on equal coordinates,
-    # tying the anchor from an earlier row; the gradient must use the anchor's
+    # [0, 1, 0, 0] against the anchor [1, 0, 0, 0] at equal error scores 0 on
+    # draws with z_0 = z_1, tying the anchor from an earlier row; the gradient
+    # must use the anchor's. The scaled row (V / den) / sqrt(lam) = [1, -1, 0, 0]
+    # is exact, so the tie is exact in any order of summation
+    tie = gap_objective(np.array([[0, 1, 0, 0], [1, 0, 0, 0]], dtype=np.int8),
+                        np.array([0.5, 0.5, 0.2, 0.7]), 1, 0.5)
+    equal = np.repeat(rng.standard_normal((16, 1)), 2, axis=1)
+    cases.append((tie, np.full(4, 0.25), np.hstack([equal, rng.standard_normal((16, 2))])))
+    # the same tie at n = 2 is rounding-level: the scaled row +-1/(den sqrt(2))
+    # rounds, and a fused multiply-add can leave a score of +-1e-17, which
+    # either row attains
     swap = gap_objective(np.array([[0, 1], [1, 0]], dtype=np.int8), np.array([0.9, 0.1]), 1, 0.5)
-    cases.append((swap, np.array([0.5, 0.5]), np.repeat(rng.standard_normal((16, 1)), 2, axis=1)))
+    cases.append((swap, np.array([0.5, 0.5]), equal))
     for obj in objs:
         for _ in range(10):
             cases.append((obj, floor_simplex(rng.random(4)), rng.standard_normal((64, 4))))
         cases.append((obj, floor_simplex(rng.random(4)), np.zeros((8, 4))))  # every row ties
     pairs = reference_pair_rows(H)
     for obj, lam, Z in cases:
-        vals, argmax = batch_values(obj, lam, Z)
-        gmean, gsq = batch_gradient(obj, lam, Z, vals, argmax)
-        if obj.mode == "fixed_confidence":  # max - min score against the pair loop
+        vals, scores = batch_values(obj, lam, Z)
+        gmean, gsq = batch_gradient(obj, lam, Z, vals, scores)
+        if obj.mode == "fixed_confidence":
+            # bitwise the per-draw path, and max - min score against the pair loop
+            W = obj.V[np.argmax(scores, axis=0)] - obj.V[np.argmin(scores, axis=0)]
+            grads = -0.5 * W * Z * lam ** (-1.5)
+            assert np.array_equal(scores, (obj.V @ (Z / np.sqrt(lam)).T) / obj.den[:, None])
+            assert np.array_equal(gmean, grads.mean(axis=0))
+            assert np.array_equal(gsq, (grads**2).mean(axis=0))
             for a, b in zip((vals, gmean, gsq), reference_pair_width(pairs, lam, Z, obj.penalty)):
                 np.testing.assert_allclose(a, b, rtol=PAIR_RTOL, atol=0)
         else:
-            ref = _gradient_path(obj, lam, Z)
-            assert all(np.array_equal(a, b) for a, b in zip((vals, gmean, gsq), ref))
+            check_gap_kernels(obj, lam, Z)
     obj, lam, Z = cases[0]
     assert not batch_values(obj, lam, Z)[0].any()
 
@@ -395,6 +396,49 @@ def test_core_tail_round_one_gap_solve_stops_on_a_plateau():
         Z = np.random.default_rng([seed, 1 << 30]).standard_normal((512, n))
         assert rep.value_estimate == pytest.approx(np.mean(batch_values(obj, rep.design.lam, Z)[0]), rel=1e-12)
         assert rep.value_estimate <= np.mean(batch_values(obj, np.full(n, 1 / n), Z)[0])
+
+
+# (iterations, stop_reason, batch_trajectory as (batch, iterations) runs,
+# value_estimate) of 20 seeded fixed-budget solves on the sweep_core_tail
+# benchmark's pool, pinned when the gap kernels summed per draw
+CORE_TAIL_SOLVES = [
+    (20, 'plateau', [(16, 1), (32, 1), (64, 1), (128, 2), (256, 15)], 0.4387791125937903),
+    (30, 'plateau', [(16, 1), (32, 2), (64, 4), (128, 1), (256, 22)], 0.6937511930492197),
+    (20, 'plateau', [(16, 1), (32, 1), (64, 3), (128, 4), (256, 11)], 1.2100235818488008),
+    (20, 'plateau', [(16, 1), (32, 1), (64, 1), (128, 1), (256, 16)], 0.39774762130354524),
+    (20, 'plateau', [(16, 1), (32, 2), (64, 1), (128, 1), (256, 15)], 0.7859375578642639),
+    (20, 'plateau', [(16, 1), (32, 5), (64, 3), (128, 1), (256, 10)], 1.1864029314323004),
+    (20, 'plateau', [(16, 1), (32, 1), (64, 1), (128, 3), (256, 14)], 0.4030788027882578),
+    (20, 'plateau', [(16, 1), (32, 3), (64, 14), (128, 2)], 0.7049764774294602),
+    (20, 'plateau', [(16, 1), (32, 2), (64, 1), (128, 5), (256, 11)], 1.1473680574537233),
+    (20, 'plateau', [(16, 1), (32, 1), (64, 4), (128, 1), (256, 13)], 0.37557311729383386),
+    (20, 'plateau', [(16, 1), (32, 1), (64, 4), (128, 4), (256, 10)], 0.8033807588745457),
+    (20, 'plateau', [(16, 1), (32, 1), (64, 4), (128, 2), (256, 12)], 1.0512681335806344),
+    (20, 'plateau', [(16, 1), (32, 1), (64, 1), (128, 1), (256, 16)], 0.4160230908559),
+    (30, 'plateau', [(16, 1), (32, 1), (64, 6), (128, 3), (256, 19)], 0.8436841381773299),
+    (20, 'plateau', [(16, 1), (32, 2), (64, 1), (128, 3), (256, 13)], 1.0966266714282846),
+    (20, 'plateau', [(16, 1), (32, 1), (64, 1), (128, 2), (256, 15)], 0.436333957679119),
+    (20, 'plateau', [(16, 2), (32, 8), (64, 2), (128, 1), (256, 7)], 0.9373357666626307),
+    (20, 'plateau', [(16, 1), (32, 4), (64, 2), (128, 13)], 1.489175827732907),
+    (20, 'plateau', [(16, 1), (32, 1), (64, 1), (128, 3), (256, 14)], 0.40854362809142963),
+    (20, 'plateau', [(16, 1), (32, 1), (64, 2), (128, 2), (256, 14)], 0.6444200881863917),
+]
+
+
+def test_core_tail_fixed_budget_solves_keep_their_pinned_work():
+    # a faster kernel may round differently, but must not change the work:
+    # the same iterations, stop and batch sizes, and the value to rounding.
+    # eta-hat is 0 or 1/2 per point, as the sweep's rounds estimate it
+    H = make_core_tail_instance(4).hypotheses.labelings
+    n = H.shape[1]
+    rng = np.random.default_rng(28)
+    for seed, (iterations, stop_reason, runs, value) in enumerate(CORE_TAIL_SOLVES):
+        eta = 0.5 * rng.integers(0, 2, n)
+        anchor = int(np.argmax(H @ (2.0 * eta - 1.0)))
+        rep = smd_solve(gap_objective(H, eta, anchor, 2.0 ** -(seed % 3)), seed=seed, **DEFAULT_SOLVER)
+        assert (rep.iterations, rep.stop_reason) == (iterations, stop_reason)
+        assert rep.batch_trajectory == [b for b, count in runs for _ in range(count)]
+        assert rep.value_estimate == pytest.approx(value, rel=1e-12, abs=0)
 
 
 def test_all_zero_batch_does_not_certify():

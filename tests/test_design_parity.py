@@ -2,18 +2,22 @@
 
 The references below are the former stand-alone implementations: a
 Python pair loop for the pair-width rows, a per-mode one-sample
-evaluator, the unique sampler with a separate fallback flag, and the
-waterfill that found its level by bisection (waterfill now projects
-onto the simplex in closed form; the two agree to WATERFILL_ATOL).
-objective_sample evaluates through the package's batch_values on a
-one-row batch, so the gap modes and the sampler agree bitwise. The pair-width objective scores the
-labelings themselves (widest pair = max - min score, worst-pair mass
-from the Gram identity), so its checks against the pair loop hold to the
-relative tolerance PAIR_RTOL.
+evaluator, the per-draw batch kernels, the unique sampler with a
+separate fallback flag, and the waterfill that found its level by
+bisection (waterfill now projects onto the simplex in closed form; the
+two agree to WATERFILL_ATOL). objective_sample evaluates through the
+package's batch_values on a one-row batch. The gap modes divide their
+rows before the product and sum each row's draws for the gradient, and
+the pair-width objective scores the labelings themselves
+(widest pair = max - min score, worst-pair mass from the Gram identity),
+so their checks against the references hold to the relative tolerance
+PAIR_RTOL, taken of the sum of the terms' magnitudes where a sum of
+mixed signs can cancel.
 """
 import numpy as np
 import pytest
 
+from aced.complexity import make_core_tail_instance
 from aced.design import (
     LAMBDA_FLOOR,
     Design,
@@ -77,6 +81,33 @@ def psi_sample(terms, lam) -> tuple:
 
 def assert_close(got, want):
     np.testing.assert_allclose(got, want, rtol=PAIR_RTOL, atol=0)
+
+
+def assert_sums_close(got, want, magnitude):
+    """got within PAIR_RTOL of want, relative to magnitude, the sum of the
+    absolute terms behind want: the error bound of a sum whose terms may
+    cancel."""
+    assert np.all(np.abs(np.asarray(got) - want) <= PAIR_RTOL * magnitude)
+
+
+def reference_gap_kernels(obj, lam, Z, rows=None) -> tuple:
+    """The gap modes' former per-draw kernels: the (m, B) scores
+    (V @ (Z / sqrt(lam))^T) / den, each draw's value, the mean and mean
+    square of the per-draw gradients -1/2 W z lam^(-3/2) with W the rows
+    of V / den the draws read (given, or the argmax row, the anchor's where
+    the value is <= 0), and the magnitudes (|V| / den) @ |Z / sqrt(lam)|^T
+    of the scores' terms and the mean |gradient| of the mean's."""
+    Zs = Z / np.sqrt(lam)
+    scores = (obj.V @ Zs.T) / obj.den[:, None]
+    top = np.argmax(scores, axis=0)
+    vals = np.maximum(scores[top, np.arange(Z.shape[0])], 0.0)
+    if rows is None:
+        rows = top
+        rows[vals <= 0] = obj.anchor
+    grads = -0.5 * (obj.V[rows] / obj.den[rows][:, None]) * Z * lam ** (-1.5)
+    magnitude = (np.abs(obj.V) / obj.den[:, None]) @ np.abs(Zs).T
+    gmag = np.abs(grads).mean(axis=0)
+    return scores, vals, grads.mean(axis=0), (grads**2).mean(axis=0), magnitude, gmag
 
 
 def reference_pair_rows(labelings):
@@ -232,17 +263,22 @@ def test_pair_width_rows_match_pair_loop():
         assert any(np.allclose(gpen, -(pairs[p] ** 2) / lam**2, rtol=PAIR_RTOL, atol=0) for p in worst)
 
 
-def _gap_case(rng):
-    m, n = int(rng.integers(2, 8)), int(rng.integers(2, 10))
+def _random_gap_objective(rng, m, n):
+    """A random (H, eta, anchor), anchored at the plug-in minimizer."""
     H = rng.integers(0, 2, size=(m, n)).astype(np.int8)
     eta = rng.random(n)
     errs = (eta.sum() + H @ (1 - 2 * eta)) / n
     return H, eta, int(np.argmin(errs))
 
 
+def _gap_case(rng):
+    return _random_gap_objective(rng, int(rng.integers(2, 8)), int(rng.integers(2, 10)))
+
+
 def test_objective_sample_matches_reference_explicit_modes():
-    # bitwise in the gap modes; the pair-width mode returns a width within
-    # PAIR_RTOL of the pair loop's and a pair (argmax h, argmin h) that attains it
+    # the gap modes return a value within PAIR_RTOL of the reference's and a
+    # row that attains it; the pair-width mode a width within PAIR_RTOL of
+    # the pair loop's and a pair (argmax h, argmin h) that attains it
     rng = np.random.default_rng(1)
     for _ in range(100):
         H, eta, anchor = _gap_case(rng)
@@ -251,7 +287,11 @@ def test_objective_sample_matches_reference_explicit_modes():
         pairs = reference_pair_rows(H)
         for obj in (gap_objective(H, eta, anchor, 0.25), gap_objective(H, eta, anchor, 0.1, mode="true_gap")):
             for zeta in (rng.standard_normal(n), np.zeros(n)):
-                assert objective_sample(obj, lam, zeta) == reference_objective_sample(obj, lam, zeta)
+                value, row = objective_sample(obj, lam, zeta)
+                ref_value, _ = reference_objective_sample(obj, lam, zeta)
+                scores, _, _, _, magnitude, _ = reference_gap_kernels(obj, lam, zeta[None, :])
+                assert_sums_close(value, ref_value, magnitude.max())
+                assert_sums_close(scores[row, 0], ref_value, magnitude.max())  # the anchor scores 0
         obj = pair_width_objective(H, 0.1)
         for zeta in (rng.standard_normal(n), np.zeros(n)):
             value, (a, b) = objective_sample(obj, lam, zeta)
@@ -281,6 +321,61 @@ def test_objective_sample_matches_reference_oracle_mode():
         ref_value, ref_lab = reference_objective_sample(obj, design.lam, zeta)
         assert value == pytest.approx(ref_value, rel=1e-12, abs=0)
         assert np.array_equal(np.rint(H[anchor] - n * work.V[row]), ref_lab)
+
+
+def check_gap_kernels(obj, lam, Z):
+    """batch_values and batch_gradient against the per-draw kernels. Values
+    are read off the score matrix at its argmax rows, bitwise; the row each
+    draw's gradient reads (that argmax, the anchor's where the value is
+    <= 0) attains the draw's reference maximum within PAIR_RTOL; scores,
+    values and the gradient moments at those rows are within PAIR_RTOL of
+    the per-draw formula's."""
+    vals, scores = batch_values(obj, lam, Z)
+    gmean, gsq = batch_gradient(obj, lam, Z, vals, scores)
+    rows = np.argmax(scores, axis=0)
+    assert np.array_equal(vals, np.maximum(scores[rows, np.arange(Z.shape[0])], 0.0))
+    rows[vals <= 0] = obj.anchor
+    ref_scores, ref_vals, ref_mean, ref_sq, magnitude, gmag = reference_gap_kernels(obj, lam, Z, rows)
+    top = magnitude.max(axis=0)
+    assert_sums_close(ref_scores[rows, np.arange(Z.shape[0])], ref_vals, top)
+    assert_sums_close(scores, ref_scores, magnitude)
+    assert_sums_close(vals, ref_vals, top)
+    assert_sums_close(gmean, ref_mean, gmag)
+    assert_close(gsq, ref_sq)  # a sum of squares cannot cancel
+
+
+def test_gap_kernels_match_per_draw_formula():
+    rng = np.random.default_rng(12)
+    for H in random_classes(np.random.default_rng(4), 60):
+        m, n = H.shape
+        eta = rng.random(n)
+        anchor = int(np.argmin((eta.sum() + H @ (1 - 2 * eta)) / n))
+        if m > 2:
+            H[(anchor + 1) % m] = H[anchor]  # a row that ties the anchor on every draw
+        lam = floor_simplex(rng.random(n))
+        for obj in (gap_objective(H, eta, anchor, 0.25), gap_objective(H, eta, anchor, 0.1, mode="true_gap")):
+            for Z in (rng.standard_normal((16, n)), rng.standard_normal((1, n)), np.zeros((8, n))):
+                check_gap_kernels(obj, lam, Z)
+    # an oracle working set, grown on the first draws of the batch
+    for _ in range(10):
+        H, eta, anchor = _random_gap_objective(rng, 6, 8)
+
+        def maximizer(w, H=H):
+            i = int(np.argmax(H @ w))
+            return i, H[i]
+
+        obj = oracle_gap_objective(8, H[anchor], eta, 0.25, maximizer, line_search_iters=4)
+        lam, Z = floor_simplex(rng.random(8)), rng.standard_normal((32, 8))
+        work = _grow_working_set(obj, lam, Z[:4], {obj.anchor_labeling.tobytes()})
+        assert work.V.shape[0] > 1
+        check_gap_kernels(work, lam, Z)
+    # the benchmark's shapes (m, n, B): the sweep's core-tail round, and two larger
+    core_tail = make_core_tail_instance(4).hypotheses.labelings
+    check_gap_kernels(gap_objective(core_tail, np.zeros(20), 0, 0.5), floor_simplex(rng.random(20)),
+                      rng.standard_normal((256, 20)))
+    for m, n in ((16, 16), (64, 64)):
+        obj = gap_objective(*_random_gap_objective(rng, m, n), 0.25)
+        check_gap_kernels(obj, floor_simplex(rng.random(n)), rng.standard_normal((1024, n)))
 
 
 def test_sample_unique_matches_reference():

@@ -94,11 +94,11 @@ CASES = {
 }
 
 GOLDEN = {
-    "fixed_budget_chaining/thresholds": "ee21163ffe52a60b65018d4a65602d4fd28303bf8483a20188473cea5bd7a30a",
-    "fixed_budget_efficient/core_tail": "88394e684216ecd7a7c31110600beb33b91c16e6a5106d64992a87afe837e334",
-    "fixed_budget_efficient/thresholds": "71462b2f5062bd480165bfdd2b32cfc459530e7339daae7bda0713de09a9fff5",
-    "fixed_budget_ips/thresholds": "21e23b8d41f03e70dc2868e260da444c420307f3629ed1ca4e477e0aefe1da4b",
-    "fixed_budget_naive/core_tail": "faa5b3c26939148c0654f594f9532d7d35b8019e8b8e45851bbb1ce15bc0a053",
+    "fixed_budget_chaining/thresholds": "e06830a3cead13dadcbc62206df0c536171dd9ce33a064430729c9f71ca3eec8",
+    "fixed_budget_efficient/core_tail": "815e4315416ae1cef68a037476b47fdf5b5a8daad3ef04c266cb29bc07dfaada",
+    "fixed_budget_efficient/thresholds": "d74e9896ea16f2bed56248af9f61469c380bae3cda930ada30d0e81d70aa1e91",
+    "fixed_budget_ips/thresholds": "c89100f7701dc465af77645602d1f470c0b46ce7d242b6ef9b9e753dcf7c29f6",
+    "fixed_budget_naive/core_tail": "1662fd44cfbcd80c8a6fbcf87eba0be892fd0fa8c0b687d253351059378bee82",
     "fixed_confidence_capped/thresholds": "d5137b6f0efefd4577fcc0e391a5fdfd5e248b44a05783bbb6c4c10e6198a2dc",
     "fixed_confidence/thresholds": "50300cace3813bbf91d19102a359cd952b46281b07360067dfcd848a0123fea2",
     "iwal/core_tail": "6ac0dec67b743cdb06ed40221744591bbea919f8a8d5dcaafe038d3a448e0ffc",
@@ -109,10 +109,10 @@ GOLDEN = {
     "passive/core_tail": "cefc6cf2197f83525af8c3fda91c03783f9c63d8cdfd4e74115f51c873bafea2",
     "passive_nonpersistent/thresholds": "54acfc1406a7463ace9a27d50616f53cc894521e769ee2b38fa8da0553fa6d40",
     "uniform_disagreement/thresholds": "9cc31249051764ce88a25353e2948fb8c140e70217c0afa6cedc81a588c12a55",
-    "waterfilled/core_tail": "685479701722be4bf3f0f6be55343e85ee7c6fa59dc73fe27163156c193297e4",
-    "waterfilled_exhausted/thresholds": "39dd8960ec178d2c864830b6d273cfd4ac71c72e512ba101c07f86796b22114c",
+    "waterfilled/core_tail": "c61d5fa91cc71381682d8ec3f7af0f74e4d87a446647ae58e879ae9349b989e1",
+    "waterfilled_exhausted/thresholds": "21c2f914d2ececaaa0d63ecc63266757e5a60de115ceea995e8c4bb98173a2bd",
     "waterfilled_oracle/linear": "90d685db3cb9419ad2d0118e4bbcf5799ab5cee3045dc4f22aaa38f85d3b7484",
-    "waterfilled_oracle_lsi1/linear": "98db287a16bc4621bbb7f08bf776ccb1ea13a284fb1aeae5ce775dd35d094c32",
+    "waterfilled_oracle_lsi1/linear": "28b1c81b3ecc1f2cb9a3acf434622b01b7d3550e381b3cb1cc5866a32463398f",
 }
 
 
@@ -182,7 +182,7 @@ def test_fixed_budget_shared_cache_panel_digest():
                                                     seed=seed).to_jsonl()
                      for seed in range(4))
     assert (hashlib.sha256(body.encode()).hexdigest()
-            == "4d95807f4bb45bb2a040d9ea35a26b64cf7694135b8d7654c7b7b44c8b540f36")
+            == "294b0a352cf0c05c6e0eda10726933406bbe992404f14f1320f4a594b2aa81a2")
 
 
 def test_complexity_measures_digest():
