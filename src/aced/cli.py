@@ -47,12 +47,15 @@ def _cmd_complexity(args):
     instance = build_instance(config.instance)
     rep = complexity_report(instance, epsilon=args.epsilon, mc_samples=args.mc_samples)
     records = [
-        {"measure": "rho_star", "value": rep.rho_star.value, "spread": rep.rho_star.certificate},
-        {"measure": "gamma_star", "value": rep.gamma_star.value, "spread": rep.gamma_star.stderr},
-        {"measure": "psi_star", "value": rep.psi_star.value, "spread": rep.psi_star.certificate},
+        {"measure": "rho_star", "value": rep.rho_star.value, "spread": rep.rho_star.certificate,
+         "converged": rep.rho_star.converged},
+        {"measure": "gamma_star", "value": rep.gamma_star.value, "spread": rep.gamma_star.stderr,
+         "converged": rep.gamma_star.converged},
+        {"measure": "psi_star", "value": rep.psi_star.value, "spread": rep.psi_star.certificate,
+         "converged": rep.psi_star.converged},
     ]
     for xi, th in sorted(rep.theta.items()):
-        records.append({"measure": f"theta@{xi:g}", "value": th, "spread": 0.0})
+        records.append({"measure": f"theta@{xi:g}", "value": th, "spread": 0.0, "converged": True})
     out_dir = Path(os.environ.get("ACED_OUT_DIR", args.out or "."))
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.format == "jsonl":
@@ -64,9 +67,10 @@ def _cmd_complexity(args):
         path = out_dir / "complexity.csv"
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(["epsilon", "measure", "value", "spread"])
+            w.writerow(["epsilon", "measure", "value", "spread", "converged"])
             for r in records:
-                w.writerow([f"{args.epsilon:g}", r["measure"], f"{r['value']:.10g}", f"{r['spread']:.10g}"])
+                w.writerow([f"{args.epsilon:g}", r["measure"], f"{r['value']:.10g}", f"{r['spread']:.10g}",
+                            json.dumps(r["converged"])])
     print(str(path))
     return 0
 

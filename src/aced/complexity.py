@@ -12,6 +12,7 @@ sampling.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,7 +83,13 @@ def rho_star(hclass: HypothesisClass, labels: LabelModel, epsilon: float) -> Mea
 
 def gamma_star(hclass: HypothesisClass, labels: LabelModel, epsilon: float,
                mc_samples: int = 4000, solver: dict | None = None, seed: int = 0) -> MeasureResult:
-    """Squared expected worst gap-normalized Gaussian width at the solved design."""
+    """Squared expected worst gap-normalized Gaussian width at the solved design.
+
+    mc_samples must be an integer >= 2, since the stderr needs two draws;
+    anything else is a ValueError, raised before the solve.
+    """
+    if isinstance(mc_samples, bool) or not isinstance(mc_samples, numbers.Integral) or mc_samples < 2:
+        raise ValueError(f"mc_samples must be an integer >= 2, got {mc_samples!r}")
     if hclass.size == 1:
         return MeasureResult(0.0, Design.uniform(hclass.n))
     gt = gap_table(hclass, labels)

@@ -13,7 +13,11 @@ row won, so a step's work is a few small products. The two
 deterministic designs behind the complexity measures need no descent:
 psi_design solves the worst-coordinate objective in closed form, and
 rho_design the inverse-information objective through its dual,
-certified by the exact duality gap. An oracle-backed gap objective is
+certified by the exact duality gap. Its multiplicative
+(Silvey-Titterington-Torsney) step is over-relaxed by an exponent and
+kept only when it raises the dual bound at least as far as the plain
+step, which cuts the iterations about sevenfold (267 to 39 on
+make_thresholds(16, 7, 0.5) at eps = 0.1). An oracle-backed gap objective is
 solved by column generation (Kelley's cutting planes): the solve keeps
 the working set W of labelings its oracle line searches have returned,
 asks the oracle only on the first max(b0, 2) draws of each iterate's
@@ -289,6 +293,12 @@ def psi_design(labelings, eta, anchor: int, scale: float, floor_at_scale: bool =
 
 RHO_REL_GAP = 1e-4
 RHO_MAX_ITERS = 20_000
+# The largest exponent of rho_design's over-relaxed step: a run of accepted
+# steps doubles it from 2, so it reaches 64 after five, and a step that
+# scores below the plain one resets it to 2. On make_thresholds(16, 7, 0.5)
+# the solve certifies in 39 iterations at eps = 0.1 and 36 at eps = 0.05
+# (the plain step alone takes 267 and 271).
+RHO_MAX_EXPONENT = 64
 PLATEAU_WINDOW = 10  # smd_solve iterations between candidate averages and plateau tests
 
 
@@ -299,21 +309,31 @@ def rho_design(labelings, eta, epsilon: float, anchor: int) -> SolverReport:
 
     For hypothesis weights mu on the simplex and w = sum_h mu_h c_h S_h,
     min over lam of sum_i w_i / lam_i is (sum_i sqrt(w_i))^2, attained at
-    lam proportional to sqrt(w): a lower bound on the minimax value. The
-    Silvey-Titterington-Torsney update mu_h <- mu_h c_h S_h.(1/lam),
-    renormalized, raises it; the best primal iterate is returned with the
-    exact duality gap as its certificate, once that gap is at most
-    RHO_REL_GAP of the value ("certificate") or after RHO_MAX_ITERS
-    iterations ("cap").
+    lam proportional to sqrt(w): a lower bound on the minimax value. With
+    vals_h = c_h S_h.(1/lam) at that lam, each iteration renormalizes two
+    candidate weights, the Silvey-Titterington-Torsney step mu_h vals_h
+    and its over-relaxed form mu_h (vals_h / max vals)^kappa (Silvey,
+    Titterington & Torsney 1978), scores both by their bound in one
+    product, and keeps the over-relaxed step when its bound is at least the
+    plain step's (then kappa doubles, up to RHO_MAX_EXPONENT), else the
+    plain step (then kappa goes back to 2). The guard is needed because the
+    over-relaxed step is monotone only for small kappa (Yu 2010); an
+    over-relaxed step that underflows to all zeros scores nan and is not
+    kept. Any mu on the simplex gives a valid bound, so the certificate is
+    exact whichever step produced mu; a weight that underflows to 0 stays
+    0. The best primal iterate is returned with the exact duality gap as
+    its certificate, once that gap is at most RHO_REL_GAP of the value
+    ("certificate") or after RHO_MAX_ITERS iterations ("cap").
     """
     S, den = _disagreement_supports(labelings, eta, anchor, epsilon, floor_at_scale=True)
     coeff = 1.0 / (S.shape[1] ** 2 * den**2)
     CS = coeff[:, None] * S
     mu = np.full(CS.shape[0], 1.0 / CS.shape[0])
+    root = np.sqrt(mu @ CS)
+    kappa = 2
     best_value, best_root, bound = np.inf, None, 0.0
     stop_reason = "cap"
     for it in range(1, RHO_MAX_ITERS + 1):
-        root = np.sqrt(mu @ CS)
         bound = max(bound, float(root.sum()) ** 2)
         vals = coeff * (S @ (1.0 / floor_simplex(root)))
         value = float(vals.max())
@@ -322,8 +342,12 @@ def rho_design(labelings, eta, epsilon: float, anchor: int) -> SolverReport:
         if best_value - bound <= RHO_REL_GAP * best_value:
             stop_reason = "certificate"
             break
-        mu *= vals
-        mu /= mu.sum()
+        steps = np.vstack([mu * vals, mu * (vals / value) ** kappa])
+        steps /= steps.sum(axis=1, keepdims=True)
+        roots = np.sqrt(steps @ CS)
+        relaxed = roots[1].sum() >= roots[0].sum()
+        mu, root = steps[int(relaxed)], roots[int(relaxed)]
+        kappa = min(2 * kappa, RHO_MAX_EXPONENT) if relaxed else 2
     return SolverReport(design=Design(best_root), value_estimate=best_value,
                         certificate=max(best_value - bound, 0.0), batch_trajectory=[],
                         iterations=it, stop_reason=stop_reason)

@@ -308,6 +308,7 @@ def test_cli_end_to_end(tmp_path, capsys):
         assert float(c["epsilon"]) == j["epsilon"]
         assert float(c["value"]) == pytest.approx(j["value"], rel=1e-9, abs=1e-12)
         assert float(c["spread"]) == pytest.approx(j["spread"], rel=1e-9, abs=1e-12)
+        assert json.loads(c["converged"]) is j["converged"]
 
     assert cli.main(["instance", "core_tail", "--out", str(tmp_path / "i"),
                      "--param", "m=2"]) == 0
@@ -333,6 +334,23 @@ def test_cli_complexity_rejects_arguments_it_cannot_use(tmp_path, capsys, flag, 
     assert exc.value.code == 2
     assert f"argument {flag}: must be " in capsys.readouterr().err
     assert not (tmp_path / "c").exists()
+
+
+def test_cli_complexity_reports_a_capped_solve(tmp_path, monkeypatch, capsys):
+    import aced.design
+
+    monkeypatch.setattr(aced.design, "RHO_MAX_ITERS", 1)
+    cfg = write_config(tmp_path, BASE.format(seeds="0", holdout=0.0, out=tmp_path / "o"))
+    assert cli.main(["complexity", str(cfg), "--out", str(tmp_path)]) == 0
+    assert cli.main(["complexity", str(cfg), "--out", str(tmp_path), "--format", "jsonl"]) == 0
+    with open(tmp_path / "complexity.csv") as fh:
+        csv_converged = {r["measure"]: r["converged"] for r in csv.DictReader(fh)}
+    with open(tmp_path / "complexity.jsonl") as fh:
+        jsonl_converged = {r["measure"]: r["converged"] for r in map(json.loads, fh)}
+    assert csv_converged["rho_star"] == "false" and jsonl_converged["rho_star"] is False
+    assert csv_converged["psi_star"] == "true" and jsonl_converged["psi_star"] is True
+    assert all(jsonl_converged[k] for k in jsonl_converged if k.startswith("theta@"))
+    capsys.readouterr()
 
 
 def test_cli_complexity_accepts_epsilon_zero(tmp_path, capsys):

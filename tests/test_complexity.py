@@ -335,6 +335,16 @@ def test_rho_star_is_certified_on_thresholds():
     assert r.converged and 0.0 <= r.certificate <= 1e-4 * r.value
 
 
+@pytest.mark.parametrize("mc_samples", [0, 1, 2.5])
+def test_gamma_star_rejects_mc_samples_it_cannot_use(mc_samples):
+    # 0 divided by zero and 1 gave a nan stderr without a flag
+    inst = make_thresholds(8, 5, 1.0)
+    with pytest.raises(ValueError, match="^mc_samples"):
+        gamma_star(inst.hypotheses, inst.labels, 0.1, mc_samples=mc_samples)
+    with pytest.raises(ValueError, match="^mc_samples"):
+        complexity_report(inst, 0.1, mc_samples=mc_samples)
+
+
 def test_rho_dual_bound_is_below_the_value():
     inst = make_thresholds(16, 7, 0.5)
     gt = gap_table(inst.hypotheses, inst.labels)

@@ -243,6 +243,49 @@ def test_smd_certificate_upper_bounds_suboptimality_rho():
     assert rep.value_estimate - best <= rep.certificate + 1e-6
 
 
+def stt_iterations(labelings, eta, epsilon, anchor) -> int:
+    """Iterations the plain Silvey-Titterington-Torsney update
+    mu_h <- mu_h vals_h, renormalized, takes to meet rho_design's stop rule:
+    the reference for its over-relaxed step."""
+    S, coeff = rho_terms(labelings, eta, epsilon, anchor)
+    mu = np.full(coeff.size, 1.0 / coeff.size)
+    best, bound = np.inf, 0.0
+    for it in range(1, aced.design.RHO_MAX_ITERS + 1):
+        root = np.sqrt((mu * coeff) @ S)
+        bound = max(bound, float(root.sum()) ** 2)
+        vals = coeff * (S @ (1.0 / floor_simplex(root)))
+        best = min(best, float(vals.max()))
+        if best - bound <= aced.design.RHO_REL_GAP * best:
+            break
+        mu = mu * vals / (mu * vals).sum()
+    return it
+
+
+@pytest.mark.parametrize("n, k_star, eps, epsilon, most", [
+    (16, 7, 0.5, 0.1, 60),  # 39 iterations; the plain step takes 267
+    (16, 7, 0.5, 0.05, 60),  # 36; plain 271
+    (32, 13, 0.4, 0.05, 120),  # 73; plain 547
+])
+def test_rho_design_certifies_thresholds_within_its_iteration_bound(n, k_star, eps, epsilon, most):
+    inst = make_thresholds(n, k_star, eps)
+    H, eta = inst.hypotheses.labelings, inst.labels.eta
+    rep = rho_design(H, eta, epsilon, int(np.argmin(plugin_errors(H, eta))))
+    assert rep.stop_reason == "certificate" and rep.iterations <= most
+
+
+def test_rho_design_never_takes_more_iterations_than_the_plain_step():
+    rng = np.random.default_rng(2105)
+    for _ in range(40):
+        m, n = int(rng.integers(3, 60)), int(rng.integers(4, 40))
+        H = rng.integers(0, 2, size=(m, n))
+        eta = rng.random(n)
+        epsilon = float(rng.choice([0.01, 0.05, 0.2]))
+        anchor = int(np.argmin(plugin_errors(H, eta)))
+        rep = rho_design(H, eta, epsilon, anchor)
+        assert rep.stop_reason == "certificate"
+        assert rep.iterations <= stt_iterations(H, eta, epsilon, anchor)
+
+
 def test_pair_width_value_positive_and_penalized():
     H = np.array([[0, 0], [1, 0], [1, 1]], dtype=np.int8)
     obj = pair_width_objective(H, 0.1)

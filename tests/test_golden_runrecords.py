@@ -197,4 +197,4 @@ def test_complexity_measures_digest():
                 r = measure(inst.hypotheses, inst.labels, eps)
                 digest.update(struct.pack("<dd?", r.value, r.certificate, r.converged))
                 digest.update(r.design.lam.tobytes())
-    assert digest.hexdigest() == "e18bd6f55a7cc2a3d8a5e3a0964d7c5fb74c59a7598221c521bbdc5bee044bd2"
+    assert digest.hexdigest() == "86d613558b390c89845e127f2fcc7b2ca0ecbedfd4c0d1b33a2e7b1dd3dfe7df"
