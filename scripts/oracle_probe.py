@@ -6,8 +6,9 @@ labels from a logistic model of slope 2 around a seeded unit direction,
 realized once) and runs aced_waterfilled through the logistic ERM oracle.
 For each design solve it prints why the solve stopped, its iterations,
 the oracle calls its line searches asked for (design.line_search_max's
-maximizer calls), its logistic fits (oracles._fit_logistic calls) and
-its wall time; then the run's total fits and wall time. A weight vector
+maximizer calls), its logistic fits (oracles._fit_logistic calls), their
+Newton steps (np.linalg.solve calls inside a fit) and its wall time; then
+the run's total fits, Newton steps and wall time. A weight vector
 whose fit the oracle still keeps (LinearOracleClass keeps its most recent
 fits) is answered without a new one, so asked can exceed fits.
 
@@ -45,12 +46,20 @@ def main():
     ap.add_argument("--max-iters", type=int, default=DEFAULT_SOLVER["max_iters"])
     args = ap.parse_args()
 
-    fits, asked = [0], [0]
-    fit = oracles._fit_logistic
+    fits, asked, newton = [0], [0], [0]
+    fit, solve_step = oracles._fit_logistic, np.linalg.solve
+
+    def counting_step(*a):
+        newton[0] += 1
+        return solve_step(*a)
 
     def counting_fit(*a, **kw):
         fits[0] += 1
-        return fit(*a, **kw)
+        np.linalg.solve = counting_step
+        try:
+            return fit(*a, **kw)
+        finally:
+            np.linalg.solve = solve_step
 
     search = design.line_search_max
 
@@ -64,10 +73,10 @@ def main():
     solve = algorithms.smd_solve
 
     def timed_solve(*a, **kw):
-        before, asked_before, start = fits[0], asked[0], time.perf_counter()
+        before, asked_before, steps_before, start = fits[0], asked[0], newton[0], time.perf_counter()
         rep = solve(*a, **kw)
         solves.append((rep.stop_reason, rep.iterations, asked[0] - asked_before, fits[0] - before,
-                       time.perf_counter() - start))
+                       newton[0] - steps_before, time.perf_counter() - start))
         return rep
 
     oracles._fit_logistic = counting_fit
@@ -80,10 +89,11 @@ def main():
                            line_search_iters=args.line_search_iters)
     wall = time.perf_counter() - start
 
-    print(f"{'solve':>5} {'stop_reason':>12} {'iterations':>10} {'asked':>9} {'fits':>9} {'seconds':>8}")
-    for k, (reason, iters, n_asked, n_fits, secs) in enumerate(solves, start=1):
-        print(f"{k:>5} {reason:>12} {iters:>10} {n_asked:>9} {n_fits:>9} {secs:>8.2f}")
-    print(f"total: {fits[0]} fits in {wall:.2f} s, {len(rec.queries)} labels")
+    print(f"{'solve':>5} {'stop_reason':>12} {'iterations':>10} {'asked':>9} {'fits':>9} {'newton':>9}"
+          f" {'seconds':>8}")
+    for k, (reason, iters, n_asked, n_fits, n_steps, secs) in enumerate(solves, start=1):
+        print(f"{k:>5} {reason:>12} {iters:>10} {n_asked:>9} {n_fits:>9} {n_steps:>9} {secs:>8.2f}")
+    print(f"total: {fits[0]} fits, {newton[0]} newton steps in {wall:.2f} s, {len(rec.queries)} labels")
 
 
 if __name__ == "__main__":

@@ -81,6 +81,11 @@ def rho_star(hclass: HypothesisClass, labels: LabelModel, epsilon: float) -> Mea
                          converged=rep.converged)
 
 
+def _check_mc_samples(mc_samples) -> None:
+    if isinstance(mc_samples, bool) or not isinstance(mc_samples, numbers.Integral) or mc_samples < 2:
+        raise ValueError(f"mc_samples must be an integer >= 2, got {mc_samples!r}")
+
+
 def gamma_star(hclass: HypothesisClass, labels: LabelModel, epsilon: float,
                mc_samples: int = 4000, solver: dict | None = None, seed: int = 0) -> MeasureResult:
     """Squared expected worst gap-normalized Gaussian width at the solved design.
@@ -88,8 +93,7 @@ def gamma_star(hclass: HypothesisClass, labels: LabelModel, epsilon: float,
     mc_samples must be an integer >= 2, since the stderr needs two draws;
     anything else is a ValueError, raised before the solve.
     """
-    if isinstance(mc_samples, bool) or not isinstance(mc_samples, numbers.Integral) or mc_samples < 2:
-        raise ValueError(f"mc_samples must be an integer >= 2, got {mc_samples!r}")
+    _check_mc_samples(mc_samples)
     if hclass.size == 1:
         return MeasureResult(0.0, Design.uniform(hclass.n))
     gt = gap_table(hclass, labels)
@@ -258,6 +262,9 @@ def make_tsybakov(n: int, a: float, alpha: float, seed: int = 0, m_hyp: int = 8,
 def complexity_report(instance: Instance, epsilon: float, xis=(0.01, 0.05, 0.1),
                       mc_samples: int = 4000, solver: dict | None = None,
                       seed: int = 0) -> ComplexityReport:
+    """theta at each xi, then rho*, gamma* and psi* at epsilon; a bad
+    mc_samples is a ValueError, raised before any of them is solved."""
+    _check_mc_samples(mc_samples)
     hclass, labels = instance.hypotheses, instance.labels
     theta = {float(x): disagreement_coefficient(hclass, labels, float(x)) for x in xis}
     return ComplexityReport(

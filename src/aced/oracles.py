@@ -3,11 +3,15 @@
 Weighted linear maximization (an argmax over an explicit class, or the
 sign reduction to weighted ERM), a logistic surrogate for linear classes
 fitted by damped Newton (IRLS), and the fixed-margin "flip" variant that
-forces a prediction at one point. A LinearOracleClass keeps its most
-recent weighted-ERM fits and answers a repeated question from them. A
-weighted sample is given as parallel arrays: an n x p feature matrix, the
-weights w and the 0/1 labels y. A logistic fit that stops at its
-iteration cap says so through LinearHypothesis.converged, not a warning.
+forces a prediction at one point. Where a full Newton step lowers the
+loss by EXTRAPOLATION_GATE times what Newton's quadratic model predicts,
+as it does along a separable sample's exponential tail, the fit keeps
+doubling the step while the loss still falls. A LinearOracleClass keeps
+its most recent weighted-ERM fits and answers a repeated question from
+them. A weighted sample is given as parallel arrays: an n x p feature
+matrix, the weights w and the 0/1 labels y. A logistic fit that stops at
+its iteration cap says so through LinearHypothesis.converged, not a
+warning.
 """
 from __future__ import annotations
 
@@ -22,12 +26,22 @@ from .core import HypothesisClass
 # margin. The iteration cap counts Newton steps, far more than a fit takes.
 # Over 60 iwal runs (C0 = 0.01, two passes, on 2-feature logistic pools of
 # n = 16, 40 and 100 points, 20 seeds each), the flip fits, from zero, take
-# a median of 5 steps (p90 8, max 17); the ERM refits, each from the last
-# ERM, a median of 3 (p90 7, max 18), where from zero they took 6 (p90 13)
+# a median of 5 steps (mean 4.9, p90 6, max 12); the ERM refits, each from
+# the last ERM, a median of 3 (mean 3.0, p90 5, max 14), where from zero
+# they take 5 (p90 7)
 ERM_REG = 1e-6
 ERM_TOL = 1e-6
 ERM_MAX_ITER = 5000
 FLIP_MARGIN = 1e-3
+# a full Newton step whose loss fell by at least this multiple of the
+# quadratic model's predicted decrease, -slope/2, is doubled while the loss
+# still falls. The ratio is 1 where the loss is quadratic along the step.
+# Far out on a separable sample's ridge a loss term is about c e^-s at a
+# distance s along the step. There the Newton step is s = 1, and the model
+# predicts a decrease of c/2 against an actual c (1 - e^-1): a ratio of
+# 2 (1 - e^-1) ~ 1.26. The gate sits between, so a step near the optimum
+# pays no doubling trial
+EXTRAPOLATION_GATE = 1.2
 
 
 def _weighted_arrays(w, y) -> tuple:
@@ -81,9 +95,19 @@ def _fit_logistic(X, w, y, reg, tol, max_iter, *, theta0, fixed_intercept=None):
     Minimizes sum_i w_i log(1 + exp(-y_i (v.x_i + b))) + reg ||v||^2 with b
     free and unpenalized, or pinned to fixed_intercept (then each step solves
     a p x p system, not (p+1) x (p+1)); steps backtrack to the Armijo
-    condition. Converged once the gradient infinity-norm is <= tol within
-    max_iter Newton steps; otherwise the last (lowest-loss) iterate comes
-    back with converged=False. Returns (v, b, converged).
+    condition from t = 1. Converged once the gradient infinity-norm is
+    <= tol within max_iter Newton steps; otherwise the last (lowest-loss)
+    iterate comes back with converged=False. Returns (v, b, converged).
+
+    A full step (t = 1) whose loss fell by at least EXTRAPOLATION_GATE times
+    the quadratic model's predicted decrease, -slope/2, is extrapolated: t
+    doubles, at most 60 times, while the loss still falls and the Armijo
+    condition holds at the doubled t. The gate is read only where its margin
+    over the prediction lies above the rounding of a loss summed over n
+    terms. Each trial loss is one w @ logaddexp(0, m); e^-|m|, for the
+    gradient and the Hessian, is computed once per accepted iterate. The
+    loss is nonnegative, so a backtracking trial whose Armijo bound is
+    below zero is skipped without evaluating it.
 
     theta0 is (v, b), or v alone when the intercept is pinned. It moves only
     where Newton begins, not the problem solved or the convergence test, so
@@ -101,11 +125,11 @@ def _fit_logistic(X, w, y, reg, tol, max_iter, *, theta0, fixed_intercept=None):
     m0 = 0.0 if free else -y_pm * fixed_intercept
     pen = np.full(B.shape[1], 2.0 * reg)
     pen[p:] = 0.0  # a free intercept is not penalized
+    rounding = n * np.finfo(float).eps  # a sum of n positive terms rounds within this share
 
-    def evaluate(th):
+    def loss_at(th):
         m = B @ th + m0
-        e = np.exp(-np.abs(m))  # log(1 + e^m) = max(m, 0) + log1p(e), overflow-free
-        return float(w @ (np.maximum(m, 0.0) + np.log1p(e))) + 0.5 * float(pen @ (th * th)), m, e
+        return float(w @ np.logaddexp(0.0, m)) + 0.5 * float(pen @ (th * th)), m
 
     penalty_hessian = np.diag(pen)
     starts = [np.zeros(B.shape[1])]
@@ -114,8 +138,9 @@ def _fit_logistic(X, w, y, reg, tol, max_iter, *, theta0, fixed_intercept=None):
         if starts[0].shape != starts[1].shape:
             raise ValueError(f"theta0 must have {B.shape[1]} entries")
     for theta in starts:  # the start from zero runs only if a warm start stopped short
-        loss, m, e = evaluate(theta)
+        loss, m = loss_at(theta)
         for it in range(max_iter + 1):
+            e = np.exp(-np.abs(m))  # sigmoid(m) = [1 or e] / (1 + e), overflow-free
             grad = B.T @ (w * np.where(m >= 0, 1.0, e) / (1.0 + e)) + pen * theta
             converged = bool(np.abs(grad).max() <= tol)
             if converged or it == max_iter:
@@ -128,14 +153,25 @@ def _fit_logistic(X, w, y, reg, tol, max_iter, *, theta0, fixed_intercept=None):
             slack = 2e-15 * abs(loss)  # passes a decrease below the loss's rounding
             t = 1.0
             for _ in range(60):
-                cand = theta + t * step
-                cand_loss, cand_m, cand_e = evaluate(cand)
-                if cand_loss <= loss + 1e-4 * t * slope + slack:
-                    break
+                bound = loss + 1e-4 * t * slope + slack
+                if bound >= 0.0:  # the loss is nonnegative, so below 0 no trial passes
+                    cand = theta + t * step
+                    cand_loss, cand_m = loss_at(cand)
+                    if cand_loss <= bound:
+                        break
                 t *= 0.5
             else:
                 break
-            theta, loss, m, e = cand, cand_loss, cand_m, cand_e
+            model = -0.5 * slope  # the quadratic model's decrease at t = 1
+            if (t == 1.0 and loss - cand_loss >= EXTRAPOLATION_GATE * model
+                    and (EXTRAPOLATION_GATE - 1.0) * model > rounding * loss):
+                for _ in range(60):  # out along the tail while the loss still falls
+                    far = theta + 2.0 * t * step
+                    far_loss, far_m = loss_at(far)
+                    if far_loss >= cand_loss or far_loss > loss + 1e-4 * 2.0 * t * slope + slack:
+                        break
+                    t, cand, cand_loss, cand_m = 2.0 * t, far, far_loss, far_m
+            theta, loss, m = cand, cand_loss, cand_m
         if converged:
             break
     return theta[:p], (theta[p] if free else fixed_intercept), converged
@@ -182,8 +218,8 @@ def erm_flip_constrained(X, w, y, x_k, desired_sign: int) -> LinearHypothesis:
 # the logistic fit of LinearOracleClass. Looser tolerance than erm_logistic:
 # design solves call this oracle thousands of times and only need
 # surrogate-grade answers. The iteration cap counts Newton steps, far more
-# than a fit takes: a median of 3 (p90 4, max 10) over the 321 fits of
-# scripts/oracle_probe.py at its defaults, and of 4 (p90 7, max 14) over
+# than a fit takes: a median of 3 (p90 4, max 5) over the 321 fits of
+# scripts/oracle_probe.py at its defaults, and of 4 (p90 5, max 9) over
 # the 440 fits of the 16-point halfspace-twin test in tests/test_design.py
 ORACLE_REG = 1e-6
 ORACLE_TOL = 1e-4

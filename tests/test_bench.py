@@ -598,7 +598,7 @@ def test_holdout_scores_on_oracle_class_and_non_persistent_labels(tmp_path, work
     assert not paths["errors"]
     rows = read_results_csv(paths["results"])
     assert all(r.holdout_acc is not None for r in rows)
-    assert _sha(_body(paths["results"])) == "66e6e5dc2fb68b5b82d1e97e03190159518ae45646ee5e9e9447e3bd84a92fdc"
+    assert _sha(_body(paths["results"])) == "dc75f5d446802258b46cb8f02a2a9b55d827844deec6dccc8366bdb50fdc5b60"
 
     cfg = load_config(write_config(tmp_path, NON_PERSISTENT.format(holdout=0.25, out=tmp_path / "o")
                                    + "".join(NON_PERSISTENT_ALGORITHMS)))

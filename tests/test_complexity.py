@@ -345,6 +345,19 @@ def test_gamma_star_rejects_mc_samples_it_cannot_use(mc_samples):
         complexity_report(inst, 0.1, mc_samples=mc_samples)
 
 
+@pytest.mark.parametrize("mc_samples", [0, 1, 2.5])
+def test_complexity_report_rejects_mc_samples_before_any_solve(monkeypatch, mc_samples):
+    import aced.complexity
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("solved before mc_samples was checked")
+
+    monkeypatch.setattr(aced.complexity, "disagreement_coefficient", unreachable)
+    monkeypatch.setattr(aced.complexity, "rho_star", unreachable)
+    with pytest.raises(ValueError, match="^mc_samples"):
+        complexity_report(make_thresholds(8, 5, 1.0), 0.1, mc_samples=mc_samples)
+
+
 def test_rho_dual_bound_is_below_the_value():
     inst = make_thresholds(16, 7, 0.5)
     gt = gap_table(inst.hypotheses, inst.labels)

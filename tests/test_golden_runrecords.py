@@ -64,8 +64,9 @@ CASES = {
     "waterfilled_exhausted/thresholds": lambda: REGISTRY["aced_waterfilled"](
         make_thresholds(4, 2, 1.0, persistent=True, seed=0), T=64, epsilon=1 / 32, N_batch=2,
         solver=SOLVER, seed=13),
-    # its round-2 design value depends on line_search_iters (1.3063 at 1, 1.3898
-    # at 2 and 20): at 1 each search is Dinkelbach's first step, max N(h) at r = 0
+    # its round-2 design value depends on line_search_iters (0.8793 at 1, 0.9851
+    # at 2, 0.9922 at 20): at 1 each search is Dinkelbach's first step, max N(h)
+    # at r = 0
     "waterfilled_oracle_lsi1/linear": lambda: REGISTRY["aced_waterfilled"](
         _linear(), T=8, epsilon=0.25, N_batch=4, solver={"max_iters": 3, "b0": 4, "max_batch": 8},
         line_search_iters=1, seed=7),
@@ -111,8 +112,8 @@ GOLDEN = {
     "uniform_disagreement/thresholds": "9cc31249051764ce88a25353e2948fb8c140e70217c0afa6cedc81a588c12a55",
     "waterfilled/core_tail": "c61d5fa91cc71381682d8ec3f7af0f74e4d87a446647ae58e879ae9349b989e1",
     "waterfilled_exhausted/thresholds": "21c2f914d2ececaaa0d63ecc63266757e5a60de115ceea995e8c4bb98173a2bd",
-    "waterfilled_oracle/linear": "90d685db3cb9419ad2d0118e4bbcf5799ab5cee3045dc4f22aaa38f85d3b7484",
-    "waterfilled_oracle_lsi1/linear": "28b1c81b3ecc1f2cb9a3acf434622b01b7d3550e381b3cb1cc5866a32463398f",
+    "waterfilled_oracle/linear": "d9eba80393689b40ccebbc3d3b88e54bf57ce60e2b2291ce997693a817455a86",
+    "waterfilled_oracle_lsi1/linear": "791046557aeebaf202847c2b730899968a0eb670755d4b14753a0d1c98a61f85",
 }
 
 
@@ -150,8 +151,8 @@ def test_oracle_golden_runs_make_pinned_logistic_fits(monkeypatch, name):
 
 def test_iwal_oracle_golden_run_makes_pinned_newton_steps(monkeypatch):
     # every Newton step of a logistic fit is one linear solve. Each ERM refit
-    # starts from the last ERM, so the run takes 269 steps; from zero, it
-    # took 380 (a median of 13 per ERM refit, against 3 warm)
+    # starts from the last ERM, and full steps are extrapolated along the
+    # loss's exponential tail: the run takes 136 steps, 380 with neither
     steps = []
     solve = np.linalg.solve
 
@@ -161,7 +162,7 @@ def test_iwal_oracle_golden_run_makes_pinned_newton_steps(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
     CASES["iwal_oracle/linear"]()
-    assert len(steps) == 269
+    assert len(steps) == 136
 
 
 def test_fixed_confidence_seed_panel_digest():

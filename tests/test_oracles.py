@@ -142,6 +142,141 @@ def test_newton_fit_converges_in_25_steps(separable, pinned, warm):
             assert abs(loss - ref.fun) <= 1e-8 * abs(ref.fun)
 
 
+def plain_newton_fit(X, w, y, reg, tol, max_iter, *, theta0, fixed_intercept=None):
+    """_fit_logistic without its step extrapolation: Armijo backtracking from
+    t = 1 only, each trial loss computed as max(m, 0) + log1p(e^-|m|). The
+    reference for the extrapolated steps; returns (v, b, converged,
+    newton_steps, loss_evaluations)."""
+    n, p = X.shape
+    y_pm = 2.0 * np.asarray(y, dtype=float) - 1.0
+    free = fixed_intercept is None
+    B = -y_pm[:, None] * (np.hstack([X, np.ones((n, 1))]) if free else X)
+    m0 = 0.0 if free else -y_pm * fixed_intercept
+    pen = np.full(B.shape[1], 2.0 * reg)
+    pen[p:] = 0.0
+    work = {"steps": 0, "evals": 0}
+
+    def evaluate(th):
+        work["evals"] += 1
+        m = B @ th + m0
+        e = np.exp(-np.abs(m))
+        return float(w @ (np.maximum(m, 0.0) + np.log1p(e))) + 0.5 * float(pen @ (th * th)), m, e
+
+    starts = [np.zeros(B.shape[1])]
+    if theta0 is not None:
+        starts.insert(0, np.array(theta0, dtype=float))
+    for theta in starts:
+        loss, m, e = evaluate(theta)
+        for it in range(max_iter + 1):
+            grad = B.T @ (w * np.where(m >= 0, 1.0, e) / (1.0 + e)) + pen * theta
+            converged = bool(np.abs(grad).max() <= tol)
+            if converged or it == max_iter:
+                break
+            work["steps"] += 1
+            try:
+                step = np.linalg.solve((B.T * (w * e / (1.0 + e) ** 2)) @ B + np.diag(pen), -grad)
+            except np.linalg.LinAlgError:
+                break
+            slope = float(grad @ step)
+            slack = 2e-15 * abs(loss)
+            t = 1.0
+            for _ in range(60):
+                cand = theta + t * step
+                cand_loss, cand_m, cand_e = evaluate(cand)
+                if cand_loss <= loss + 1e-4 * t * slope + slack:
+                    break
+                t *= 0.5
+            else:
+                break
+            theta, loss, m, e = cand, cand_loss, cand_m, cand_e
+        if converged:
+            break
+    return theta[:p], (theta[p] if free else fixed_intercept), converged, work["steps"], work["evals"]
+
+
+def counted_fit(*args, **kwargs):
+    """_fit_logistic's (v, b, converged) with its Newton steps (linear solves)
+    and loss evaluations (one np.logaddexp each)."""
+    work = {"steps": 0, "evals": 0}
+    solve, logaddexp = np.linalg.solve, np.logaddexp
+
+    def counting_solve(*a):
+        work["steps"] += 1
+        return solve(*a)
+
+    def counting_logaddexp(*a):
+        work["evals"] += 1
+        return logaddexp(*a)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "solve", counting_solve)
+        mp.setattr(np, "logaddexp", counting_logaddexp)
+        fit = _fit_logistic(*args, **kwargs)
+    return fit + (work["steps"], work["evals"])
+
+
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("pinned", [None, 1e-3])
+def test_extrapolated_steps_walk_a_separable_ridge_in_fewer_newton_steps(pinned, warm):
+    # Newton's quadratic model underestimates the exponential tail that a
+    # separable sample's loss falls along, so plain steps walk its flat ridge
+    # a constant at a time. Warm fits start from the fit on the first half of
+    # the sample, so that Newton has somewhere to go
+    reg, tol = 1e-6, 1e-6
+    steps, plain_steps = [], []
+    for seed in range(40):
+        X, w, y = _weighted_pool(seed, separable=True)
+        start = None
+        if warm:
+            half = len(y) // 2
+            v0, b0, _ = _fit_logistic(X[:half], w[:half], y[:half], reg, tol, 25, theta0=None,
+                                      fixed_intercept=pinned)
+            start = v0 if pinned is not None else np.append(v0, b0)
+        v, b, ok, n_steps, _ = counted_fit(X, w, y, reg, tol, 25, theta0=start, fixed_intercept=pinned)
+        pv, pb, plain_ok, n_plain, _ = plain_newton_fit(X, w, y, reg, tol, 25, theta0=start,
+                                                        fixed_intercept=pinned)
+        assert ok and plain_ok
+        assert ((X @ v + b >= 0) == (X @ pv + pb >= 0)).all()  # b is the pinned value when pinned
+        steps.append(n_steps)
+        plain_steps.append(n_plain)
+    assert np.median(steps) <= 2 / 3 * np.median(plain_steps)
+
+
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("pinned", [None, 1e-3])
+def test_extrapolation_costs_no_work_on_a_non_separable_sample(pinned, warm):
+    # near the optimum the loss is quadratic along the step, so the gate
+    # keeps each fit to the plain fit's Newton steps and loss evaluations
+    reg, tol = 1e-6, 1e-6
+    for seed in range(40):
+        X, w, y = _weighted_pool(seed, separable=False)
+        start = _prefix_start(X, w, y, reg, tol, pinned) if warm else None
+        *_, ok, n_steps, n_evals = counted_fit(X, w, y, reg, tol, 25, theta0=start, fixed_intercept=pinned)
+        *_, plain_ok, n_plain, plain_evals = plain_newton_fit(X, w, y, reg, tol, 25, theta0=start,
+                                                              fixed_intercept=pinned)
+        assert ok and plain_ok
+        assert n_steps + n_evals <= n_plain + plain_evals
+
+
+@pytest.mark.parametrize("pinned", [None, 1e-3])
+@pytest.mark.parametrize("separable", [True, False])
+def test_loss_never_rises_from_one_accepted_iterate_to_the_next(separable, pinned):
+    # a fit capped at k Newton steps returns its k-th accepted iterate; the
+    # loss may rise only by the rounding that the Armijo test lets pass
+    reg, tol = 1e-6, 1e-6
+    for seed in range(40):
+        X, w, y = _weighted_pool(seed, separable)
+        A = X if pinned is not None else np.hstack([X, np.ones((len(y), 1))])
+        before, ok, k = np.inf, False, 0
+        while not ok:
+            v, b, ok = _fit_logistic(X, w, y, reg, tol, k, theta0=None, fixed_intercept=pinned)
+            theta = v if pinned is not None else np.append(v, b)
+            loss, _ = _logistic_objective(theta, A, w, y, reg, pinned)
+            assert loss <= before + 4e-15 * abs(before)
+            before, k = loss, k + 1
+            assert k <= 25
+
+
 def test_flip_constraint_is_exact():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(10, 3))

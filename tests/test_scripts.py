@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from aced.oracles import ORACLE_MAX_ITER
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -43,16 +45,20 @@ def test_oracle_probe_prints_each_solve_and_the_run_total():
                        "--line-search-iters", "4", "--max-iters", "4")
     assert proc.returncode == 0, proc.stderr
     header, *solves, total = proc.stdout.splitlines()
-    assert header.split() == ["solve", "stop_reason", "iterations", "asked", "fits", "seconds"]
+    assert header.split() == ["solve", "stop_reason", "iterations", "asked", "fits", "newton", "seconds"]
     assert [row.split()[0] for row in solves] == ["1", "2"]  # two rounds of N_batch = 6
     assert all(row.split()[1] == "cap" and row.split()[2] == "4" for row in solves)
     # the oracle sees max(b0, 2) = 16 draws per iteration (DEFAULT_SOLVER's b0),
     # each a line search asking at most line_search_iters = 4 weight vectors
-    asked, fits = ([int(row.split()[k]) for row in solves] for k in (3, 4))
+    asked, fits, newton = ([int(row.split()[k]) for row in solves] for k in (3, 4, 5))
     assert all(f <= a <= 4 * 16 * 4 for a, f in zip(asked, fits))
     # before the first label eta-hat is 1/2, so each round-1 search asks one
     # weight vector, one fit: 4 iterations x 16
     assert asked[0] == fits[0] == 4 * 16
+    # a Newton step is a linear solve inside a fit, at most ORACLE_MAX_ITER a fit
+    assert all(0 < steps <= ORACLE_MAX_ITER * f for f, steps in zip(fits, newton))
     fields = total.split()
-    assert fields[0] == "total:" and fields[-2:] == ["8", "labels"]
+    assert fields[0] == "total:" and fields[2] == "fits," and fields[4:6] == ["newton", "steps"]
+    assert fields[-2:] == ["8", "labels"]
     assert int(fields[1]) >= sum(fits) > 0
+    assert int(fields[3]) >= sum(newton)
