@@ -112,7 +112,7 @@ def _content_seed(*parts) -> tuple:
 def _record_design(rec, k, rep, extra):
     rec.designs.append({
         "round": k,
-        "lam": [float(x) for x in rep.design.lam],
+        "lam": rep.design.lam.tolist(),
         "value": rep.value_estimate,
         "certificate": rep.certificate if math.isfinite(rep.certificate) else None,
         "converged": rep.converged, "stop_reason": rep.stop_reason,
@@ -155,15 +155,19 @@ def aced_fixed_confidence(
     than the current scale. Stops at a singleton or at the round cap (then
     returns the plug-in minimizer, flagged). A round whose query count was
     cut to MAX_ROUND_QUERIES is counted in flags["round_queries_capped"],
-    present only when some round was cut.
+    present only when some round was cut. A round_cap that check_budget
+    rejects raises ValueError before any round. rec.queries joins the
+    round logs once, after the last round.
 
     A design_cache entry holds all of a round's label-free work: the
     solver report, the wanted and capped query counts and the chaining
     plan (see _fc_round_design). Its key is ("fc", shape and bytes of the
     active rows, delta_k, k, solver settings): the bytes hash exactly, so
     a cache shared across instances, deltas or solver settings returns
-    only what a fresh solve would, and a hit costs one lookup.
+    only what a fresh solve would, and a hit costs one lookup: the design
+    keeps the sampling CDF that its first draw built (Design.sample).
     """
+    check_budget({"round_cap": round_cap})
     if not 0 < delta < 1:
         raise ValueError("delta must be in (0,1)")
     hclass = instance.hypotheses
@@ -182,6 +186,7 @@ def aced_fixed_confidence(
     infeasible_rounds = 0
     capped_rounds = 0
     queried = np.zeros(n, dtype=bool)
+    round_logs = []
     while active.size > 1 and k < round_cap:
         k += 1
         delta_k = delta / (2.0 * k * k)
@@ -193,11 +198,10 @@ def aced_fixed_confidence(
         rep, wanted, n_k, plan = entry
         lam = rep.design.lam
         capped_rounds += wanted > MAX_ROUND_QUERIES
-        rng = np.random.default_rng([seed, k])
-        idx = rng.choice(lam.size, size=n_k, p=lam)
+        idx = rep.design.sample(n_k, np.random.default_rng([seed, k]))
         ys = instance.labels.query_many(idx)
         round_log = _round_log(k, idx, lam[idx], ys)
-        rec.queries = rec.queries + round_log
+        round_logs.append(round_log)
         queried[idx] = True
         est = chaining_estimate(H_active, round_log, lam, delta_k, plan=plan)
         if not est.flags.get("feasible", True):
@@ -211,6 +215,7 @@ def aced_fixed_confidence(
         rec.eliminations.append(int(active.size))
         best = int(active[int(np.argmin(errs))])
         rec.progress.append((k, int(np.count_nonzero(queried)), best))
+    rec.queries = QueryLog.concat(round_logs)
     rec.returned = int(active[int(np.argmin(errs))])
     rec.flags["certified"] = bool(active.size == 1)
     if active.size > 1:
@@ -224,12 +229,12 @@ def aced_fixed_confidence(
 
 
 def check_budget(budget: dict) -> None:
-    """Reject a label budget no run can spend, or an oracle line search
-    that may ask nothing, as a ValueError whose message starts with the
-    quoted key: T is an integer >= 0, N_batch (unless None) and
-    line_search_iters integers >= 1, and bools are refused. A key not given
-    is not checked."""
-    for key, low in (("T", 0), ("N_batch", 1), ("line_search_iters", 1)):
+    """Reject a label budget no run can spend, a round cap no loop can
+    count to, or an oracle line search that may ask nothing, as a
+    ValueError whose message starts with the quoted key: T and round_cap
+    are integers >= 0, N_batch (unless None) and line_search_iters
+    integers >= 1, and bools are refused. A key not given is not checked."""
+    for key, low in (("T", 0), ("round_cap", 0), ("N_batch", 1), ("line_search_iters", 1)):
         value = budget.get(key)
         if value is None:
             continue
@@ -295,7 +300,8 @@ def _fixed_budget_loop(instance, rec, T, epsilon, est, *, estimator_kind, solver
     anchor, scale[, tol]) gives the seed (its first 8 bytes) and, with the
     merged solver settings, the key of the process-wide memo _ROUND_SOLVES:
     a hit skips the objective and the solve, and returns the same report a
-    fresh solve would, its design read-only. Oracle-backed rounds are always
+    fresh solve would, its design keeping the sampling CDF that its first
+    draw built (Design.sample). Oracle-backed rounds are always
     solved, since the maximizer's answers depend on the pool features and
     the fit settings, which their key does not hold.
     """
@@ -327,7 +333,6 @@ def _fixed_budget_loop(instance, rec, T, epsilon, est, *, estimator_kind, solver
             rep = _ROUND_SOLVES.pop((digest, settings), None)
             if rep is None:
                 rep = smd_solve(gap_objective(H, eta, anchor, scale), seed=seed, **solver_params)
-                rep.design.lam.flags.writeable = False
             _ROUND_SOLVES[digest, settings] = rep  # re-inserted: now the most recently used
             if len(_ROUND_SOLVES) > ROUND_SOLVES_KEPT:
                 _ROUND_SOLVES.popitem(last=False)
@@ -336,20 +341,20 @@ def _fixed_budget_loop(instance, rec, T, epsilon, est, *, estimator_kind, solver
             obj = oracle_gap_objective(n, anchor_lab, eta, scale, partial(_max_labeling, hclass),
                                        line_search_iters)
             rep = smd_solve(obj, seed=seed, **solver_params)
-        lam = rep.design.lam
+        design = rep.design
         if mix_psi:
             rep_psi = psi_design(H, eta, anchor, scale, floor_at_scale=False)
-            lam = Design(0.5 * (lam + rep_psi.design.lam)).lam
+            design = Design(0.5 * (design.lam + rep_psi.design.lam))
         rng = np.random.default_rng([rec.seed, k])
         if unique:
-            p_k = waterfill(rep.design.lam, marginals)
-            lam = p_k.lam
-            marginals.append(lam)
-            idx, fallback = sample_unique(p_k, want, np.flatnonzero(queried), rng=rng)
+            design = waterfill(rep.design.lam, marginals)
+            marginals.append(design.lam)
+            idx, fallback = sample_unique(design, want, np.flatnonzero(queried), rng=rng)
             if fallback:
                 rec.flags["sampling_fallback"] = True
         else:
-            idx = rng.choice(lam.size, size=N, p=lam)
+            idx = design.sample(N, rng)
+        lam = design.lam
         ys = instance.labels.query_many(idx)
         round_log = _round_log(k, idx, lam[idx], ys)
         rec.queries = rec.queries + round_log
@@ -362,14 +367,13 @@ def _fixed_budget_loop(instance, rec, T, epsilon, est, *, estimator_kind, solver
             est = chaining_estimate(H, round_log, lam, CHAINING_DELTA)
         if mix_psi:
             rec.designs.append({
-                "round": k, "lam": [float(x) for x in lam],
-                "lam_gap": [float(x) for x in rep.design.lam],
-                "lam_psi": [float(x) for x in rep_psi.design.lam],
+                "round": k, "lam": lam.tolist(), "lam_gap": rep.design.lam.tolist(),
+                "lam_psi": rep_psi.design.lam.tolist(),
                 "value_gap": rep.value_estimate, "value_psi": rep_psi.value_estimate,
                 "N": N, "anchor": anchor, "stop_reason": rep.stop_reason,
             })
         elif unique:
-            _record_design(rec, k, rep, {"p_k": [float(x) for x in lam], "N": len(idx)})
+            _record_design(rec, k, rep, {"p_k": lam.tolist(), "N": len(idx)})
         else:
             _record_design(rec, k, rep, {"N": N, "anchor": anchor})
         handle, anchor_lab = _erm_handle(hclass, est)

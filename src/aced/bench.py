@@ -171,7 +171,7 @@ def _algorithm_params(section: str, name: str, params: dict) -> dict:
     """An [algorithm] section's keys as its run's keyword arguments, checked
     where they enter: solver_<setting> keys fold into the solver dict of an
     algorithm that takes one and must pass check_solver_settings over
-    DEFAULT_SOLVER, a T, N_batch or line_search_iters the algorithm takes
+    DEFAULT_SOLVER, a T, round_cap, N_batch or line_search_iters it takes
     must pass check_budget, iwal's passes must be an integer >= 1 and stays for
     _run_one, a design_cache (an in-process dict, which no config value can
     be) is refused, and the rest must bind to REGISTRY[name] beside SUPPLIED

@@ -26,13 +26,15 @@ class, a lower bound on the supremum over the class. Waterfilling
 reconciles per-round designs with the cumulative sampling distribution
 in closed form: round k samples the simplex projection of what k times
 its design still asks for beyond the k - 1 distributions already
-sampled.
+sampled. Design.sample makes every i.i.d. draw: Generator.choice's with
+p=lam, read off an inverse CDF that the design builds once and keeps.
 """
 from __future__ import annotations
 
 import math
 import numbers
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -58,7 +60,9 @@ def floor_simplex(lam) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Design:
-    """A sampling distribution on the pool, floored at LAMBDA_FLOOR and renormalized."""
+    """A sampling distribution on the pool, floored at LAMBDA_FLOOR and
+    renormalized. lam is read-only, so the inverse CDF that sample builds
+    on first use and keeps (a cached design reuses it) cannot go stale."""
 
     lam: np.ndarray
 
@@ -66,7 +70,18 @@ class Design:
         lam = floor_simplex(self.lam)
         if abs(lam.sum() - 1.0) > 1e-9:
             raise ValueError("design does not normalize")
+        lam.flags.writeable = False
         object.__setattr__(self, "lam", lam)
+
+    @cached_property
+    def _cdf(self) -> np.ndarray:
+        """cumsum(lam) / cumsum(lam)[-1], as Generator.choice computes it."""
+        cdf = np.cumsum(self.lam)
+        return cdf / cdf[-1]
+
+    def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
+        """rng.choice(n, size, p=lam) draw for draw, from the same uniforms."""
+        return self._cdf.searchsorted(rng.random(size), side="right")
 
     @classmethod
     def uniform(cls, n: int) -> "Design":
@@ -557,24 +572,24 @@ def waterfill(lam_k, prior_marginals) -> Design:
 def sample_unique(p, N: int, already_queried, rng: np.random.Generator) -> tuple:
     """Draw until N distinct previously-unqueried indices are collected.
 
-    Rejection-samples from p with rng, returning indices in draw order. If fewer
-    than the needed number of unqueried indices carry mass, the remainder
-    is drawn uniformly from the unqueried indices and the fallback flag
-    is set.
+    Rejection-samples from p (a Design, or weights made one) with rng and
+    Design.sample, returning indices in draw order. If fewer than the
+    needed number of unqueried indices carry mass, the remainder is drawn
+    uniformly from the unqueried indices and the fallback flag is set.
     """
-    lam = p.lam if isinstance(p, Design) else floor_simplex(np.asarray(p, dtype=float))
-    n = lam.size
+    design = p if isinstance(p, Design) else Design(p)
+    n = design.lam.size
     seen = np.zeros(n, dtype=bool)
     seen[list(already_queried)] = True
     out = []
     mass_floor = 10.0 * LAMBDA_FLOOR
     while len(out) < N:
-        available = ~seen & (lam > mass_floor)
+        available = ~seen & (design.lam > mass_floor)
         if not available.any():
             rest = np.flatnonzero(~seen)
             picks = rng.choice(rest, size=min(N - len(out), rest.size), replace=False)
             return out + [int(i) for i in picks], True
-        draws = rng.choice(n, size=max(4 * (N - len(out)), 16), p=lam)
+        draws = design.sample(max(4 * (N - len(out)), 16), rng)
         for i in draws:
             if not seen[i]:
                 out.append(int(i))

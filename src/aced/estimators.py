@@ -82,8 +82,13 @@ class QueryLog:
     def __getitem__(self, key) -> "QueryLog":
         return QueryLog(*(col[key] for col in self._columns()))
 
+    @classmethod
+    def concat(cls, logs) -> "QueryLog":
+        """The logs one after another, as one log; no logs give the empty log."""
+        return cls(*(np.concatenate(col) for col in zip(*(log._columns() for log in logs))))
+
     def __add__(self, other: "QueryLog") -> "QueryLog":
-        return QueryLog(*(np.concatenate(pair) for pair in zip(self._columns(), other._columns())))
+        return QueryLog.concat((self, other))
 
     def __eq__(self, other):
         if not isinstance(other, QueryLog):

@@ -19,7 +19,7 @@ from aced.algorithms import (
 )
 from aced.complexity import make_core_tail_instance, make_thresholds
 from aced.core import HypothesisClass, ImplicitClassError, Instance, LabelModel, Pool, gap_table
-from aced.design import gap_objective, smd_solve
+from aced.design import Design, gap_objective, smd_solve
 from aced.oracles import LinearOracleClass
 
 
@@ -245,11 +245,25 @@ def test_iid_fixed_budget_leftover_is_flagged():
     (aced_waterfilled, {"T": 8, "epsilon": 0.25, "line_search_iters": -3}, "line_search_iters"),
     (aced_waterfilled, {"T": 8, "epsilon": 0.25, "line_search_iters": True}, "line_search_iters"),
     (aced_waterfilled, {"T": 8, "epsilon": 0.25, "line_search_iters": 2.5}, "line_search_iters"),
+    # round_cap: an integer >= 0 (2.5 once ran 3 rounds, -1 none, True one)
+    (aced_fixed_confidence, {"delta": 0.1, "round_cap": 2.5}, "round_cap"),
+    (aced_fixed_confidence, {"delta": 0.1, "round_cap": -1}, "round_cap"),
+    (aced_fixed_confidence, {"delta": 0.1, "round_cap": True}, "round_cap"),
 ])
 def test_bad_budgets_are_rejected(algorithm, kw, key):
     inst = make_thresholds(16, 9, 1.0, persistent=True, seed=4)
     with pytest.raises(ValueError, match=rf"^'{key}' must be"):
         algorithm(inst, seed=0, **kw)
+
+
+def test_fixed_confidence_checks_round_cap_before_any_round(monkeypatch):
+    solves = _counted_solves(monkeypatch)
+    inst = make_thresholds(16, 9, 1.0, persistent=True, seed=4)
+    with pytest.raises(ValueError, match="^'round_cap' must be"):
+        aced_fixed_confidence(inst, delta=0.1, round_cap=2.5, seed=0)
+    rec = aced_fixed_confidence(inst, delta=0.1, round_cap=0, seed=0)  # zero rounds stay legal
+    assert solves == [] and rec.flags["rounds"] == 0 and rec.flags["round_cap_hit"]
+    assert len(rec.queries) == 0 and rec.params["round_cap"] == 0
 
 
 def test_waterfilled_solves_no_round_without_budget(monkeypatch):
@@ -579,6 +593,8 @@ def test_iwal_oracular_rejects_oracle_backed_class(variant):
 
 
 def test_fixed_confidence_warm_run_does_no_design_work(monkeypatch):
+    # nor builds a sampling CDF: each cached design keeps the one its first
+    # draw built (Design._cdf's builder is counted as "func")
     import aced.algorithms as alg
     import aced.estimators as est
 
@@ -587,13 +603,35 @@ def test_fixed_confidence_warm_run_does_no_design_work(monkeypatch):
     first = aced_fixed_confidence(inst, delta=0.1, seed=3, design_cache=cache)
     calls = []
     for owner, name in ((alg, "smd_solve"), (est, "build_admissible_sequence"),
-                        (alg, "_content_seed")):
+                        (alg, "_content_seed"), (Design._cdf, "func")):
         def counted(*args, _orig=getattr(owner, name), _name=name, **kwargs):
             calls.append(_name)
             return _orig(*args, **kwargs)
         monkeypatch.setattr(owner, name, counted)
     again = aced_fixed_confidence(inst, delta=0.1, seed=3, design_cache=cache)
     assert calls == [] and again.to_jsonl() == first.to_jsonl()
+    aced_fixed_confidence(inst, delta=0.1, seed=3, design_cache={})  # the counters see a cold run
+    assert calls.count("func") == len(first.designs) and calls.count("smd_solve") == len(first.designs)
+
+
+def _replayed_indices(rec, n):
+    """Each round's indices redrawn from the record alone: Generator.choice
+    on the round's seed, design and draw count."""
+    return [np.random.default_rng([rec.seed, d["round"]]).choice(n, size=d["N"], p=np.array(d["lam"]))
+            for d in rec.designs]
+
+
+@pytest.mark.parametrize("run", ["fixed_confidence", "fixed_budget", "efficient"])
+def test_iid_runs_replay_from_their_records(run):
+    inst = make_thresholds(16, 7, 1.0, seed=0)
+    rec = {"fixed_confidence": lambda: aced_fixed_confidence(inst, delta=0.1, seed=11),
+           "fixed_budget": lambda: aced_fixed_budget(inst, T=60, epsilon=0.1, seed=11),
+           "efficient": lambda: aced_fixed_budget_efficient(inst, T=60, epsilon=0.1, seed=11)}[run]()
+    back = RunRecord.from_jsonl(rec.to_jsonl())
+    assert len(back.designs) >= 2
+    for d, idx in zip(back.designs, _replayed_indices(back, inst.n)):
+        np.testing.assert_array_equal(back.queries.index[back.queries.round == d["round"]], idx)
+    assert back.queries == rec.queries
 
 
 def test_fixed_confidence_cache_keys_on_solver_params_and_round():

@@ -445,6 +445,10 @@ def test_run_records_failures_and_continues(tmp_path):
      "line_search_iters"),
     ("[algorithm aced_waterfilled]\nT = 8\nepsilon = 0.25\nline_search_iters = 2.5\n",
      "line_search_iters"),
+    # round_cap: an integer >= 0, bools refused
+    ("[algorithm aced_fixed_confidence]\ndelta = 0.1\nround_cap = 2.5\n", "round_cap"),
+    ("[algorithm aced_fixed_confidence]\ndelta = 0.1\nround_cap = -1\n", "round_cap"),
+    ("[algorithm aced_fixed_confidence]\ndelta = 0.1\nround_cap = true\n", "round_cap"),
 ])
 def test_bad_algorithm_keys_are_rejected_where_they_enter(tmp_path, capsys, section, key):
     out = tmp_path / "o"

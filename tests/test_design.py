@@ -345,6 +345,36 @@ def test_sample_unique_basic_and_fallback():
     assert fb and set(out) <= {1, 2} and len(out) == 2
 
 
+SAMPLER_DESIGNS = {
+    "uniform": np.full(16, 1.0 / 16),
+    "floored": np.array([0.0, 0.7, 0.0, 0.3, 0.0]),  # three coordinates at LAMBDA_FLOOR
+    "skewed": np.random.default_rng(8).random(40) ** 4,
+    "one point": np.array([1.0]),
+}
+
+
+@pytest.mark.parametrize("size", [0, 1, 10_000])
+@pytest.mark.parametrize("name", SAMPLER_DESIGNS)
+def test_design_sample_is_generator_choice_draw_for_draw(name, size):
+    # the same indices from the same uniforms: sample_unique keeps drawing
+    # from one generator, so the state left behind must match too
+    design = Design(SAMPLER_DESIGNS[name])
+    ours, theirs = np.random.default_rng([5, size]), np.random.default_rng([5, size])
+    idx = design.sample(size, ours)
+    np.testing.assert_array_equal(idx, theirs.choice(design.lam.size, size=size, p=design.lam))
+    assert ours.random() == theirs.random()
+    again = np.random.default_rng([5, size])  # a second draw reads the kept CDF
+    np.testing.assert_array_equal(design.sample(size, again), idx)
+
+
+def test_design_lam_is_read_only():
+    design = Design(np.array([0.2, 0.3, 0.5]))
+    with pytest.raises(ValueError, match="read-only"):
+        design.lam[0] = 0.9
+    with pytest.raises(ValueError, match="read-only"):
+        design.lam /= 2.0
+
+
 def test_sample_unique_first_draw_distribution():
     rng = np.random.default_rng(0)
     p = floor_simplex(rng.random(10))
