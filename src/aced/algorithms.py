@@ -161,11 +161,12 @@ def aced_fixed_confidence(
 
     A design_cache entry holds all of a round's label-free work: the
     solver report, the wanted and capped query counts and the chaining
-    plan (see _fc_round_design). Its key is ("fc", shape and bytes of the
-    active rows, delta_k, k, solver settings): the bytes hash exactly, so
-    a cache shared across instances, deltas or solver settings returns
-    only what a fresh solve would, and a hit costs one lookup: the design
-    keeps the sampling CDF that its first draw built (Design.sample).
+    plan, with its slab rows at 12 bytes per nonzero (_fc_round_design).
+    Its key is ("fc", shape and bytes of the active rows, delta_k, k,
+    solver settings): the bytes hash exactly, so a cache shared across
+    instances, deltas or solver settings returns only what a fresh solve
+    would. A hit costs one lookup; the design keeps its sampling CDF
+    (Design.sample) and the round estimates in two segment sums.
     """
     check_budget({"round_cap": round_cap})
     if not 0 < delta < 1:

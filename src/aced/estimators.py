@@ -5,7 +5,9 @@ scoring, and the multi-scale feasibility (chaining) estimator that
 intersects pairwise confidence slabs over an admissible sequence of the
 hypothesis set. The ridge-shifted IPS pair estimate (per-direction
 shrinkage with a prescribed shift) lives inside the chaining estimator:
-it is the centre of each slab.
+it is the centre of each slab. A ChainingPlan keeps the slabs' sparse rows
+and ridge weights (12 bytes per nonzero): with it, an estimate is two
+segment sums, and a projection if the fallback breaks a slab.
 
 A query log is columnar (QueryLog: round, index, prob and label as
 parallel arrays). Every estimator reads the columns and accepts only a
@@ -14,6 +16,7 @@ QueryLog; any other log, a list of QueryRecords included, is a TypeError.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from itertools import accumulate, starmap
 from typing import NamedTuple
@@ -135,8 +138,11 @@ def _query_counts(log: QueryLog, n):
     TypeError, and a logged index outside [0, n) raises IndexError."""
     if not isinstance(log, QueryLog):
         raise TypeError(f"expected a QueryLog, got {type(log).__name__}")
-    counts = np.bincount(log.index, minlength=n)
-    if counts.size > n:
+    try:
+        counts = np.bincount(log.index, minlength=n)
+    except ValueError:  # bincount refuses a negative index
+        counts = None
+    if counts is None or counts.size > n:
         raise IndexError(f"logged index out of range for a pool of size {n}")
     return counts
 
@@ -242,20 +248,17 @@ FEAS_TOL = 1e-9
 
 def _pair_chunks(pairs: int, n: int) -> list:
     """Slices covering range(pairs), each at most SLAB_CHUNK_ENTRIES // n
-    pairs long (and at least one pair)."""
+    pairs long (and at least one); no pairs give one slice."""
     step = max(1, SLAB_CHUNK_ENTRIES // n)
-    return [slice(lo, lo + step) for lo in range(0, pairs, step)]
+    return [slice(lo, lo + step) for lo in range(0, max(pairs, 1), step)]
 
 
-def _slab_geometry(G, seq: AdmissibleSequence, u: float):
-    """The label-free part of the chaining program's slabs: (a, b, s_pair,
-    radii), one entry per slab.
-
-    One slab per level k >= 1 and pair of differing rows at nonzero
-    distance inside cumulative(k): levels in order, pairs in lexicographic
-    position order within a level. Slab j joins rows a[j] and b[j], with
-    ridge shift s_pair[j] and radius radii[j].
-    """
+def _slab_rows(G, seq: AdmissibleSequence, lam, t: int, u: float):
+    """A ChainingPlan's slabs (idx, ptr, ridge, radii): one per level k >= 1
+    and pair (a, b) of differing rows at nonzero distance in cumulative(k),
+    in level, then lexicographic position order, with ridge weights (G[a] -
+    G[b]) / (t lam + s_pair) where the rows differ. Built a chunk of pairs
+    at a time: a dense block holds at most max(n, SLAB_CHUNK_ENTRIES) entries."""
     order = seq.cumulative(seq.depth)
     sizes = list(accumulate(len(lv) for lv in seq.levels))
     pos = np.arange(order.size)
@@ -268,100 +271,93 @@ def _slab_geometry(G, seq: AdmissibleSequence, u: float):
                       [c * (c - 1) // 2 for c in sizes[1:]])
     dist = seq.dist[a, b]
     keep = dist != 0.0
-    for chunk in _pair_chunks(a.size, G.shape[1]):
-        keep[chunk] &= (G[a[chunk]] != G[b[chunk]]).any(axis=1)
     a, b, dist, scale = a[keep], b[keep], dist[keep], scale[keep]
-    return a, b, math.sqrt(1.0 / 3.0) * scale / dist, SLAB_RADIUS_COEFF * scale * dist
-
-
-def _slab_offsets(G, a, b, s_pair, sums, lam, t: int, z):
-    """The label-dependent part of the slabs (a, b, s_pair): each centre
-    betas[j], the ridge-IPS estimate at shift s_pair[j] of the pair
-    difference G[a[j]] - G[b[j]], and each residual res_j = <G[a[j]] -
-    G[b[j]], z> - betas[j]. Returns (betas, res)."""
-    t_lam = t * lam
-    parts = []
+    s_pair = math.sqrt(1.0 / 3.0) * scale / dist
+    t_lam, idx, ridge, nnz = t * lam, [], [], []
     for chunk in _pair_chunks(a.size, G.shape[1]):
         diff = G[a[chunk]] - G[b[chunk]]
-        betas = (diff * (sums / (t_lam + s_pair[chunk, None]))).sum(axis=1)
-        parts.append((betas, diff @ z - betas))
-    return parts[0] if len(parts) == 1 else tuple(np.concatenate(col) for col in zip(*parts))
-
-
-def _slab_rows(G, a, b):
-    """The pair differences G[a] - G[b] in CSR form (idx, val, ptr, nsq):
-    row j is val[ptr[j]:ptr[j+1]] on the coordinates idx[ptr[j]:ptr[j+1]],
-    with nsq[j] nonzeros."""
-    idx, val, nnz = [], [], []
-    for chunk in _pair_chunks(a.size, G.shape[1]):
-        diff = G[a[chunk]] - G[b[chunk]]
-        rows, cols = np.nonzero(diff)
-        idx.append(cols)
-        val.append(diff[rows, cols].astype(float))
-        nnz.append(np.count_nonzero(diff, axis=1))
+        differ = diff != 0
+        cols = np.empty(diff.shape, dtype=np.int32)
+        cols[:] = np.arange(diff.shape[1])
+        idx.append(cols[differ])
+        ridge.append((diff / (t_lam + s_pair[chunk, None]))[differ])
+        nnz.append(differ.sum(axis=1))
     nnz = np.concatenate(nnz)
-    ptr = np.zeros(nnz.size + 1, dtype=int)
-    np.cumsum(nnz, out=ptr[1:])
-    return np.concatenate(idx), np.concatenate(val), ptr, nnz.astype(float)
+    keep = nnz > 0  # identical rows at a roundoff distance give no slab
+    ptr = np.zeros(np.count_nonzero(keep) + 1, dtype=np.int64)
+    np.cumsum(nnz[keep], out=ptr[1:])
+    return (np.concatenate(idx), ptr, np.concatenate(ridge),
+            SLAB_RADIUS_COEFF * scale[keep] * dist[keep])
 
 
-def _project(G, a, b, betas, radii, res, start):
-    """Cyclic projection onto the slabs intersected with [-1,1]^n, from
-    the point start whose residuals are res. Returns (point, feasible,
-    sweeps); the point is start itself if no sweep ends feasible."""
+def _project(plan, val, betas, res, start):
+    """Cyclic projection onto the plan's slabs (values val, centres betas)
+    intersected with [-1,1]^n, from the point start whose residuals are
+    res. Returns (point, feasible, sweeps); the point is start itself if
+    no sweep ends feasible."""
+    idx, ptr, radii = plan.idx, plan.ptr, plan.radii
     z = start
     sweeps = 0
     for sweeps in range(1, MAX_SWEEPS + 1):
         excess = np.abs(res) - radii
         if float(excess.max()) <= FEAS_TOL:
             return z, True, sweeps
-        if z is start:  # first projection: build the sparse slab rows
+        if z is start:  # first projection
             z = start.copy()
-            all_idx, all_val, ptr, nsq = _slab_rows(G, a, b)
+            nsq = np.diff(ptr)
         for j in np.flatnonzero(excess > FEAS_TOL):
             sl = slice(ptr[j], ptr[j + 1])
-            r = float(all_val[sl] @ z[all_idx[sl]]) - betas[j]
+            r = float(val[sl] @ z[idx[sl]]) - betas[j]
             if r > radii[j]:
-                z[all_idx[sl]] -= all_val[sl] * ((r - radii[j]) / nsq[j])
+                z[idx[sl]] -= val[sl] * ((r - radii[j]) / nsq[j])
             elif r < -radii[j]:
-                z[all_idx[sl]] += all_val[sl] * ((-radii[j] - r) / nsq[j])
+                z[idx[sl]] += val[sl] * ((-radii[j] - r) / nsq[j])
         np.clip(z, -1.0, 1.0, out=z)
-        res = np.add.reduceat(all_val * z[all_idx], ptr[:-1]) - betas
+        res = np.add.reduceat(val * z[idx], ptr[:-1]) - betas
     return start, False, sweeps
 
 
 class ChainingPlan(NamedTuple):
-    """The label-free part of chaining_estimate for one (labelings, lam,
-    t, delta): a pure function of the design and the sample size, so a
-    caller that repeats a design can build it once.
+    """The label-free part of chaining_estimate, tied to one design: it
+    serves only the (m, n) shape, t, delta and lam (as bytes) it was built
+    for. depth is the admissible sequence's, s_diam the fallback's shift.
+    Slab j has radius radii[j] and ridge weights ridge[ptr[j]:ptr[j+1]]
+    on the coordinates idx[ptr[j]:ptr[j+1]] (int32), whose signs are the
+    pair difference: 12 bytes per nonzero, and no dense block."""
 
-    t is the sample size it was built for, depth the admissible
-    sequence's, and s_diam the diameter-scale shift of the fallback. The
-    slabs are (a, b, s_pair, radii), as _slab_geometry gives them; each
-    array has one entry per slab, so the plan holds no pairs x n block and
-    no m x m distance matrix.
-    """
-
+    shape: tuple
     t: int
+    delta: float
+    lam_bytes: bytes
     depth: int
     s_diam: float
-    a: np.ndarray
-    b: np.ndarray
-    s_pair: np.ndarray
+    idx: np.ndarray
+    ptr: np.ndarray
+    ridge: np.ndarray
     radii: np.ndarray
 
 
+def _check_delta(delta) -> None:
+    if not 0 < delta < 1:
+        raise ValueError(f"delta must be in (0, 1), got {delta!r}")
+
+
 def chaining_plan(labelings, lam, t: int, delta: float) -> ChainingPlan:
-    """The admissible sequence, diameter shift and slab geometry that
-    chaining_estimate uses for a log of t queries (t >= 1) drawn from lam."""
+    """The ChainingPlan of chaining_estimate for a log of t queries (an
+    integer t >= 1) drawn from lam, at confidence delta in (0, 1)."""
+    if isinstance(t, bool) or not isinstance(t, numbers.Integral) or t < 1:
+        raise ValueError(f"t must be an integer >= 1, got {t!r}")
+    _check_delta(delta)
     G = np.asarray(labelings, dtype=np.int8)
     if G.shape[0] > 4096:
         raise ValueError("feasibility program capped at 4096 hypotheses")
+    lam = np.asarray(lam, dtype=float)
     u = math.sqrt(math.log(2.0 / delta) / 2.0)
-    seq = build_admissible_sequence(G, np.asarray(lam, dtype=float), t)
+    seq = build_admissible_sequence(G, lam, t)
     diam = float(seq.dist.max())
     s_diam = (math.sqrt(1.0 / 3.0) * (u + 2 ** (seq.depth / 2.0)) / diam) if diam > 0 else 1.0
-    return ChainingPlan(t, seq.depth, s_diam, *_slab_geometry(G, seq, u))
+    return ChainingPlan(G.shape, t, delta, lam.tobytes(), seq.depth, s_diam,
+                        *_slab_rows(G, seq, lam, t, u))
 
 
 def chaining_estimate(labelings, log: QueryLog, lam, delta: float,
@@ -377,27 +373,33 @@ def chaining_estimate(labelings, log: QueryLog, lam, delta: float,
 
     Everything but the label sums is in the plan, chaining_plan(labelings,
     lam, max(len(log), 1), delta), built here when none is given; a plan
-    built for another sample size is a ValueError. Identical rows give no
-    slab, nor do rows at zero distance under the design metric. The slabs
-    are built a chunk of pairs at a time, so a dense pairs x n block holds
-    at most max(n, SLAB_CHUNK_ENTRIES) entries whatever m (at most 4096);
-    the sparse rows the projection needs are built only when the fallback
-    breaks a slab.
+    built for another shape, sample size, delta or lam is a ValueError, and
+    so is a delta outside (0, 1). Identical rows give no slab, nor do rows
+    at zero distance under the design metric. The slab centres and the
+    fallback's residuals are segment sums over the plan's nonzeros.
     """
+    _check_delta(delta)
     G = np.asarray(labelings, dtype=np.int8)
     lam = np.asarray(lam, dtype=float)
     t = max(len(log), 1)
     counts, sums = _query_counts_and_sums(log, G.shape[1])
     if plan is None:
         plan = chaining_plan(G, lam, t, delta)
-    elif plan.t != t:
-        raise ValueError(f"chaining plan built for t={plan.t}, log has t={t}")
-    fallback = np.clip(sums / (t * lam + plan.s_diam), -1.0, 1.0)
+    else:
+        for name, built, given in (("shape", plan.shape, G.shape), ("t", plan.t, t),
+                                   ("delta", plan.delta, delta)):
+            if built != given:
+                raise ValueError(f"chaining plan built for {name}={built}, called with {name}={given}")
+        if plan.lam_bytes != lam.tobytes():
+            raise ValueError("chaining plan built for another lam")
+    fallback = (sums / (t * lam + plan.s_diam)).clip(-1.0, 1.0)
 
     mu, feasible, sweeps = fallback, True, 0
-    if plan.a.size:
-        betas, res = _slab_offsets(G, plan.a, plan.b, plan.s_pair, sums, lam, t, fallback)
-        mu, feasible, sweeps = _project(G, plan.a, plan.b, betas, plan.radii, res, fallback)
+    if plan.radii.size:
+        starts, val = plan.ptr[:-1], np.sign(plan.ridge)
+        betas = np.add.reduceat(plan.ridge * sums[plan.idx], starts)
+        res = np.add.reduceat(val * fallback[plan.idx], starts) - betas
+        mu, feasible, sweeps = _project(plan, val, betas, res, fallback)
     return EtaEstimate(values=(1.0 + mu) / 2.0, counts=counts,
                        flags={"feasible": feasible, "levels": plan.depth, "sweeps": sweeps})
 

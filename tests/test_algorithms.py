@@ -594,7 +594,8 @@ def test_iwal_oracular_rejects_oracle_backed_class(variant):
 
 def test_fixed_confidence_warm_run_does_no_design_work(monkeypatch):
     # nor builds a sampling CDF: each cached design keeps the one its first
-    # draw built (Design._cdf's builder is counted as "func")
+    # draw built (Design._cdf's builder is counted as "func"); nor builds
+    # slab rows: each cached chaining plan keeps its rows and ridge weights
     import aced.algorithms as alg
     import aced.estimators as est
 
@@ -603,7 +604,7 @@ def test_fixed_confidence_warm_run_does_no_design_work(monkeypatch):
     first = aced_fixed_confidence(inst, delta=0.1, seed=3, design_cache=cache)
     calls = []
     for owner, name in ((alg, "smd_solve"), (est, "build_admissible_sequence"),
-                        (alg, "_content_seed"), (Design._cdf, "func")):
+                        (alg, "_content_seed"), (Design._cdf, "func"), (est, "_slab_rows")):
         def counted(*args, _orig=getattr(owner, name), _name=name, **kwargs):
             calls.append(_name)
             return _orig(*args, **kwargs)
@@ -612,6 +613,7 @@ def test_fixed_confidence_warm_run_does_no_design_work(monkeypatch):
     assert calls == [] and again.to_jsonl() == first.to_jsonl()
     aced_fixed_confidence(inst, delta=0.1, seed=3, design_cache={})  # the counters see a cold run
     assert calls.count("func") == len(first.designs) and calls.count("smd_solve") == len(first.designs)
+    assert calls.count("_slab_rows") == len(first.designs)
 
 
 def _replayed_indices(rec, n):

@@ -250,8 +250,9 @@ def test_chaining_64_hypotheses_reports_empirical_constant():
 
 def _reference_slabs(G, seq, sums, lam, t, u):
     """The slab build as a per-pair double loop: the reference the
-    array-native builder must reproduce."""
-    idx_chunks, val_chunks = [], []
+    array-native builder must reproduce. Returns (idx, val, ptr, betas,
+    radii, nsq, ridge), ridge the per-nonzero weights val / (t lam + s_pair)."""
+    idx_chunks, val_chunks, ridge_chunks = [], [], []
     betas, radii, nsq = [], [], []
     for k in range(1, seq.depth + 1):
         members = seq.cumulative(k)
@@ -268,13 +269,14 @@ def _reference_slabs(G, seq, sums, lam, t, u):
                 mu_pair = sums[support] / (t * lam[support] + s_pair)
                 idx_chunks.append(support)
                 val_chunks.append(v[support])
+                ridge_chunks.append(v[support] / (t * lam[support] + s_pair))
                 betas.append(float(v[support] @ mu_pair))
                 radii.append(estimators.SLAB_RADIUS_COEFF * level_scale * d)
                 nsq.append(float(support.size))
     ptr = np.zeros(len(idx_chunks) + 1, dtype=int)
     np.cumsum([c.size for c in idx_chunks], out=ptr[1:])
     return (np.concatenate(idx_chunks), np.concatenate(val_chunks), ptr,
-            np.array(betas), np.array(radii), np.array(nsq))
+            np.array(betas), np.array(radii), np.array(nsq), np.concatenate(ridge_chunks))
 
 
 def _label_sums(log, n):
@@ -296,16 +298,21 @@ def _slab_case(seed):
     idx = rng.choice(n, size=t, p=lam)
     log = make_log(idx, lam[idx], rng.integers(0, 2, size=t))
     sums = _label_sums(log, n)
-    u = math.sqrt(math.log(2.0 / float(rng.uniform(0.01, 0.5))) / 2.0)
-    return G, build_admissible_sequence(G, lam, t), sums, lam, t, u
+    return G, build_admissible_sequence(G, lam, t), sums, lam, t, float(rng.uniform(0.01, 0.5))
+
+
+def _level_offset(delta):
+    """The u of chaining_plan at confidence delta."""
+    return math.sqrt(math.log(2.0 / delta) / 2.0)
 
 
 def _assert_same_slabs(got, ref, sums, lam, t):
-    idx, val, ptr, betas, radii, nsq = got
-    r_idx, r_val, r_ptr, r_betas, r_radii, r_nsq = ref
+    idx, val, ptr, betas, radii, nsq, ridge = got
+    r_idx, r_val, r_ptr, r_betas, r_radii, r_nsq, r_ridge = ref
     assert np.array_equal(idx, r_idx) and np.array_equal(val, r_val)
     assert np.array_equal(ptr, r_ptr)
     assert np.array_equal(radii, r_radii) and np.array_equal(nsq, r_nsq)
+    assert np.array_equal(ridge, r_ridge)
     # the support sum may run in another order: each beta agrees to 1e-12
     # of the sum of its terms' magnitudes, which bounds the rounding even
     # where the terms cancel
@@ -313,53 +320,46 @@ def _assert_same_slabs(got, ref, sums, lam, t):
     assert np.all(np.abs(betas - r_betas) <= 1e-12 * np.maximum(np.abs(r_betas), terms))
 
 
-def _pair_slabs(G, seq, sums, lam, t, u, z):
-    """The estimator's slabs for an admissible sequence, (a, b, betas,
-    radii, res), residuals at z: its label-free geometry composed with its
-    label-dependent offsets, as chaining_estimate composes them."""
-    a, b, s_pair, radii = estimators._slab_geometry(G, seq, u)
-    betas, res = estimators._slab_offsets(G, a, b, s_pair, sums, lam, t, z)
-    return a, b, betas, radii, res
-
-
-def _built_slabs(G, seq, sums, lam, t, u):
-    """The estimator's slabs in the reference's CSR layout, once the
-    residuals it reports at a point are checked against that layout."""
-    z = np.linspace(-1.0, 1.0, G.shape[1])
-    a, b, betas, radii, res = _pair_slabs(G, seq, sums, lam, t, u, z)
-    idx, val, ptr, nsq = estimators._slab_rows(G, a, b)
-    sparse_res = np.add.reduceat(val * z[idx], ptr[:-1]) - betas
-    assert np.all(np.abs(res - sparse_res) <= 1e-12 * (nsq + np.abs(betas)))
-    return idx, val, ptr, betas, radii, nsq
+def _built_slabs(G, sums, lam, t, delta):
+    """The slabs of chaining_plan(G, lam, t, delta) in the reference's
+    layout: its rows and ridge weights, values read as sign(ridge), and
+    the centres betas as chaining_estimate sums them."""
+    plan = chaining_plan(G, lam, t, delta)
+    assert plan.idx.dtype == np.int32 and plan.ridge.dtype == np.float64
+    idx, ptr, ridge = plan.idx, plan.ptr, plan.ridge
+    betas = np.add.reduceat(ridge * sums[idx], ptr[:-1]) if plan.radii.size else np.zeros(0)
+    return idx, np.sign(ridge), ptr, betas, plan.radii, np.diff(ptr).astype(float), ridge
 
 
 def test_pair_slabs_match_the_double_loop():
     for seed in range(200):
-        G, seq, sums, lam, t, u = _slab_case(seed)
-        _assert_same_slabs(_built_slabs(G, seq, sums, lam, t, u),
-                           _reference_slabs(G, seq, sums, lam, t, u), sums, lam, t)
+        G, seq, sums, lam, t, delta = _slab_case(seed)
+        _assert_same_slabs(_built_slabs(G, sums, lam, t, delta),
+                           _reference_slabs(G, seq, sums, lam, t, _level_offset(delta)), sums, lam, t)
 
 
 @pytest.mark.parametrize("pairs_per_chunk", [1, 7])
 def test_pair_slabs_match_across_chunks(monkeypatch, pairs_per_chunk):
     for seed in range(20):
-        G, seq, sums, lam, t, u = _slab_case(seed)
-        whole = _built_slabs(G, seq, sums, lam, t, u)
+        G, seq, sums, lam, t, delta = _slab_case(seed)
+        whole = _built_slabs(G, sums, lam, t, delta)
         monkeypatch.setattr(estimators, "SLAB_CHUNK_ENTRIES", pairs_per_chunk * G.shape[1])
-        chunked = _built_slabs(G, seq, sums, lam, t, u)
+        chunked = _built_slabs(G, sums, lam, t, delta)
         monkeypatch.undo()
         for a, b in zip(chunked, whole):
             assert np.array_equal(a, b)
-        _assert_same_slabs(chunked, _reference_slabs(G, seq, sums, lam, t, u), sums, lam, t)
+        _assert_same_slabs(chunked, _reference_slabs(G, seq, sums, lam, t, _level_offset(delta)),
+                           sums, lam, t)
 
 
-def _nonempty_reference_slabs(G, seq, sums, lam, t, u):
+def _nonempty_reference_slabs(G, seq, sums, lam, t, delta):
     """The reference slabs less the empty ones that identical rows at a
     roundoff distance leave in it."""
-    idx, val, ptr, betas, radii, nsq = _reference_slabs(G, seq, sums, lam, t, u)
+    idx, val, ptr, betas, radii, nsq, ridge = _reference_slabs(G, seq, sums, lam, t,
+                                                               _level_offset(delta))
     keep = nsq > 0
     ptr = np.concatenate([[0], np.cumsum(nsq[keep])]).astype(int)
-    return idx, val, ptr, betas[keep], radii[keep], nsq[keep]
+    return idx, val, ptr, betas[keep], radii[keep], nsq[keep], ridge
 
 
 def test_chaining_duplicate_rows_build_no_empty_slab():
@@ -372,10 +372,10 @@ def test_chaining_duplicate_rows_build_no_empty_slab():
     est = chaining_estimate(G, log, lam, 0.1)
     assert est.flags["feasible"] and np.all(np.abs(2 * est.values - 1) <= 1.0)
     seq, sums = build_admissible_sequence(G, lam, 4), np.array([-2.0, 2.0])
-    slabs = _built_slabs(G, seq, sums, lam, 4, 1.0)
+    slabs = _built_slabs(G, sums, lam, 4, 0.1)
     assert np.all(np.diff(slabs[2]) > 0)
-    assert not np.all(_reference_slabs(G, seq, sums, lam, 4, 1.0)[5] > 0)
-    _assert_same_slabs(slabs, _nonempty_reference_slabs(G, seq, sums, lam, 4, 1.0), sums, lam, 4)
+    assert not np.all(_reference_slabs(G, seq, sums, lam, 4, _level_offset(0.1))[5] > 0)
+    _assert_same_slabs(slabs, _nonempty_reference_slabs(G, seq, sums, lam, 4, 0.1), sums, lam, 4)
 
 
 def test_chaining_random_duplicate_rows():
@@ -396,8 +396,8 @@ def test_chaining_random_duplicate_rows():
         if seq.depth == 0 or float(seq.dist.max()) == 0.0:
             continue
         sums = _label_sums(log, n)
-        slabs = _built_slabs(G, seq, sums, lam, 6, 1.0)
-        _assert_same_slabs(slabs, _nonempty_reference_slabs(G, seq, sums, lam, 6, 1.0),
+        slabs = _built_slabs(G, sums, lam, 6, 0.1)
+        _assert_same_slabs(slabs, _nonempty_reference_slabs(G, seq, sums, lam, 6, 0.1),
                            sums, lam, 6)
 
 
@@ -444,9 +444,8 @@ def test_chaining_projection_reaches_a_feasible_point(monkeypatch):
     mu = 2 * est.values - 1
     assert np.all(np.abs(mu) <= 1.0)
     sums = _label_sums(log, lam.size)
-    u = math.sqrt(math.log(2.0 / 0.1) / 2.0)
-    idx, val, ptr, betas, radii, nsq = _reference_slabs(
-        G, build_admissible_sequence(G, lam, t), sums, lam, t, u)
+    idx, val, ptr, betas, radii, nsq, _ = _reference_slabs(
+        G, build_admissible_sequence(G, lam, t), sums, lam, t, _level_offset(0.1))
     res = np.add.reduceat(val * mu[idx], ptr[:-1]) - betas
     assert np.all(np.abs(res) - radii <= 1e-9)
 
@@ -496,6 +495,65 @@ def test_chaining_plan_changes_no_bits(monkeypatch, pairs_per_chunk):
     assert projected >= 3
 
 
+@pytest.mark.parametrize("t, delta, bad", [
+    (4, 0.0, "delta"), (4, 1.0, "delta"), (4, 1.5, "delta"), (4, 3.0, "delta"),
+    (4, -0.1, "delta"), (4, float("nan"), "delta"),
+    (0, 0.1, "t"), (-3, 0.1, "t"), (2.5, 0.1, "t"), (True, 0.1, "t"), (np.float64(4.0), 0.1, "t"),
+])
+def test_chaining_rejects_bad_t_and_delta_before_any_work(monkeypatch, t, delta, bad):
+    G, lam = np.array([[1, 0, 0], [0, 1, 0]], dtype=np.int8), np.full(3, 1 / 3)
+    log = make_log([0, 1, 2, 0], [1 / 3] * 4, [1, 0, 1, 1])
+    for name in ("build_admissible_sequence", "_query_counts_and_sums"):
+        monkeypatch.setattr(estimators, name, None)  # any work would be a TypeError
+    with pytest.raises(ValueError, match=rf"^{bad} must be"):
+        chaining_plan(G, lam, t, delta)
+    if bad == "delta":
+        with pytest.raises(ValueError, match=r"^delta must be in \(0, 1\)"):
+            chaining_estimate(G, log, lam, delta)
+
+
+def test_chaining_plan_serves_only_the_arguments_it_was_built_for():
+    from aced.complexity import make_thresholds
+
+    def case(n):
+        inst = make_thresholds(n, n // 2, 0.6, seed=0)
+        lam = np.full(n, 1.0 / n)
+        idx = np.random.default_rng(n).choice(n, size=30, p=lam)
+        return inst.hypotheses.labelings, lam, make_log(idx, lam[idx], inst.labels.query_many(idx))
+
+    G8, lam8, log8 = case(8)
+    G10, lam10, log10 = case(10)
+    plan = chaining_plan(G8, lam8, 30, 0.1)
+    assert plan.shape == G8.shape and (plan.t, plan.delta) == (30, 0.1)
+    skewed = np.linspace(1.0, 2.0, 8) / np.linspace(1.0, 2.0, 8).sum()
+    refused = {"shape": [(G10, log10, lam10, 0.1), (G8[:-2], log8, lam8, 0.1)],
+               "delta": [(G8, log8, lam8, 0.05)],
+               "t": [(G8, log8[:20], lam8, 0.1)],
+               "lam": [(G8, log8, skewed, 0.1)]}
+    for name, calls in refused.items():
+        for G, log, lam, delta in calls:
+            with pytest.raises(ValueError, match=f"chaining plan built for {'another ' if name == 'lam' else ''}{name}"):
+                chaining_estimate(G, log, lam, delta, plan=plan)
+    # a lam equal to the plan's, in another array or a list, is served
+    ref = chaining_estimate(G8, log8, lam8, 0.1)
+    for lam in (lam8.copy(), lam8.tolist()):
+        got = chaining_estimate(G8, log8, lam, 0.1, plan=plan)
+        assert got.values.tobytes() == ref.values.tobytes() and got.flags == ref.flags
+
+
+def test_chaining_plan_holds_twelve_bytes_per_nonzero():
+    from aced.complexity import make_thresholds
+
+    inst = make_thresholds(32, 13, 0.4, seed=0)
+    G = inst.hypotheses.labelings
+    plan = chaining_plan(G, np.full(32, 1 / 32), 200, 0.1)
+    nnz, slabs = plan.idx.size, plan.radii.size
+    assert nnz > slabs > 0 and plan.ptr[-1] == nnz
+    assert plan.idx.nbytes + plan.ridge.nbytes == 12 * nnz
+    assert plan.ptr.nbytes + plan.radii.nbytes == 16 * slabs + 8
+    assert set(np.sign(plan.ridge).tolist()) == {-1.0, 1.0}
+
+
 def test_query_log_protocol_matches_the_record_list():
     rows = [(2, 3, 0.25, 1), (2, 0, 0.5, 0), (2, 3, 0.25, 0), (2, 1, 0.125, 1), (3, 2, 1.0, 1)]
     records = [QueryRecord(*row) for row in rows]
@@ -522,12 +580,14 @@ def test_query_log_protocol_matches_the_record_list():
 
 
 def test_estimators_reject_a_logged_index_outside_the_pool():
-    log = make_log([0, 3], [0.5, 0.5], [1, 0])
-    for estimate in (naive_estimate, ips_estimate):
-        with pytest.raises(IndexError, match="out of range"):
-            estimate(log, 3)
-    with pytest.raises(IndexError, match="out of range"):
-        chaining_estimate(np.array([[1, 0, 0], [0, 1, 0]]), log, np.full(3, 1 / 3), 0.1)
+    G, lam = np.array([[1, 0, 0], [0, 1, 0]]), np.full(3, 1 / 3)
+    for bad in (3, -1):
+        log = make_log([0, bad], [0.5, 0.5], [1, 0])
+        for estimate in (naive_estimate, ips_estimate,
+                         lambda log, n: chaining_estimate(G, log, lam, 0.1)):
+            with pytest.raises(IndexError, match="out of range"):
+                estimate(log, 3)
+
 
 def _reference_naive(records, n):
     """naive_estimate's counts and sums accumulated one query at a time."""
