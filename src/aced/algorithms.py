@@ -109,15 +109,16 @@ def _content_seed(*parts) -> tuple:
     return int.from_bytes(digest[:8], "big"), digest
 
 
-def _record_design(rec, k, rep, extra):
-    rec.designs.append({
+def _design_record(k, rep, extra) -> dict:
+    """The RunRecord.designs entry of round k, solved as rep, with extra keys."""
+    return {
         "round": k,
         "lam": rep.design.lam.tolist(),
         "value": rep.value_estimate,
         "certificate": rep.certificate if math.isfinite(rep.certificate) else None,
         "converged": rep.converged, "stop_reason": rep.stop_reason,
         **extra,
-    })
+    }
 
 
 def _round_log(k, idx, probs, ys) -> QueryLog:
@@ -129,13 +130,16 @@ def _round_log(k, idx, probs, ys) -> QueryLog:
 def _fc_round_design(H_active, delta_k: float, k: int, solver_params: dict) -> tuple:
     """Everything fixed-confidence round k needs before it draws a label:
     (solver report, wanted query count, query count n_k after the cap,
-    chaining plan for n_k queries). A pure function of its arguments; the
-    solver seed derives from (H_active, delta_k, tol)."""
+    chaining plan for n_k queries, H_active as float64 for
+    estimated_errors_all, the round's design record less its survivors).
+    A pure function of its arguments; the solver seed derives from
+    (H_active, delta_k, tol)."""
     seed, _ = _content_seed("fc", H_active, delta_k, solver_params["tol"])
     rep = smd_solve(pair_width_objective(H_active, delta_k), seed=seed, **solver_params)
     wanted = max(1, math.ceil(C_BUDGET * rep.value_estimate * 2 ** (2 * (k + 1))))
     n_k = int(min(wanted, MAX_ROUND_QUERIES))
-    return rep, wanted, n_k, chaining_plan(H_active, rep.design.lam, n_k, delta_k)
+    return (rep, wanted, n_k, chaining_plan(H_active, rep.design.lam, n_k, delta_k),
+            H_active.astype(float), _design_record(k, rep, {"N": n_k, "delta_k": delta_k}))
 
 
 def aced_fixed_confidence(
@@ -159,14 +163,17 @@ def aced_fixed_confidence(
     rejects raises ValueError before any round. rec.queries joins the
     round logs once, after the last round.
 
-    A design_cache entry holds all of a round's label-free work: the
-    solver report, the wanted and capped query counts and the chaining
-    plan, with its slab rows at 12 bytes per nonzero (_fc_round_design).
-    Its key is ("fc", shape and bytes of the active rows, delta_k, k,
-    solver settings): the bytes hash exactly, so a cache shared across
-    instances, deltas or solver settings returns only what a fresh solve
-    would. A hit costs one lookup; the design keeps its sampling CDF
-    (Design.sample) and the round estimates in two segment sums.
+    A design_cache entry holds every label-free input of a round
+    (_fc_round_design): the solver report, the wanted and capped query
+    counts, the chaining plan (slab rows, ridge weights and signs at 13
+    bytes per nonzero, and the fallback's denominator), the active rows as
+    float64 and the round's design record less its survivors. Its key is
+    ("fc", shape and bytes of the active rows, delta_k, k, solver
+    settings): the bytes hash exactly, so a cache shared across instances,
+    deltas or solver settings returns only what a fresh solve would. A hit
+    costs one lookup and then only draws, queries, estimates (two segment
+    sums) and eliminates: the design keeps its sampling CDF
+    (Design.sample), and the record is copied with its own lam list.
     """
     check_budget({"round_cap": round_cap})
     if not 0 < delta < 1:
@@ -196,7 +203,7 @@ def aced_fixed_confidence(
         entry = cache.get(key)
         if entry is None:
             entry = cache[key] = _fc_round_design(H_active, delta_k, k, solver_params)
-        rep, wanted, n_k, plan = entry
+        rep, wanted, n_k, plan, H_float, record = entry
         lam = rep.design.lam
         capped_rounds += wanted > MAX_ROUND_QUERIES
         idx = rep.design.sample(n_k, np.random.default_rng([seed, k]))
@@ -207,12 +214,11 @@ def aced_fixed_confidence(
         est = chaining_estimate(H_active, round_log, lam, delta_k, plan=plan)
         if not est.flags.get("feasible", True):
             infeasible_rounds += 1
-        errs = estimated_errors_all(H_active, est)
+        errs = estimated_errors_all(H_float, est)
         keep = errs < errs.min() + 2.0 ** (-(k + 1))
         active = active[keep]
         errs = errs[keep]
-        _record_design(rec, k, rep, {"N": n_k, "delta_k": delta_k,
-                                     "survivors": active.tolist()})
+        rec.designs.append({**record, "lam": list(record["lam"]), "survivors": active.tolist()})
         rec.eliminations.append(int(active.size))
         best = int(active[int(np.argmin(errs))])
         rec.progress.append((k, int(np.count_nonzero(queried)), best))
@@ -225,7 +231,7 @@ def aced_fixed_confidence(
     rec.flags["infeasible_rounds"] = infeasible_rounds
     if capped_rounds:
         rec.flags["round_queries_capped"] = capped_rounds
-    rec.returned_labeling = [int(v) for v in H[rec.returned]]
+    rec.returned_labeling = H[rec.returned].tolist()
     return rec
 
 
@@ -374,9 +380,9 @@ def _fixed_budget_loop(instance, rec, T, epsilon, est, *, estimator_kind, solver
                 "N": N, "anchor": anchor, "stop_reason": rep.stop_reason,
             })
         elif unique:
-            _record_design(rec, k, rep, {"p_k": lam.tolist(), "N": len(idx)})
+            rec.designs.append(_design_record(k, rep, {"p_k": lam.tolist(), "N": len(idx)}))
         else:
-            _record_design(rec, k, rep, {"N": N, "anchor": anchor})
+            rec.designs.append(_design_record(k, rep, {"N": N, "anchor": anchor}))
         handle, anchor_lab = _erm_handle(hclass, est)
         rec.progress.append((k, int(np.count_nonzero(queried)),
                              int(handle) if hclass.explicit else -1))

@@ -81,11 +81,16 @@ class LabelModel:
         with self._lock:
             if self.persistent:
                 return int(self._realized[i])
-            return int(self._rng.random() < self.eta[i])
+            eta_i = self.eta[i]  # an index that is not an integer raises here, before a draw
+            return int(self._rng.random() < eta_i)
 
     def query_many(self, indices) -> np.ndarray:
-        """Vectorized query; persistent mode returns the cached labels."""
-        idx = np.asarray(indices, dtype=int)
+        """Vectorized query; persistent mode returns the cached labels. An
+        index array of floats or bools is an IndexError, as in query."""
+        idx = np.asarray(indices)
+        if idx.size and idx.dtype.kind not in "iu":
+            raise IndexError(f"query indices must be integers, got dtype {idx.dtype}")
+        idx = idx.astype(int, copy=False)
         if idx.size and (idx.min() < 0 or idx.max() >= self.n):
             raise IndexError("query index out of range")
         with self._lock:

@@ -5,9 +5,10 @@ scoring, and the multi-scale feasibility (chaining) estimator that
 intersects pairwise confidence slabs over an admissible sequence of the
 hypothesis set. The ridge-shifted IPS pair estimate (per-direction
 shrinkage with a prescribed shift) lives inside the chaining estimator:
-it is the centre of each slab. A ChainingPlan keeps the slabs' sparse rows
-and ridge weights (12 bytes per nonzero): with it, an estimate is two
-segment sums, and a projection if the fallback breaks a slab.
+it is the centre of each slab. A ChainingPlan keeps the slabs' sparse rows,
+ridge weights and signs (13 bytes per nonzero) and the fallback's
+denominator: with it, an estimate is two segment sums, and a projection if
+the fallback breaks a slab.
 
 A query log is columnar (QueryLog: round, index, prob and label as
 parallel arrays). Every estimator reads the columns and accepts only a
@@ -240,6 +241,11 @@ SLAB_RADIUS_COEFF = 2.0 * (math.sqrt(2.0 / 3.0) + 1.0)
 # entries (pairs x pool size) per chunk of the slab build: bounds the
 # dense row-difference block and every per-chunk intermediate
 SLAB_CHUNK_ENTRIES = 1 << 18
+# a chaining plan holds 13 bytes per nonzero of its slab rows (an int32
+# column, a float64 ridge weight and an int8 sign), so 2^28 bytes (256 MiB)
+# of rows allow (1 << 28) // 13 = 20,648,881 nonzeros; a plan that needs
+# more is refused while its rows are built, at most one chunk past the cap
+MAX_PLAN_NONZEROS = (1 << 28) // 13
 # the cyclic projection gives up after MAX_SWEEPS sweeps; a point is
 # feasible when no slab is exceeded by more than FEAS_TOL
 MAX_SWEEPS = 10_000
@@ -254,11 +260,14 @@ def _pair_chunks(pairs: int, n: int) -> list:
 
 
 def _slab_rows(G, seq: AdmissibleSequence, lam, t: int, u: float):
-    """A ChainingPlan's slabs (idx, ptr, ridge, radii): one per level k >= 1
-    and pair (a, b) of differing rows at nonzero distance in cumulative(k),
-    in level, then lexicographic position order, with ridge weights (G[a] -
-    G[b]) / (t lam + s_pair) where the rows differ. Built a chunk of pairs
-    at a time: a dense block holds at most max(n, SLAB_CHUNK_ENTRIES) entries."""
+    """A ChainingPlan's slabs (idx, ptr, ridge, sign, radii): one per level
+    k >= 1 and pair (a, b) of differing rows at nonzero distance in
+    cumulative(k), in level, then lexicographic position order, with ridge
+    weights (G[a] - G[b]) / (t lam + s_pair) and signs G[a] - G[b] (int8)
+    where the rows differ. Built a chunk of pairs at a time: a dense block
+    holds at most max(n, SLAB_CHUNK_ENTRIES) entries. Rows with more than
+    MAX_PLAN_NONZEROS nonzeros are a ValueError, raised at the first chunk
+    that passes the cap."""
     order = seq.cumulative(seq.depth)
     sizes = list(accumulate(len(lv) for lv in seq.levels))
     pos = np.arange(order.size)
@@ -273,28 +282,33 @@ def _slab_rows(G, seq: AdmissibleSequence, lam, t: int, u: float):
     keep = dist != 0.0
     a, b, dist, scale = a[keep], b[keep], dist[keep], scale[keep]
     s_pair = math.sqrt(1.0 / 3.0) * scale / dist
-    t_lam, idx, ridge, nnz = t * lam, [], [], []
+    t_lam, idx, ridge, sign, nnz, total = t * lam, [], [], [], [], 0
     for chunk in _pair_chunks(a.size, G.shape[1]):
         diff = G[a[chunk]] - G[b[chunk]]
         differ = diff != 0
         cols = np.empty(diff.shape, dtype=np.int32)
         cols[:] = np.arange(diff.shape[1])
         idx.append(cols[differ])
+        total += idx[-1].size
+        if total > MAX_PLAN_NONZEROS:
+            raise ValueError(f"chaining plan needs {total} nonzeros or more, "
+                             f"over MAX_PLAN_NONZEROS={MAX_PLAN_NONZEROS}")
         ridge.append((diff / (t_lam + s_pair[chunk, None]))[differ])
+        sign.append(diff[differ])
         nnz.append(differ.sum(axis=1))
     nnz = np.concatenate(nnz)
     keep = nnz > 0  # identical rows at a roundoff distance give no slab
     ptr = np.zeros(np.count_nonzero(keep) + 1, dtype=np.int64)
     np.cumsum(nnz[keep], out=ptr[1:])
-    return (np.concatenate(idx), ptr, np.concatenate(ridge),
+    return (np.concatenate(idx), ptr, np.concatenate(ridge), np.concatenate(sign),
             SLAB_RADIUS_COEFF * scale[keep] * dist[keep])
 
 
-def _project(plan, val, betas, res, start):
-    """Cyclic projection onto the plan's slabs (values val, centres betas)
-    intersected with [-1,1]^n, from the point start whose residuals are
-    res. Returns (point, feasible, sweeps); the point is start itself if
-    no sweep ends feasible."""
+def _project(plan, betas, res, start):
+    """Cyclic projection onto the plan's slabs (values its signs, centres
+    betas) intersected with [-1,1]^n, from the point start whose residuals
+    are res. Returns (point, feasible, sweeps); the point is start itself
+    if no sweep ends feasible."""
     idx, ptr, radii = plan.idx, plan.ptr, plan.radii
     z = start
     sweeps = 0
@@ -304,7 +318,7 @@ def _project(plan, val, betas, res, start):
             return z, True, sweeps
         if z is start:  # first projection
             z = start.copy()
-            nsq = np.diff(ptr)
+            nsq, val = np.diff(ptr), plan.sign.astype(float)
         for j in np.flatnonzero(excess > FEAS_TOL):
             sl = slice(ptr[j], ptr[j + 1])
             r = float(val[sl] @ z[idx[sl]]) - betas[j]
@@ -319,21 +333,26 @@ def _project(plan, val, betas, res, start):
 
 class ChainingPlan(NamedTuple):
     """The label-free part of chaining_estimate, tied to one design: it
-    serves only the (m, n) shape, t, delta and lam (as bytes) it was built
-    for. depth is the admissible sequence's, s_diam the fallback's shift.
-    Slab j has radius radii[j] and ridge weights ridge[ptr[j]:ptr[j+1]]
-    on the coordinates idx[ptr[j]:ptr[j+1]] (int32), whose signs are the
-    pair difference: 12 bytes per nonzero, and no dense block."""
+    serves only the (m, n) shape, t, delta, rows (as int8 bytes) and lam
+    (as bytes) it was built for. depth is the admissible sequence's, and
+    fallback_denom the fallback's denominator t lam + s_diam, s_diam being
+    the shift at the diameter scale. Slab j has radius radii[j], ridge
+    weights ridge[ptr[j]:ptr[j+1]] and signs sign[ptr[j]:ptr[j+1]] (int8,
+    the pair difference) on the coordinates idx[ptr[j]:ptr[j+1]] (int32):
+    13 bytes per nonzero, at most MAX_PLAN_NONZEROS of them, and no dense
+    block."""
 
     shape: tuple
     t: int
     delta: float
+    rows_bytes: bytes
     lam_bytes: bytes
     depth: int
-    s_diam: float
+    fallback_denom: np.ndarray
     idx: np.ndarray
     ptr: np.ndarray
     ridge: np.ndarray
+    sign: np.ndarray
     radii: np.ndarray
 
 
@@ -344,7 +363,8 @@ def _check_delta(delta) -> None:
 
 def chaining_plan(labelings, lam, t: int, delta: float) -> ChainingPlan:
     """The ChainingPlan of chaining_estimate for a log of t queries (an
-    integer t >= 1) drawn from lam, at confidence delta in (0, 1)."""
+    integer t >= 1) drawn from lam, at confidence delta in (0, 1). Slab rows
+    past MAX_PLAN_NONZEROS nonzeros are a ValueError."""
     if isinstance(t, bool) or not isinstance(t, numbers.Integral) or t < 1:
         raise ValueError(f"t must be an integer >= 1, got {t!r}")
     _check_delta(delta)
@@ -356,8 +376,8 @@ def chaining_plan(labelings, lam, t: int, delta: float) -> ChainingPlan:
     seq = build_admissible_sequence(G, lam, t)
     diam = float(seq.dist.max())
     s_diam = (math.sqrt(1.0 / 3.0) * (u + 2 ** (seq.depth / 2.0)) / diam) if diam > 0 else 1.0
-    return ChainingPlan(G.shape, t, delta, lam.tobytes(), seq.depth, s_diam,
-                        *_slab_rows(G, seq, lam, t, u))
+    return ChainingPlan(G.shape, t, delta, G.tobytes(), lam.tobytes(), seq.depth,
+                        t * lam + s_diam, *_slab_rows(G, seq, lam, t, u))
 
 
 def chaining_estimate(labelings, log: QueryLog, lam, delta: float,
@@ -373,10 +393,12 @@ def chaining_estimate(labelings, log: QueryLog, lam, delta: float,
 
     Everything but the label sums is in the plan, chaining_plan(labelings,
     lam, max(len(log), 1), delta), built here when none is given; a plan
-    built for another shape, sample size, delta or lam is a ValueError, and
-    so is a delta outside (0, 1). Identical rows give no slab, nor do rows
-    at zero distance under the design metric. The slab centres and the
-    fallback's residuals are segment sums over the plan's nonzeros.
+    built for another shape, sample size, delta, rows or lam is a
+    ValueError, and so is a delta outside (0, 1). Identical rows give no
+    slab, nor do rows at zero distance under the design metric. The slab
+    centres and the fallback's residuals are segment sums over the plan's
+    nonzeros, and the fallback divides the label sums by the plan's
+    denominator.
     """
     _check_delta(delta)
     G = np.asarray(labelings, dtype=np.int8)
@@ -390,16 +412,18 @@ def chaining_estimate(labelings, log: QueryLog, lam, delta: float,
                                    ("delta", plan.delta, delta)):
             if built != given:
                 raise ValueError(f"chaining plan built for {name}={built}, called with {name}={given}")
+        if plan.rows_bytes != G.tobytes():
+            raise ValueError("chaining plan built for other rows")
         if plan.lam_bytes != lam.tobytes():
             raise ValueError("chaining plan built for another lam")
-    fallback = (sums / (t * lam + plan.s_diam)).clip(-1.0, 1.0)
+    fallback = (sums / plan.fallback_denom).clip(-1.0, 1.0)
 
     mu, feasible, sweeps = fallback, True, 0
     if plan.radii.size:
-        starts, val = plan.ptr[:-1], np.sign(plan.ridge)
+        starts = plan.ptr[:-1]
         betas = np.add.reduceat(plan.ridge * sums[plan.idx], starts)
-        res = np.add.reduceat(val * fallback[plan.idx], starts) - betas
-        mu, feasible, sweeps = _project(plan, val, betas, res, fallback)
+        res = np.add.reduceat(plan.sign * fallback[plan.idx], starts) - betas
+        mu, feasible, sweeps = _project(plan, betas, res, fallback)
     return EtaEstimate(values=(1.0 + mu) / 2.0, counts=counts,
                        flags={"feasible": feasible, "levels": plan.depth, "sweeps": sweeps})
 

@@ -7,8 +7,8 @@ import pytest
 
 from aced.algorithms import (
     RunRecord,
+    _design_record,
     _iwal_probability,
-    _record_design,
     aced_fixed_budget,
     aced_fixed_budget_efficient,
     aced_fixed_confidence,
@@ -446,7 +446,7 @@ def test_design_from_an_all_zero_batch_reports_no_certificate():
     assert rep.stop_reason == "cap" and np.array_equal(rep.design.lam, [0.5, 0.5])
     assert rep.certificate == math.inf  # not 0.0: an all-zero batch proves nothing
     rec = RunRecord(algorithm="aced_waterfilled", seed=0, params={})
-    _record_design(rec, 1, rep, {})
+    rec.designs.append(_design_record(1, rep, {}))
 
     def reject(constant):
         raise ValueError(f"not strict JSON: {constant}")
@@ -689,6 +689,34 @@ def test_fixed_budget_warm_repeat_solves_nothing(monkeypatch, variant):
     assert calls == [] and warm.to_jsonl() == cold.to_jsonl()
     # a memoized design refuses in-place writes
     assert not any(rep.design.lam.flags.writeable for rep in alg._ROUND_SOLVES.values())
+
+
+MEMO_RUNS = dict(FIXED_BUDGET_RUNS, chaining=(
+    aced_fixed_budget, {"T": 60, "epsilon": 0.1, "estimator_kind": "chaining"}))
+del MEMO_RUNS["ips"]
+MEMO_POOLS = {"thresholds": partial(make_thresholds, 16, 7, 0.6, persistent=True, seed=2),
+              "core_tail": partial(make_core_tail_instance, 3, persistent=True, seed=7)}
+
+
+@pytest.mark.parametrize("pool", MEMO_POOLS)
+@pytest.mark.parametrize("variant", ["naive", "chaining", "efficient", "waterfilled"])
+def test_round_memo_changes_no_record(monkeypatch, variant, pool):
+    # every seed's record is the same with the memo warm (here it holds
+    # every round solve of the seeds run before) and after clearing it
+    import aced.algorithms as alg
+
+    algo, params = MEMO_RUNS[variant]
+    inst = MEMO_POOLS[pool]()
+    seeds = range(4)
+    for seed in seeds:  # fills the memo
+        algo(inst, seed=seed, **params)
+    calls = _counted_solves(monkeypatch)
+    warm = [algo(inst, seed=seed, **params).to_jsonl() for seed in seeds]
+    assert calls == [] and len(alg._ROUND_SOLVES) > 0
+    for seed, line in zip(seeds, warm):
+        alg._ROUND_SOLVES.clear()
+        assert algo(inst, seed=seed, **params).to_jsonl() == line
+    assert len(calls) >= len(seeds)
 
 
 THRESHOLDS_8 = np.array([[int(i >= t) for i in range(8)] for t in range(9)])

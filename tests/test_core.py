@@ -126,6 +126,21 @@ def test_persistent_queries_are_idempotent():
     assert labels.query_many(range(20)).tolist() == first
 
 
+@pytest.mark.parametrize("persistent", [True, False])
+def test_query_many_refuses_float_and_bool_indices(persistent):
+    # numpy used to cast them: [1.9, 2.2] read as [1, 2], [True, False] as [1, 0]
+    labels = LabelModel(np.linspace(0.1, 0.9, 5), persistent=persistent, seed=3)
+    with pytest.raises(IndexError):
+        labels.query(1.9)
+    for bad in ([1.9, 2.2], np.array([1.0, 2.0]), [True, False], np.array([1], dtype=bool)):
+        with pytest.raises(IndexError, match="must be integers"):
+            labels.query_many(bad)
+    # a refused call draws nothing, and integer indices of any width are served
+    fresh = LabelModel(np.linspace(0.1, 0.9, 5), persistent=persistent, seed=3)
+    for idx in ([0, 4, 2], np.array([1, 3], dtype=np.uint8), np.array([2], dtype=np.int32), []):
+        assert labels.query_many(idx).tolist() == fresh.query_many(idx).tolist()
+
+
 def test_query_empirical_mean():
     labels = LabelModel(np.array([0.3]), seed=4)
     draws = labels.query_many(np.zeros(100_000, dtype=int))

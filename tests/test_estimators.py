@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -526,14 +527,26 @@ def test_chaining_plan_serves_only_the_arguments_it_was_built_for():
     plan = chaining_plan(G8, lam8, 30, 0.1)
     assert plan.shape == G8.shape and (plan.t, plan.delta) == (30, 0.1)
     skewed = np.linspace(1.0, 2.0, 8) / np.linspace(1.0, 2.0, 8).sum()
-    refused = {"shape": [(G10, log10, lam10, 0.1), (G8[:-2], log8, lam8, 0.1)],
-               "delta": [(G8, log8, lam8, 0.05)],
-               "t": [(G8, log8[:20], lam8, 0.1)],
-               "lam": [(G8, log8, skewed, 0.1)]}
+    # rows of the plan's shape but not its own: reordered, or another class
+    other = np.random.default_rng(5).integers(0, 2, size=G8.shape).astype(np.int8)
+    refused = {"shape=": [(G10, log10, lam10, 0.1), (G8[:-2], log8, lam8, 0.1)],
+               "delta=": [(G8, log8, lam8, 0.05)],
+               "t=": [(G8, log8[:20], lam8, 0.1)],
+               "other rows": [(G8[::-1], log8, lam8, 0.1), (other, log8, lam8, 0.1)],
+               "another lam": [(G8, log8, skewed, 0.1)]}
     for name, calls in refused.items():
         for G, log, lam, delta in calls:
-            with pytest.raises(ValueError, match=f"chaining plan built for {'another ' if name == 'lam' else ''}{name}"):
+            with pytest.raises(ValueError, match=f"chaining plan built for {name}"):
                 chaining_estimate(G, log, lam, delta, plan=plan)
+    # random pairs of 5 x 8 classes with distinct rows: a plan serves only its own
+    rng, lam5 = np.random.default_rng(9), np.full(8, 1 / 8)
+    for _ in range(20):
+        A, B = (np.unique(rng.integers(0, 2, size=(12, 8)), axis=0)[:5].astype(np.int8)
+                for _ in range(2))
+        if A.shape != B.shape or np.array_equal(A, B):
+            continue
+        with pytest.raises(ValueError, match="chaining plan built for other rows"):
+            chaining_estimate(B, log8, lam5, 0.1, plan=chaining_plan(A, lam5, 30, 0.1))
     # a lam equal to the plan's, in another array or a list, is served
     ref = chaining_estimate(G8, log8, lam8, 0.1)
     for lam in (lam8.copy(), lam8.tolist()):
@@ -541,17 +554,44 @@ def test_chaining_plan_serves_only_the_arguments_it_was_built_for():
         assert got.values.tobytes() == ref.values.tobytes() and got.flags == ref.flags
 
 
-def test_chaining_plan_holds_twelve_bytes_per_nonzero():
+def test_chaining_plan_holds_thirteen_bytes_per_nonzero():
     from aced.complexity import make_thresholds
 
     inst = make_thresholds(32, 13, 0.4, seed=0)
     G = inst.hypotheses.labelings
-    plan = chaining_plan(G, np.full(32, 1 / 32), 200, 0.1)
+    lam = np.full(32, 1 / 32)
+    plan = chaining_plan(G, lam, 200, 0.1)
     nnz, slabs = plan.idx.size, plan.radii.size
     assert nnz > slabs > 0 and plan.ptr[-1] == nnz
-    assert plan.idx.nbytes + plan.ridge.nbytes == 12 * nnz
+    assert plan.idx.nbytes + plan.ridge.nbytes + plan.sign.nbytes == 13 * nnz
     assert plan.ptr.nbytes + plan.radii.nbytes == 16 * slabs + 8
-    assert set(np.sign(plan.ridge).tolist()) == {-1.0, 1.0}
+    assert plan.sign.dtype == np.int8 and set(plan.sign.tolist()) == {-1, 1}
+    assert np.array_equal(plan.sign, np.sign(plan.ridge))
+    # the fallback's denominator t lam + s_diam, one float per coordinate
+    seq = build_admissible_sequence(G, lam, 200)
+    s_diam = math.sqrt(1.0 / 3.0) * (_level_offset(0.1) + 2 ** (seq.depth / 2.0)) / seq.dist.max()
+    assert plan.fallback_denom.tobytes() == (200 * lam + s_diam).tobytes()
+
+
+def test_chaining_plan_refuses_rows_past_the_nonzero_cap(monkeypatch):
+    from aced.complexity import make_thresholds
+
+    G = make_thresholds(32, 13, 0.4, seed=0).hypotheses.labelings
+    lam = np.full(32, 1 / 32)
+    nnz = chaining_plan(G, lam, 200, 0.1).idx.size
+    monkeypatch.setattr(estimators, "MAX_PLAN_NONZEROS", nnz)
+    assert chaining_plan(G, lam, 200, 0.1).idx.size == nnz  # the cap itself is allowed
+    chunk_pairs = 5  # a chunk holds at most 5 * 32 nonzeros
+    monkeypatch.setattr(estimators, "SLAB_CHUNK_ENTRIES", chunk_pairs * 32)
+    for cap in (0, 1, nnz // 3, nnz - 1):
+        monkeypatch.setattr(estimators, "MAX_PLAN_NONZEROS", cap)
+        with pytest.raises(ValueError, match="MAX_PLAN_NONZEROS") as err:
+            chaining_plan(G, lam, 200, 0.1)
+        # it names the count it reached, at most one chunk past the cap
+        held = int(re.search(r"needs (\d+) nonzeros", str(err.value)).group(1))
+        assert cap < held <= min(cap + chunk_pairs * 32, nnz)
+        with pytest.raises(ValueError, match="MAX_PLAN_NONZEROS"):
+            chaining_estimate(G, make_log([0, 1], [1 / 32] * 2, [1, 0]), lam, 0.1)
 
 
 def test_query_log_protocol_matches_the_record_list():

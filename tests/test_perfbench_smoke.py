@@ -34,6 +34,9 @@ def test_perfbench_traced_run_is_correct(workload, tmp_path):
         for name in ("estimators.chaining_estimate.calls", "estimators.chaining_estimate.slabs",
                      "core.labels.queried"):
             assert result["metrics"][name]["value"] > 0
+        # the tracer wraps estimated_errors_all on aced.algorithms by name:
+        # a round that scores its survivors another way reads 0
+        assert result["metrics"]["estimators.estimated_errors_all.ms"]["value"] > 0
         # the counting cache sees each round's one lookup, and nearly all hit
         hits, misses = (result["metrics"][f"algorithms.design_cache.{name}"]["value"]
                         for name in ("hits", "misses"))
