@@ -6,6 +6,7 @@ matrices, and pool error / gap computation.
 """
 from __future__ import annotations
 
+import numbers
 import threading
 from dataclasses import dataclass
 
@@ -75,14 +76,16 @@ class LabelModel:
                 self._rng = np.random.default_rng(self.seed)
 
     def query(self, i: int) -> int:
-        """Observe a label for example i."""
+        """Observe a label for example i. An index that is a bool or not an
+        integer is an IndexError, raised before any draw, as in query_many."""
+        if isinstance(i, bool) or not isinstance(i, numbers.Integral):
+            raise IndexError(f"query index must be an integer, got {i!r}")
         if not 0 <= i < self.n:
             raise IndexError(f"index {i} out of range for pool of size {self.n}")
         with self._lock:
             if self.persistent:
                 return int(self._realized[i])
-            eta_i = self.eta[i]  # an index that is not an integer raises here, before a draw
-            return int(self._rng.random() < eta_i)
+            return int(self._rng.random() < self.eta[i])
 
     def query_many(self, indices) -> np.ndarray:
         """Vectorized query; persistent mode returns the cached labels. An

@@ -9,7 +9,9 @@ excess-error ratio per sample; pair-width objectives combine a squared
 Gaussian width with a worst-pair inverse-mass penalty. A batch of draws
 is scored in one matrix product with the objective's rows; the gap
 modes take their gradient moments from per-row sums of the draws each
-row won, so a step's work is a few small products. The two
+row won, so a step's work is a few small products. Their divided rows
+V / den live on the objective (DesignObjective.divided), and a draw's
+winning row is read off the column max that gave its value. The two
 deterministic designs behind the complexity measures need no descent:
 psi_design solves the worst-coordinate objective in closed form, and
 rho_design the inverse-information objective through its dual,
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -51,11 +53,13 @@ class ObjectiveDegenerateError(RuntimeError):
 def floor_simplex(lam) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
     total = lam.sum()
-    if not np.isfinite(total) or total <= 0:
+    if not math.isfinite(total) or total <= 0:
         return np.full(lam.size, 1.0 / lam.size)
     lam = np.maximum(lam / total, LAMBDA_FLOOR)
-    lam = np.maximum(lam / lam.sum(), LAMBDA_FLOOR)  # renormalization may dip below once
-    return lam / lam.sum()
+    lam /= lam.sum()
+    np.maximum(lam, LAMBDA_FLOOR, out=lam)  # renormalization may dip below once
+    lam /= lam.sum()
+    return lam
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,9 +101,10 @@ class DesignObjective:
       true_gap         same ratio with true gaps floored at epsilon: V, den, anchor
       fixed_confidence E[max_h - min_h score]^2 + penalty * max-pair inverse mass: V, den, penalty
     Every objective is scored through its rows V and den. The gap modes
-    divide the rows, V / den, and score a batch with one product; their
-    gradient sums, per row, the draws that row won. The pair-width mode
-    divides its scores by den (all ones). An oracle-backed fixed_budget
+    divide the rows once, into divided (with their squares, which the
+    gradient reads), and score a batch with one product of scaled_rows;
+    their gradient sums, per row, the draws that row won. The pair-width
+    mode divides its scores by den (all ones). An oracle-backed fixed_budget
     objective (maximizer set) has one row per labeling of its working set
     W, the anchor first; smd_solve grows W with what the oracle returns,
     from anchor_labeling, eta, scale and line_search_iters, on a copy that
@@ -117,6 +122,25 @@ class DesignObjective:
     anchor_labeling: np.ndarray | None = None
     maximizer: object = None           # weighted-max oracle, oracle-backed mode
     line_search_iters: int = 20        # the most oracle calls one line search makes
+
+    _kept: tuple = field(default=(None, None), init=False, repr=False)  # (lam, scaled_rows(lam))
+
+    @cached_property
+    def divided(self) -> tuple:
+        """(V / den, its square): the gap modes' rows, formed once per objective."""
+        Vd = self.V / self.den[:, None]
+        return Vd, Vd**2
+
+    def scaled_rows(self, lam: np.ndarray) -> np.ndarray:
+        """divided[0] / sqrt(lam), kept for the last read-only lam: smd_solve,
+        whose iterates are read-only, scores an accepted trial's lam again as
+        its next iterate, and an iterate again as a candidate."""
+        kept = self._kept
+        if kept[0] is not lam:
+            kept = (lam, self.divided[0] / np.sqrt(lam))
+            if not lam.flags.writeable:
+                self._kept = kept
+        return kept[1]
 
 
 def _gap_denominators(labelings, eta, anchor, scale, floor_at_scale):
@@ -196,41 +220,51 @@ def batch_values(obj: DesignObjective, lam: np.ndarray, Z: np.ndarray):
 
     A score column's value is max(max, 0) in the gap modes, max - min in the
     pair-width mode; batch_gradient also gets the (m, B) score matrix, to
-    differentiate the max. The gap modes divide the rows first and score
-    the batch in one product, ((V / den) / sqrt(lam)) @ Z^T; the pair-width
+    differentiate the max. The gap modes score the batch in one product of
+    their divided rows, (obj.divided[0] / sqrt(lam)) @ Z^T; the pair-width
     mode scales the draws, (V @ (Z / sqrt(lam))^T) / den.
     """
     if obj.mode == "fixed_confidence":
         scores = (obj.V @ (Z / np.sqrt(lam)).T) / obj.den[:, None]
         return scores.max(axis=0) - scores.min(axis=0), scores
-    scores = ((obj.V / obj.den[:, None]) / np.sqrt(lam)) @ Z.T
+    scores = obj.scaled_rows(lam) @ Z.T
     return np.maximum(scores.max(axis=0), 0.0), scores
 
 
-def batch_gradient(obj: DesignObjective, lam: np.ndarray, Z: np.ndarray, vals, argmax):
+def _winners(obj: DesignObjective, vals, scores) -> np.ndarray:
+    """The gap modes' (m, B) 0/1 indicator of the row that won each draw:
+    where the draw's value (the column max of batch_values) is positive, the
+    row scoring it, the lowest on an exact tie as argmax picks; elsewhere
+    the anchor."""
+    won = scores == vals
+    won &= vals > 0
+    won[obj.anchor] |= vals <= 0
+    if np.count_nonzero(won) > vals.size:  # rows tied at a draw's value: keep the first
+        won &= won.cumsum(axis=0) == 1
+    return won.astype(float)
+
+
+def batch_gradient(obj: DesignObjective, lam: np.ndarray, Z: np.ndarray, vals, scores):
     """Batch mean and mean square of the per-sample gradients, from batch_values.
 
     A draw z's gradient is -1/2 w z lam^(-3/2), w the row that won it. In
     the pair-width mode w is the argmax row of V minus the argmin row. In
-    the gap modes it is the argmax row of Vd = V / den, the anchor's where
-    the value is <= 0; with G the (m, B) 0/1 indicator of those rows, the
-    moments are per-row sums of the draws each row won:
+    the gap modes it is the row of Vd = V / den (obj.divided) that _winners
+    picks; with G its indicator, the moments are per-row sums of the draws
+    each row won:
     mean = -1/2 lam^(-3/2) sum_h Vd_h (G @ Z)_h / B and
     mean square = 1/4 lam^(-3) sum_h Vd_h^2 (G @ Z^2)_h / B.
     """
     inv32 = lam ** (-1.5)
     if obj.mode == "fixed_confidence":
-        W = obj.V[np.argmax(argmax, axis=0)] - obj.V[np.argmin(argmax, axis=0)]
+        W = obj.V[np.argmax(scores, axis=0)] - obj.V[np.argmin(scores, axis=0)]
         grads = -0.5 * W * Z * inv32
         return grads.mean(axis=0), (grads**2).mean(axis=0)
     B = Z.shape[0]
-    rows = np.argmax(argmax, axis=0)
-    rows[vals <= 0] = obj.anchor
-    G = np.zeros(argmax.shape)
-    G[rows, np.arange(B)] = 1.0
-    Vd = obj.V / obj.den[:, None]
+    G = _winners(obj, vals, scores)
+    Vd, Vd2 = obj.divided
     gmean = -0.5 * inv32 * (Vd * (G @ Z)).sum(axis=0) / B
-    gsq = 0.25 * inv32**2 * (Vd**2 * (G @ Z**2)).sum(axis=0) / B
+    gsq = 0.25 * inv32**2 * (Vd2 * (G @ Z**2)).sum(axis=0) / B
     return gmean, gsq
 
 
@@ -249,9 +283,12 @@ def _outer(obj, lam, vals):
 
 
 def _mirror_step(log_lam, g, step):
+    """The exponentiated step, read-only (see DesignObjective.scaled_rows)."""
     u = log_lam - step * g
     u -= u.max()  # scale-invariant; keeps exp finite
-    return floor_simplex(np.exp(u))
+    lam = floor_simplex(np.exp(u))
+    lam.flags.writeable = False
+    return lam
 
 
 def _paired_se(a, b) -> float:
@@ -430,6 +467,12 @@ def smd_solve(
     the same W, so backtracking acceptance is as for an explicit class;
     whenever W has grown, the incumbent best and the plateau checkpoint
     are re-scored on it, so candidates are always compared on one W.
+
+    In the gap modes the column max of an iteration's (m, B) scores gives
+    each draw's value and its winning row (_winners), whose draws sum to
+    the gradient moments; the divided rows are formed once per objective
+    (per W, a new objective each time it grows), and the accepted trial's
+    scaled rows are the next iterate's.
     """
     check_solver_settings({"tol": tol, "b0": b0, "max_iters": max_iters, "max_halvings": max_halvings,
                            "eval_samples": eval_samples, "rel_tol": rel_tol, "max_batch": max_batch})
@@ -437,6 +480,7 @@ def smd_solve(
         raise ValueError(f"unknown objective mode {obj.mode!r}")
     n = obj.n
     lam = np.full(n, 1.0 / n)
+    lam.flags.writeable = False
     B = max(int(b0), 2)
     b_oracle = B
     step = 1.0

@@ -141,6 +141,22 @@ def test_query_many_refuses_float_and_bool_indices(persistent):
         assert labels.query_many(idx).tolist() == fresh.query_many(idx).tolist()
 
 
+@pytest.mark.parametrize("persistent", [True, False])
+def test_query_refuses_a_bool_index_before_any_draw(persistent):
+    # True passed 0 <= i < n: a persistent model then raised TypeError, a
+    # non-persistent one spent a draw of its label stream first
+    labels = LabelModel(np.linspace(0.1, 0.9, 5), persistent=persistent, seed=3)
+    state = labels._rng.bit_generator.state
+    for bad in (True, False, np.True_, np.bool_(False), 1.0, np.float64(2.0)):
+        with pytest.raises(IndexError, match="must be an integer"):
+            labels.query(bad)
+    assert labels._rng.bit_generator.state == state
+    # numpy integers are served, as rng.choice returns them
+    fresh = LabelModel(np.linspace(0.1, 0.9, 5), persistent=persistent, seed=3)
+    for i in (np.int64(1), np.uint8(4), np.random.default_rng(0).choice(np.arange(5)), 2):
+        assert labels.query(i) == fresh.query(int(i))
+
+
 def test_query_empirical_mean():
     labels = LabelModel(np.array([0.3]), seed=4)
     draws = labels.query_many(np.zeros(100_000, dtype=int))

@@ -24,6 +24,7 @@ from aced.design import (
     _disagreement_supports,
     _grow_working_set,
     _outer,
+    _winners,
     batch_gradient,
     batch_values,
     floor_simplex,
@@ -108,6 +109,23 @@ def reference_gap_kernels(obj, lam, Z, rows=None) -> tuple:
     magnitude = (np.abs(obj.V) / obj.den[:, None]) @ np.abs(Zs).T
     gmag = np.abs(grads).mean(axis=0)
     return scores, vals, grads.mean(axis=0), (grads**2).mean(axis=0), magnitude, gmag
+
+
+def reference_gap_gradient(obj, lam, Z, vals, scores) -> tuple:
+    """The gap branch of batch_gradient before its winners came from the
+    column max: (G, mean, mean square), with G scattered from the argmax
+    rows of the scores, the anchor's where the value is <= 0, and Vd formed
+    in the call."""
+    inv32 = lam ** (-1.5)
+    B = Z.shape[0]
+    rows = np.argmax(scores, axis=0)
+    rows[vals <= 0] = obj.anchor
+    G = np.zeros(scores.shape)
+    G[rows, np.arange(B)] = 1.0
+    Vd = obj.V / obj.den[:, None]
+    gmean = -0.5 * inv32 * (Vd * (G @ Z)).sum(axis=0) / B
+    gsq = 0.25 * inv32**2 * (Vd**2 * (G @ Z**2)).sum(axis=0) / B
+    return G, gmean, gsq
 
 
 def reference_pair_rows(labelings):
@@ -376,6 +394,55 @@ def test_gap_kernels_match_per_draw_formula():
     for m, n in ((16, 16), (64, 64)):
         obj = gap_objective(*_random_gap_objective(rng, m, n), 0.25)
         check_gap_kernels(obj, floor_simplex(rng.random(n)), rng.standard_normal((1024, n)))
+
+
+def test_gap_winners_and_moments_equal_the_argmax_kernel_bitwise():
+    # scores as ((V / den) / sqrt(lam)) @ Z^T, winner rows and gradient
+    # moments are array_equal to the argmax kernel's, on batches with exact
+    # ties between rows (duplicate labelings), draws every row scores <= 0
+    # (zero draws, and a lone live row), and a non-anchor row that ties the
+    # anchor at 0 on every draw
+    rng = np.random.default_rng(34)
+    seen = {"tie": 0, "zero": 0, "anchor_tie": 0}
+
+    def check(obj, lam, Z):
+        vals, scores = batch_values(obj, lam, Z)
+        assert np.array_equal(scores, ((obj.V / obj.den[:, None]) / np.sqrt(lam)) @ Z.T)
+        G, ref_mean, ref_sq = reference_gap_gradient(obj, lam, Z, vals, scores)
+        assert np.array_equal(_winners(obj, vals, scores), G)
+        gmean, gsq = batch_gradient(obj, lam, Z, vals, scores)
+        assert np.array_equal(gmean, ref_mean) and np.array_equal(gsq, ref_sq)
+        top = scores == vals
+        seen["tie"] += int(np.count_nonzero((top & (vals > 0)).sum(axis=0) > 1))
+        seen["zero"] += int(np.count_nonzero(vals <= 0))
+        seen["anchor_tie"] += int(np.count_nonzero((top.sum(axis=0) > 1) & (vals <= 0)))
+
+    for B in (2, 64, 1024):
+        for _ in range(12):
+            m, n = int(rng.integers(2, 12)), int(rng.integers(2, 20))
+            H, eta, anchor = _random_gap_objective(rng, m, n)
+            H[(anchor + 1) % m] = H[anchor]  # ties the anchor at 0
+            if m > 3:
+                H[(anchor + 2) % m] = H[(anchor + 3) % m]  # two rows that tie each other
+            lam = floor_simplex(rng.random(n))
+            Z = rng.standard_normal((B, n))
+            Z[::7] = 0.0  # every row scores 0
+            for obj in (gap_objective(H, eta, anchor, 0.25), gap_objective(H, eta, anchor, 0.1, mode="true_gap")):
+                check(obj, lam, Z)
+        # one live row: every draw it scores <= 0 is the anchor's
+        check(gap_objective(np.array([[0, 0, 1], [1, 0, 1]], dtype=np.int8), np.array([0.9, 0.5, 0.5]), 1, 0.5),
+              floor_simplex(rng.random(3)), rng.standard_normal((B, 3)))
+        # an oracle working set, the anchor its first row
+        H, eta, anchor = _random_gap_objective(rng, 6, 8)
+
+        def maximizer(w, H=H):
+            i = int(np.argmax(H @ w))
+            return i, H[i]
+
+        obj = oracle_gap_objective(8, H[anchor], eta, 0.25, maximizer, line_search_iters=4)
+        lam, Z = floor_simplex(rng.random(8)), rng.standard_normal((B, 8))
+        check(_grow_working_set(obj, lam, Z[:4], {obj.anchor_labeling.tobytes()}), lam, Z)
+    assert min(seen.values()) > 0, seen
 
 
 def test_sample_unique_matches_reference():

@@ -2,18 +2,27 @@
 
 Every REGISTRY algorithm runs on small seeded instances with a small
 solver override; a refactor that keeps behaviour must leave each
-RunRecord body, and each rho* and psi* result, byte-identical. A digest that changes on purpose is
-updated here with its reason in CHANGES.md.
+RunRecord body, each rho*, psi* and gamma* result, and the full-size gap
+solves pinned below byte-identical. Each golden RunRecord body is kept as
+its canonical JSON in golden/<case, with / as .>.json beside its digest
+here, so that a re-pin rewrites both and git diff shows what moved. A
+digest that changes on purpose is updated here with its reason in
+CHANGES.md.
 """
 import hashlib
+import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from aced.algorithms import REGISTRY
-from aced.complexity import make_core_tail_instance, make_thresholds, make_tsybakov, psi_star, rho_star
+from aced import complexity
+from aced.algorithms import DEFAULT_SOLVER, REGISTRY
+from aced.complexity import (gamma_star, make_core_tail_instance, make_thresholds, make_tsybakov, psi_star,
+                             rho_star)
 from aced.core import HypothesisClass, Instance, LabelModel, Pool
+from aced.design import gap_objective, smd_solve
 from aced.oracles import LinearOracleClass
 
 SOLVER = {"max_iters": 12, "max_batch": 64}
@@ -117,10 +126,51 @@ GOLDEN = {
 }
 
 
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+
+def _first_difference(got, want, path=""):
+    """(path, got value, want value) where two parsed JSON values first
+    differ, in key order, or None. Scalars match when their types and reprs
+    do, so 0.0 and -0.0 differ and nan matches nan."""
+    if isinstance(got, dict) and isinstance(want, dict):
+        for key in sorted(got.keys() | want.keys()):
+            sub = f"{path}.{key}" if path else key
+            if key not in got or key not in want:
+                return sub, got.get(key, "<absent>"), want.get(key, "<absent>")
+            found = _first_difference(got[key], want[key], sub)
+            if found:
+                return found
+        return None
+    if isinstance(got, list) and isinstance(want, list):
+        for i, (a, b) in enumerate(zip(got, want)):
+            found = _first_difference(a, b, f"{path}[{i}]")
+            if found:
+                return found
+        if len(got) != len(want):
+            i = min(len(got), len(want))
+            return f"{path}[{i}]", (got + ["<absent>"])[i], (want + ["<absent>"])[i]
+        return None
+    if type(got) is not type(want) or repr(got) != repr(want):
+        return path, got, want
+    return None
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_runrecord_digest(name):
-    body = CASES[name]().to_jsonl()
-    assert hashlib.sha256(body.encode()).hexdigest() == GOLDEN[name]
+    # the body equals its golden file byte for byte, and the file its pinned
+    # digest; a mismatch names the first differing field, golden -> run
+    path = GOLDEN_DIR / f"{name.replace('/', '.')}.json"
+    want = path.read_bytes()
+    assert hashlib.sha256(want).hexdigest() == GOLDEN[name], f"{path.name} does not match its pinned digest"
+    body = CASES[name]().to_jsonl().encode()
+    if body != want:
+        found = _first_difference(json.loads(body), json.loads(want))
+        if found is None:
+            offset = next(i for i, (a, b) in enumerate(zip(body + b"\0", want + b"\0")) if a != b)
+            pytest.fail(f"{name}: the body differs from {path.name} at byte {offset} in formatting only")
+        field, got, expected = found
+        pytest.fail(f"{name}: {field}: {expected!r} -> {got!r}")
 
 
 # logistic fits (oracles._fit_logistic calls) per oracle-backed golden run,
@@ -199,3 +249,46 @@ def test_complexity_measures_digest():
                 digest.update(struct.pack("<dd?", r.value, r.certificate, r.converged))
                 digest.update(r.design.lam.tobytes())
     assert digest.hexdigest() == "86d613558b390c89845e127f2fcc7b2ca0ecbedfd4c0d1b33a2e7b1dd3dfe7df"
+
+
+def _solve_bytes(rep) -> bytes:
+    """A SolverReport's value, certificate, iterations, stop reason, batch
+    trajectory and design, as bytes."""
+    return (struct.pack("<ddi", rep.value_estimate, rep.certificate, rep.iterations)
+            + rep.stop_reason.encode()
+            + struct.pack(f"<{len(rep.batch_trajectory)}i", *rep.batch_trajectory)
+            + rep.design.lam.tobytes())
+
+
+def test_gamma_star_and_full_size_gap_solve_digest(monkeypatch):
+    # gamma* (value, stderr, converged, design bytes) with its true_gap
+    # solve's report: the complexity_grid benchmark's four reports (core-tail
+    # m=3 and thresholds (16, 7, 0.5) at eps 0.1 and 0.05) at its capped
+    # solver, max_iters 300 and max_batch 1024, and the thresholds report at
+    # eps 0.05 at the uncapped DIAGNOSTIC_SOLVER. Then a fixed_budget solve at
+    # DEFAULT_SOLVER (max_batch 256): round 3 of aced_fixed_budget on the
+    # sweep_core_tail pool at run seed 1000, with its eta-hat and solver seed
+    solves = []
+    solve = complexity.smd_solve
+
+    def recording(*args, **kwargs):
+        solves.append(solve(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(complexity, "smd_solve", recording)
+    grid = {"max_iters": 300, "max_batch": 1024}
+    core_tail, thresholds = make_core_tail_instance(3), make_thresholds(16, 7, 0.5)
+    digest = hashlib.sha256()
+    for inst, eps, solver in [(core_tail, 0.1, grid), (core_tail, 0.05, grid), (thresholds, 0.1, grid),
+                              (thresholds, 0.05, grid), (thresholds, 0.05, None)]:
+        g = gamma_star(inst.hypotheses, inst.labels, eps, solver=solver)
+        digest.update(struct.pack("<dd?", g.value, g.stderr, g.converged) + g.design.lam.tobytes())
+        digest.update(_solve_bytes(solves[-1]))
+    assert len(solves) == 5
+    eta = np.zeros(20)
+    eta[[6, 10, 11]] = 0.5
+    obj = gap_objective(make_core_tail_instance(4).hypotheses.labelings, eta, 0, 0.25)
+    rep = smd_solve(obj, seed=914574248188367062, **DEFAULT_SOLVER)
+    assert max(rep.batch_trajectory) == DEFAULT_SOLVER["max_batch"]
+    digest.update(_solve_bytes(rep))
+    assert digest.hexdigest() == "02f1d203f6d787ea04a7f3f1f7cd0bb11552b6df5aa62de8daf74f7c9b49dbbd"

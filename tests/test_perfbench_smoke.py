@@ -21,9 +21,12 @@ WORKLOADS = ("sweep_core_tail", "fc_thresholds", "oracle_linear_csv", "complexit
 def test_perfbench_traced_run_is_correct(workload, tmp_path):
     (tmp_path / "src").symlink_to(ROOT / "src")
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    # the first timed round replays the warm-up's seed, whose design solves
+    # the round memo serves, so the sweep also runs rounds on fresh seeds
+    seconds = "1" if workload == "sweep_core_tail" else "0"
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
-         "--seed", "1", "--seconds", "0", "--trace", "1"],
+         "--seed", "1", "--seconds", seconds, "--trace", "1"],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
@@ -45,6 +48,16 @@ def test_perfbench_traced_run_is_correct(workload, tmp_path):
         # the tracer wraps these two on aced.algorithms by name, and both
         # workloads run aced_waterfilled: a rename or a moved call reads 0
         for name in ("design.waterfill.ms", "design.sample_unique.ms"):
+            assert result["metrics"][name]["value"] > 0
+    if workload == "complexity_grid":
+        # the tracer wraps smd_solve and gap_objective on aced.complexity by
+        # name: a gamma* that solves another way reads 0
+        for name in ("design.smd_solve.true_gap.ms", "design.smd_solve.true_gap.iters",
+                     "design.gap_objective.ms"):
+            assert result["metrics"][name]["value"] > 0
+    if workload == "sweep_core_tail":
+        # and on aced.algorithms, where the fixed-budget rounds solve
+        for name in ("design.smd_solve.fixed_budget.ms", "design.gap_objective.ms"):
             assert result["metrics"][name]["value"] > 0
     if workload == "oracle_linear_csv":
         # iwal's streaming fits reach the oracle module's names at call time
