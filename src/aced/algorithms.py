@@ -254,9 +254,7 @@ def check_budget(budget: dict) -> None:
 def _fixed_budget_rounds(T: int, epsilon: float) -> tuple:
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must be in (0,1)")
-    rounds = int(math.floor(math.log2(1.0 / epsilon)))
-    if rounds < 1:
-        rounds = 1
+    rounds = max(1, int(math.floor(math.log2(1.0 / epsilon))))  # 1 for epsilon in (1/2, 1)
     if T < rounds:
         raise ValueError(f"budget {T} smaller than the number of rounds {rounds}")
     return rounds, T // rounds
@@ -504,6 +502,8 @@ def baseline_uniform_disagreement(
     algorithm's answer is only determined once it has certified one.
     """
     check_budget({"T": T})
+    if not 0 < delta < 1:
+        raise ValueError("delta must be in (0,1)")
     hclass = instance.hypotheses
     if not hclass.explicit:
         raise ImplicitClassError("the version-space baseline enumerates the class")
@@ -595,6 +595,8 @@ def baseline_iwal(
     """
     if variant not in ("iwal0", "iwal1", "oracular0", "oracular1"):
         raise ValueError(f"unknown variant {variant!r}")
+    if not 0 <= C0 < math.inf:
+        raise ValueError(f"C0 must be a finite number >= 0, got {C0!r}")
     hclass = instance.hypotheses
     explicit = hclass.explicit
     oracular = variant.startswith("oracular")

@@ -12,7 +12,6 @@ from __future__ import annotations
 import configparser
 import csv
 import inspect
-import io
 import json
 import math
 import os
@@ -517,9 +516,7 @@ def emit_plotdata(rows) -> list:
         per_seed = {}
         for seed, pts in seeds.items():
             pts = sorted(pts)
-            vals = []
-            best = -math.inf
-            j = 0
+            vals, best, j = [], -math.inf, 0
             for q in grid:
                 while j < len(pts) and pts[j][0] <= q:
                     best = max(best, pts[j][1])
@@ -529,9 +526,7 @@ def emit_plotdata(rows) -> list:
         arr = np.array([per_seed[s] for s in sorted(per_seed)])
         for col, q in enumerate(grid):
             column = arr[:, col]
-            ok = ~np.isnan(column)
-            if not ok.any():
-                continue
+            ok = ~np.isnan(column)  # every grid point is some seed's own point
             out.append((algo, q, float(column[ok].mean()), float(column[ok].std())))
     return out
 
@@ -545,16 +540,26 @@ def write_curves(curve_rows, path):
 
 
 def read_results_csv(path) -> list:
-    rows = []
+    """A results.csv's rows, # lines skipped; an empty holdout_acc is None. A
+    missing column, a seed or queries that is not an integer, or an accuracy
+    that is not a number in [0, 1] is a ConfigError naming file:line."""
     with open(path, newline="") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    reader = csv.DictReader(io.StringIO("".join(lines)))
+        numbered = [(no, ln) for no, ln in enumerate(fh, start=1) if not ln.startswith("#")]
+    reader, rows = csv.DictReader(ln for _, ln in numbered), []
     for d in reader:
-        rows.append(ResultRow(
-            algorithm=d["algorithm"], seed=int(d["seed"]), queries=int(d["queries"]),
-            pool_acc=float(d["pool_acc"]),
-            holdout_acc=float(d["holdout_acc"]) if d.get("holdout_acc") else None,
-        ))
+        def read(key, kind, where=f"{path}:{numbered[reader.line_num - 1][0]}"):
+            if d.get(key) is None:
+                raise ConfigError(f"{where}: missing column {key!r}")
+            try:
+                value = kind(d[key])
+            except ValueError:
+                value = None
+            if value is None or kind is float and not 0 <= value <= 1:
+                wanted = "an integer" if kind is int else "a number in [0, 1]"
+                raise ConfigError(f"{where}: {key} must be {wanted}, got {d[key]!r}")
+            return value
+        rows.append(ResultRow(read("algorithm", str), read("seed", int), read("queries", int),
+                              read("pool_acc", float), read("holdout_acc", float) if d.get("holdout_acc") else None))
     return rows
 
 

@@ -10,8 +10,8 @@ Gaussian width with a worst-pair inverse-mass penalty. A batch of draws
 is scored in one matrix product with the objective's rows; the gap
 modes take their gradient moments from per-row sums of the draws each
 row won, so a step's work is a few small products. Their divided rows
-V / den live on the objective (DesignObjective.divided), and a draw's
-winning row is read off the column max that gave its value. The two
+V / den are formed once per objective (DesignObjective.divided), and a
+draw's winning row is read off the column max that gave its value. The two
 deterministic designs behind the complexity measures need no descent:
 psi_design solves the worst-coordinate objective in closed form, and
 rho_design the inverse-information objective through its dual,
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -92,7 +92,7 @@ class Design:
         return cls(np.full(n, 1.0 / n))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class DesignObjective:
     """One of the stochastic design criteria, with precomputed per-hypothesis data.
 
@@ -102,7 +102,7 @@ class DesignObjective:
       fixed_confidence E[max_h - min_h score]^2 + penalty * max-pair inverse mass: V, den, penalty
     Every objective is scored through its rows V and den. The gap modes
     divide the rows once, into divided (with their squares, which the
-    gradient reads), and score a batch with one product of scaled_rows;
+    gradient reads), and score a batch with one product of those rows;
     their gradient sums, per row, the draws that row won. The pair-width
     mode divides its scores by den (all ones). An oracle-backed fixed_budget
     objective (maximizer set) has one row per labeling of its working set
@@ -123,24 +123,11 @@ class DesignObjective:
     maximizer: object = None           # weighted-max oracle, oracle-backed mode
     line_search_iters: int = 20        # the most oracle calls one line search makes
 
-    _kept: tuple = field(default=(None, None), init=False, repr=False)  # (lam, scaled_rows(lam))
-
     @cached_property
     def divided(self) -> tuple:
         """(V / den, its square): the gap modes' rows, formed once per objective."""
         Vd = self.V / self.den[:, None]
         return Vd, Vd**2
-
-    def scaled_rows(self, lam: np.ndarray) -> np.ndarray:
-        """divided[0] / sqrt(lam), kept for the last read-only lam: smd_solve,
-        whose iterates are read-only, scores an accepted trial's lam again as
-        its next iterate, and an iterate again as a candidate."""
-        kept = self._kept
-        if kept[0] is not lam:
-            kept = (lam, self.divided[0] / np.sqrt(lam))
-            if not lam.flags.writeable:
-                self._kept = kept
-        return kept[1]
 
 
 def _gap_denominators(labelings, eta, anchor, scale, floor_at_scale):
@@ -227,7 +214,7 @@ def batch_values(obj: DesignObjective, lam: np.ndarray, Z: np.ndarray):
     if obj.mode == "fixed_confidence":
         scores = (obj.V @ (Z / np.sqrt(lam)).T) / obj.den[:, None]
         return scores.max(axis=0) - scores.min(axis=0), scores
-    scores = obj.scaled_rows(lam) @ Z.T
+    scores = (obj.divided[0] / np.sqrt(lam)) @ Z.T
     return np.maximum(scores.max(axis=0), 0.0), scores
 
 
@@ -283,12 +270,10 @@ def _outer(obj, lam, vals):
 
 
 def _mirror_step(log_lam, g, step):
-    """The exponentiated step, read-only (see DesignObjective.scaled_rows)."""
+    """The exponentiated step from log lam along -g, floored on the simplex."""
     u = log_lam - step * g
     u -= u.max()  # scale-invariant; keeps exp finite
-    lam = floor_simplex(np.exp(u))
-    lam.flags.writeable = False
-    return lam
+    return floor_simplex(np.exp(u))
 
 
 def _paired_se(a, b) -> float:
@@ -300,7 +285,7 @@ def _paired_se(a, b) -> float:
     return math.sqrt(d.sum() / d.size) / math.sqrt(d.size)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SolverReport:
     """Solver output: design, value, certificate and why it stopped."""
 
@@ -471,8 +456,7 @@ def smd_solve(
     In the gap modes the column max of an iteration's (m, B) scores gives
     each draw's value and its winning row (_winners), whose draws sum to
     the gradient moments; the divided rows are formed once per objective
-    (per W, a new objective each time it grows), and the accepted trial's
-    scaled rows are the next iterate's.
+    (per W, a new objective each time it grows).
     """
     check_solver_settings({"tol": tol, "b0": b0, "max_iters": max_iters, "max_halvings": max_halvings,
                            "eval_samples": eval_samples, "rel_tol": rel_tol, "max_batch": max_batch})
@@ -480,7 +464,6 @@ def smd_solve(
         raise ValueError(f"unknown objective mode {obj.mode!r}")
     n = obj.n
     lam = np.full(n, 1.0 / n)
-    lam.flags.writeable = False
     B = max(int(b0), 2)
     b_oracle = B
     step = 1.0
@@ -540,7 +523,7 @@ def smd_solve(
             if cvalue - value <= _paired_se(cvals, vals) * max(slope, cslope):
                 break
             trial *= 0.5
-        else:  # no trial accepted: take the smallest step
+        else:  # none accepted: step by min(1, 2 step) / 2^max_halvings, the first trial at 0
             cand = _mirror_step(log_lam, g, trial)
         lam, step = cand, trial
     value, _, _, lam, cert = best

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from aced.algorithms import (
+    P_MIN,
     RunRecord,
     _design_record,
     _iwal_probability,
@@ -118,6 +119,14 @@ def test_fixed_budget_single_round_when_eps_half():
     rec = aced_fixed_budget(inst, T=24, epsilon=0.5, estimator_kind="naive", seed=0)
     assert rec.flags.get("rounds") is None  # no such flag; rounds from designs
     assert len(rec.designs) == 1 and rec.designs[0]["N"] == 24
+
+
+def test_fixed_budget_single_round_when_eps_between_half_and_one():
+    # log2(1 / 0.75) < 1, so the round count is raised to one
+    inst = make_thresholds(8, 3, 1.0, persistent=True, seed=0)
+    rec = aced_fixed_budget(inst, T=24, epsilon=0.75, estimator_kind="naive", seed=0)
+    assert len(rec.designs) == 1 and rec.designs[0]["N"] == 24
+    assert len(rec.queries) == 24 and {q.round for q in rec.queries} == {1}
 
 
 def test_fixed_budget_budget_too_small():
@@ -371,6 +380,23 @@ def test_uniform_disagreement_matches_passive_on_easy_thresholds():
     assert bw >= pw
 
 
+def _counting_labels(inst):
+    """Make inst's label source record each index it is queried at; returns that list."""
+    drawn, query = [], inst.labels.query
+    inst.labels.query = lambda i: drawn.append(i) or query(i)
+    return drawn
+
+
+@pytest.mark.parametrize("delta", [0.0, 1.0, 2.0, -1.0, math.nan])
+def test_uniform_disagreement_rejects_delta_before_any_label(delta):
+    inst = make_thresholds(16, 7, 0.5, persistent=True, seed=1)
+    drawn = _counting_labels(inst)
+    with pytest.raises(ValueError, match=r"^delta must be in \(0,1\)$"):
+        baseline_uniform_disagreement(inst, T=20, delta=delta, seed=0)
+    assert drawn == []
+    assert len(baseline_uniform_disagreement(inst, T=20, delta=0.5, seed=0).queries) == len(drawn) > 0
+
+
 def test_iwal_probability_rule_boundary():
     # zero loss gap always queries, whatever the aggressiveness
     for k in (2, 10, 500):
@@ -383,6 +409,24 @@ def test_iwal_probability_rule_boundary():
     thr = s + s * s
     assert _iwal_probability(thr * 0.999, k, C0, 1.0) == 1.0
     assert _iwal_probability(thr * 1.001, k, C0, 1.0) < 1.0
+
+
+@pytest.mark.parametrize("C0", [math.nan, math.inf, -1.0, -1e-300])
+def test_iwal_rejects_c0_before_the_first_step(C0):
+    inst = make_thresholds(16, 7, 0.5, persistent=True, seed=1)
+    drawn = _counting_labels(inst)
+    stream = iter(range(16))
+    with pytest.raises(ValueError, match="^C0 must be a finite number >= 0"):
+        baseline_iwal(inst, stream, C0=C0, seed=0)
+    assert drawn == [] and next(stream) == 0
+
+
+def test_iwal_accepts_c0_zero():
+    # C0 = 0 gives zero slack, _iwal_probability's s <= 0 return: P_MIN
+    assert _iwal_probability(3.0, 5, 0.0, 1.0) == P_MIN
+    inst = make_thresholds(16, 7, 0.5, persistent=True, seed=1)
+    rec = baseline_iwal(inst, range(16), C0=0.0, seed=0)
+    assert rec.params["C0"] == 0.0 and len(rec.progress) == 16
 
 
 def test_iwal_explicit_runs_and_dedups_stream():

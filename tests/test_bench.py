@@ -281,6 +281,48 @@ def test_emit_plotdata_fixtures():
     assert out[0] == ("a", 1, pytest.approx(0.6), pytest.approx(0.1))
     assert out[1] == ("a", 2, pytest.approx(0.75), pytest.approx(0.05))
 
+    # seeds on different query grids: each point averages the seeds that reached it
+    rows = [ResultRow("a", 0, 1, 0.5, None), ResultRow("a", 1, 2, 0.7, None)]
+    assert emit_plotdata(rows) == [("a", 1, 0.5, 0.0), ("a", 2, pytest.approx(0.6), pytest.approx(0.1))]
+
+
+RESULTS_HEAD = "# generated\nalgorithm,seed,queries,pool_acc,holdout_acc\na,0,1,0.5,\n"
+
+
+def test_read_results_csv_reads_what_run_writes(tmp_path):
+    path = tmp_path / "results.csv"
+    path.write_text(RESULTS_HEAD + "# a comment\nb,3,2,1,0.25\n")
+    assert read_results_csv(path) == [ResultRow("a", 0, 1, 0.5, None), ResultRow("b", 3, 2, 1.0, 0.25)]
+
+
+@pytest.mark.parametrize("row, message", [
+    ("a,0,x,0.5,", "queries must be an integer, got 'x'"),  # a traceback
+    ("a,0.5,2,0.5,", "seed must be an integer, got '0.5'"),
+    ("a,0,2,nan,", "pool_acc must be a number in [0, 1], got 'nan'"),  # dropped from curves.csv
+    ("a,0,2,inf,", "pool_acc must be a number in [0, 1], got 'inf'"),
+    ("a,0,2,1.5,", "pool_acc must be a number in [0, 1], got '1.5'"),
+    ("a,0,2,-0.1,", "pool_acc must be a number in [0, 1], got '-0.1'"),
+    ("a,0,2,,", "pool_acc must be a number in [0, 1], got ''"),
+    ("a,0,2,0.5,nan", "holdout_acc must be a number in [0, 1], got 'nan'"),
+    ("a,0,2", "missing column 'pool_acc'"),
+])
+def test_plotdata_refuses_a_bad_results_row_naming_its_line(tmp_path, capsys, row, message):
+    path = tmp_path / "results.csv"
+    path.write_text(RESULTS_HEAD + "# a comment\n" + row + "\n")
+    with pytest.raises(ConfigError) as exc:
+        read_results_csv(path)
+    assert str(exc.value) == f"{path}:5: {message}"
+    assert cli.main(["plotdata", str(path), "--out", str(tmp_path / "c.csv")]) == 2
+    assert capsys.readouterr().err == f"{path}:5: {message}\n"
+    assert not (tmp_path / "c.csv").exists()
+
+
+def test_read_results_csv_names_a_missing_column(tmp_path):
+    path = tmp_path / "results.csv"
+    path.write_text("algorithm,seed,queries\na,0,1\n")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:2: missing column 'pool_acc'$"):
+        read_results_csv(path)
+
 
 def test_stdin_label_model_prompts_once_per_index():
     answers = iter(["1", "0", "1"])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from functools import partial
 
@@ -801,3 +802,58 @@ def test_edge_solver_settings_are_accepted():
     rep = smd_solve(obj, tol=1e-3, b0=np.int64(2), max_iters=1, max_halvings=0, eval_samples=0,
                     max_batch=2)
     assert rep.iterations == 1 and rep.batch_trajectory == [2]
+
+
+def test_no_trial_accepted_steps_by_the_first_trial_at_zero_halvings(monkeypatch):
+    # at max_halvings 0 no trial is scored, and every step is the one taken
+    # when none is accepted: min(1, 2 step) from step 1, so always 1
+    inst = make_thresholds(8, 3, 0.6)
+    obj = gap_objective(inst.hypotheses.labelings, inst.labels.eta, 2, 0.5)
+    steps, scored = [], []
+    mirror = aced.design._mirror_step
+
+    def mirror_spy(log_lam, g, step):
+        steps.append((step, mirror(log_lam, g, step)))
+        return steps[-1][1]
+
+    def values_spy(o, lam, Z):
+        scored.append((lam, Z))
+        return batch_values(o, lam, Z)
+
+    monkeypatch.setattr(aced.design, "_mirror_step", mirror_spy)
+    monkeypatch.setattr(aced.design, "batch_values", values_spy)
+    rep = smd_solve(obj, tol=1e-12, b0=4, seed=3, max_iters=4, max_halvings=0, eval_samples=8)
+    assert rep.stop_reason == "cap" and rep.iterations == 4
+    assert [step for step, _ in steps] == [1.0] * 3  # a capped solve proposes no step after its last
+    Z_eval = np.random.default_rng([3, 1 << 30]).standard_normal((8, 8))
+    iterates = [(lam, Z) for lam, Z in scored if not np.array_equal(Z, Z_eval)]
+    assert len(iterates) == rep.iterations  # each batch scored once: no trial
+    for (_, stepped), (lam, _) in zip(steps, iterates[1:]):
+        assert lam is stepped
+
+
+def test_gap_values_follow_a_lam_changed_in_place():
+    # scoring must read lam's values, not its identity or write flag
+    inst = make_thresholds(8, 3, 0.5)
+    obj = gap_objective(inst.hypotheses.labelings, inst.labels.eta, anchor=2, scale=0.25)
+    Z = np.random.default_rng(0).standard_normal((16, 8))
+    lam = np.full(8, 1 / 8)
+    lam.flags.writeable = False
+    first = batch_values(obj, lam, Z)[0].copy()
+    lam.flags.writeable = True
+    lam[:] = np.linspace(1.0, 2.0, 8) / np.linspace(1.0, 2.0, 8).sum()
+    lam.flags.writeable = False
+    again = batch_values(obj, lam, Z)[0]
+    assert np.array_equal(again, batch_values(obj, lam.copy(), Z)[0])
+    assert not np.array_equal(again, first)
+
+
+def test_objectives_and_reports_are_frozen():
+    # both are held by the round memo or the fixed-confidence design cache
+    # and shared across runs
+    inst = make_thresholds(8, 3, 0.5)
+    obj = gap_objective(inst.hypotheses.labelings, inst.labels.eta, anchor=2, scale=0.25)
+    rep = psi_design(inst.hypotheses.labelings, inst.labels.eta, 2, 0.25)
+    for value, name in ((obj, "anchor"), (obj, "V"), (rep, "design"), (rep, "stop_reason")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, None)

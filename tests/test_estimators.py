@@ -140,6 +140,28 @@ def test_pair_distance_matches_definition():
     assert d[0, 1] == pytest.approx(expect, abs=1e-12)
 
 
+def test_chaining_plan_takes_zero_mass_only_where_every_row_agrees():
+    # columns 0 and 3 are 1 in every row, column 4 is 0 in every row
+    G = np.array([[1, 0, 1, 1, 0, 0], [1, 1, 0, 1, 0, 1], [1, 0, 0, 1, 0, 1],
+                  [1, 1, 1, 1, 0, 0], [1, 0, 1, 1, 0, 1]], dtype=np.int8)
+    pos = np.array([0.1, 0.2, 0.2, 0.15, 0.15, 0.2])
+    zero = np.where(np.all(G == G[0], axis=0), 0.0, pos)
+    for t in (1, 7, 30):
+        # compared squared: the square root magnifies the diagonal's roundoff
+        np.testing.assert_allclose(pair_distance_matrix(G, zero, t) ** 2,
+                                   pair_distance_matrix(G, pos, t) ** 2, atol=1e-12)
+        a, b = chaining_plan(G, zero, t, 0.1), chaining_plan(G, pos, t, 0.1)
+        assert a.depth == b.depth and a.depth >= 1
+        for name in ("idx", "ptr", "sign"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        for name in ("ridge", "radii"):
+            np.testing.assert_allclose(getattr(a, name), getattr(b, name), rtol=1e-12)
+    disagree = pos.copy()
+    disagree[1] = 0.0
+    with pytest.raises(InvalidDesignError, match="no mass on a disagreement coordinate"):
+        chaining_plan(G, disagree, 7, 0.1)
+
+
 def test_chaining_singleton_trivial():
     log = make_log([0, 1], [0.5, 0.5], [1, 0])
     est = chaining_estimate(np.array([[1, 0]], dtype=np.int8), log, np.array([0.5, 0.5]), 0.1)
