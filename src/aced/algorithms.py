@@ -17,14 +17,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import numbers
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields
 from functools import partial
 
 import numpy as np
 
-from .core import ImplicitClassError, Instance, disagreement_region
+from .core import Instance, check_integer, disagreement_region
 from .design import (
     Design,
     gap_objective,
@@ -178,22 +177,18 @@ def aced_fixed_confidence(
     check_budget({"round_cap": round_cap})
     if not 0 < delta < 1:
         raise ValueError("delta must be in (0,1)")
-    hclass = instance.hypotheses
-    if not hclass.explicit:
-        raise ImplicitClassError("fixed-confidence elimination enumerates the class")
+    H = instance.hypotheses.enumerated("aced_fixed_confidence")
     solver_params = dict(DEFAULT_SOLVER, **(solver or {}))
     settings = tuple(sorted(solver_params.items()))
     cache = {} if design_cache is None else design_cache
     rec = RunRecord(algorithm="aced_fixed_confidence", seed=seed,
                     params={"delta": delta, "c_budget": C_BUDGET, "round_cap": round_cap})
-    H = hclass.labelings
-    n = hclass.n
     active = np.arange(H.shape[0])
     errs = np.zeros(active.size)
     k = 0
     infeasible_rounds = 0
     capped_rounds = 0
-    queried = np.zeros(n, dtype=bool)
+    queried = np.zeros(H.shape[1], dtype=bool)
     round_logs = []
     while active.size > 1 and k < round_cap:
         k += 1
@@ -242,13 +237,8 @@ def check_budget(budget: dict) -> None:
     are integers >= 0, N_batch (unless None) and line_search_iters
     integers >= 1, and bools are refused. A key not given is not checked."""
     for key, low in (("T", 0), ("round_cap", 0), ("N_batch", 1), ("line_search_iters", 1)):
-        value = budget.get(key)
-        if value is None:
-            continue
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{key!r} must be an integer, got {value!r}")
-        if value < low:
-            raise ValueError(f"{key!r} must be at least {low}, got {value!r}")
+        if budget.get(key) is not None:
+            check_integer(repr(key), budget[key], low)
 
 
 def _fixed_budget_rounds(T: int, epsilon: float) -> tuple:
@@ -411,8 +401,7 @@ def aced_fixed_budget(
     """
     if estimator_kind not in ("naive", "ips", "chaining"):
         raise ValueError("estimator_kind must be naive, ips, or chaining")
-    if not instance.hypotheses.explicit:
-        raise ImplicitClassError("this variant enumerates the class; see the waterfilled one")
+    instance.hypotheses.enumerated("aced_fixed_budget")  # aced_waterfilled serves an oracle class
     rec = RunRecord(algorithm="aced_fixed_budget", seed=seed,
                     params={"T": T, "epsilon": epsilon, "estimator_kind": estimator_kind})
     return _fixed_budget_loop(instance, rec, T, epsilon, _prior_estimate(instance.n),
@@ -432,8 +421,7 @@ def aced_fixed_budget_efficient(
     are flagged as budget_unspent. It enumerates the class, so an
     oracle-backed class raises ImplicitClassError; the waterfilled variant
     serves those."""
-    if not instance.hypotheses.explicit:
-        raise ImplicitClassError("desk-scale variant enumerates the class")
+    instance.hypotheses.enumerated("aced_fixed_budget_efficient")
     rec = RunRecord(algorithm="aced_fixed_budget_efficient", seed=seed,
                     params={"T": T, "epsilon": epsilon})
     return _fixed_budget_loop(instance, rec, T, epsilon, _prior_estimate(instance.n),
@@ -504,10 +492,7 @@ def baseline_uniform_disagreement(
     check_budget({"T": T})
     if not 0 < delta < 1:
         raise ValueError("delta must be in (0,1)")
-    hclass = instance.hypotheses
-    if not hclass.explicit:
-        raise ImplicitClassError("the version-space baseline enumerates the class")
-    H = hclass.labelings
+    H = instance.hypotheses.enumerated("uniform_disagreement")
     m, n = H.shape
     rec = RunRecord(algorithm="uniform_disagreement", seed=seed,
                     params={"T": T, "delta": delta})
@@ -559,12 +544,14 @@ def _iwal_probability(G: float, k: int, C0: float, aggressiveness: float) -> flo
     hypothesis minus ERM), by the rejection-threshold rule: with slack
     s = sqrt(C0 * aggressiveness * log(max(k, 2)) / max(k - 1, 1)), a gap
     G <= s + s^2 queries surely, and a larger one with probability 1/x^2,
-    where x > 1 solves G = s x + s^2 x^2; never below P_MIN."""
+    where x > 1 solves G = s x + s^2 x^2; never below P_MIN. At s = 0
+    (C0 = 0) a zero gap still queries surely and a positive one gets P_MIN,
+    the limits of both rules as C0 falls to 0."""
     s = math.sqrt(C0 * aggressiveness * math.log(max(k, 2)) / max(k - 1, 1))
-    if s <= 0:
-        return P_MIN
     if G <= s + s * s:
         return 1.0
+    if s <= 0:
+        return P_MIN
     x = (math.sqrt(1.0 + 4.0 * G) - 1.0) / (2.0 * s)
     return max(P_MIN, min(1.0, 1.0 / (x * x)))
 
@@ -600,8 +587,8 @@ def baseline_iwal(
     hclass = instance.hypotheses
     explicit = hclass.explicit
     oracular = variant.startswith("oracular")
-    if oracular and not explicit:
-        raise ImplicitClassError("oracular IWAL scores every hypothesis on the revealed labels")
+    if oracular:  # scores every hypothesis on the revealed labels
+        hclass.enumerated(f"iwal variant {variant!r}")
     aggressiveness = 0.5 if variant.endswith("1") else 1.0
     rec = RunRecord(algorithm=f"iwal_{variant}", seed=seed,
                     params={"C0": C0, "variant": variant})

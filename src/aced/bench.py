@@ -14,7 +14,6 @@ import csv
 import inspect
 import json
 import math
-import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,7 +22,7 @@ import numpy as np
 
 from .algorithms import DEFAULT_SOLVER, REGISTRY, RunRecord, _erm_handle, check_budget
 from .complexity import make_core_tail_instance, make_thresholds, make_tsybakov
-from .core import HypothesisClass, Instance, LabelModel, Pool
+from .core import HypothesisClass, Instance, LabelModel, Pool, check_integer
 from .design import check_solver_settings, smd_solve
 from .estimators import naive_estimate
 # weighted_max stays importable here: perfbench/tracer.py wraps bench.weighted_max
@@ -159,11 +158,10 @@ def load_config(path) -> ExperimentConfig:
 def _run_integer(key: str, value, low: int) -> int:
     """A [run] value that must be an integer of at least low; a bool, float
     or string, or a smaller integer, is a ConfigError naming the key."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"[run]: {key} must be an integer, got {value!r}")
-    if value < low:
-        raise ConfigError(f"[run]: {key} must be at least {low}, got {value!r}")
-    return value
+    try:
+        return check_integer(key, value, low)
+    except ValueError as exc:
+        raise ConfigError(f"[run]: {exc}") from None
 
 
 def _algorithm_params(section: str, name: str, params: dict) -> dict:
@@ -172,7 +170,7 @@ def _algorithm_params(section: str, name: str, params: dict) -> dict:
     algorithm that takes one and must pass check_solver_settings over
     DEFAULT_SOLVER, a T, round_cap, N_batch or line_search_iters it takes
     must pass check_budget, iwal's passes must be an integer >= 1 and stays for
-    _run_one, a design_cache (an in-process dict, which no config value can
+    _task, a design_cache (an in-process dict, which no config value can
     be) is refused, and the rest must bind to REGISTRY[name] beside SUPPLIED
     (else ConfigError)."""
     sig, params = _SIGNATURES[name], dict(params)
@@ -181,11 +179,10 @@ def _algorithm_params(section: str, name: str, params: dict) -> dict:
     for key in params:  # a solver_ key not folded above, a bare solver key or a cache is bad
         if key in SUPPLIED or key == "design_cache" or key.startswith("solver"):
             raise ConfigError(f"[{section}]: {name} takes no key {key!r}")
-    passes = params.get("passes", 1)
-    if name == "iwal" and (isinstance(passes, bool) or not isinstance(passes, int) or passes < 1):
-        raise ConfigError(f"[{section}]: iwal takes 'passes' as an integer >= 1, got {passes!r}")
     try:
         check_budget({k: v for k, v in params.items() if k in sig.parameters})
+        if name == "iwal":
+            check_integer("'passes'", params.get("passes", 1), 1)
     except ValueError as exc:
         raise ConfigError(f"[{section}]: {exc}") from None
     if solver:
@@ -287,7 +284,12 @@ def ingest_csv(features_path, labels_path) -> Instance:
 
 
 def export_instance(instance: Instance, outdir) -> dict:
-    """Write labels/features/labelings CSVs; inverse of the loaders."""
+    """Write an instance's CSVs under outdir and return their paths:
+    labels.csv (id,y for a persistent model's realized labels, else id,eta),
+    features.csv (id,f0..f{p-1}) when the pool has features, and
+    labelings.csv (one 0/1 row per hypothesis) when the class is explicit.
+    ingest_csv reads labels.csv with a features.csv back, as an
+    oracle-backed instance; no loader reads labelings.csv."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     paths = {}
@@ -332,44 +334,38 @@ def _score(labeling, labels: LabelModel, idx=None) -> float:
     return float(np.mean(eta * labeling + (1.0 - eta) * (1.0 - labeling)))
 
 
-def _restrict_instance(instance: Instance, train_idx: np.ndarray) -> Instance:
-    pool = instance.pool
+def _training_instance(full: Instance, fraction: float, seed: int) -> tuple:
+    """(holdout indices, training indices, training instance): a seeded
+    split of the pool, each index array sorted, and full restricted to the
+    training indices, or full itself when nothing is held out. An
+    interactive label source with a holdout is a ConfigError, raised before
+    anything is restricted: held-out points have no labels to score against."""
+    perm = np.random.default_rng([seed, 0x401]).permutation(full.n)
+    n_hold = int(round(fraction * full.n))
+    holdout_idx, train_idx = np.sort(perm[:n_hold]), np.sort(perm[n_hold:])
+    if not n_hold:
+        return holdout_idx, train_idx, full
+    if getattr(full.labels, "interactive", False):
+        raise ConfigError("holdout_fraction must be 0 with an interactive label source")
+    pool, labels = full.pool, full.labels
     feats = pool.features[train_idx] if pool.features is not None else None
-    sub_pool = Pool(n=train_idx.size, features=feats,
-                    ids=tuple(pool.ids[i] for i in train_idx))
-    labels = instance.labels
     if labels.persistent:
         sub_labels = LabelModel(labels.realized_labels()[train_idx].astype(float),
                                 persistent=True, seed=labels.seed)
     else:
         sub_labels = LabelModel(labels.eta[train_idx], persistent=False, seed=labels.seed + 1)
-    if instance.hypotheses.explicit:
+    if full.hypotheses.explicit:
         # keep row indices aligned with the full class: no dedup
-        sub_class = HypothesisClass(instance.hypotheses.labelings[:, train_idx], dedup=False)
+        sub_class = HypothesisClass(full.hypotheses.labelings[:, train_idx], dedup=False)
     else:
         sub_class = HypothesisClass(oracle=LinearOracleClass(feats))
-    return Instance(pool=sub_pool, hypotheses=sub_class, labels=sub_labels)
-
-
-def _run_one(instance: Instance, name: str, params: dict, seed: int):
-    if name == "iwal":
-        params = dict(params)
-        passes = params.pop("passes", 1)
-        rng = np.random.default_rng([seed, 17])
-        stream = np.concatenate([rng.permutation(instance.n) for _ in range(passes)])
-        return REGISTRY[name](instance, stream, seed=seed, **params)
-    return REGISTRY[name](instance, seed=seed, **params)
-
-
-def _holdout_split(n: int, fraction: float, seed: int) -> tuple:
-    """Seeded (holdout indices, training indices), each sorted."""
-    perm = np.random.default_rng([seed, 0x401]).permutation(n)
-    n_hold = int(round(fraction * n))
-    return np.sort(perm[:n_hold]), np.sort(perm[n_hold:])
+    sub_pool = Pool(n=train_idx.size, features=feats, ids=tuple(pool.ids[i] for i in train_idx))
+    return holdout_idx, train_idx, Instance(pool=sub_pool, hypotheses=sub_class, labels=sub_labels)
 
 
 def _task(instance: Instance, label: str, name: str, params: dict, seed: int) -> tuple:
-    """Run one (algorithm, seed) pair from the label model's initial state.
+    """Run one (algorithm, seed) pair from the label model's initial state;
+    iwal streams its pool in `passes` seeded permutations.
 
     Returns (label, seed, record or None, wall seconds, error or None); a
     failure is recorded, not raised, so the sweep goes on.
@@ -377,7 +373,12 @@ def _task(instance: Instance, label: str, name: str, params: dict, seed: int) ->
     instance.labels.restart()
     t0 = time.perf_counter()
     try:
-        rec = _run_one(instance, name, params, seed)
+        params, stream = dict(params), ()
+        if name == "iwal":
+            rng = np.random.default_rng([seed, 17])
+            stream = (np.concatenate([rng.permutation(instance.n)
+                                      for _ in range(params.pop("passes", 1))]),)
+        rec = REGISTRY[name](instance, *stream, seed=seed, **params)
         return label, seed, rec, time.perf_counter() - t0, None
     except Exception as exc:
         return label, seed, None, time.perf_counter() - t0, repr(exc)
@@ -390,9 +391,7 @@ def _init_worker(spec, holdout_fraction, holdout_seed):
     """Worker initializer: builds the (restricted) instance once from the
     picklable spec; _task restarts its label model before every run."""
     global _worker_instance
-    full = build_instance(spec)
-    holdout_idx, train_idx = _holdout_split(full.n, holdout_fraction, holdout_seed)
-    _worker_instance = _restrict_instance(full, train_idx) if holdout_idx.size else full
+    _, _, _worker_instance = _training_instance(build_instance(spec), holdout_fraction, holdout_seed)
 
 
 def _pool_task(task):
@@ -441,15 +440,12 @@ def run(config: ExperimentConfig, out_dir=None, workers: int = 1, instance=None)
     """
     if instance is not None and workers > 1:
         raise ValueError("a given instance runs only with workers == 1")
-    out = Path(os.environ.get("ACED_OUT_DIR", out_dir or config.output_dir))
+    out = Path(out_dir or config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     full_instance = build_instance(config.instance) if instance is None else instance
-    holdout_idx, train_idx = _holdout_split(full_instance.n, config.holdout_fraction,
-                                            config.holdout_seed)
+    holdout_idx, train_idx, instance = _training_instance(full_instance, config.holdout_fraction,
+                                                          config.holdout_seed)
     n_hold = holdout_idx.size
-    if n_hold and getattr(full_instance.labels, "interactive", False):
-        raise ConfigError("holdout_fraction must be 0 with an interactive label source")
-    instance = _restrict_instance(full_instance, train_idx) if n_hold else full_instance
 
     tasks = [(label, name, params, seed)
              for label, name, params in config.algorithms for seed in config.seeds]

@@ -5,14 +5,13 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
 from . import bench
 from .bench import ConfigError, StdinLabelModel, build_instance, load_config
 from .complexity import complexity_report
-from .core import Instance
+from .core import ImplicitClassError, Instance
 
 
 def _at_least(cast, low, what):
@@ -56,7 +55,7 @@ def _cmd_complexity(args):
     ]
     for xi, th in sorted(rep.theta.items()):
         records.append({"measure": f"theta@{xi:g}", "value": th, "spread": 0.0, "converged": True})
-    out_dir = Path(os.environ.get("ACED_OUT_DIR", args.out or "."))
+    out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.format == "jsonl":
         path = out_dir / "complexity.jsonl"
@@ -88,8 +87,7 @@ def _cmd_instance(args):
 
 def _cmd_plotdata(args):
     rows = bench.read_results_csv(args.results)
-    out = Path(os.environ.get("ACED_OUT_DIR", "."))
-    path = Path(args.out) if args.out else out / "curves.csv"
+    path = Path(args.out or "curves.csv")
     bench.write_curves(bench.emit_plotdata(rows), path)
     print(str(path))
     return 0
@@ -102,7 +100,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("run", help="run a benchmark config")
     p.add_argument("config")
-    p.add_argument("--out", default=None, help="output directory override")
+    p.add_argument("--out", default=None, help="output directory (default: the config's output_dir)")
     p.add_argument("--workers", type=int, default=1, help="process pool size")
     p.add_argument("--label-source", choices=["model", "stdin"], default="model")
     p.set_defaults(func=_cmd_run)
@@ -130,7 +128,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, ImplicitClassError) as exc:
         print(exc, file=sys.stderr)
         return 2
 

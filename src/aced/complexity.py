@@ -12,12 +12,12 @@ sampling.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import HypothesisClass, Instance, LabelModel, Pool, disagreement_region, gap_table
+from .core import (HypothesisClass, Instance, LabelModel, Pool, check_integer, disagreement_region,
+                   gap_table)
 from .design import Design, batch_values, gap_objective, psi_design, rho_design, smd_solve
 
 DIAGNOSTIC_SOLVER = {"tol": 1e-4, "rel_tol": 0.02, "b0": 32, "max_iters": 4000, "max_batch": 4096}
@@ -81,11 +81,6 @@ def rho_star(hclass: HypothesisClass, labels: LabelModel, epsilon: float) -> Mea
                          converged=rep.converged)
 
 
-def _check_mc_samples(mc_samples) -> None:
-    if isinstance(mc_samples, bool) or not isinstance(mc_samples, numbers.Integral) or mc_samples < 2:
-        raise ValueError(f"mc_samples must be an integer >= 2, got {mc_samples!r}")
-
-
 def gamma_star(hclass: HypothesisClass, labels: LabelModel, epsilon: float,
                mc_samples: int = 4000, solver: dict | None = None, seed: int = 0) -> MeasureResult:
     """Squared expected worst gap-normalized Gaussian width at the solved design.
@@ -93,7 +88,7 @@ def gamma_star(hclass: HypothesisClass, labels: LabelModel, epsilon: float,
     mc_samples must be an integer >= 2, since the stderr needs two draws;
     anything else is a ValueError, raised before the solve.
     """
-    _check_mc_samples(mc_samples)
+    check_integer("mc_samples", mc_samples, 2)
     if hclass.size == 1:
         return MeasureResult(0.0, Design.uniform(hclass.n))
     gt = gap_table(hclass, labels)
@@ -133,7 +128,7 @@ def disagreement_coefficient(hclass: HypothesisClass, labels: LabelModel, xi: fl
     """
     if xi < 0:
         raise ValueError("xi must be nonnegative")
-    H = hclass.labelings
+    H = hclass.enumerated("disagreement_coefficient")
     if H.shape[0] == 1:
         return 0.0
     gt = gap_table(hclass, labels)
@@ -264,7 +259,7 @@ def complexity_report(instance: Instance, epsilon: float, xis=(0.01, 0.05, 0.1),
                       seed: int = 0) -> ComplexityReport:
     """theta at each xi, then rho*, gamma* and psi* at epsilon; a bad
     mc_samples is a ValueError, raised before any of them is solved."""
-    _check_mc_samples(mc_samples)
+    check_integer("mc_samples", mc_samples, 2)
     hclass, labels = instance.hypotheses, instance.labels
     theta = {float(x): disagreement_coefficient(hclass, labels, float(x)) for x in xis}
     return ComplexityReport(

@@ -17,6 +17,16 @@ class ImplicitClassError(TypeError):
     """Raised when an operation needs an explicitly enumerated class."""
 
 
+def check_integer(name: str, value, low: int):
+    """value, when it is an integer (a bool is not) of at least low; else a
+    ValueError whose message starts with name."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True, eq=False)
 class Pool:
     """A pool of n examples, optionally with a feature matrix (n x p)."""
@@ -52,7 +62,7 @@ class LabelModel:
         eta = np.asarray(eta, dtype=float)
         if eta.ndim != 1 or eta.size < 1:
             raise ValueError("eta must be a non-empty 1-d vector")
-        if np.any(eta < 0) or np.any(eta > 1):
+        if not ((eta >= 0) & (eta <= 1)).all():  # NaN lies in no interval
             raise ValueError("eta entries must lie in [0, 1]")
         self.eta = eta
         self.persistent = persistent
@@ -113,8 +123,9 @@ class HypothesisClass:
 
     Explicit mode stores a deduplicated |H| x n {0,1} matrix (first
     occurrence kept, so index-based tie-breaking is deterministic).
-    Implicit mode wraps a weighted-ERM oracle; enumeration-based
-    operations raise ImplicitClassError.
+    Implicit mode wraps a weighted-ERM oracle over its features; every
+    operation that enumerates the class reads the matrix through
+    enumerated, which raises ImplicitClassError there.
     """
 
     def __init__(self, labelings=None, oracle=None, dedup: bool = True):
@@ -139,26 +150,29 @@ class HypothesisClass:
     def explicit(self) -> bool:
         return self.labelings is not None
 
+    def enumerated(self, what: str) -> np.ndarray:
+        """The |H| x n labeling matrix, for the operation named by what; an
+        oracle-backed class has none, so there it raises ImplicitClassError."""
+        if not self.explicit:
+            raise ImplicitClassError(f"{what} needs an explicitly enumerated class, "
+                                     "not an oracle-backed one")
+        return self.labelings
+
     @property
     def size(self) -> int:
-        if not self.explicit:
-            raise ImplicitClassError("implicit class has no enumerable size")
-        return self.labelings.shape[0]
+        return self.enumerated("the class size").shape[0]
 
     @property
     def n(self) -> int:
-        if self.explicit:
-            return self.labelings.shape[1]
-        return self.oracle.n
+        return self.labelings.shape[1] if self.explicit else self.oracle.features.shape[0]
 
     def labeling(self, h) -> np.ndarray:
         """Labeling vector for a hypothesis handle (index or model)."""
         if isinstance(h, (int, np.integer)):
-            if not self.explicit:
-                raise ImplicitClassError("integer handles need an explicit class")
-            if not 0 <= h < self.size:
+            L = self.enumerated("an integer hypothesis handle")
+            if not 0 <= h < L.shape[0]:
                 raise ValueError(f"hypothesis index {h} out of range")
-            return self.labelings[int(h)]
+            return L[int(h)]
         return np.asarray(h.predict(self.oracle.features), dtype=np.int8)
 
 
@@ -192,9 +206,7 @@ def plugin_errors(labelings, eta) -> np.ndarray:
 
 def errors_all(hclass: HypothesisClass, labels: LabelModel) -> np.ndarray:
     """Pool error of every hypothesis in an explicit class."""
-    if not hclass.explicit:
-        raise ImplicitClassError("error enumeration needs an explicit class")
-    return plugin_errors(hclass.labelings, labels.eta)
+    return plugin_errors(hclass.enumerated("errors_all"), labels.eta)
 
 
 def gap_table(hclass: HypothesisClass, labels: LabelModel) -> GapTable:

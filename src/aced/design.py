@@ -40,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import plugin_errors
+from .core import check_integer, plugin_errors
 from .estimators import pair_distance_matrix
 
 LAMBDA_FLOOR = 1e-9
@@ -393,21 +393,21 @@ def rho_design(labelings, eta, epsilon: float, anchor: int) -> SolverReport:
 def check_solver_settings(settings: dict) -> None:
     """Reject smd_solve settings it cannot run with, as a ValueError whose
     message starts with the setting's name: b0, max_iters, max_halvings,
-    eval_samples and max_batch are integers, tol and rel_tol numbers;
-    tol > 0, rel_tol >= 0, max_iters >= 1, max_halvings >= 0,
-    eval_samples >= 0, and max_batch >= max(b0, 2), the first batch's size.
-    A setting not given is not checked."""
+    eval_samples and max_batch are integers (check_integer), tol and
+    rel_tol numbers; tol > 0, rel_tol >= 0, b0 >= 0, max_iters >= 1,
+    max_halvings >= 0, eval_samples >= 0, and max_batch >= max(b0, 2), the
+    first batch's size. A setting not given is not checked."""
     for key, value in settings.items():
-        integer = key in ("b0", "max_iters", "max_halvings", "eval_samples", "max_batch")
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral if integer else numbers.Real):
-            raise ValueError(f"{key} must be {'an integer' if integer else 'a number'}, got {value!r}")
+        if key in ("b0", "max_iters", "max_halvings", "eval_samples", "max_batch"):
+            check_integer(key, value, {"max_iters": 1, "max_batch": 2}.get(key, 0))
+        elif isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{key} must be a number, got {value!r}")
     if "tol" in settings and not settings["tol"] > 0:
         raise ValueError(f"tol must be positive, got {settings['tol']!r}")
-    for key, low in (("rel_tol", 0), ("max_iters", 1), ("max_halvings", 0), ("eval_samples", 0)):
-        if key in settings and not settings[key] >= low:
-            raise ValueError(f"{key} must be at least {low}, got {settings[key]!r}")
-    if "b0" in settings and "max_batch" in settings and settings["max_batch"] < max(settings["b0"], 2):
-        raise ValueError(f"max_batch must be at least max(b0, 2) = {max(settings['b0'], 2)}, "
+    if "rel_tol" in settings and not settings["rel_tol"] >= 0:
+        raise ValueError(f"rel_tol must be at least 0, got {settings['rel_tol']!r}")
+    if "b0" in settings and "max_batch" in settings and settings["max_batch"] < settings["b0"]:
+        raise ValueError(f"max_batch must be at least b0 = {settings['b0']}, "
                          f"got {settings['max_batch']!r}")
 
 

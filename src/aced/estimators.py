@@ -17,14 +17,13 @@ QueryLog; any other log, a list of QueryRecords included, is a TypeError.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from itertools import accumulate, starmap
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import plugin_errors
+from .core import check_integer, plugin_errors
 
 
 class InvalidDesignError(ValueError):
@@ -365,8 +364,7 @@ def chaining_plan(labelings, lam, t: int, delta: float) -> ChainingPlan:
     """The ChainingPlan of chaining_estimate for a log of t queries (an
     integer t >= 1) drawn from lam, at confidence delta in (0, 1). Slab rows
     past MAX_PLAN_NONZEROS nonzeros are a ValueError."""
-    if isinstance(t, bool) or not isinstance(t, numbers.Integral) or t < 1:
-        raise ValueError(f"t must be an integer >= 1, got {t!r}")
+    check_integer("t", t, 1)
     _check_delta(delta)
     G = np.asarray(labelings, dtype=np.int8)
     if G.shape[0] > 4096:

@@ -243,10 +243,6 @@ class LinearOracleClass:
         self.features.flags.writeable = False
         self._fits = OrderedDict()
 
-    @property
-    def n(self) -> int:
-        return self.features.shape[0]
-
     def erm_weights(self, weights, labels) -> LinearHypothesis:
         """Logistic weighted ERM on the pool points with positive weight.
 

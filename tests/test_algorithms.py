@@ -422,11 +422,65 @@ def test_iwal_rejects_c0_before_the_first_step(C0):
 
 
 def test_iwal_accepts_c0_zero():
-    # C0 = 0 gives zero slack, _iwal_probability's s <= 0 return: P_MIN
+    # C0 = 0 gives zero slack, so a positive gap gets P_MIN
     assert _iwal_probability(3.0, 5, 0.0, 1.0) == P_MIN
     inst = make_thresholds(16, 7, 0.5, persistent=True, seed=1)
     rec = baseline_iwal(inst, range(16), C0=0.0, seed=0)
     assert rec.params["C0"] == 0.0 and len(rec.progress) == 16
+
+
+@pytest.mark.parametrize("k", [1, 2, 10])
+@pytest.mark.parametrize("aggressiveness", [0.5, 1.0])
+def test_iwal_probability_at_zero_slack(k, aggressiveness):
+    # a zero gap is queried surely at every slack, C0 = 0 included
+    assert _iwal_probability(0.0, k, 0.0, aggressiveness) == 1.0
+    assert _iwal_probability(0.3, k, 0.0, aggressiveness) == P_MIN
+
+
+@pytest.mark.parametrize("C0", [0.0, 1e-12])
+def test_iwal_queries_a_zero_gap_at_c0_zero_as_at_a_tiny_c0(C0):
+    # every gap on this stream is 0 until the first label; at C0 = 0 the
+    # P_MIN floor once came first, and no label was ever drawn
+    inst = make_thresholds(16, 7, 0.5, persistent=True, seed=1)
+    rec = baseline_iwal(inst, list(range(16)) * 2, C0=C0, seed=0)
+    assert rec.queries.rows() == [(2, 1, 1.0, 0)]
+
+
+def _oracle_instance(features=True):
+    X = np.random.default_rng(2).standard_normal((6, 2))
+    return Instance(Pool(n=6, features=X if features else None),
+                    HypothesisClass(oracle=LinearOracleClass(X)),
+                    LabelModel(np.full(6, 0.5), persistent=True, seed=1))
+
+
+BAD_INPUT = [
+    # each algorithm that enumerates the class names itself
+    (lambda: aced_fixed_confidence(_oracle_instance(), 0.1), ImplicitClassError,
+     "aced_fixed_confidence needs an explicitly enumerated class"),
+    (lambda: aced_fixed_budget(_oracle_instance(), 8, 0.25), ImplicitClassError,
+     "aced_fixed_budget needs an explicitly enumerated class"),
+    (lambda: aced_fixed_budget_efficient(_oracle_instance(), 8, 0.25), ImplicitClassError,
+     "aced_fixed_budget_efficient needs an explicitly enumerated class"),
+    (lambda: baseline_uniform_disagreement(_oracle_instance(), 8), ImplicitClassError,
+     "uniform_disagreement needs an explicitly enumerated class"),
+    (lambda: baseline_iwal(_oracle_instance(), range(6), C0=0.1, variant="oracular1"),
+     ImplicitClassError, "iwal variant 'oracular1' needs an explicitly enumerated class"),
+    (lambda: baseline_iwal(_oracle_instance(features=False), range(6), C0=0.1), ValueError,
+     "oracle-backed streaming needs pool features"),
+    (lambda: aced_fixed_confidence(make_thresholds(8, 3, 1.0), 0.0), ValueError, "delta must be in (0,1)"),
+    (lambda: aced_fixed_confidence(make_thresholds(8, 3, 1.0), 1.0), ValueError, "delta must be in (0,1)"),
+    (lambda: aced_fixed_budget(make_thresholds(8, 3, 1.0), 8, 0.0), ValueError,
+     "epsilon must be in (0,1)"),
+    (lambda: aced_fixed_budget(make_thresholds(8, 3, 1.0), 8, 1.0), ValueError,
+     "epsilon must be in (0,1)"),
+]
+
+
+@pytest.mark.parametrize("call, exc, fragment", BAD_INPUT, ids=[case[2] for case in BAD_INPUT])
+def test_bad_algorithm_input_is_refused(call, exc, fragment):
+    with pytest.raises(exc) as info:
+        call()
+    assert fragment in str(info.value)
 
 
 def test_iwal_explicit_runs_and_dedups_stream():

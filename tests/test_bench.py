@@ -429,12 +429,13 @@ def test_cli_run_stdin_rejects_a_holdout(tmp_path, monkeypatch, capsys):
     assert stdin.tell() == 0
 
 
-def test_output_dir_env_override(tmp_path, monkeypatch):
-    cfg = load_config(write_config(tmp_path, BASE.format(seeds="0", holdout=0.0, out=tmp_path / "ignored")))
-    target = tmp_path / "env_out"
-    monkeypatch.setenv("ACED_OUT_DIR", str(target))
-    paths = run(cfg)
-    assert Path(paths["results"]).parent == target
+def test_output_dir_is_the_argument_else_the_config(tmp_path, monkeypatch):
+    # no environment variable redirects the outputs
+    cfg = load_config(write_config(tmp_path, BASE.format(seeds="0", holdout=0.0, out=tmp_path / "cfg")))
+    monkeypatch.setenv("ACED_OUT_DIR", str(tmp_path / "env_out"))
+    assert Path(run(cfg)["results"]).parent == tmp_path / "cfg"
+    assert Path(run(cfg, out_dir=tmp_path / "arg")["results"]).parent == tmp_path / "arg"
+    assert not (tmp_path / "env_out").exists()
 
 
 def test_run_records_failures_and_continues(tmp_path):
@@ -790,3 +791,59 @@ def test_cli_reports_a_bad_config_without_a_traceback(tmp_path, command):
     assert proc.returncode == 2
     assert f"referenced file does not exist: {missing}" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_cli_complexity_refuses_an_oracle_backed_pool_without_a_traceback(tmp_path, capsys):
+    # a CSV pool's class is oracle-backed; theta once died on None.shape
+    feats, labels = _write_csv_pool(tmp_path)
+    cfg = write_config(tmp_path, f"[instance]\nfeatures_csv = {feats}\nlabels_csv = {labels}\n\n"
+                                 "[algorithm passive]\nT = 4\n")
+    assert cli.main(["complexity", str(cfg), "--out", str(tmp_path / "c")]) == 2
+    err = capsys.readouterr().err
+    assert err == ("disagreement_coefficient needs an explicitly enumerated class, "
+                   "not an oracle-backed one\n")
+    assert not (tmp_path / "c").exists()
+
+
+BAD_CONFIGS = [
+    (BASE.format(seeds=",", holdout=0.0, out="o"), "need at least one seed"),
+    (None, "cannot read config"),  # no file at all
+    ("[run]\nseeds = 0\n\n[algorithm passive]\nT = 4\n", "config needs an [instance] section"),
+    (BASE.format(seeds="0", holdout=0.0, out="o") + "\n[algorithm]\nT = 4\n",
+     "algorithm sections look like [algorithm <name>]"),
+    ("[instance]\ngenerator = thresholds\nn = 4\nk_star = 2\neps = 1.0\n", "config declares no algorithms"),
+]
+
+
+@pytest.mark.parametrize("body, fragment", BAD_CONFIGS, ids=[case[1] for case in BAD_CONFIGS])
+def test_bad_configs_are_refused(tmp_path, body, fragment):
+    path = tmp_path / "absent.ini" if body is None else write_config(tmp_path, body)
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert fragment in str(info.value)
+
+
+GOOD_FEATURES = "id,f0,f1\np0,0.1,0.2\np1,0.3,0.4\n"
+GOOD_LABELS = "id,eta\np0,0.5\np1,0.25\n"
+BAD_CSV_POOLS = [
+    (GOOD_FEATURES, "id,eta\np0,0.5,1\np1,0.25\n", "labels.csv:2: expected 2 columns"),
+    (GOOD_FEATURES, "id,eta\np0,0.5\np1,abc\n", "labels.csv:3: bad label 'abc'"),
+    (GOOD_FEATURES, "id,eta\np0,1.5\np1,0.25\n", "labels.csv:2: eta must be in [0,1]"),
+    (GOOD_FEATURES, "id,eta\np0,0.5\np1,-0.25\n", "labels.csv:3: eta must be in [0,1]"),
+    ("id,f0,f1\np0,0.1\np1,0.3,0.4\n", GOOD_LABELS, "features.csv:2: expected 3 columns"),
+    ("id,f0,f1\np0,0.1,0.2\np1,0.3,0.4,0.5\n", GOOD_LABELS, "features.csv:3: expected 3 columns"),
+    ("id,f0,f1\np0,0.1,0.2\np1,0.3,x\n", GOOD_LABELS, "features.csv:3: bad value"),
+]
+
+
+@pytest.mark.parametrize("features, labels, fragment", BAD_CSV_POOLS,
+                         ids=[case[2] for case in BAD_CSV_POOLS])
+def test_bad_csv_pools_are_refused(tmp_path, features, labels, fragment):
+    (tmp_path / "features.csv").write_text(features)
+    (tmp_path / "labels.csv").write_text(labels)
+    with pytest.raises(ConfigError) as info:
+        ingest_csv(tmp_path / "features.csv", tmp_path / "labels.csv")
+    assert fragment in str(info.value)
+    (tmp_path / "good_features.csv").write_text(GOOD_FEATURES)  # the cases' good halves load
+    (tmp_path / "good_labels.csv").write_text(GOOD_LABELS)
+    assert ingest_csv(tmp_path / "good_features.csv", tmp_path / "good_labels.csv").n == 2

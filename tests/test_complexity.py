@@ -17,8 +17,9 @@ from aced.complexity import (
     rho_star,
     tsybakov_holds,
 )
-from aced.core import HypothesisClass, LabelModel, gap_table
+from aced.core import HypothesisClass, ImplicitClassError, LabelModel, gap_table
 from aced.design import Design, ObjectiveDegenerateError, _disagreement_supports, floor_simplex
+from aced.oracles import LinearOracleClass
 from test_design_parity import psi_sample, rho_terms, rho_value
 
 QUICK = {"tol": 1e-4, "rel_tol": 0.02, "b0": 32, "max_iters": 2000, "max_batch": 2048}
@@ -410,3 +411,40 @@ def test_zero_gap_duplicate_of_h_star_is_degenerate_for_every_measure():
     for measure in (rho_star, gamma_star, psi_star):
         with pytest.raises(ObjectiveDegenerateError):
             measure(hclass, inst.labels, 0.0)
+
+
+def _bound_check(eps=0.2, epsilon=0.1, **kw):
+    inst = make_thresholds(8, 3, eps)
+    return disagreement_bound_check(inst.hypotheses, inst.labels, epsilon, **kw)
+
+
+BAD_INPUT = [
+    (lambda: TsybakovSpec(a=0.5, alpha=0.5), ValueError, "a must be >= 1"),
+    (lambda: TsybakovSpec(a=1.0, alpha=0.0), ValueError, "alpha must be in (0, 1]"),
+    (lambda: TsybakovSpec(a=1.0, alpha=1.5), ValueError, "alpha must be in (0, 1]"),
+    (lambda: disagreement_coefficient(HypothesisClass(np.eye(3)), LabelModel(np.zeros(3)), -0.1),
+     ValueError, "xi must be nonnegative"),
+    # an oracle-backed class once failed here with AttributeError on None.shape
+    (lambda: disagreement_coefficient(HypothesisClass(oracle=LinearOracleClass(np.eye(3))),
+                                      LabelModel(np.zeros(3)), 0.1),
+     ImplicitClassError, "disagreement_coefficient needs an explicitly enumerated class"),
+    # the branches of disagreement_bound_check that no other test reaches
+    (lambda: _bound_check(eps=1.0, epsilon=0.0), ValueError, "epsilon must be positive"),
+    (lambda: _bound_check(mode="tsybakov"), ValueError, "tsybakov mode needs the condition parameters"),
+    (lambda: _bound_check(mode="tsybakov", tsybakov=TsybakovSpec(a=1.0, alpha=1.0)), ValueError,
+     "the low-noise condition does not hold on this instance"),
+    (lambda: _bound_check(eps=1.0, mode="massart"), ValueError, "unknown mode 'massart'"),
+    # the generators' argument checks
+    (lambda: make_core_tail_instance(0), ValueError, "m must be >= 1"),
+    (lambda: make_thresholds(8, 0, 0.5), ValueError, "k_star must be in [1, n]"),
+    (lambda: make_thresholds(8, 9, 0.5), ValueError, "k_star must be in [1, n]"),
+    (lambda: make_thresholds(8, 3, 0.0), ValueError, "eps must be in (0, 1]"),
+    (lambda: make_thresholds(8, 3, 1.5), ValueError, "eps must be in (0, 1]"),
+]
+
+
+@pytest.mark.parametrize("call, exc, fragment", BAD_INPUT, ids=[case[2] for case in BAD_INPUT])
+def test_bad_complexity_input_is_refused(call, exc, fragment):
+    with pytest.raises(exc) as info:
+        call()
+    assert fragment in str(info.value)

@@ -13,6 +13,9 @@ from aced.core import (
     gap_table,
 )
 from aced.complexity import make_core_tail_instance
+from aced.oracles import LinearOracleClass
+
+X_ORACLE = np.arange(8.0).reshape(4, 2)
 
 
 def small_classes(max_h=8, max_n=6):
@@ -198,3 +201,40 @@ def test_dedup_keeps_first_occurrence_order():
     mat = np.array([[1, 0], [0, 1], [1, 0], [0, 0]])
     hclass = HypothesisClass(mat)
     assert hclass.labelings.tolist() == [[1, 0], [0, 1], [0, 0]]
+
+
+def test_an_oracle_backed_class_reads_its_size_from_the_oracle_features():
+    assert HypothesisClass(oracle=LinearOracleClass(X_ORACLE)).n == 4
+
+
+BAD_INPUT = [
+    # every operation that enumerates the class names itself
+    (lambda: HypothesisClass(oracle=LinearOracleClass(X_ORACLE)).size, ImplicitClassError,
+     "the class size needs an explicitly enumerated class"),
+    (lambda: HypothesisClass(oracle=LinearOracleClass(X_ORACLE)).labeling(0), ImplicitClassError,
+     "an integer hypothesis handle needs an explicitly enumerated class"),
+    (lambda: errors_all(HypothesisClass(oracle=LinearOracleClass(X_ORACLE)), LabelModel(np.full(4, 0.5))),
+     ImplicitClassError, "errors_all needs an explicitly enumerated class"),
+    (lambda: Pool(n=2, ids=("a",)), ValueError, "ids length must equal n"),
+    (lambda: LabelModel(np.array([])), ValueError, "eta must be a non-empty 1-d vector"),
+    (lambda: LabelModel(np.full((2, 2), 0.5)), ValueError, "eta must be a non-empty 1-d vector"),
+    (lambda: LabelModel([0.5, 1.5]), ValueError, "eta entries must lie in [0, 1]"),
+    (lambda: LabelModel([0.5, -0.1]), ValueError, "eta entries must lie in [0, 1]"),
+    (lambda: LabelModel([0.5, np.nan]), ValueError, "eta entries must lie in [0, 1]"),
+    (lambda: LabelModel([0.5, 0.5]).query_many([0, 2]), IndexError, "query index out of range"),
+    (lambda: LabelModel([0.5, 0.5]).query_many([-1]), IndexError, "query index out of range"),
+    (lambda: LabelModel([0.5]).realized_labels(), ValueError, "only in persistent mode"),
+    (lambda: HypothesisClass(), ValueError, "provide exactly one of labelings / oracle"),
+    (lambda: HypothesisClass(np.eye(4), oracle=LinearOracleClass(X_ORACLE)), ValueError,
+     "provide exactly one of labelings / oracle"),
+    (lambda: HypothesisClass(np.zeros((0, 3))), ValueError, "labelings must be a non-empty 2-d matrix"),
+    (lambda: HypothesisClass([0, 1]), ValueError, "labelings must be a non-empty 2-d matrix"),
+    (lambda: HypothesisClass([[0, 2]]), ValueError, "labelings entries must be 0/1"),
+]
+
+
+@pytest.mark.parametrize("call, exc, fragment", BAD_INPUT, ids=[case[2] for case in BAD_INPUT])
+def test_bad_core_input_is_refused(call, exc, fragment):
+    with pytest.raises(exc) as info:
+        call()
+    assert fragment in str(info.value)

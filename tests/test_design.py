@@ -782,6 +782,7 @@ def test_capped_solve_proposes_no_step_after_its_last_iteration(monkeypatch, ora
     ({"rel_tol": -0.1}, "rel_tol"),
     ({"rel_tol": "abc"}, "rel_tol"),
     ({"tol": float("nan")}, "tol"),
+    ({"b0": -1}, "b0"),  # once accepted, and run as b0 = 2
 ])
 def test_bad_solver_settings_raise_before_anything_is_drawn(monkeypatch, settings, name):
     def no_draws(*args, **kwargs):

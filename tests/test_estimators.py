@@ -706,3 +706,17 @@ def test_run_records_round_trip_through_json():
         assert back.to_jsonl() == line and back.queries == rec.queries
         assert json.loads(line)["queries"] == [list(dataclasses.astuple(q)) for q in rec.queries]
         assert np.unique(back.queries.index).size == len({q.index for q in rec.queries})
+
+
+BAD_INPUT = [
+    (lambda: ridge_shift(np.zeros(3), np.full(3, 1 / 3), 4, 0.1), "zero direction has no prescribed shift"),
+    (lambda: chaining_plan(np.zeros((4097, 2), dtype=np.int8), np.full(2, 0.5), 4, 0.1),
+     "feasibility program capped at 4096 hypotheses"),
+]
+
+
+@pytest.mark.parametrize("call, fragment", BAD_INPUT, ids=[case[1] for case in BAD_INPUT])
+def test_bad_estimator_input_is_refused(call, fragment):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert fragment in str(info.value)

@@ -442,3 +442,19 @@ def test_erm_weights_rejects_a_label_other_than_0_or_1(monkeypatch, bad):
     with pytest.raises(ValueError, match="labels must be 0 or 1"):
         oracle.erm_weights(np.ones(4), np.array([0, 1, bad, 1]))
     assert not fits
+
+
+X_FIT = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+
+BAD_INPUT = [
+    (lambda: erm_logistic(X_FIT, np.zeros(3), [0, 1, 1]), "need at least one positive-weight sample"),
+    (lambda: erm_flip_constrained(X_FIT, np.ones(3), [0, 1, 1], X_FIT[0], 0), "desired_sign must be -1 or +1"),
+    (lambda: LinearOracleClass(np.arange(4.0)), "features must be an n x p matrix"),
+]
+
+
+@pytest.mark.parametrize("call, fragment", BAD_INPUT, ids=[case[1] for case in BAD_INPUT])
+def test_bad_oracle_input_is_refused(call, fragment):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert fragment in str(info.value)

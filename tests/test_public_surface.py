@@ -1,5 +1,6 @@
 """Every top-level definition and class member in src/aced is used by the
-system itself, and the package grows no keyword knobs unnoticed.
+system itself, the package grows no keyword knobs unnoticed, and each
+input rule keeps its one home.
 
 A def or class in an aced module must be named, as a whole word, somewhere
 in src/, scripts/ or perfbench/ outside its own definition; a re-export in
@@ -162,3 +163,41 @@ def test_defaulted_parameter_count_does_not_grow():
     assert len(found) <= DEFAULTED_PARAMETERS, (
         f"{len(found)} defaulted parameters in aced.* (at most {DEFAULTED_PARAMETERS}):\n"
         + "\n".join(found))
+
+
+def _scoped(node, scope=()):
+    """(node, dotted names of the classes and functions around it) over an AST."""
+    for child in ast.iter_child_nodes(node):
+        yield child, ".".join(scope)
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _scoped(child, scope + (child.name,))
+        else:
+            yield from _scoped(child, scope)
+
+
+def _uses(node, module: str, names: set) -> bool:
+    """Whether node reads module.<one of names> or imports one of them from module."""
+    if isinstance(node, ast.Attribute):
+        return (node.attr in names and isinstance(node.value, ast.Name)
+                and node.value.id == module)
+    return (isinstance(node, ast.ImportFrom) and node.module == module
+            and any(alias.name in names for alias in node.names))
+
+
+def test_each_input_rule_has_one_home():
+    # a second enumerability check or integer check, or an ambient knob read
+    # from the environment, fails here
+    implicit_raises, integral, environment = [], set(), []
+    for path in sorted((ROOT / "src" / "aced").glob("*.py")):
+        for node, scope in _scoped(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "ImplicitClassError":
+                    implicit_raises.append(f"{path.stem}.{scope}")
+            if _uses(node, "numbers", {"Integral"}):
+                integral.add(path.name)
+            if _uses(node, "os", {"environ", "getenv"}):
+                environment.append(f"{path.name}:{node.lineno}")
+    assert implicit_raises == ["core.HypothesisClass.enumerated"]
+    assert integral == {"core.py"}
+    assert environment == []
