@@ -4,7 +4,10 @@ The fixed-confidence eliminator, three fixed-budget variants sharing
 one round loop (the naive/IPS/chaining form, the mixed-design form, and
 the practical waterfilled form for persistent labels), plus passive,
 uniform-disagreement, and streaming importance-weighted baselines.
-Every run yields a RunRecord sufficient to replay it bit-for-bit.
+Every run yields a RunRecord sufficient to replay it bit-for-bit. A
+fixed-confidence run draws every round's queries, in round order, from
+one generator seeded [seed, 1]; the fixed-budget family seeds round k's
+generator [seed, k].
 
 A fixed-budget round solve on an explicit class is a pure function of
 the round's content and the solver settings, so the process keeps the
@@ -155,8 +158,18 @@ def aced_fixed_confidence(
     halve the resolved gap scale (C_BUDGET times the design value times
     4^(k+1)), re-estimates with the feasibility estimator at
     delta_k = delta / (2 k^2), and drops every hypothesis beaten by more
-    than the current scale. Stops at a singleton or at the round cap (then
-    returns the plug-in minimizer, flagged). A round whose query count was
+    than the current scale 2^-(k+1). Stops at a singleton or at the round
+    cap (then returns the plug-in minimizer, flagged). The run builds one
+    generator, seeded [seed, 1], and every round draws its queries from it
+    in round order.
+
+    A tie with the scale survives: h is dropped only when errs[h] -
+    min(errs) exceeds 2^-(k+1) + 4 n eps (eps the float64 machine epsilon).
+    plugin_errors divides a sum of n terms of size at most 1 by n, so each
+    error carries a rounding error of at most about n eps, and a difference
+    of two errors twice that; the rule allows twice that again. So a gap
+    that sits on the scale in exact arithmetic survives whatever the last
+    bits of the round's design. A round whose query count was
     cut to MAX_ROUND_QUERIES is counted in flags["round_queries_capped"],
     present only when some round was cut. A round_cap that check_budget
     rejects raises ValueError before any round. rec.queries joins the
@@ -190,6 +203,8 @@ def aced_fixed_confidence(
     capped_rounds = 0
     queried = np.zeros(H.shape[1], dtype=bool)
     round_logs = []
+    rng = np.random.default_rng([seed, 1])
+    tie = 4.0 * H.shape[1] * np.finfo(float).eps
     while active.size > 1 and k < round_cap:
         k += 1
         delta_k = delta / (2.0 * k * k)
@@ -201,7 +216,7 @@ def aced_fixed_confidence(
         rep, wanted, n_k, plan, H_float, record = entry
         lam = rep.design.lam
         capped_rounds += wanted > MAX_ROUND_QUERIES
-        idx = rep.design.sample(n_k, np.random.default_rng([seed, k]))
+        idx = rep.design.sample(n_k, rng)
         ys = instance.labels.query_many(idx)
         round_log = _round_log(k, idx, lam[idx], ys)
         round_logs.append(round_log)
@@ -210,7 +225,7 @@ def aced_fixed_confidence(
         if not est.flags.get("feasible", True):
             infeasible_rounds += 1
         errs = estimated_errors_all(H_float, est)
-        keep = errs < errs.min() + 2.0 ** (-(k + 1))
+        keep = errs - errs.min() <= 2.0 ** (-(k + 1)) + tie
         active = active[keep]
         errs = errs[keep]
         rec.designs.append({**record, "lam": list(record["lam"]), "survivors": active.tolist()})

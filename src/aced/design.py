@@ -51,10 +51,12 @@ class ObjectiveDegenerateError(RuntimeError):
 
 
 def floor_simplex(lam) -> np.ndarray:
+    """lam scaled to sum 1 and floored at LAMBDA_FLOOR. A NaN or infinite
+    entry, a negative entry or a sum <= 0 is a ValueError."""
     lam = np.asarray(lam, dtype=float)
     total = lam.sum()
-    if not math.isfinite(total) or total <= 0:
-        return np.full(lam.size, 1.0 / lam.size)
+    if not math.isfinite(total) or total <= 0 or lam.min() < 0:
+        raise ValueError("a design needs finite, nonnegative weights with a positive sum")
     lam = np.maximum(lam / total, LAMBDA_FLOOR)
     lam /= lam.sum()
     np.maximum(lam, LAMBDA_FLOOR, out=lam)  # renormalization may dip below once
@@ -72,8 +74,6 @@ class Design:
 
     def __post_init__(self):
         lam = floor_simplex(self.lam)
-        if abs(lam.sum() - 1.0) > 1e-9:
-            raise ValueError("design does not normalize")
         lam.flags.writeable = False
         object.__setattr__(self, "lam", lam)
 

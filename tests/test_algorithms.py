@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from functools import partial
@@ -714,11 +715,71 @@ def test_fixed_confidence_warm_run_does_no_design_work(monkeypatch):
     assert calls.count("_slab_rows") == len(first.designs)
 
 
+def test_fixed_confidence_builds_one_generator_per_run(monkeypatch):
+    inst = make_thresholds(16, 7, 1.0, seed=0)
+    cache = {}
+    aced_fixed_confidence(inst, delta=0.1, seed=5, design_cache=cache)
+    built = []
+    default_rng = np.random.default_rng
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    rec = aced_fixed_confidence(inst, delta=0.1, seed=5, design_cache=cache)
+    assert len(rec.designs) >= 2 and built == [([5, 1],)]
+    # round 1 draws what a generator built for round 1 alone would
+    rep = next(entry[0] for key, entry in cache.items() if key[4] == 1)
+    first = rec.queries.index[rec.queries.round == 1]
+    np.testing.assert_array_equal(first, rep.design.sample(rec.designs[0]["N"], default_rng([5, 1])))
+
+
+def _nudged(cache, draws):
+    """The design cache with each round's lam moved by up to 4 ULPs per
+    entry (then renormalized) and its chaining plan rebuilt for that lam."""
+    from aced.estimators import chaining_plan
+
+    nudged = {}
+    for key, (rep, wanted, n_k, plan, H_float, record) in cache.items():
+        lam = rep.design.lam * (1.0 + draws.integers(-4, 5, rep.design.lam.size) * np.finfo(float).eps)
+        design = Design(lam)
+        rows = np.frombuffer(key[2], dtype=np.int8).reshape(key[1])
+        nudged[key] = (dataclasses.replace(rep, design=design), wanted, n_k,
+                       chaining_plan(rows, design.lam, n_k, key[3]), H_float, record)
+    return nudged
+
+
+def test_fixed_confidence_survivors_do_not_move_with_the_last_bits_of_lam():
+    # the seed panel's setting. Its labels are noiseless, so many estimates
+    # clip to exactly 0 or 1 and every error is then a multiple of 1/16:
+    # in about 70 of its 800 rounds a gap equals the scale 2^-(k+1) exactly
+    inst = make_thresholds(16, 7, 1.0, seed=0)
+
+    def survivors(cache):
+        return [[d["survivors"] for d in aced_fixed_confidence(inst, delta=0.1, seed=seed,
+                                                                  design_cache=cache).designs]
+                for seed in range(200)]
+
+    cache = {}
+    want = survivors(cache)
+    for trial in range(3):
+        nudged = _nudged(cache, np.random.default_rng(trial))
+        assert any(a[0].design.lam.tobytes() != b[0].design.lam.tobytes()
+                   for a, b in zip(cache.values(), nudged.values()))
+        assert survivors(nudged) == want
+        assert nudged.keys() == cache.keys()  # every round read a nudged design
+
+
 def _replayed_indices(rec, n):
     """Each round's indices redrawn from the record alone: Generator.choice
-    on the round's seed, design and draw count."""
-    return [np.random.default_rng([rec.seed, d["round"]]).choice(n, size=d["N"], p=np.array(d["lam"]))
-            for d in rec.designs]
+    on the round's design and draw count. A fixed-confidence run draws its
+    rounds in order from one generator seeded [seed, 1]; the fixed-budget
+    family seeds round k's generator [seed, k]."""
+    shared = np.random.default_rng([rec.seed, 1])
+    fixed_confidence = rec.algorithm == "aced_fixed_confidence"
+    return [(shared if fixed_confidence else np.random.default_rng([rec.seed, d["round"]]))
+            .choice(n, size=d["N"], p=np.array(d["lam"])) for d in rec.designs]
 
 
 @pytest.mark.parametrize("run", ["fixed_confidence", "fixed_budget", "efficient"])

@@ -52,6 +52,13 @@ def test_design_simplex_invariants(raw):
     assert np.all(d.lam >= LAMBDA_FLOOR * 0.999)
 
 
+@pytest.mark.parametrize("lam", [[math.nan, 1.0], [math.inf, 1.0], [-1.0, 1.0], [0.0, 0.0]])
+def test_design_refuses_weights_that_do_not_normalize(lam):
+    # each of these used to become the uniform design without a word
+    with pytest.raises(ValueError, match="finite, nonnegative weights with a positive sum"):
+        Design(np.array(lam))
+
+
 def fixture_objective(mode="fixed_budget", scale=0.5):
     H = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 1]], dtype=np.int8)
     eta = np.array([0.1, 0.4, 0.8])

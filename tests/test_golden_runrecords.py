@@ -109,8 +109,8 @@ GOLDEN = {
     "fixed_budget_efficient/thresholds": "d74e9896ea16f2bed56248af9f61469c380bae3cda930ada30d0e81d70aa1e91",
     "fixed_budget_ips/thresholds": "c89100f7701dc465af77645602d1f470c0b46ce7d242b6ef9b9e753dcf7c29f6",
     "fixed_budget_naive/core_tail": "1662fd44cfbcd80c8a6fbcf87eba0be892fd0fa8c0b687d253351059378bee82",
-    "fixed_confidence_capped/thresholds": "d5137b6f0efefd4577fcc0e391a5fdfd5e248b44a05783bbb6c4c10e6198a2dc",
-    "fixed_confidence/thresholds": "50300cace3813bbf91d19102a359cd952b46281b07360067dfcd848a0123fea2",
+    "fixed_confidence_capped/thresholds": "f7e6c9242f68bf6096a15b68868ec59bc9a06b92ecf7cb4006649b4a46a9938c",
+    "fixed_confidence/thresholds": "3c07baf3b14cb26a661699763b053c42f2ff0458f596782d47f1d634b1a40872",
     "iwal/core_tail": "6ac0dec67b743cdb06ed40221744591bbea919f8a8d5dcaafe038d3a448e0ffc",
     "iwal1/thresholds": "2c07ecf41adcd6bb68f75aa280109042ece59c3ef98a5f3e33205b341b98fc45",
     "iwal_oracle/linear": "16a8dac40f9b1ccab0173cdaca6fec59585b80e889d423cfb21ac12431f360a0",
@@ -224,7 +224,7 @@ def test_fixed_confidence_seed_panel_digest():
                                                         design_cache=cache).to_jsonl()
                      for seed in range(200))
     assert (hashlib.sha256(body.encode()).hexdigest()
-            == "082b2f837a000ab24f914d708239f2f0d85d1212b7bcb139011c4dff27a3c423")
+            == "dd76194292c60355df645643377b05179db3a110f52b226d518a07d265afc67c")
 
 
 def test_fixed_budget_shared_cache_panel_digest():

@@ -1,4 +1,5 @@
 """Smoke tests for the command-line scripts under scripts/."""
+import json
 import os
 import subprocess
 import sys
@@ -62,3 +63,20 @@ def test_oracle_probe_prints_each_solve_and_the_run_total():
     assert fields[-2:] == ["8", "labels"]
     assert int(fields[1]) >= sum(fits) > 0
     assert int(fields[3]) >= sum(newton)
+
+
+def test_bench_snapshot_writes_both_runs_of_a_workload(tmp_path):
+    proc = _run_script("bench_snapshot.py", "--tag", "t", "--seconds", "0", "--workload", "fc_thresholds",
+                       "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    snapshot = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert snapshot.keys() == {"tag", "git_head", "git_dirty", "python", "numpy", "scipy", "nproc", "seed",
+                               "seconds", "command", "workloads"}
+    runs = snapshot["workloads"]["fc_thresholds"]
+    assert runs.keys() == {"trace0", "trace1"}
+    for trace, run in enumerate(runs.values()):
+        assert run["facts"]["workload"] == "fc_thresholds" and run["facts"]["trace"] == trace
+        assert run["result"]["correct"] and run["result"]["failed"] == 0
+    assert runs["trace0"]["result"]["metrics"].keys() == {"setup_s", "wall_s", "run_ms_p50", "run_ms_p90",
+                                                           "peak_rss_mb"}
+    assert runs["trace1"]["result"]["metrics"]["estimators.chaining_estimate.calls"]["value"] > 0
