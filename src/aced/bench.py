@@ -3,9 +3,9 @@
 Parses flat INI-style experiment configs, builds instances from the
 generators or from CSV pools, schedules (algorithm, seed) runs, scores
 accuracy-vs-queries curves with the plug-in ERM after every query batch,
-and writes deterministic CSV outputs (results.csv, curves.csv) plus a
-JSON-lines run log. Wall times live in meta.json so the CSV bodies stay
-byte-identical across replays.
+and writes CSV outputs (results.csv, curves.csv), all through write_csv,
+plus a JSON-lines run log. Every CSV body is deterministic: wall times
+stay in meta.json, so replays write byte-identical tables.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ import numpy as np
 
 from .algorithms import DEFAULT_SOLVER, REGISTRY, RunRecord, _erm_handle, check_budget
 from .complexity import make_core_tail_instance, make_thresholds, make_tsybakov
-from .core import HypothesisClass, Instance, LabelModel, Pool, check_integer
+from .core import HypothesisClass, Instance, LabelModel, Pool, check_integer, plugin_errors
 from .design import check_solver_settings, smd_solve
 from .estimators import naive_estimate
 # weighted_max stays importable here: perfbench/tracer.py wraps bench.weighted_max
@@ -292,46 +292,31 @@ def export_instance(instance: Instance, outdir) -> dict:
     oracle-backed instance; no loader reads labelings.csv."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    paths = {}
-    labels = instance.labels
+    paths, labels = {}, instance.labels
     kind = "y" if labels.persistent else "eta"
     vec = labels.realized_labels() if labels.persistent else labels.eta
-    p = outdir / "labels.csv"
-    with open(p, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["id", kind])
-        for i, v in zip(instance.pool.ids, vec):
-            w.writerow([i, f"{float(v):.10g}"])
-    paths["labels"] = str(p)
+    paths["labels"] = write_csv(outdir / "labels.csv", ["id", kind],
+                                ([i, f"{float(v):.10g}"] for i, v in zip(instance.pool.ids, vec)))
     if instance.pool.features is not None:
-        p = outdir / "features.csv"
-        with open(p, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["id"] + [f"f{j}" for j in range(instance.pool.features.shape[1])])
-            for i, row in zip(instance.pool.ids, instance.pool.features):
-                w.writerow([i] + [f"{float(x):.10g}" for x in row])
-        paths["features"] = str(p)
+        paths["features"] = write_csv(
+            outdir / "features.csv", ["id"] + [f"f{j}" for j in range(instance.pool.features.shape[1])],
+            ([i] + [f"{float(x):.10g}" for x in row]
+             for i, row in zip(instance.pool.ids, instance.pool.features)))
     if instance.hypotheses.explicit:
-        p = outdir / "labelings.csv"
-        with open(p, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow([f"x{j}" for j in range(instance.n)])
-            for row in instance.hypotheses.labelings:
-                w.writerow([int(v) for v in row])
-        paths["labelings"] = str(p)
+        paths["labelings"] = write_csv(outdir / "labelings.csv", [f"x{j}" for j in range(instance.n)],
+                                       ([int(v) for v in row] for row in instance.hypotheses.labelings))
     return paths
 
 
 def _score(labeling, labels: LabelModel, idx=None) -> float:
     """Accuracy of a labeling on the indices idx (all by default): against
     the realized labels of a persistent model, otherwise (also for an
-    interactive source) the expected accuracy under the label means."""
+    interactive source) the expected one, 1 - plugin_errors under eta."""
     idx = slice(None) if idx is None else idx
     labeling = np.asarray(labeling)[idx]
-    if labels.persistent and not getattr(labels, "interactive", False):
+    if labels.persistent and not labels.interactive:
         return float(np.mean(labeling == labels.realized_labels()[idx]))
-    eta, labeling = labels.eta[idx], labeling.astype(float)
-    return float(np.mean(eta * labeling + (1.0 - eta) * (1.0 - labeling)))
+    return 1.0 - float(plugin_errors(labeling[None], labels.eta[idx])[0])
 
 
 def _training_instance(full: Instance, fraction: float, seed: int) -> tuple:
@@ -345,7 +330,7 @@ def _training_instance(full: Instance, fraction: float, seed: int) -> tuple:
     holdout_idx, train_idx = np.sort(perm[:n_hold]), np.sort(perm[n_hold:])
     if not n_hold:
         return holdout_idx, train_idx, full
-    if getattr(full.labels, "interactive", False):
+    if full.labels.interactive:
         raise ConfigError("holdout_fraction must be 0 with an interactive label source")
     pool, labels = full.pool, full.labels
     feats = pool.features[train_idx] if pool.features is not None else None
@@ -459,10 +444,7 @@ def run(config: ExperimentConfig, out_dir=None, workers: int = 1, instance=None)
     else:
         outcomes = [_task(instance, *task) for task in tasks]
 
-    rows = []
-    records = []
-    errors = []
-    timings = {}
+    rows, records, errors, timings = [], [], [], {}
     for label, seed, rec, wall, err in outcomes:
         if err is not None:
             errors.append({"algorithm": label, "seed": seed, "error": err})
@@ -477,16 +459,10 @@ def run(config: ExperimentConfig, out_dir=None, workers: int = 1, instance=None)
         records.append((label, seed, rec))
 
     rows.sort(key=lambda r: (r.algorithm, r.seed, r.queries))
-    results_path = out / "results.csv"
-    with open(results_path, "w", newline="") as fh:
-        fh.write(f"# generated {time.strftime('%Y-%m-%dT%H:%M:%S')}\n")
-        w = csv.writer(fh)
-        w.writerow(["algorithm", "seed", "queries", "pool_acc", "holdout_acc"])
-        for r in rows:
-            w.writerow([r.algorithm, r.seed, r.queries, f"{r.pool_acc:.10g}",
-                        "" if r.holdout_acc is None else f"{r.holdout_acc:.10g}"])
-    curves_path = out / "curves.csv"
-    write_curves(emit_plotdata(rows), curves_path)
+    results_path = write_csv(out / "results.csv", ["algorithm", "seed", "queries", "pool_acc", "holdout_acc"],
+                             ([r.algorithm, r.seed, r.queries, f"{r.pool_acc:.10g}",
+                               "" if r.holdout_acc is None else f"{r.holdout_acc:.10g}"] for r in rows))
+    curves_path = write_curves(emit_plotdata(rows), out / "curves.csv")
     log_path = out / "runrecords.jsonl"
     with open(log_path, "w") as fh:
         for label, seed, rec in sorted(records, key=lambda x: (x[0], x[1])):
@@ -495,7 +471,7 @@ def run(config: ExperimentConfig, out_dir=None, workers: int = 1, instance=None)
     with open(meta_path, "w") as fh:
         json.dump({"timings": timings, "errors": errors,
                    "holdout_indices": [int(i) for i in holdout_idx]}, fh, indent=2, sort_keys=True)
-    return {"results": str(results_path), "curves": str(curves_path),
+    return {"results": results_path, "curves": curves_path,
             "records": str(log_path), "meta": str(meta_path), "errors": errors}
 
 
@@ -527,12 +503,18 @@ def emit_plotdata(rows) -> list:
     return out
 
 
-def write_curves(curve_rows, path):
+def write_curves(curve_rows, path) -> str:
+    return write_csv(path, ["algorithm", "queries", "mean_acc", "std_acc"],
+                     ([algo, q, f"{mean:.10g}", f"{std:.10g}"] for algo, q, mean, std in curve_rows))
+
+
+def write_csv(path, header, rows) -> str:
+    """Write one table, its header and then its rows; every CSV the package writes. Returns str(path)."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["algorithm", "queries", "mean_acc", "std_acc"])
-        for algo, q, mean, std in curve_rows:
-            w.writerow([algo, q, f"{mean:.10g}", f"{std:.10g}"])
+        w.writerow(header)
+        w.writerows(rows)
+    return str(path)
 
 
 def read_results_csv(path) -> list:

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -63,13 +62,9 @@ def _cmd_complexity(args):
             for r in records:
                 fh.write(json.dumps({"epsilon": args.epsilon, **r}, sort_keys=True) + "\n")
     else:
-        path = out_dir / "complexity.csv"
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["epsilon", "measure", "value", "spread", "converged"])
-            for r in records:
-                w.writerow([f"{args.epsilon:g}", r["measure"], f"{r['value']:.10g}", f"{r['spread']:.10g}",
-                            json.dumps(r["converged"])])
+        path = bench.write_csv(out_dir / "complexity.csv", ["epsilon", "measure", "value", "spread", "converged"],
+                               ([f"{args.epsilon:g}", r["measure"], f"{r['value']:.10g}", f"{r['spread']:.10g}",
+                                 json.dumps(r["converged"])] for r in records))
     print(str(path))
     return 0
 
@@ -87,9 +82,7 @@ def _cmd_instance(args):
 
 def _cmd_plotdata(args):
     rows = bench.read_results_csv(args.results)
-    path = Path(args.out or "curves.csv")
-    bench.write_curves(bench.emit_plotdata(rows), path)
-    print(str(path))
+    print(bench.write_curves(bench.emit_plotdata(rows), Path(args.out or "curves.csv")))
     return 0
 
 

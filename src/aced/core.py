@@ -55,8 +55,11 @@ class LabelModel:
     In persistent mode every coordinate's label is realized once (from the
     seed, at construction) and cached, so repeated queries of the same
     index always return the same value. Queries mutate the internal RNG in
-    non-persistent mode; access is serialized with a lock.
+    non-persistent mode; access is serialized with a lock. bench scores a
+    source that sets interactive (asks a person) by plugin_errors under eta.
     """
+
+    interactive = False
 
     def __init__(self, eta, persistent: bool = False, seed: int = 0):
         eta = np.asarray(eta, dtype=float)
@@ -178,11 +181,16 @@ class HypothesisClass:
 
 @dataclass(frozen=True, eq=False)
 class Instance:
-    """A pool, a hypothesis class over it, and a label model."""
+    """A pool, a hypothesis class over it, and a label model, on one n."""
 
     pool: Pool
     hypotheses: HypothesisClass
     labels: LabelModel
+
+    def __post_init__(self):
+        if not self.pool.n == self.hypotheses.n == self.labels.n:
+            raise ValueError(f"instance parts disagree on n: pool {self.pool.n}, "
+                             f"hypotheses {self.hypotheses.n}, labels {self.labels.n}")
 
     @property
     def n(self) -> int:

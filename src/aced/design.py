@@ -171,8 +171,8 @@ def _grow_working_set(obj: DesignObjective, lam, Z, seen: set) -> DesignObjectiv
     """obj with a row for each labeling, not yet in seen, that its oracle
     returns while line_search_max searches each draw of Z at lam; seen (the
     bytes of the int8 labelings already in W) gains them. A row is
-    (anchor - lab)/n over _ratio_denominator(scale + plug-in gap), the ratio
-    line_search_max scores; obj itself is returned when nothing is new."""
+    (anchor - lab)/n over _oracle_denominator, as line_search_max scored
+    it; obj itself is returned when nothing is new."""
     new = []
 
     def collecting(w):
@@ -189,7 +189,7 @@ def _grow_working_set(obj: DesignObjective, lam, Z, seen: set) -> DesignObjectiv
     if not new:
         return obj
     rows = (obj.anchor_labeling - np.array(new, dtype=np.int8)) / obj.n
-    den = [_ratio_denominator(obj.scale + float(row @ (2.0 * obj.eta - 1.0)), obj.scale) for row in rows]
+    den = [_oracle_denominator(lab, obj.anchor_labeling, obj.eta, obj.scale) for lab in np.array(new, float)]
     return replace(obj, V=np.vstack([obj.V, rows]), den=np.concatenate([obj.den, den]))
 
 
@@ -539,12 +539,19 @@ def _ratio_denominator(den: float, scale: float) -> float:
     return den if den > 0 else (scale * 1e-3 if scale > 0 else 1e-12)
 
 
+def _oracle_denominator(lab, anchor, eta_hat, scale) -> float:
+    """scale + h's plug-in excess error over the anchor, c.(h - anchor) with
+    c = (1 - 2 eta-hat)/n, clamped by _ratio_denominator."""
+    c = (1.0 - 2.0 * np.asarray(eta_hat, dtype=float)) / lab.size
+    return _ratio_denominator(scale + float(c @ (lab - anchor)), scale)
+
+
 def line_search_max(lam, zeta, anchor_labeling, eta_hat, scale, maximizer, n_max: int = 20):
     """Inner maximization of the gap ratio N(h)/D(h) through a weighted-max
     oracle, as (value, int8 labeling, handle).
 
-    N(h) = d.(h - anchor) and D(h) = scale + c.(h - anchor), clamped by
-    _ratio_denominator, with d = -zeta/(n sqrt(lam)) and c = (1 - 2 eta-hat)/n.
+    N(h) = d.(h - anchor) and D(h) = _oracle_denominator, with
+    d = -zeta/(n sqrt(lam)) and c = (1 - 2 eta-hat)/n.
     Dinkelbach's iteration (Management Science, 1967): from r = 0, each
     step asks the maximizer for argmax_h (d - r c).h, the maximizer of
     N(h) - r D(h), and sets r to its answer's ratio. It stops when the ratio
@@ -562,7 +569,7 @@ def line_search_max(lam, zeta, anchor_labeling, eta_hat, scale, maximizer, n_max
     for _ in range(n_max):
         handle, lab = maximizer(w)
         lab = np.asarray(lab, dtype=float)
-        value = float(d @ (lab - anchor)) / _ratio_denominator(scale + float(c @ (lab - anchor)), scale)
+        value = float(d @ (lab - anchor)) / _oracle_denominator(lab, anchor, eta_hat, scale)
         if value <= r:
             break
         r, best_lab, best_handle = value, lab, handle

@@ -12,6 +12,8 @@ from scipy import stats
 from aced.algorithms import (
     aced_fixed_budget,
     aced_fixed_confidence,
+    aced_waterfilled,
+    baseline_passive,
     baseline_uniform_disagreement,
 )
 from aced.bench import load_config, run
@@ -225,6 +227,32 @@ def test_criterion_7_beats_uniform_disagreement():
            f"errors {a_err}/{reps} vs {b_err}/{reps}, one-sided p={p:.2e}")
 
 
+def test_waterfilled_beats_passive_at_a_fixed_budget():
+    """Lower error at equal labels, the paper's fixed-budget claim, on the
+    one setting where a gain over passive sampling has been measured: the
+    noiseless pool make_thresholds(128, 60, 1.0, persistent=True, seed=s),
+    aced_waterfilled (T=48, epsilon=1/64, N_batch=8) against
+    baseline_passive (T=48), paired by seed s. A run's excess risk is the
+    true gap of the hypothesis it returns. Measured with this loop on a
+    2-vCPU x86_64 host: at 40 seeds the means are 0.0047 against 0.0164,
+    ACED lower in 24, higher in 4 and tied in 12, one-sided Wilcoxon
+    p = 1.8e-4, in 11.0 s; at the 34 seeds run here, 0.0046 against
+    0.0154, lower in 19, higher in 4 and tied in 11, p = 1.1e-3, in
+    7.7-9.0 s. 36 seeds took 8.3-10.3 s, over the 10 s this test may take.
+    With the uniform design waterfilled in place of the solved one, the 34
+    seeds read 0.0156 against 0.0154, p = 0.63. aced_fixed_budget at its
+    default ips estimator answers from its last round's labels only and
+    fails this comparison, so it is not run here."""
+    aced, passive = [], []
+    for seed in range(34):
+        inst = make_thresholds(128, 60, 1.0, persistent=True, seed=seed)
+        gaps = gap_table(inst.hypotheses, inst.labels).gaps
+        aced.append(gaps[aced_waterfilled(inst, T=48, epsilon=1 / 64, N_batch=8, seed=seed).returned])
+        passive.append(gaps[baseline_passive(inst, T=48, seed=seed).returned])
+    p = stats.wilcoxon(aced, passive, alternative="less").pvalue
+    assert np.mean(aced) < np.mean(passive) and p < 0.01, (np.mean(aced), np.mean(passive), p)
+
+
 def test_criterion_8_waterfilling_fidelity():
     n, reps = 20, 1000
     rng = np.random.default_rng(5)
@@ -338,10 +366,7 @@ N_batch = 3
     p1 = run(load_config(cfg_file), out_dir=tmp_path / "a")
     p2 = run(load_config(cfg_file), out_dir=tmp_path / "b")
 
-    def body(path):
-        return [l for l in open(path).read().splitlines() if not l.startswith("#")]
-
-    same = (body(p1["results"]) == body(p2["results"])
+    same = (open(p1["results"]).read() == open(p2["results"]).read()
             and open(p1["curves"]).read() == open(p2["curves"]).read()
             and open(p1["records"]).read() == open(p2["records"]).read())
     report(12, "benchmark determinism", same, "replayed bodies byte-identical")

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -86,18 +87,32 @@ def test_run_passive_full_budget_matches_full_data_erm(tmp_path):
 def test_run_determinism_and_seed_order_independence(tmp_path):
     c1 = load_config(write_config(tmp_path, BASE.format(seeds="0,1,2", holdout=0.0, out=tmp_path / "a")))
     p1 = run(c1)
-    body1 = [l for l in open(p1["results"]).read().splitlines() if not l.startswith("#")]
+    body1 = open(p1["results"]).read()
     curves1 = open(p1["curves"]).read()
 
     c2 = load_config(write_config(tmp_path, BASE.format(seeds="2,0,1", holdout=0.0, out=tmp_path / "b")))
     p2 = run(c2)
-    body2 = [l for l in open(p2["results"]).read().splitlines() if not l.startswith("#")]
+    body2 = open(p2["results"]).read()
     assert body1 == body2
     assert curves1 == open(p2["curves"]).read()
 
     p3 = run(c1, out_dir=tmp_path / "c")
-    body3 = [l for l in open(p3["results"]).read().splitlines() if not l.startswith("#")]
+    body3 = open(p3["results"]).read()
     assert body1 == body3
+
+
+def test_tables_replay_byte_for_byte_under_a_different_clock(tmp_path, monkeypatch):
+    # whole files, # lines included: no CSV body carries the time it was written
+    cfg = load_config(write_config(tmp_path, BASE.format(seeds="0,1", holdout=0.25, out=tmp_path / "o")
+                                   .replace("persistent = true", "persistent = false")
+                                   + "\n[algorithm iwal]\nC0 = 0.01\n"))
+    files = []
+    for clock in ("2000-01-01T00:00:00", "2099-12-31T23:59:59"):
+        monkeypatch.setattr(time, "strftime", lambda *args, clock=clock: clock)
+        paths = run(cfg, out_dir=tmp_path / clock[:4])
+        files.append([Path(paths[key]).read_bytes() for key in ("results", "curves")])
+    assert files[0] == files[1]
+    assert all(body.startswith(b"algorithm,") for body in files[0])
 
 
 def test_run_replicates_average_in_curves(tmp_path):
@@ -167,7 +182,7 @@ def test_run_outputs_do_not_depend_on_the_round_memo(tmp_path, monkeypatch):
     cold = run(cfg, out_dir=tmp_path / "cold")
     assert warm_solves < len(solves) - warm_solves
     for key in ("results", "curves", "records"):
-        assert _body(warm[key]) == _body(cold[key])
+        assert open(warm[key]).read() == open(cold[key]).read()
 
 
 def test_holdout_never_queried_and_scored(tmp_path):
@@ -536,10 +551,7 @@ def test_run_worker_pool_matches_sequential(tmp_path):
     p1 = run(cfg, out_dir=tmp_path / "s", workers=1)
     p2 = run(cfg, out_dir=tmp_path / "w", workers=2)
 
-    def body(path):
-        return [l for l in open(path).read().splitlines() if not l.startswith("#")]
-
-    assert body(p1["results"]) == body(p2["results"])
+    assert open(p1["results"]).read() == open(p2["results"]).read()
     assert open(p1["records"]).read() == open(p2["records"]).read()
 
 
@@ -568,11 +580,6 @@ epsilon = 0.25
 """]
 
 
-def _body(path):
-    """A results file without its timestamp comment."""
-    return "".join(l for l in open(path).read().splitlines(True) if not l.startswith("#"))
-
-
 def _sha(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -587,7 +594,7 @@ def test_run_non_persistent_labels_do_not_depend_on_schedule(tmp_path):
     assert not p1["errors"] and not p2["errors"]
     records = open(p1["records"]).read()
     assert records == open(p2["records"]).read()
-    assert _body(p1["results"]) == _body(p2["results"])
+    assert open(p1["results"]).read() == open(p2["results"]).read()
     # pinned from the worker pool, whose workers always start from a fresh label model
     assert _sha(records) == "4c9107c3eafb123d57b3268a5cb69f573fa690117d11436a137acbf4f126d87d"
 
@@ -645,14 +652,14 @@ def test_holdout_scores_on_oracle_class_and_non_persistent_labels(tmp_path, work
     assert not paths["errors"]
     rows = read_results_csv(paths["results"])
     assert all(r.holdout_acc is not None for r in rows)
-    assert _sha(_body(paths["results"])) == "dc75f5d446802258b46cb8f02a2a9b55d827844deec6dccc8366bdb50fdc5b60"
+    assert _sha(open(paths["results"]).read()) == "dc75f5d446802258b46cb8f02a2a9b55d827844deec6dccc8366bdb50fdc5b60"
 
     cfg = load_config(write_config(tmp_path, NON_PERSISTENT.format(holdout=0.25, out=tmp_path / "o")
                                    + "".join(NON_PERSISTENT_ALGORITHMS)))
     paths = run(cfg, out_dir=tmp_path / "np", workers=workers)
     assert not paths["errors"]
     assert all(r.holdout_acc is not None for r in read_results_csv(paths["results"]))
-    assert _sha(_body(paths["results"])) == "7b2a62994ca1c50823e92ecdcdf5bbe006a6771fd92fa9c0d9bfd4697027b7e4"
+    assert _sha(open(paths["results"]).read()) == "7b2a62994ca1c50823e92ecdcdf5bbe006a6771fd92fa9c0d9bfd4697027b7e4"
 
 
 def test_run_fits_each_oracle_erm_once(tmp_path, monkeypatch):
@@ -678,7 +685,7 @@ def test_run_fits_each_oracle_erm_once(tmp_path, monkeypatch):
     refit = run(cfg, out_dir=tmp_path / "refit")
     assert len(fits) - fitted > fitted
     for key in ("results", "curves", "records"):
-        assert _body(kept[key]) == _body(refit[key])
+        assert open(kept[key]).read() == open(refit[key]).read()
 
 
 def test_pool_workers_build_the_instance_once_each(tmp_path, monkeypatch):

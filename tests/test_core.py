@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 from aced.core import (
     HypothesisClass,
     ImplicitClassError,
+    Instance,
     LabelModel,
     Pool,
     errors_all,
@@ -205,6 +206,21 @@ def test_dedup_keeps_first_occurrence_order():
 
 def test_an_oracle_backed_class_reads_its_size_from_the_oracle_features():
     assert HypothesisClass(oracle=LinearOracleClass(X_ORACLE)).n == 4
+
+
+@pytest.mark.parametrize("pool_n, hypotheses, labels_n, sizes", [
+    (4, HypothesisClass(np.eye(6)), 5, "pool 4, hypotheses 6, labels 5"),
+    (5, HypothesisClass(np.eye(4)), 4, "pool 5, hypotheses 4, labels 4"),
+    (4, HypothesisClass(np.eye(5)), 4, "pool 4, hypotheses 5, labels 4"),
+    (4, HypothesisClass(np.eye(4)), 3, "pool 4, hypotheses 4, labels 3"),
+    (5, HypothesisClass(oracle=LinearOracleClass(X_ORACLE)), 5, "pool 5, hypotheses 4, labels 5"),
+], ids=["all three", "pool", "explicit class", "labels", "oracle features"])
+def test_an_instance_refuses_parts_that_disagree_on_n(pool_n, hypotheses, labels_n, sizes):
+    # refused where the instance is built, not in a matmul or after labels are drawn
+    with pytest.raises(ValueError, match=f"instance parts disagree on n: {sizes}$"):
+        Instance(Pool(n=pool_n), hypotheses, LabelModel(np.full(labels_n, 0.5)))
+    inst = Instance(Pool(n=4), HypothesisClass(oracle=LinearOracleClass(X_ORACLE)), LabelModel(np.full(4, 0.5)))
+    assert inst.n == 4
 
 
 BAD_INPUT = [

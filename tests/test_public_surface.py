@@ -201,3 +201,19 @@ def test_each_input_rule_has_one_home():
     assert implicit_raises == ["core.HypothesisClass.enumerated"]
     assert integral == {"core.py"}
     assert environment == []
+
+
+def test_each_table_has_one_writer():
+    # a CSV written anywhere but bench.write_csv, or a probe for a
+    # label model's interactive flag in place of the declared attribute,
+    # fails here
+    writers, probes = [], []
+    for path in sorted((ROOT / "src" / "aced").glob("*.py")):
+        for node, scope in _scoped(ast.parse(path.read_text())):
+            if _uses(node, "csv", {"writer"}):
+                writers.append(f"{path.stem}.{scope}")
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "getattr"
+                    and any(isinstance(a, ast.Constant) and a.value == "interactive" for a in node.args)):
+                probes.append(f"{path.stem}.{scope}")
+    assert writers == ["bench.write_csv"]
+    assert probes == []
